@@ -21,7 +21,7 @@ import scipy.sparse as sp
 
 from repro.core.spmm import SpmmEngine, default_spmm
 from repro.core.state import FactorSet
-from repro.utils.matrices import hard_assignments, row_normalize, safe_divide
+from repro.utils.matrices import EPS, hard_assignments, row_normalize
 from repro.utils.rng import RandomState
 
 MatrixLike = np.ndarray | sp.spmatrix
@@ -43,11 +43,28 @@ def _fold_in(
     the first iteration.
     """
     memberships = np.full(attraction.shape, 0.5)
+    # One scratch buffer carries ``S·G`` → ``max(·, EPS)`` → ``N / ·`` in
+    # place: the operations of ``S * safe_divide(N, S @ G)`` in the same
+    # order, so the results are bit-identical without per-step arrays.
+    ratio = np.empty(attraction.shape)
     for _ in range(iterations):
-        memberships = memberships * safe_divide(
-            attraction, memberships @ gram
-        )
+        np.matmul(memberships, gram, out=ratio)
+        np.maximum(ratio, EPS, out=ratio)
+        np.divide(attraction, ratio, out=ratio)
+        np.multiply(memberships, ratio, out=memberships)
     return memberships
+
+
+def _transposed(factor: np.ndarray) -> np.ndarray:
+    """``factorᵀ`` as a C-contiguous array, for the ``(rows, k)·(k, k)`` product.
+
+    Multiplying by the strided ``.T`` view sends a one-row left operand
+    to a different BLAS kernel than a many-row one, and the two round
+    differently; with a contiguous right operand a row's product is the
+    same whether it is computed alone or inside a batch, which is what
+    keeps classify rows batch-invariant.
+    """
+    return np.ascontiguousarray(factor.T)
 
 
 def infer_tweet_memberships(
@@ -92,7 +109,7 @@ def infer_tweet_memberships(
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
     engine = spmm if spmm is not None else default_spmm()
-    attraction = engine.matmul(xp_new, factors.sf) @ factors.hp.T
+    attraction = engine.matmul(xp_new, factors.sf) @ _transposed(factors.hp)
     if gram is None:
         gram = factors.hp @ (factors.sf.T @ factors.sf) @ factors.hp.T
     memberships = _fold_in(attraction, gram, iterations)
@@ -147,7 +164,7 @@ def infer_user_memberships(
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
     engine = spmm if spmm is not None else default_spmm()
-    attraction = engine.matmul(xu_new, factors.sf) @ factors.hu.T
+    attraction = engine.matmul(xu_new, factors.sf) @ _transposed(factors.hu)
     gram = factors.hu @ (factors.sf.T @ factors.sf) @ factors.hu.T
     if xr_new is not None:
         if xr_new.shape[1] != factors.num_tweets:

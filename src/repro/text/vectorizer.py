@@ -106,6 +106,19 @@ class CountVectorizer:
 
     def transform(self, documents: Sequence[str]) -> sp.csr_matrix:
         """Vectorize ``documents`` into an ``(n_docs, n_features)`` matrix."""
+        data, indices, indptr, width = self._count_arrays(documents)
+        if self.binary:
+            data = np.minimum(data, 1.0)
+        return _csr(data, indices, indptr, width)
+
+    def _count_arrays(
+        self, documents: Sequence[str]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        """Raw counts of ``documents`` as CSR ``(data, indices, indptr)`` + width.
+
+        Each row's column indices are sorted, so every matrix built from
+        these arrays is in canonical format.
+        """
         if not self._fitted or self.vocabulary is None:
             raise RuntimeError("vectorizer must be fitted before transform")
         vocab = self.vocabulary
@@ -120,15 +133,14 @@ class CountVectorizer:
                     counts[feature_id] += 1
             for feature_id in sorted(counts):
                 indices.append(feature_id)
-                value = 1.0 if self.binary else float(counts[feature_id])
-                data.append(value)
+                data.append(float(counts[feature_id]))
             indptr.append(len(indices))
-        matrix = sp.csr_matrix(
-            (np.asarray(data), np.asarray(indices, dtype=np.int32), indptr),
-            shape=(len(documents), len(vocab)),
-            dtype=np.float64,
+        return (
+            np.asarray(data, dtype=np.float64),
+            np.asarray(indices, dtype=np.int32),
+            np.asarray(indptr, dtype=np.int32),
+            len(vocab),
         )
-        return matrix
 
     def transform_counts(self, counts: sp.csr_matrix) -> sp.csr_matrix:
         """Apply this vectorizer's weighting to a prebuilt count matrix.
@@ -224,31 +236,68 @@ class TfidfVectorizer(CountVectorizer):
         return self._idf
 
     def transform(self, documents: Sequence[str]) -> sp.csr_matrix:
-        counts = CountVectorizer.transform(self, documents)
-        return self.transform_counts(counts)
+        data, indices, indptr, width = self._count_arrays(documents)
+        return _csr(self._weigh(data, indices, indptr, width), indices, indptr, width)
 
     def transform_counts(self, counts: sp.csr_matrix) -> sp.csr_matrix:
         """Apply tf-idf weighting + L2 normalization to a count matrix."""
-        if self._idf is None or self._idf.shape[0] != counts.shape[1]:
+        counts = counts.tocsr()
+        if not counts.has_canonical_format:
+            counts = counts.copy()
+            counts.sum_duplicates()
+        indices = counts.indices.copy()
+        indptr = counts.indptr.copy()
+        data = self._weigh(counts.data, indices, indptr, counts.shape[1])
+        return _csr(data, indices, indptr, counts.shape[1])
+
+    def _weigh(
+        self,
+        counts: np.ndarray,
+        indices: np.ndarray,
+        indptr: np.ndarray,
+        width: int,
+    ) -> np.ndarray:
+        """Tf-idf weighted (and L2-normalized) data of a CSR count matrix.
+
+        Works on the CSR arrays directly -- ``counts`` is the data array,
+        ``indices``/``indptr`` its structure, ``width`` the column count --
+        and returns the new data array for that same structure.  Each
+        step is the element-wise operation the scipy sparse formula runs
+        (``tf * idf[col]``, then the row sums of squares as the same
+        ``add.reduceat`` over storage order), so the result is bitwise
+        the one that formula gives, without its per-call overhead.
+        """
+        idf = self._idf
+        if idf is None or idf.shape[0] != width:
             # Either the vocabulary was injected without a fit pass, or it
             # grew (append-only) since the last idf refresh; recompute from
             # the document frequencies accumulated in the vocabulary.
-            self.refresh_idf()
-            if self._idf.shape[0] != counts.shape[1]:
+            idf = self.refresh_idf()
+            if idf.shape[0] != width:
                 raise ValueError(
-                    f"count matrix has {counts.shape[1]} columns but the "
-                    f"vocabulary has {self._idf.shape[0]} tokens"
+                    f"count matrix has {width} columns but the "
+                    f"vocabulary has {idf.shape[0]} tokens"
                 )
-        tf = counts.copy().astype(np.float64)
+        tf = np.asarray(counts, dtype=np.float64)
         if self.binary:
-            tf.data = np.minimum(tf.data, 1.0)
+            tf = np.minimum(tf, 1.0)
         if self.sublinear_tf:
-            tf.data = 1.0 + np.log(tf.data)
-        weighted = tf.multiply(sp.csr_matrix(self._idf)).tocsr()
-        if self.normalize:
-            norms = np.sqrt(weighted.multiply(weighted).sum(axis=1))
-            norms = np.asarray(norms).ravel()
+            tf = 1.0 + np.log(tf)
+        weighted = tf * idf[indices]
+        if self.normalize and weighted.size:
+            lengths = np.diff(indptr)
+            nonempty = lengths > 0
+            norms = np.ones(lengths.shape[0])
+            norms[nonempty] = np.sqrt(
+                np.add.reduceat(weighted * weighted, indptr[:-1][nonempty])
+            )
             norms[norms == 0.0] = 1.0
-            scale = sp.diags(1.0 / norms)
-            weighted = (scale @ weighted).tocsr()
+            weighted *= np.repeat(1.0 / norms, lengths)
         return weighted
+
+
+def _csr(
+    data: np.ndarray, indices: np.ndarray, indptr: np.ndarray, width: int
+) -> sp.csr_matrix:
+    """One ``(rows, width)`` CSR matrix over the given arrays (no copies)."""
+    return sp.csr_matrix((data, indices, indptr), shape=(indptr.shape[0] - 1, width))

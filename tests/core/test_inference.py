@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.inference import (
+    _fold_in,
     infer_tweet_memberships,
     infer_tweet_sentiments,
     infer_user_memberships,
@@ -15,6 +18,7 @@ from repro.data.synthetic import BallotDatasetGenerator, prop30_config
 from repro.eval.metrics import clustering_accuracy
 from repro.graph.bipartite import build_tweet_feature_matrix
 from repro.graph.tripartite import build_tripartite_graph
+from repro.utils.matrices import safe_divide
 
 
 @pytest.fixture(scope="module")
@@ -192,3 +196,56 @@ class TestFoldInEdgeCases:
         )
         np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(a, c)
+
+
+def allocating_fold_in(attraction, gram, iterations):
+    """The allocate-per-step fold-in loop, kept here as the oracle."""
+    memberships = np.full(attraction.shape, 0.5)
+    for _ in range(iterations):
+        memberships = memberships * safe_divide(
+            attraction, memberships @ gram
+        )
+    return memberships
+
+
+class TestBufferedFoldIn:
+    """``_fold_in`` runs its steps in preallocated buffers; the results
+    must be the allocating loop's, bit for bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(0, 40),
+        k=st.integers(1, 6),
+        iterations=st.integers(1, 30),
+        zero_share=st.sampled_from([0.0, 0.3, 1.0]),
+        dtype=st.sampled_from([np.float64, np.float32]),
+    )
+    def test_bit_identical_to_allocating_loop(
+        self, seed, rows, k, iterations, zero_share, dtype
+    ):
+        rng = np.random.default_rng(seed)
+        attraction = rng.random((rows, k)).astype(dtype)
+        attraction[rng.random(rows) < zero_share] = 0.0
+        factor = rng.random((k, k))
+        gram = factor @ factor.T
+        buffered = _fold_in(attraction, gram, iterations)
+        expected = allocating_fold_in(attraction, gram, iterations)
+        assert buffered.dtype == expected.dtype
+        assert buffered.tobytes() == expected.tobytes()
+
+
+class TestBatchInvariance:
+    def test_single_rows_equal_batched_rows(self, model, fresh_tweets):
+        """A row folded in alone is bitwise the row folded in a batch."""
+        _, xp = fresh_tweets
+        batched = infer_tweet_memberships(xp, model)
+        single = np.vstack(
+            [infer_tweet_memberships(xp[i], model) for i in range(xp.shape[0])]
+        )
+        np.testing.assert_array_equal(single, batched)
+        users = infer_user_memberships(xp, model)
+        one_by_one = np.vstack(
+            [infer_user_memberships(xp[i], model) for i in range(xp.shape[0])]
+        )
+        np.testing.assert_array_equal(one_by_one, users)

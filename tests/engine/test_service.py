@@ -77,7 +77,7 @@ class TestClassification:
             [first.memberships] + [r.memberships for r in rest]
         )
         direct = service.engine.classify_memberships(texts)
-        np.testing.assert_allclose(joint, direct, atol=1e-12)
+        np.testing.assert_array_equal(joint, direct)
 
     def test_submit_matches_direct_engine_call(self, service, corpus):
         texts = [t.text for t in corpus.tweets[:8]]

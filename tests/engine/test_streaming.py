@@ -117,6 +117,21 @@ class TestServingCache:
         assert engine.cache.hits >= 8
         np.testing.assert_array_equal(first, second)
 
+    def test_single_text_rows_equal_batched_rows(self, fed_engine, held_out):
+        """Rows are batch-invariant: the row a text gets in a one-text
+        request is bitwise its row in a batched request, which is what
+        lets the LRU cache answer either kind with one stored row."""
+        texts, _ = held_out
+        engine = fed_engine
+        engine.cache.clear()
+        single = np.vstack(
+            [engine.classify_memberships([text]) for text in texts]
+        )
+        engine.cache.clear()
+        batched = engine.classify_memberships(texts)
+        assert len(texts) > engine.classify_batch_size  # spans micro-batches
+        np.testing.assert_array_equal(single, batched)
+
     def test_duplicate_texts_in_one_batch(self, fed_engine, held_out):
         texts, _ = held_out
         repeated = [texts[0], texts[1], texts[0], texts[0]]
@@ -186,10 +201,9 @@ class TestEdgeCases:
             corpus,
             batches[:2],
         )
-        np.testing.assert_allclose(
+        np.testing.assert_array_equal(
             wide.classify_memberships(sample),
             narrow.classify_memberships(sample),
-            atol=1e-12,
         )
 
     def test_cached_row_matches_fresh_computation(
@@ -211,7 +225,7 @@ class TestEdgeCases:
         warm.classify_memberships([texts[0]])  # seeds the cache
         joint = warm.classify_memberships([texts[0], texts[1]])
         fresh = cold.classify_memberships([texts[0], texts[1]])
-        np.testing.assert_allclose(joint, fresh, atol=1e-12)
+        np.testing.assert_array_equal(joint, fresh)
 
     def test_solver_conflict_rejected(self, lexicon):
         from repro.core.online import OnlineTriClustering

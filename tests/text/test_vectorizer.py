@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.text.vectorizer import CountVectorizer, TfidfVectorizer
 from repro.text.vocabulary import Vocabulary
@@ -161,7 +163,181 @@ class TestTransformCounts:
         plain_counts = CountVectorizer(
             vocabulary=vectorizer.vocabulary
         ).transform(DOCS)
-        np.testing.assert_allclose(
+        np.testing.assert_array_equal(
             vectorizer.transform_counts(plain_counts).toarray(),
             vectorizer.transform(DOCS).toarray(),
         )
+
+
+def scipy_tfidf(
+    counts: sp.csr_matrix,
+    idf: np.ndarray,
+    binary: bool,
+    sublinear_tf: bool,
+    normalize: bool,
+) -> sp.csr_matrix:
+    """The scipy sparse-algebra tf-idf formula, kept here as the oracle."""
+    tf = counts.copy().astype(np.float64)
+    if binary:
+        tf.data = np.minimum(tf.data, 1.0)
+    if sublinear_tf:
+        tf.data = 1.0 + np.log(tf.data)
+    weighted = tf.multiply(sp.csr_matrix(idf)).tocsr()
+    if normalize:
+        norms = np.sqrt(weighted.multiply(weighted).sum(axis=1))
+        norms = np.asarray(norms).ravel()
+        norms[norms == 0.0] = 1.0
+        weighted = (sp.diags(1.0 / norms) @ weighted).tocsr()
+    return weighted
+
+
+def assert_bitwise(actual: np.ndarray, expected: np.ndarray) -> None:
+    np.testing.assert_array_equal(actual, expected)
+    assert actual.dtype == expected.dtype
+    assert actual.tobytes() == expected.tobytes()
+
+
+WORDS = [f"w{i}" for i in range(12)]
+FLAGS = st.fixed_dictionaries(
+    {
+        "binary": st.booleans(),
+        "sublinear_tf": st.booleans(),
+        "normalize": st.booleans(),
+    }
+)
+
+
+def tfidf_over_words(flags: dict) -> TfidfVectorizer:
+    """A vectorizer fitted on documents with varied document frequencies."""
+    vectorizer = TfidfVectorizer(
+        sublinear_tf=flags["sublinear_tf"], normalize=flags["normalize"]
+    )
+    vectorizer.binary = flags["binary"]
+    return vectorizer.fit(
+        [" ".join(WORDS[: i + 1]) for i in range(len(WORDS))]
+    )
+
+
+@st.composite
+def count_matrices(draw, width: int) -> sp.csr_matrix:
+    """Canonical count matrices, empty rows and 0-row batches included."""
+    rows = draw(
+        st.lists(
+            st.dictionaries(
+                st.integers(0, width - 1), st.integers(1, 40), max_size=width
+            ),
+            max_size=8,
+        )
+    )
+    indptr = [0]
+    indices: list[int] = []
+    data: list[float] = []
+    for row in rows:
+        for column in sorted(row):
+            indices.append(column)
+            data.append(float(row[column]))
+        indptr.append(len(indices))
+    return sp.csr_matrix(
+        (np.asarray(data), np.asarray(indices, dtype=np.int32), indptr),
+        shape=(len(rows), width),
+    )
+
+
+class TestArrayWeighting:
+    """``transform_counts`` weighs CSR arrays directly; the dense result
+    must equal the scipy sparse formula bit for bit, for every option."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(flags=FLAGS, data=st.data())
+    def test_matches_scipy_formula_bitwise(self, flags, data):
+        vectorizer = tfidf_over_words(flags)
+        counts = data.draw(count_matrices(len(vectorizer.vocabulary)))
+        weighted = vectorizer.transform_counts(counts)
+        expected = scipy_tfidf(counts, vectorizer.refresh_idf(), **flags)
+        assert weighted.shape == counts.shape
+        assert weighted.has_canonical_format
+        assert_bitwise(weighted.toarray(), expected.toarray())
+
+    @settings(max_examples=50, deadline=None)
+    @given(flags=FLAGS, data=st.data())
+    def test_grown_vocabulary_refreshes_idf(self, flags, data):
+        """Columns added since the last idf refresh (the builder grows the
+        vocabulary in place) are weighted with the refreshed idf."""
+        vectorizer = tfidf_over_words(flags)
+        stale = vectorizer.idf_size
+        vectorizer.vocabulary.thaw()
+        vectorizer.vocabulary.add_document(["fresh1", "fresh2", WORDS[0]])
+        counts = data.draw(count_matrices(len(vectorizer.vocabulary)))
+        weighted = vectorizer.transform_counts(counts)
+        assert vectorizer.idf_size == stale + 2
+        expected = scipy_tfidf(counts, vectorizer.refresh_idf(), **flags)
+        assert weighted.has_canonical_format
+        assert_bitwise(weighted.toarray(), expected.toarray())
+
+    @pytest.mark.parametrize("rows", [0, 3])
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_no_entries(self, rows, normalize):
+        """A 0-row batch and a matrix of empty rows weigh to all zeros."""
+        vectorizer = TfidfVectorizer(normalize=normalize).fit(DOCS)
+        width = len(vectorizer.vocabulary)
+        counts = sp.csr_matrix((rows, width))
+        weighted = vectorizer.transform_counts(counts)
+        assert weighted.shape == (rows, width)
+        assert weighted.nnz == 0
+        assert weighted.has_canonical_format
+        assert_bitwise(weighted.toarray(), np.zeros((rows, width)))
+        assert vectorizer.transform([]).shape == (0, width)
+        assert_bitwise(
+            vectorizer.transform(["", "unknownword"]).toarray(),
+            np.zeros((2, width)),
+        )
+
+    def test_non_canonical_counts_are_summed_first(self):
+        """Unsorted and duplicate entries weigh like their canonical sum."""
+        vectorizer = TfidfVectorizer().fit(DOCS)
+        width = len(vectorizer.vocabulary)
+        messy = sp.csr_matrix(
+            (
+                np.array([1.0, 2.0, 1.0, 3.0]),
+                np.array([2, 0, 2, 1], dtype=np.int32),
+                np.array([0, 3, 4]),
+            ),
+            shape=(2, width),
+        )
+        canonical = messy.copy()
+        canonical.sum_duplicates()
+        weighted = vectorizer.transform_counts(messy)
+        assert weighted.has_canonical_format
+        assert_bitwise(
+            weighted.toarray(), vectorizer.transform_counts(canonical).toarray()
+        )
+        assert not messy.has_canonical_format  # the input is left alone
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        documents=st.lists(
+            st.lists(st.sampled_from(WORDS + ["oov"]), max_size=10).map(
+                " ".join
+            ),
+            max_size=6,
+        )
+    )
+    def test_transform_matches_formula_on_counts(self, documents):
+        """``transform`` weighs the same arrays the count path builds, and
+        each row is the same whether vectorized alone or in a batch."""
+        vectorizer = tfidf_over_words(
+            {"binary": False, "sublinear_tf": False, "normalize": True}
+        )
+        counts = CountVectorizer(vocabulary=vectorizer.vocabulary).transform(
+            documents
+        )
+        weighted = vectorizer.transform(documents)
+        expected = scipy_tfidf(
+            counts, vectorizer.refresh_idf(), False, False, True
+        )
+        assert weighted.has_canonical_format
+        assert_bitwise(weighted.toarray(), expected.toarray())
+        for row, document in enumerate(documents):
+            alone = vectorizer.transform([document])
+            assert_bitwise(alone.data, weighted[row].data)
+            assert_bitwise(alone.indices, weighted[row].indices)
