@@ -4,7 +4,6 @@ Not a paper table — these quantify the contribution of each model
 component on the Prop-30 analogue:
 
 - the lexicon prior (α) and the social-graph term (β) of Eq. (1),
-- the projector vs literal-Lagrangian update formulation,
 - the Section-7 guided (semi-supervised) regularization extension.
 """
 
@@ -48,7 +47,6 @@ def run_ablations(config):
     score("no lexicon prior (α=0)", offline(alpha=0.0))
     score("no social graph (β=0)", offline(beta=0.0))
     score("neither (α=0, β=0)", offline(alpha=0.0, beta=0.0))
-    score("lagrangian updates", offline(update_style="lagrangian"))
 
     seeds = sample_labeled_indices(user_truth, 0.10, seed=config.seed)
     guided = UnifiedTriClustering(

@@ -14,7 +14,7 @@ from repro.core.updates import (
     update_hu,
     update_sf,
     update_sp,
-    update_su,
+    update_su_online,
 )
 from repro.experiments.datasets import load_dataset
 
@@ -40,7 +40,7 @@ def test_bench_update_sp(benchmark, kernel_setup):
 def test_bench_update_su(benchmark, kernel_setup):
     graph, factors = kernel_setup
     benchmark(
-        update_su,
+        update_su_online,
         factors.su, factors.sf, factors.hu, factors.sp,
         graph.xu, graph.xr,
         graph.user_graph.adjacency, graph.user_graph.degree_matrix,

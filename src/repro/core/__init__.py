@@ -11,6 +11,8 @@
 - :mod:`repro.core.convergence` — per-iteration loss tracking (Figure 8).
 - :mod:`repro.core.offline` — Algorithm 1 (:class:`OfflineTriClustering`).
 - :mod:`repro.core.online` — Algorithm 2 (:class:`OnlineTriClustering`).
+- :mod:`repro.core.sweep` — the one solve loop both algorithms run
+  (:class:`ShardedSolver`), planned as one or more user-partition shards.
 - :mod:`repro.core.sharded` — user-partition sharded variants of both
   (:class:`ShardedTriClustering`, :class:`ShardedOnlineTriClustering`).
 """
@@ -36,11 +38,11 @@ from repro.core.regularizers import (
 )
 from repro.core.sharded import (
     ShardedOnlineTriClustering,
-    ShardedSolver,
     ShardedTriClustering,
     resolve_shard_count,
 )
 from repro.core.state import FactorSet
+from repro.core.sweep import ShardedSolver
 from repro.core.sweepcache import SweepCache
 from repro.core.unified import UnifiedResult, UnifiedTriClustering
 

@@ -72,17 +72,27 @@ class ConvergenceHistory:
             raise ValueError("no iterations recorded")
         return self.records[-1]
 
-    def converged(self, tolerance: float, window: int = 1) -> bool:
+    def converged(
+        self,
+        tolerance: float,
+        window: int = 1,
+        pending: ObjectiveValue | None = None,
+    ) -> bool:
         """Relative-change convergence test on the total objective.
 
         True when the total objective changed by less than ``tolerance``
         (relatively) over each of the last ``window`` iterations.
+        ``pending`` is tested as if it had been appended (the history
+        itself is left as it is).
         """
-        if len(self.records) < window + 1:
+        totals = [record.total for record in self.records[-window - 1:]]
+        if pending is not None:
+            totals = (totals + [pending.total])[-window - 1:]
+        if len(totals) < window + 1:
             return False
         for offset in range(window):
-            current = self.records[-1 - offset].total
-            previous = self.records[-2 - offset].total
+            current = totals[-1 - offset]
+            previous = totals[-2 - offset]
             denom = max(abs(previous), 1e-30)
             if abs(previous - current) / denom >= tolerance:
                 return False

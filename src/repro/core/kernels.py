@@ -44,6 +44,8 @@ tolerance (see ``tests/core/test_kernels.py``).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -58,8 +60,13 @@ KERNELS = ("auto", "numpy", "numba")
 DTYPES = ("float64", "float32")
 
 
+@functools.cache
 def numba_available() -> bool:
-    """True when :mod:`numba` is importable in this interpreter."""
+    """True when :mod:`numba` is importable in this interpreter.
+
+    Cached: a failed import is not remembered by the import system, so
+    every uncached probe would rescan ``sys.path`` — twice per solve.
+    """
     try:
         import numba  # noqa: F401
     except ImportError:
@@ -478,9 +485,9 @@ def _ensure_numba_kernel(threads: int | None = None) -> Kernel:
 def get_kernel(name: str, threads: int | None = None) -> Kernel:
     """Resolve a *concrete* kernel name (``"numpy"``/``"numba"``).
 
-    Used by the sharded worker commands, which receive the already
-    auto-resolved name in their shard payload so every shard — local or
-    remote — runs the same implementation the coordinator chose.
+    Used by out-of-process shard workers, which receive the already
+    auto-resolved name in their shard payload so every shard runs the
+    same implementation the coordinator chose.
     ``threads`` is the tail thread budget (speed-only; tails are
     element-wise), resolved locally per worker.
     """
@@ -490,10 +497,11 @@ def get_kernel(name: str, threads: int | None = None) -> Kernel:
 def resolve_kernel_name(kernel: object = "auto") -> str:
     """Auto-resolve a kernel choice to its concrete name.
 
-    The sharded solvers call this once before scattering shard state so
+    The solve loop pins out-of-process shard payloads with this, so
     that ``"auto"`` means "whatever the coordinator has", not "whatever
     each worker host happens to have" — keeping the backend bit-identity
-    guarantee intact across heterogeneous fleets.
+    guarantee intact across heterogeneous fleets.  An unregistered
+    instance pins to ``"numpy"`` (in-process solves use it as is).
     """
     kernel = resolve_kernel(kernel)
     if kernel.name not in KERNELS:  # a bench-supplied custom instance

@@ -14,6 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.core.state import FactorSet
+from repro.core.sweepcache import SweepCache
 from repro.utils.matrices import frobenius_sq
 
 MatrixLike = np.ndarray | sp.spmatrix
@@ -110,18 +111,26 @@ def trifactor_loss(
     x_sq: float | None = None,
     x_T: MatrixLike | None = None,
     spmm: object | None = None,
+    a_gram: np.ndarray | None = None,
+    b_gram: np.ndarray | None = None,
 ) -> float:
     """``||X − A·H·Bᵀ||²`` without densifying ``X``.
 
     ``x_sq``/``x_T`` optionally supply the precomputed ``||X||²`` and
     transpose (see :class:`ObjectiveStatics`); ``spmm`` an optional
-    :class:`~repro.core.spmm.SpmmEngine` for the sparse cross term.
+    :class:`~repro.core.spmm.SpmmEngine` for the sparse cross term;
+    ``a_gram``/``b_gram`` the grams ``AᵀA``/``BᵀB`` (the same products,
+    so the value is unchanged bitwise).
     """
     ah = a @ h
     if x_T is None:
         x_T = x.T if sp.issparse(x) else np.asarray(x).T
     cross = float(np.sum(_dot(x_T, ah, spmm) * b))
-    gram = (b.T @ b) @ (h.T @ (a.T @ a) @ h)
+    if a_gram is None:
+        a_gram = a.T @ a
+    if b_gram is None:
+        b_gram = b.T @ b
+    gram = b_gram @ (h.T @ a_gram @ h)
     if x_sq is None:
         x_sq = frobenius_sq(x)
     return max(x_sq - 2.0 * cross + float(np.trace(gram)), 0.0)
@@ -133,13 +142,26 @@ def bifactor_loss(
     b: np.ndarray,
     x_sq: float | None = None,
     spmm: object | None = None,
+    a_gram: np.ndarray | None = None,
+    b_gram: np.ndarray | None = None,
 ) -> float:
-    """``||X − A·Bᵀ||²`` without densifying ``X``."""
+    """``||X − A·Bᵀ||²`` without densifying ``X`` (grams as in
+    :func:`trifactor_loss`)."""
     cross = float(np.sum(_dot(x, b, spmm) * a))
-    gram = (a.T @ a) @ (b.T @ b)
+    if a_gram is None:
+        a_gram = a.T @ a
+    if b_gram is None:
+        b_gram = b.T @ b
+    gram = a_gram @ b_gram
     if x_sq is None:
         x_sq = frobenius_sq(x)
     return max(x_sq - 2.0 * cross + float(np.trace(gram)), 0.0)
+
+
+def _gram(name: str, factor: np.ndarray) -> np.ndarray:
+    """``factorᵀ·factor``, the uncached :meth:`SweepCache.gram`."""
+    del name
+    return factor.T @ factor
 
 
 def graph_penalty(
@@ -165,6 +187,7 @@ def compute_objective(
     spmm: object | None = None,
     gu_halo: MatrixLike | None = None,
     su_halo: np.ndarray | None = None,
+    cache: SweepCache | None = None,
 ) -> ObjectiveValue:
     """Evaluate every component of the (offline or online) objective.
 
@@ -191,26 +214,43 @@ def compute_objective(
         unsharded ``tr(SuᵀLuSu)`` exactly.  A single shard's cross term
         is *not* clamped (it can exceed the local part transiently);
         only the shard sum is guaranteed non-negative.
+    cache:
+        Optional :class:`~repro.core.sweepcache.SweepCache` of the
+        solve: the factor grams come from its memo, shared with the
+        update rules of the same iterate (bit-identical either way).
     """
+    # Each factor's gram enters two loss terms; it is computed once.
+    gram = _gram if cache is None else cache.gram
+    sf_gram = gram("sf", factors.sf)
+    sp_gram = gram("sp", factors.sp)
+    su_gram = gram("su", factors.su)
     if statics is None:
         tweet_loss = trifactor_loss(
-            xp, factors.sp, factors.hp, factors.sf, spmm=spmm
+            xp, factors.sp, factors.hp, factors.sf, spmm=spmm,
+            a_gram=sp_gram, b_gram=sf_gram,
         )
         user_loss = trifactor_loss(
-            xu, factors.su, factors.hu, factors.sf, spmm=spmm
+            xu, factors.su, factors.hu, factors.sf, spmm=spmm,
+            a_gram=su_gram, b_gram=sf_gram,
         )
-        retweet_loss = bifactor_loss(xr, factors.su, factors.sp, spmm=spmm)
+        retweet_loss = bifactor_loss(
+            xr, factors.su, factors.sp, spmm=spmm,
+            a_gram=su_gram, b_gram=sp_gram,
+        )
     else:
         tweet_loss = trifactor_loss(
             xp, factors.sp, factors.hp, factors.sf,
             x_sq=statics.xp_sq, x_T=statics.xp_T, spmm=spmm,
+            a_gram=sp_gram, b_gram=sf_gram,
         )
         user_loss = trifactor_loss(
             xu, factors.su, factors.hu, factors.sf,
             x_sq=statics.xu_sq, x_T=statics.xu_T, spmm=spmm,
+            a_gram=su_gram, b_gram=sf_gram,
         )
         retweet_loss = bifactor_loss(
-            xr, factors.su, factors.sp, x_sq=statics.xr_sq, spmm=spmm
+            xr, factors.su, factors.sp, x_sq=statics.xr_sq, spmm=spmm,
+            a_gram=su_gram, b_gram=sp_gram,
         )
 
     lexicon_loss = 0.0

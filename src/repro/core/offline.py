@@ -2,6 +2,9 @@
 
 Solves Eq. (1) by cyclic multiplicative updates in the paper's order
 (Sp, Hp, Su, Hu, Sf), tracking the component losses each sweep.  The
+sweep itself is the shared solve loop of :mod:`repro.core.sweep`; this
+solver plans it as one shard (the whole graph, solved inline), and
+:class:`~repro.core.sharded.ShardedTriClustering` plans more.  The
 result object exposes hard/soft sentiment readouts for tweets, users and
 features.
 """
@@ -14,26 +17,11 @@ import numpy as np
 
 from repro.core.convergence import ConvergenceHistory
 from repro.core.initialization import lexicon_seeded_factors, random_factors
-from repro.core.kernels import resolve_dtype, resolve_kernel, validate_kernel
-from repro.core.objective import (
-    ObjectiveStatics,
-    ObjectiveWeights,
-    compute_objective,
-)
-from repro.core.spmm import (
-    resolve_spmm,
-    validate_spmm,
-    validate_spmm_threads,
-)
+from repro.core.kernels import resolve_dtype, validate_kernel
+from repro.core.objective import ObjectiveWeights
+from repro.core.spmm import validate_spmm, validate_spmm_threads
 from repro.core.state import FactorSet
-from repro.core.sweepcache import SweepCache
-from repro.core.updates import (
-    update_hp,
-    update_hu,
-    update_sf,
-    update_sp,
-    update_su,
-)
+from repro.core.sweep import SweepPlan
 from repro.graph.tripartite import TripartiteGraph
 from repro.utils.logging import get_logger
 from repro.utils.rng import RandomState, spawn_rng
@@ -88,10 +76,6 @@ class OfflineTriClustering:
         Seed for factor initialization.
     track_history:
         Record per-iteration losses (needed for Figure 8; small cost).
-    update_style:
-        ``"projector"`` (stable Ding-style closed form, default) or
-        ``"lagrangian"`` (the paper's literal Δ-split derivation form);
-        see :mod:`repro.core.updates`.
     kernel:
         ``"auto"`` (numba when importable, NumPy otherwise), ``"numpy"``,
         ``"numba"``, or a :class:`~repro.core.kernels.Kernel` instance.
@@ -129,7 +113,6 @@ class OfflineTriClustering:
         patience: int = 3,
         seed: RandomState = None,
         track_history: bool = True,
-        update_style: str = "projector",
         kernel: object = "auto",
         dtype: str = "float64",
         spmm: object = "auto",
@@ -153,9 +136,6 @@ class OfflineTriClustering:
         self.patience = patience
         self.seed = seed
         self.track_history = track_history
-        if update_style not in ("projector", "lagrangian"):
-            raise ValueError(f"unknown update_style: {update_style!r}")
-        self.update_style = update_style
         validate_kernel(kernel)
         self.kernel = kernel
         self.dtype = dtype
@@ -165,6 +145,10 @@ class OfflineTriClustering:
         self.spmm = spmm
         self.spmm_threads = spmm_threads
         self.objective_every = objective_every
+        #: Pool traffic/timing delta of the most recent fit (a
+        #: :meth:`~repro.utils.executor.PoolTelemetry.delta` dict), or
+        #: ``None`` before the first fit.
+        self.last_telemetry: dict | None = None
 
     # ------------------------------------------------------------------ #
 
@@ -182,13 +166,11 @@ class OfflineTriClustering:
         rng: np.random.Generator,
         initial_factors: FactorSet | None,
     ) -> FactorSet:
-        """Algorithm 1 line 1, shared by the plain and sharded solvers.
+        """Algorithm 1 line 1.
 
-        The sharded solver initializes *globally* through this exact
-        code path (then scatters rows to shards), so its draw sequence —
-        and therefore its 1-shard trajectory — matches the plain solver
-        bit for bit, and its multi-shard start is independent of the
-        partition.
+        Initialization is *global* (the solve loop then scatters rows to
+        shards), so the draw sequence — and the starting point — is the
+        same for every shard count and partition.
         """
         if initial_factors is not None:
             return initial_factors.copy()
@@ -204,6 +186,10 @@ class OfflineTriClustering:
             seed=rng,
         )
 
+    def _plan(self, graph: TripartiteGraph) -> SweepPlan:
+        """The solve's shards and pool: here one shard, solved inline."""
+        return SweepPlan.one_shard(graph)
+
     def fit(
         self,
         graph: TripartiteGraph,
@@ -211,121 +197,36 @@ class OfflineTriClustering:
     ) -> TriClusteringResult:
         """Run Algorithm 1 on a :class:`TripartiteGraph`."""
         rng = spawn_rng(self.seed)
-        kernel = resolve_kernel(self.kernel, threads=self.spmm_threads)
-        spmm_engine = resolve_spmm(self.spmm, self.spmm_threads)
         graph = graph.astype(self._np_dtype)  # no-op in the float64 default
-        xp, xu, xr = graph.xp, graph.xu, graph.xr
-        gu = graph.user_graph.adjacency
-        du = graph.user_graph.degree_matrix
-        laplacian = graph.user_graph.laplacian
-        sf0 = graph.sf0
-
         self._validate_prior(graph)
         factors = self._initial_factors(graph, rng, initial_factors).astype(
             self._np_dtype
         )
-
-        history = ConvergenceHistory()
-        converged = False
-        iterations_run = 0
-        # ‖X‖² and the CSR transposes are fixed for the whole fit but the
-        # objective is evaluated every sweep; bundling them once removes
-        # the dominant constant from each evaluation without changing a
-        # single floating-point value (see ObjectiveStatics).
-        statics = ObjectiveStatics.from_matrices(xp, xu, xr)
-        # The sweep cache shares the statics' CSR transposes so the
-        # Sf-update products stream row-wise without re-materializing.
-        cache = SweepCache(
-            xp, xu, xr, xp_T=statics.xp_T, xu_T=statics.xu_T,
-            spmm=spmm_engine,
-        )
-        for iteration in range(self.max_iterations):
-            # Algorithm 1 order: Sp, Hp, Su, Hu, Sf.
-            factors.sp = update_sp(
-                factors.sp, factors.sf, factors.hp, factors.su, xp, xr,
-                style=self.update_style, cache=cache, kernel=kernel,
+        plan = self._plan(graph)
+        with plan.open(
+            factors, kernel=self.kernel, spmm=self.spmm,
+            spmm_threads=self.spmm_threads,
+        ) as solver:
+            history, converged, iterations = solver.solve_offline(
+                self.weights,
+                graph.sf0,
+                max_iterations=self.max_iterations,
+                tolerance=self.tolerance,
+                patience=self.patience,
+                track_history=self.track_history,
+                objective_every=self.objective_every,
             )
-            factors.hp = update_hp(
-                factors.hp, factors.sp, factors.sf, xp, cache=cache,
-                kernel=kernel,
-            )
-            factors.su = update_su(
-                factors.su,
-                factors.sf,
-                factors.hu,
-                factors.sp,
-                xu,
-                xr,
-                gu,
-                du,
-                self.weights.beta,
-                style=self.update_style,
-                cache=cache,
-                kernel=kernel,
-            )
-            factors.hu = update_hu(
-                factors.hu, factors.su, factors.sf, xu, cache=cache,
-                kernel=kernel,
-            )
-            factors.sf = update_sf(
-                factors.sf,
-                factors.sp,
-                factors.hp,
-                factors.su,
-                factors.hu,
-                xp,
-                xu,
-                sf0,
-                self.weights.alpha,
-                style=self.update_style,
-                cache=cache,
-                kernel=kernel,
-            )
-            iterations_run = iteration + 1
-
-            if (
-                (self.track_history or self.tolerance > 0)
-                and iterations_run % self.objective_every == 0
-            ):
-                objective = compute_objective(
-                    factors, xp, xu, xr, laplacian, self.weights,
-                    sf_prior=sf0, statics=statics, spmm=spmm_engine,
-                )
-                history.append(objective)
-                if history.converged(self.tolerance, window=self.patience):
-                    converged = True
-                    logger.debug(
-                        "converged after %d iterations (total=%.6g)",
-                        iterations_run,
-                        objective.total,
-                    )
-                    break
-
-        if (
-            (self.track_history or self.tolerance > 0)
-            and iterations_run % self.objective_every != 0
-        ):
-            # objective_every > 1 skipped the final sweep: record it so
-            # the history always ends at the returned factors.
-            history.append(
-                compute_objective(
-                    factors, xp, xu, xr, laplacian, self.weights,
-                    sf_prior=sf0, statics=statics, spmm=spmm_engine,
-                )
-            )
-            if history.converged(self.tolerance, window=self.patience):
-                converged = True
-        if not history.records:
-            # History disabled and tolerance 0: record the final state once.
-            history.append(
-                compute_objective(
-                    factors, xp, xu, xr, laplacian, self.weights,
-                    sf_prior=sf0, statics=statics, spmm=spmm_engine,
-                )
+            merged = solver.merged_factors(plan.consensus_iterations)
+        self.last_telemetry = plan.telemetry
+        if converged:
+            logger.debug(
+                "converged after %d iterations (total=%.6g)",
+                iterations,
+                history.final.total,
             )
         return TriClusteringResult(
-            factors=factors,
+            factors=merged,
             history=history,
             converged=converged,
-            iterations=iterations_run,
+            iterations=iterations,
         )

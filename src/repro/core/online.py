@@ -13,6 +13,10 @@ previous results instead of re-factorizing history:
 The solver is matrix-level: callers hand it one
 :class:`~repro.graph.tripartite.TripartiteGraph` per snapshot, built
 against a **shared vocabulary** so that feature rows align across time.
+Each snapshot's inner loop (Algorithm 2 order: Sf, Sp, Hp, Hu, Su) is
+the shared solve loop of :mod:`repro.core.sweep`, planned here as one
+shard; :class:`~repro.core.sharded.ShardedOnlineTriClustering` plans
+more.
 """
 
 from __future__ import annotations
@@ -24,26 +28,11 @@ import numpy as np
 
 from repro.core.convergence import ConvergenceHistory
 from repro.core.initialization import warm_started_factors
-from repro.core.kernels import resolve_dtype, resolve_kernel, validate_kernel
-from repro.core.objective import (
-    ObjectiveStatics,
-    ObjectiveWeights,
-    compute_objective,
-)
-from repro.core.spmm import (
-    resolve_spmm,
-    validate_spmm,
-    validate_spmm_threads,
-)
+from repro.core.kernels import resolve_dtype, validate_kernel
+from repro.core.objective import ObjectiveWeights
+from repro.core.spmm import validate_spmm, validate_spmm_threads
 from repro.core.state import FactorSet
-from repro.core.sweepcache import SweepCache
-from repro.core.updates import (
-    update_hp,
-    update_hu,
-    update_sf,
-    update_sp,
-    update_su_online,
-)
+from repro.core.sweep import SweepPlan
 from repro.graph.tripartite import TripartiteGraph
 from repro.utils.logging import get_logger
 from repro.utils.matrices import hard_assignments
@@ -119,7 +108,6 @@ class OnlineTriClustering:
         patience: int = 3,
         seed: RandomState = None,
         track_history: bool = False,
-        update_style: str = "projector",
         state_smoothing: float = 0.8,
         kernel: object = "auto",
         dtype: str = "float64",
@@ -150,9 +138,6 @@ class OnlineTriClustering:
         self.tolerance = tolerance
         self.patience = patience
         self.track_history = track_history
-        if update_style not in ("projector", "lagrangian"):
-            raise ValueError(f"unknown update_style: {update_style!r}")
-        self.update_style = update_style
         validate_kernel(kernel)
         self.kernel = kernel
         self.dtype = dtype
@@ -162,6 +147,10 @@ class OnlineTriClustering:
         self.spmm = spmm
         self.spmm_threads = spmm_threads
         self.objective_every = objective_every
+        #: Pool traffic/timing delta of the most recent snapshot solve
+        #: (a :meth:`~repro.utils.executor.PoolTelemetry.delta` dict),
+        #: or ``None`` before the first one.
+        self.last_telemetry: dict | None = None
         self._rng = spawn_rng(seed)
 
         self._sf_history: deque[np.ndarray] = deque(maxlen=window - 1)
@@ -351,6 +340,10 @@ class OnlineTriClustering:
         converged: bool
         iterations: int
 
+    def _plan(self, graph: TripartiteGraph) -> SweepPlan:
+        """The solve's shards and pool: here one shard, solved inline."""
+        return SweepPlan.one_shard(graph)
+
     def _optimize(
         self,
         graph: TripartiteGraph,
@@ -360,143 +353,35 @@ class OnlineTriClustering:
         evolving_rows: np.ndarray,
     ) -> "_OptimizeOutput":
         """Algorithm 2 inner loop (lines 3-8)."""
-        kernel = resolve_kernel(self.kernel, threads=self.spmm_threads)
-        spmm_engine = resolve_spmm(self.spmm, self.spmm_threads)
         graph = graph.astype(self._np_dtype)  # no-op in the float64 default
         factors = factors.astype(self._np_dtype)
         if sfw is not None:
             sfw = sfw.astype(self._np_dtype, copy=False)
         if su_prior is not None:
             su_prior = su_prior.astype(self._np_dtype, copy=False)
-        xp, xu, xr = graph.xp, graph.xu, graph.xr
-        gu = graph.user_graph.adjacency
-        du = graph.user_graph.degree_matrix
-        laplacian = graph.user_graph.laplacian
-        sf_prior = sfw if sfw is not None else graph.sf0
-
-        history = ConvergenceHistory()
-        converged = False
-        iterations_run = 0
-        # Same per-fit constants bundle as the offline/sharded paths:
-        # evaluations through it are bit-identical, just cheaper.  The
-        # sweep cache shares its CSR transposes (and adds ``Xrᵀ``).
-        statics = ObjectiveStatics.from_matrices(xp, xu, xr)
-        cache = SweepCache(
-            xp, xu, xr, xp_T=statics.xp_T, xu_T=statics.xu_T,
-            spmm=spmm_engine,
-        )
-        for iteration in range(self.max_iterations):
-            factors.sf = update_sf(
-                factors.sf,
-                factors.sp,
-                factors.hp,
-                factors.su,
-                factors.hu,
-                xp,
-                xu,
-                sf_prior,
-                self.weights.alpha,
-                style=self.update_style,
-                cache=cache,
-                kernel=kernel,
+        plan = self._plan(graph)
+        with plan.open(
+            factors, su_prior=su_prior, evolving_rows=evolving_rows,
+            kernel=self.kernel, spmm=self.spmm,
+            spmm_threads=self.spmm_threads,
+        ) as solver:
+            history, converged, iterations = solver.solve_online(
+                self.weights,
+                sfw if sfw is not None else graph.sf0,
+                max_iterations=self.max_iterations,
+                tolerance=self.tolerance,
+                patience=self.patience,
+                track_history=self.track_history,
+                objective_every=self.objective_every,
+                su_prior_active=su_prior is not None,
             )
-            factors.sp = update_sp(
-                factors.sp, factors.sf, factors.hp, factors.su, xp, xr,
-                style=self.update_style, cache=cache, kernel=kernel,
-            )
-            factors.hp = update_hp(
-                factors.hp, factors.sp, factors.sf, xp, cache=cache,
-                kernel=kernel,
-            )
-            factors.hu = update_hu(
-                factors.hu, factors.su, factors.sf, xu, cache=cache,
-                kernel=kernel,
-            )
-            factors.su = update_su_online(
-                factors.su,
-                factors.sf,
-                factors.hu,
-                factors.sp,
-                xu,
-                xr,
-                gu,
-                du,
-                self.weights.beta,
-                self.weights.gamma,
-                su_prior,
-                evolving_rows,
-                style=self.update_style,
-                cache=cache,
-                kernel=kernel,
-            )
-            iterations_run = iteration + 1
-
-            if (
-                (self.track_history or self.tolerance > 0)
-                and iterations_run % self.objective_every == 0
-            ):
-                objective = compute_objective(
-                    factors,
-                    xp,
-                    xu,
-                    xr,
-                    laplacian,
-                    self.weights,
-                    sf_prior=sf_prior,
-                    su_prior=su_prior,
-                    su_prior_rows=evolving_rows if su_prior is not None else None,
-                    statics=statics,
-                    spmm=spmm_engine,
-                )
-                history.append(objective)
-                if history.converged(self.tolerance, window=self.patience):
-                    converged = True
-                    break
-
-        if (
-            (self.track_history or self.tolerance > 0)
-            and iterations_run % self.objective_every != 0
-        ):
-            # objective_every > 1 skipped the final sweep: record it so
-            # the history always ends at the returned factors.
-            history.append(
-                compute_objective(
-                    factors,
-                    xp,
-                    xu,
-                    xr,
-                    laplacian,
-                    self.weights,
-                    sf_prior=sf_prior,
-                    su_prior=su_prior,
-                    su_prior_rows=evolving_rows if su_prior is not None else None,
-                    statics=statics,
-                    spmm=spmm_engine,
-                )
-            )
-            if history.converged(self.tolerance, window=self.patience):
-                converged = True
-        if not history.records:
-            history.append(
-                compute_objective(
-                    factors,
-                    xp,
-                    xu,
-                    xr,
-                    laplacian,
-                    self.weights,
-                    sf_prior=sf_prior,
-                    su_prior=su_prior,
-                    su_prior_rows=evolving_rows if su_prior is not None else None,
-                    statics=statics,
-                    spmm=spmm_engine,
-                )
-            )
+            merged = solver.merged_factors(plan.consensus_iterations)
+        self.last_telemetry = plan.telemetry
         return self._OptimizeOutput(
-            factors=factors,
+            factors=merged,
             history=history,
             converged=converged,
-            iterations=iterations_run,
+            iterations=iterations,
         )
 
     # ------------------------------------------------------------------ #

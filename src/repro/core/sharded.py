@@ -1,93 +1,25 @@
-"""Sharded block-coordinate solvers over a user partition.
+"""Sharded solvers: the solve loop planned over a user partition.
 
-The multiplicative sweeps of Algorithms 1 and 2 are row-separable in
-everything except the feature factor: ``Sp``/``Hp`` touch only tweet
-rows, ``Su``/``Hu`` only user rows, and the ``Sf`` numerator
-``XuᵀSuHu + XpᵀSpHp`` is a *sum over those rows*.  Partitioning users
-(tweets follow their author) therefore yields shards that sweep their
-own factor blocks independently and contribute an additive ``l×k``
-piece to the global ``Sf`` update, which is reduced and applied once
-per sweep — the classic block-coordinate escape hatch that turns the
-monolithic solve into parallel per-shard work plus a tiny serial step.
-
-Model semantics vs. the unsharded solvers:
-
-- ``n_shards=1`` is the **identical** computation: same RNG draw order,
-  same update expressions, same convergence checks — trajectories are
-  bit-for-bit equal to :class:`~repro.core.offline.OfflineTriClustering`
-  / :class:`~repro.core.online.OnlineTriClustering` (regression-tested).
-- ``n_shards>1`` with ``halo="on"`` (the default) evaluates the graph
-  regularizer on the **full** ``Gu``: cross-shard edges are retained as
-  per-shard halo blocks and each sweep's fused exchange carries the
-  boundary ``Su`` rows both ways (workers publish their post-pass
-  boundary rows with the reply, the coordinator gathers the global
-  boundary stack in fixed shard-rank order and hands each shard its
-  ghost-row slice with the next command) — O(cut-edges × k) payload,
-  zero extra rounds.  What remains approximate is block-diagonal
-  ``Hp``/``Hu``/projectors and dropped ``Xr`` cut entries; full-model
-  objectives of the merged factors land within a fraction of a percent
-  of the unsharded solver at bench scale.  ``halo="off"`` restores the
-  legacy block-diagonal approximation (cut ``Gu`` edges dropped too,
-  tallied in :class:`~repro.graph.partition.ShardedGraph`; tests pin a
-  20% ceiling).  Either way runs are seed-deterministic for a fixed
-  ``(seed, n_shards, partitioner)`` — initialization is
-  global-then-scattered and reductions are ordered.
-- After the last sweep, per-shard ``Hp``/``Hu`` are distilled into one
-  global pair by iterating the *global* Eq. (12)/(13) updates on the
-  reduced numerators (``Σ_s Sp_sᵀXp_sSf`` etc.), so the merged
-  :class:`~repro.core.state.FactorSet` serves classify traffic exactly
-  like an unsharded one.
-
-Execution backends: every shard interaction is expressed as a picklable
-module-level *command* run against shard state held by the
-:class:`~repro.utils.executor.WorkerPool` (``backend="serial"|"thread"|
-"process"|"socket"``).  States are scattered **once per solve** (for
-the out-of-process backends, as compact :meth:`~repro.graph.partition.
-ShardBlock.to_payload` CSR pieces pinned worker-resident under a shard
-epoch — the socket backend ships those same payloads over TCP to
-workers on other hosts, unchanged).  ``Sf`` itself is a version-keyed
-*shared resident* (:meth:`~repro.utils.executor.WorkerPool.share`):
-the full matrix is broadcast exactly once per solve, and each sweep
-then runs a **single fused exchange** — the coordinator stages the
-reduced ``l×k`` contribution as a versioned update (every holder,
-mirror and worker alike, advances its resident copy through the
-identical :func:`~repro.core.updates.apply_sf_update`), and the shard
-pass plus the one-sweep-lagged objective evaluation ride one command.
-Per-sweep IPC is therefore one exchange round and ``O(l·k)`` per
-shard, never ``O(nnz)``.  Results are bit-identical across backends:
-the commands are the same functions, replies are collected into shard
-order, and all reductions run on the caller.
-
-Only the ``"projector"`` update style is supported: the Lagrangian
-Δ-split needs global factor grams mid-sweep, which would serialize the
-very step sharding parallelizes.
+:class:`ShardedTriClustering` / :class:`ShardedOnlineTriClustering` are
+:class:`~repro.core.offline.OfflineTriClustering` /
+:class:`~repro.core.online.OnlineTriClustering` with a different
+*plan*: instead of one shard solved inline, each solve partitions the
+snapshot's users (tweets follow their author) into ``n_shards`` blocks
+and runs them on a :class:`~repro.utils.executor.WorkerPool` of the
+chosen backend.  The sweep, the convergence bookkeeping and the merge
+are the one solve loop of :mod:`repro.core.sweep`, so ``n_shards=1``
+*is* the plain solver (on a serial pool for in-process backends) and
+results are bit-identical across backends.  Multi-shard model semantics
+(halo exchange, block-diagonal ``Hp``/``Hu``, consensus merge) are
+documented there.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
-from repro.core.convergence import ConvergenceHistory
-from repro.core.kernels import get_kernel, resolve_kernel_name
-from repro.core.objective import ObjectiveValue, ObjectiveWeights, compute_objective
-from repro.core.offline import OfflineTriClustering, TriClusteringResult
+from repro.core.offline import OfflineTriClustering
 from repro.core.online import OnlineTriClustering
-from repro.core.spmm import get_spmm, resolve_spmm_name
-from repro.core.state import FactorSet
-from repro.core.sweepcache import SweepCache
-from repro.core.updates import (
-    apply_sf_update,
-    sf_sweep_contribution,
-    update_hp,
-    update_hu,
-    update_sp,
-    update_su,
-    update_su_online,
-)
+from repro.core.sweep import CONSENSUS_ITERATIONS, SweepPlan
 from repro.graph.partition import (
-    ShardBlock,
     ShardedGraph,
     extract_shard_blocks,
     make_partition,
@@ -100,15 +32,7 @@ from repro.utils.executor import (
     default_worker_count,
     validate_backend,
 )
-from repro.utils.threads import affinity_core_count
 from repro.utils.transport import validate_workers
-from repro.utils.matrices import safe_sqrt_ratio
-from repro.utils.rng import spawn_rng
-
-#: Iterations of the global Eq. (12)/(13) updates used to distill one
-#: ``Hp``/``Hu`` pair from per-shard factors at merge time.  The problem
-#: is a k×k convex quadratic, so this converges in a handful of steps.
-CONSENSUS_ITERATIONS = 25
 
 #: ``n_shards="auto"``: one shard per this many users, capped by the
 #: worker count.  Below ~64 users per shard the per-shard matrices are
@@ -138,843 +62,8 @@ def resolve_shard_count(
     return int(n_shards)
 
 
-@dataclass
-class _ShardState:
-    """One shard's live factors plus its sweep-local context.
-
-    Lives wherever the pool's backend keeps resident state: the solver
-    process for serial/thread, the owning worker for process.  Mutated
-    in place by the sweep commands below.
-    """
-
-    block: ShardBlock
-    sp: np.ndarray
-    su: np.ndarray
-    hp: np.ndarray
-    hu: np.ndarray
-    cache: SweepCache
-    su_prior: np.ndarray | None = None
-    evolving_rows: np.ndarray | None = None
-    #: Concrete sweep-kernel name ("numpy"/"numba"), resolved once by the
-    #: coordinator so every shard — local or remote — runs the same
-    #: implementation ("auto" must not re-resolve per worker host).
-    kernel: str = "numpy"
-    #: Concrete spmm engine name ("scipy"/"threads"/"numba"), pinned by
-    #: the coordinator for the same cross-host reason.  Engines are
-    #: float64 bit-identical, so this (and the thread budget below) is
-    #: speed-only.
-    spmm: str = "scipy"
-    #: Per-shard spmm thread budget; ``None`` defers to the worker
-    #: process's installed default (fair share) or the core count.
-    spmm_threads: int | None = None
-    #: Exchanged neighbour ``Su`` rows aligned with the block's halo
-    #: (ghost) columns, refreshed from the coordinator's boundary stack
-    #: at every exchange; ``None`` when the solve runs without a halo.
-    su_halo: np.ndarray | None = None
-    #: Pre-pass snapshot ``(sp, su, hp, hu, su_halo)`` taken by the
-    #: fused offline command whenever its objective may trigger
-    #: convergence, so the merge can roll back the one speculative
-    #: extra pass (halo rows included — a rolled-back objective must
-    #: not mix pre-sweep factors with post-sweep neighbour rows).
-    saved: tuple | None = None
-
-
-# --------------------------------------------------------------------- #
-# Shard commands (picklable module-level functions)
-#
-# Everything the solver asks of a shard crosses the WorkerPool as one of
-# these functions plus small arguments (the global ``Sf``, the weights,
-# a prior).  Returns are factor-sized (``l×k`` contributions, k×k merge
-# terms, scalar objective parts) — never shard blocks.
-# --------------------------------------------------------------------- #
-
-
-def _shard_state_payload(state: _ShardState) -> tuple:
-    """Compact once-per-scatter shipping form of a shard state."""
-    return (
-        state.block.to_payload(),
-        state.sp,
-        state.su,
-        state.hp,
-        state.hu,
-        state.su_prior,
-        state.evolving_rows,
-        state.kernel,
-        state.spmm,
-        state.spmm_threads,
-        state.su_halo,
-    )
-
-
-def _shard_state_from_payload(payload: tuple) -> _ShardState:
-    (
-        block_payload, sp, su, hp, hu, su_prior, evolving_rows, kernel,
-        spmm, spmm_threads, su_halo,
-    ) = payload
-    block = ShardBlock.from_payload(block_payload)
-    return _ShardState(
-        block=block,
-        sp=sp,
-        su=su,
-        hp=hp,
-        hu=hu,
-        cache=_shard_cache(block, spmm, spmm_threads),
-        su_prior=su_prior,
-        evolving_rows=evolving_rows,
-        kernel=kernel,
-        spmm=spmm,
-        spmm_threads=spmm_threads,
-        su_halo=su_halo,
-    )
-
-
-def _shard_cache(
-    block: ShardBlock, spmm: str = "scipy", spmm_threads: int | None = None
-) -> SweepCache:
-    """A shard's sweep cache, sharing the block's CSR transposes.
-
-    The engine is rebuilt from its pinned name wherever the state lands
-    (engines hold thread pools / compiled functions and never cross the
-    pickle boundary); ``spmm_threads=None`` picks up the worker's
-    installed fair-share default locally.
-    """
-    return SweepCache(
-        block.xp, block.xu, block.xr, xp_T=block.xp_T, xu_T=block.xu_T,
-        spmm=get_spmm(spmm, spmm_threads),
-    )
-
-
-def _shard_contribution(state: _ShardState) -> np.ndarray:
-    """The shard's additive ``l×k`` piece of the ``Sf`` numerator.
-
-    The transposes go through the cache accessors rather than straight
-    off the block, so the working-set layout policy applies to shards
-    exactly as it does to the unsharded solver (large shards stream the
-    lazy CSC view; either path is bitwise identical).
-    """
-    return sf_sweep_contribution(
-        state.sp, state.hp, state.su, state.hu,
-        state.block.xp, state.block.xu,
-        xp_T=state.cache.xp_T(), xu_T=state.cache.xu_T(),
-        spmm=state.cache.spmm,
-    )
-
-
-def _shard_offline_pass(
-    state: _ShardState, sf: np.ndarray, weights: ObjectiveWeights
-) -> np.ndarray:
-    """Algorithm 1 order within one shard: Sp, Hp, Su, Hu."""
-    block = state.block
-    kernel = get_kernel(state.kernel, threads=state.spmm_threads)
-    if block.num_tweets:
-        state.sp = update_sp(
-            state.sp, sf, state.hp, state.su, block.xp, block.xr,
-            style="projector", cache=state.cache, kernel=kernel,
-        )
-        state.hp = update_hp(
-            state.hp, state.sp, sf, block.xp, cache=state.cache,
-            kernel=kernel,
-        )
-    if block.num_users:
-        state.su = update_su(
-            state.su, sf, state.hu, state.sp, block.xu, block.xr,
-            block.gu, block.du, weights.beta,
-            style="projector", cache=state.cache, kernel=kernel,
-            gu_halo=block.gu_halo, su_halo=state.su_halo,
-        )
-        state.hu = update_hu(
-            state.hu, state.su, sf, block.xu, cache=state.cache,
-            kernel=kernel,
-        )
-    return _shard_contribution(state)
-
-
-def _shard_online_pass(
-    state: _ShardState, sf: np.ndarray, weights: ObjectiveWeights
-) -> np.ndarray:
-    """Algorithm 2 order within one shard: Sp, Hp, Hu, Su."""
-    block = state.block
-    kernel = get_kernel(state.kernel, threads=state.spmm_threads)
-    if block.num_tweets:
-        state.sp = update_sp(
-            state.sp, sf, state.hp, state.su, block.xp, block.xr,
-            style="projector", cache=state.cache, kernel=kernel,
-        )
-        state.hp = update_hp(
-            state.hp, state.sp, sf, block.xp, cache=state.cache,
-            kernel=kernel,
-        )
-    if block.num_users:
-        state.hu = update_hu(
-            state.hu, state.su, sf, block.xu, cache=state.cache,
-            kernel=kernel,
-        )
-        state.su = update_su_online(
-            state.su, sf, state.hu, state.sp, block.xu, block.xr,
-            block.gu, block.du, weights.beta, weights.gamma,
-            state.su_prior, state.evolving_rows,
-            style="projector", cache=state.cache, kernel=kernel,
-            gu_halo=block.gu_halo, su_halo=state.su_halo,
-        )
-    return _shard_contribution(state)
-
-
-def _shard_objective(
-    state: _ShardState,
-    sf: np.ndarray,
-    weights: ObjectiveWeights,
-    sf_prior,
-    su_prior_active: bool,
-    halo: np.ndarray | None = None,
-) -> ObjectiveValue:
-    """One shard's objective terms on its current factors.
-
-    ``halo`` refreshes the exchanged neighbour rows first when given —
-    an objective-only round after the final pass must see the *final*
-    boundary rows, not the ones delivered before that pass, or the
-    graph cross term would mix pre- and post-sweep factors.
-    """
-    if halo is not None:
-        state.su_halo = halo
-    block = state.block
-    factors = FactorSet(
-        sf=sf, sp=state.sp, su=state.su, hp=state.hp, hu=state.hu
-    )
-    return compute_objective(
-        factors,
-        block.xp,
-        block.xu,
-        block.xr,
-        block.laplacian,
-        weights,
-        sf_prior=sf_prior,
-        su_prior=state.su_prior if su_prior_active else None,
-        su_prior_rows=state.evolving_rows if su_prior_active else None,
-        statics=block.statics,
-        spmm=state.cache.spmm,
-        gu_halo=block.gu_halo,
-        su_halo=state.su_halo,
-    )
-
-
-def _shared_sf_step(
-    sf: np.ndarray,
-    total: np.ndarray,
-    sf_prior,
-    alpha: float,
-    kernel_name: str,
-    kernel_threads: int | None,
-) -> np.ndarray:
-    """Versioned-resident ``Sf`` step: advance a holder's copy in place.
-
-    Run identically on the coordinator's mirror and on every worker
-    holding the ``"sf"`` shared resident, so only the reduced ``l×k``
-    contribution crosses the wire per sweep — never ``Sf`` itself.  The
-    kernel tails are bit-identical across implementations and thread
-    budgets, so every holder lands on the same bits.
-    """
-    return apply_sf_update(
-        sf, total, sf_prior, alpha,
-        kernel=get_kernel(kernel_name, threads=kernel_threads),
-    )
-
-
-def _shard_boundary(state: _ShardState) -> np.ndarray | None:
-    """The shard's published boundary ``Su`` rows (``None`` halo-off).
-
-    A fancy-indexed copy, so the reply never aliases the live factor
-    the next pass mutates.
-    """
-    boundary_local = state.block.boundary_local
-    if boundary_local is None:
-        return None
-    return state.su[boundary_local]
-
-
-def _shard_offline_pass_with_objective(
-    state: _ShardState,
-    sf: np.ndarray,
-    weights: ObjectiveWeights,
-    sf_prior,
-    evaluate: bool,
-    halo: np.ndarray | None = None,
-) -> tuple:
-    """Fused Algorithm 1 exchange: lagged objective, then the pass.
-
-    The plain offline loop evaluates the objective *after* each sweep's
-    ``Sf`` step — i.e. on the same iterate this command sees *before*
-    running its pass.  Evaluating first therefore reports the previous
-    sweep's objective (a one-sweep lag the coordinator accounts for),
-    letting a converging solve pay one exchange per sweep instead of
-    two.  When ``evaluate`` is set the pre-pass factors are snapshotted
-    so convergence can roll back the speculative extra pass bit-exactly.
-
-    ``halo`` piggybacks the cut-edge exchange on this same round: it
-    carries every neighbour's *previous-pass* boundary rows — exactly
-    the iterate the lagged objective needs, and exactly the remote
-    values the unsharded Jacobi-style ``Su`` update would read during
-    this pass.  The reply returns this shard's post-pass boundary rows
-    for the coordinator to redistribute next exchange.
-    """
-    if halo is not None:
-        state.su_halo = halo
-    objective = None
-    if evaluate:
-        objective = _shard_objective(state, sf, weights, sf_prior, False)
-        state.saved = (
-            state.sp.copy(), state.su.copy(),
-            state.hp.copy(), state.hu.copy(),
-            state.su_halo,
-        )
-    contribution = _shard_offline_pass(state, sf, weights)
-    return objective, contribution, _shard_boundary(state)
-
-
-def _shard_online_pass_with_objective(
-    state: _ShardState,
-    sf: np.ndarray,
-    weights: ObjectiveWeights,
-    sf_prior,
-    su_prior_active: bool,
-    evaluate: bool,
-    halo: np.ndarray | None = None,
-) -> tuple:
-    """Fused Algorithm 2 exchange: the pass, then the current objective.
-
-    Algorithm 2 updates ``Sf`` *before* the row factors, so the staged
-    shared-resident step has already advanced this worker's ``Sf`` by
-    the time the command runs — pass and objective both see the current
-    iterate and no lag or rollback is needed.
-
-    ``halo`` delivers the neighbours' pre-pass boundary rows (the
-    values the pass's graph term reads); the fused objective therefore
-    sees cross-shard terms one sweep stale — the per-sweep convergence
-    trace's documented skew, identical on every backend.  A trailing
-    objective-only round (see :meth:`ShardedSolver.objective`) always
-    re-delivers fresh rows, so recorded *final* objectives are exact.
-    """
-    if halo is not None:
-        state.su_halo = halo
-    contribution = _shard_online_pass(state, sf, weights)
-    objective = (
-        _shard_objective(state, sf, weights, sf_prior, su_prior_active)
-        if evaluate
-        else None
-    )
-    return objective, contribution, _shard_boundary(state)
-
-
-def _shard_merge_upload(
-    state: _ShardState, sf: np.ndarray, rollback: bool = False
-) -> dict:
-    """End-of-solve upload: final row factors + reduced consensus terms.
-
-    The consensus fixed point needs only ``SᵀXSf`` and ``SᵀS`` summed
-    over shards, so those k×k terms are computed where the blocks live;
-    the row factors themselves must cross once anyway (they are the
-    merged model).  ``rollback`` restores the pre-pass snapshot taken
-    by the fused offline command when convergence fired one exchange
-    after the converged iterate — halo rows included, so any later
-    objective evaluation sees neighbour rows consistent with the
-    rolled-back factors.
-    """
-    if rollback:
-        (
-            state.sp, state.su, state.hp, state.hu, state.su_halo,
-        ) = state.saved
-    state.saved = None
-    upload: dict = {
-        "sp": state.sp, "su": state.su, "hp": state.hp, "hu": state.hu
-    }
-    block = state.block
-    for which, rows, factor, data in (
-        ("hp", block.num_tweets, state.sp, block.xp),
-        ("hu", block.num_users, state.su, block.xu),
-    ):
-        if rows:
-            upload[f"{which}_terms"] = (
-                rows, factor.T @ state.cache.dot(data, sf), factor.T @ factor
-            )
-        else:
-            upload[f"{which}_terms"] = None
-    return upload
-
-
-class ShardedSolver:
-    """Orchestrates offline and online sweeps over a sharded graph.
-
-    Bound to one :class:`~repro.graph.partition.ShardedGraph` and one
-    initial :class:`FactorSet` (scattered row-wise onto the shards).
-    The driving solver calls :meth:`solve_offline` / :meth:`solve_online`
-    once (they own the convergence loop, fusing each sweep's pass,
-    ``Sf`` step, and objective into a single exchange) and
-    :meth:`merged_factors` once at the end.  All shard interaction goes
-    through the supplied :class:`~repro.utils.executor.WorkerPool` as
-    module-level commands against states scattered at construction —
-    the pool's backend decides whether those states live on this
-    process's heap (serial/thread), pinned inside worker processes, or
-    pinned inside remote socket workers.
-    Reductions run on the calling thread in shard order, so results are
-    deterministic under any scheduling and identical across backends.
-    """
-
-    def __init__(
-        self,
-        sharded: ShardedGraph,
-        factors: FactorSet,
-        pool: WorkerPool,
-        update_style: str = "projector",
-        su_prior: np.ndarray | None = None,
-        evolving_rows: np.ndarray | None = None,
-        kernel: str = "numpy",
-        spmm: str = "scipy",
-        spmm_threads: int | None = None,
-    ) -> None:
-        if update_style != "projector":
-            raise ValueError(
-                "sharded sweeps support only the 'projector' update style"
-            )
-        # Pin "auto" (or an instance) to a concrete kernel name here, so
-        # every shard — including ones resident on remote worker hosts —
-        # runs the same implementation regardless of what is importable
-        # over there.  Same for the spmm engine: the *name* crosses the
-        # pool, never the engine object.
-        kernel = resolve_kernel_name(kernel)
-        spmm = resolve_spmm_name(spmm)
-        if (
-            spmm_threads is None
-            # repro-lint: disable=REP006 -- fair-share thread budget applies
-            # only to the in-process thread backend; pool.backend was
-            # validated by WorkerPool.
-            and pool.backend == "thread"
-            and pool.max_workers is not None
-            and pool.max_workers > 1
-        ):
-            # Thread-backend shards share this process: give each
-            # concurrently running shard its fair share of the cores so
-            # W shards × T spmm threads never oversubscribes.  (The
-            # serial backend keeps the full budget; process/socket
-            # workers install their own fair-share default at startup.)
-            concurrent = max(1, min(len(sharded.blocks), pool.max_workers))
-            spmm_threads = max(1, affinity_core_count() // concurrent)
-        self._kernel_name = kernel
-        self._kernel_threads = spmm_threads
-        self.sharded = sharded
-        self.pool = pool
-        self.update_style = update_style
-        self.num_shards = len(sharded.blocks)
-
-        assignments = sharded.partition.assignments
-        local_index = np.empty(sharded.graph.num_users, dtype=np.int64)
-        for block in sharded.blocks:
-            local_index[block.user_rows] = np.arange(block.num_users)
-
-        # Halo bookkeeping: the global boundary stack concatenates every
-        # shard's published rows in shard-rank order, and each shard's
-        # gather index maps its ghost columns into that stack — fixed at
-        # construction, so redistribution is deterministic fancy
-        # indexing at any backend or thread count.  A partition with no
-        # cut edges (or extracted halo-off) degenerates to the legacy
-        # no-halo exchange.
-        self._halo = any(
-            block.gu_halo is not None and block.gu_halo.nnz
-            for block in sharded.blocks
-        )
-        self._halo_stack: np.ndarray | None = None
-        self._halo_saved: np.ndarray | None = None
-        if self._halo:
-            offsets = np.zeros(self.num_shards + 1, dtype=np.int64)
-            for position, block in enumerate(sharded.blocks):
-                offsets[position + 1] = (
-                    offsets[position] + block.boundary_local.shape[0]
-                )
-            self._halo_gather = [
-                offsets[block.halo_owner] + block.halo_source
-                for block in sharded.blocks
-            ]
-            self._halo_stack = np.concatenate(
-                [
-                    factors.su[block.user_rows[block.boundary_local]]
-                    for block in sharded.blocks
-                ]
-            )
-
-        states: list[_ShardState] = []
-        for block in sharded.blocks:
-            if su_prior is not None and evolving_rows is not None:
-                selected = assignments[evolving_rows] == block.index
-                shard_evolving = local_index[evolving_rows[selected]]
-                shard_prior: np.ndarray | None = su_prior[selected]
-            else:
-                shard_evolving = np.empty(0, dtype=np.int64)
-                shard_prior = None
-            states.append(
-                _ShardState(
-                    block=block,
-                    sp=factors.sp[block.tweet_rows],
-                    su=factors.su[block.user_rows],
-                    hp=factors.hp.copy(),
-                    hu=factors.hu.copy(),
-                    cache=_shard_cache(block, spmm, spmm_threads),
-                    su_prior=shard_prior,
-                    evolving_rows=shard_evolving,
-                    kernel=kernel,
-                    spmm=spmm,
-                    spmm_threads=spmm_threads,
-                    su_halo=(
-                        self._halo_stack[self._halo_gather[block.index]]
-                        if self._halo
-                        else None
-                    ),
-                )
-            )
-        # One shipment per solve; sweeps exchange only l×k pieces.
-        self.epoch = pool.scatter(
-            states,
-            to_payload=_shard_state_payload,
-            from_payload=_shard_state_from_payload,
-        )
-        # Sf is a versioned shared resident: broadcast in full exactly
-        # once here, advanced by staged l×k updates afterwards.
-        pool.share("sf", factors.sf)
-        self._contributions: list[np.ndarray] | None = None
-        self._reduce_buffer: np.ndarray | None = None
-        self._rollback = False
-
-    @property
-    def sf(self) -> np.ndarray:
-        """The coordinator's mirror of the shared-resident ``Sf``."""
-        return self.pool.shared_value("sf")
-
-    def _broadcast(self, *args) -> list[tuple]:
-        return [args] * self.num_shards
-
-    def _prior_ref(self, index: int):
-        """``sf_prior`` handle for shard ``index`` (shard 0 carries it).
-
-        Every term of Eq. (1)/(19) except the α prior is row-separable;
-        the prior depends only on the global ``Sf``, so shard 0 counts
-        it exactly once and the others evaluate with ``sf_prior=None``.
-        """
-        return self.pool.shared_ref("sf_prior") if index == 0 else None
-
-    def _halo_args(self) -> list:
-        """Per-shard ghost-row slices for one exchange (halo-off: Nones).
-
-        Slices are gathered from the current boundary stack in fixed
-        shard-rank order and ride the exchange as command arguments —
-        the halo costs bytes on the fused round, never an extra round.
-        """
-        if not self._halo:
-            return [None] * self.num_shards
-        slices = [self._halo_stack[gather] for gather in self._halo_gather]
-        self.pool.telemetry.halo_bytes += sum(s.nbytes for s in slices)
-        return slices
-
-    def _consume_halo(self, boundaries: list) -> None:
-        """Rebuild the boundary stack from one exchange's replies."""
-        if not self._halo:
-            return
-        # Keep the previously delivered stack: offline convergence may
-        # roll this exchange's speculative pass back, and the stack must
-        # roll back with the factors it was exchanged against.
-        self._halo_saved = self._halo_stack
-        self._halo_stack = np.concatenate(boundaries)
-        telemetry = self.pool.telemetry
-        telemetry.halo_updates += 1
-        telemetry.halo_bytes += self._halo_stack.nbytes
-
-    # ------------------------------------------------------------------ #
-    # Solve loops (fused sweep + objective exchanges)
-    # ------------------------------------------------------------------ #
-
-    def solve_offline(
-        self,
-        weights: ObjectiveWeights,
-        sf_prior,
-        *,
-        max_iterations: int,
-        tolerance: float,
-        patience: int,
-        track_history: bool,
-        objective_every: int = 1,
-    ) -> tuple[ConvergenceHistory, bool, int]:
-        """Run Algorithm 1 to convergence, one exchange per sweep.
-
-        Exchange ``i`` (0-based) stages the ``Sf`` step for sweep ``i``
-        (nothing on the first), evaluates the *previous* sweep's
-        objective against the pre-pass factors (snapshotting them), and
-        runs sweep ``i+1``'s pass.  The one-sweep lag means convergence
-        detected at exchange ``i`` converged at sweep ``i`` — the
-        speculative pass ``i+1`` is rolled back at merge time and
-        ``Sf`` is simply not advanced, reproducing the plain loop's
-        record sequence, factors, and iteration count bit for bit.
-        """
-        self.pool.share("sf_prior", sf_prior)
-        evaluate = track_history or tolerance > 0
-        history = ConvergenceHistory()
-        converged = False
-        iterations_run = 0
-        self._rollback = False
-        for iteration in range(max_iterations):
-            if iteration > 0:
-                self._advance_sf(weights)
-            fuse = (
-                evaluate
-                and iteration >= 1
-                and iteration % objective_every == 0
-            )
-            halo_slices = self._halo_args()
-            replies = self.pool.run_resident(
-                _shard_offline_pass_with_objective,
-                [
-                    (self.pool.shared_ref("sf"), weights,
-                     self._prior_ref(index), fuse, halo_slices[index])
-                    for index in range(self.num_shards)
-                ],
-            )
-            self._contributions = [reply[1] for reply in replies]
-            self._consume_halo([reply[2] for reply in replies])
-            if fuse:
-                history.append(
-                    self._reduce_objective([reply[0] for reply in replies])
-                )
-                if history.converged(tolerance, window=patience):
-                    converged = True
-                    iterations_run = iteration
-                    self._rollback = True
-                    break
-            iterations_run = iteration + 1
-        if not converged:
-            # The last sweep's Sf step and objective are still pending
-            # (the lag never catches up inside the loop).
-            self._advance_sf(weights)
-            history.append(self.objective(weights))
-            if evaluate and history.converged(tolerance, window=patience):
-                converged = True
-        return history, converged, iterations_run
-
-    def solve_online(
-        self,
-        weights: ObjectiveWeights,
-        sf_prior,
-        *,
-        max_iterations: int,
-        tolerance: float,
-        patience: int,
-        track_history: bool,
-        objective_every: int = 1,
-        su_prior_active: bool = False,
-    ) -> tuple[ConvergenceHistory, bool, int]:
-        """Run Algorithm 2 to convergence, one exchange per sweep.
-
-        Algorithm 2 advances ``Sf`` *before* the row factors, so after
-        a priming exchange for the initial contributions each fused
-        exchange stages the ``Sf`` step, runs the pass, and evaluates
-        the objective on the very same iterate — no lag, no rollback.
-        """
-        self.pool.share("sf_prior", sf_prior)
-        evaluate = track_history or tolerance > 0
-        history = ConvergenceHistory()
-        converged = False
-        iterations_run = 0
-        self._contributions = self.pool.run_resident(
-            _shard_contribution, self._broadcast()
-        )
-        for iteration in range(max_iterations):
-            self._advance_sf(weights)
-            fuse = evaluate and (iteration + 1) % objective_every == 0
-            halo_slices = self._halo_args()
-            replies = self.pool.run_resident(
-                _shard_online_pass_with_objective,
-                [
-                    (self.pool.shared_ref("sf"), weights,
-                     self._prior_ref(index), su_prior_active, fuse,
-                     halo_slices[index])
-                    for index in range(self.num_shards)
-                ],
-            )
-            self._contributions = [reply[1] for reply in replies]
-            self._consume_halo([reply[2] for reply in replies])
-            iterations_run = iteration + 1
-            if fuse:
-                history.append(
-                    self._reduce_objective([reply[0] for reply in replies])
-                )
-                if history.converged(tolerance, window=patience):
-                    converged = True
-                    break
-        if not evaluate:
-            history.append(self.objective(weights, su_prior_active))
-        elif iterations_run % objective_every != 0:
-            # objective_every skipped the final sweep; record it.
-            history.append(self.objective(weights, su_prior_active))
-            if history.converged(tolerance, window=patience):
-                converged = True
-        return history, converged, iterations_run
-
-    def _advance_sf(self, weights: ObjectiveWeights) -> None:
-        """Stage the versioned ``Sf`` step from the reduced contributions.
-
-        Only the ``l×k`` total crosses the wire; every holder (the
-        coordinator's mirror eagerly, each worker on its next exchange)
-        applies the identical :func:`_shared_sf_step`.
-        """
-        self.pool.share_update(
-            "sf",
-            _shared_sf_step,
-            self._reduce_contributions(),
-            self.pool.shared_ref("sf_prior"),
-            weights.alpha,
-            self._kernel_name,
-            self._kernel_threads,
-        )
-
-    def _reduce_contributions(self) -> np.ndarray:
-        parts = self._contributions
-        assert parts is not None
-        if len(parts) == 1:
-            return parts[0]
-        # Accumulate into one preallocated buffer, same pairwise order
-        # as the naive left fold (bit-identical).  The buffer is safe to
-        # reuse: the mirror consumes it eagerly and the staged update op
-        # is serialized during the next exchange's send, before the next
-        # reduction overwrites it.
-        total = self._reduce_buffer
-        if (
-            total is None
-            or total.shape != parts[0].shape
-            or total.dtype != parts[0].dtype
-        ):
-            total = self._reduce_buffer = np.empty_like(parts[0])
-        np.copyto(total, parts[0])
-        for part in parts[1:]:
-            np.add(total, part, out=total)
-        return total
-
-    # ------------------------------------------------------------------ #
-    # Objective
-    # ------------------------------------------------------------------ #
-
-    def objective(
-        self,
-        weights: ObjectiveWeights,
-        su_prior_active: bool = False,
-    ) -> ObjectiveValue:
-        """Current objective, reduced over shards (objective-only round).
-
-        Requires a prior :meth:`solve_offline`/:meth:`solve_online`
-        call on this solver (they install the ``"sf_prior"`` shared
-        resident the evaluation references).  Halo solves re-deliver
-        the current boundary stack so the cross-shard graph term is
-        evaluated against the same iterate as the local terms.
-        """
-        halo_slices = self._halo_args()
-        parts = self.pool.run_resident(
-            _shard_objective,
-            [
-                (self.pool.shared_ref("sf"), weights,
-                 self._prior_ref(index), su_prior_active,
-                 halo_slices[index])
-                for index in range(self.num_shards)
-            ],
-        )
-        return self._reduce_objective(parts)
-
-    def _reduce_objective(self, parts: list[ObjectiveValue]) -> ObjectiveValue:
-        if len(parts) == 1:
-            return parts[0]
-        return ObjectiveValue(
-            tweet_loss=sum(p.tweet_loss for p in parts),
-            user_loss=sum(p.user_loss for p in parts),
-            retweet_loss=sum(p.retweet_loss for p in parts),
-            lexicon_loss=sum(p.lexicon_loss for p in parts),
-            graph_loss=sum(p.graph_loss for p in parts),
-            temporal_loss=sum(p.temporal_loss for p in parts),
-        )
-
-    # ------------------------------------------------------------------ #
-    # Merge
-    # ------------------------------------------------------------------ #
-
-    def merged_factors(
-        self, consensus_iterations: int = CONSENSUS_ITERATIONS
-    ) -> FactorSet:
-        """Scatter shard rows back and distill global ``Hp``/``Hu``.
-
-        Consumes any pending convergence rollback left by
-        :meth:`solve_offline` (the speculative extra pass is undone on
-        the shards before their factors are uploaded).
-        """
-        uploads = self.pool.run_resident(
-            _shard_merge_upload,
-            self._broadcast(self.pool.shared_ref("sf"), self._rollback),
-        )
-        if self._rollback and self._halo:
-            # The shards just restored their pre-pass snapshot; the
-            # coordinator's boundary stack rolls back alongside so a
-            # later objective round redistributes matching rows.
-            self._halo_stack = self._halo_saved
-        self._rollback = False
-        graph = self.sharded.graph
-        num_classes = self.sf.shape[1]
-        sp = np.zeros((graph.num_tweets, num_classes), dtype=self.sf.dtype)
-        su = np.zeros((graph.num_users, num_classes), dtype=self.sf.dtype)
-        for block, upload in zip(self.sharded.blocks, uploads):
-            sp[block.tweet_rows] = upload["sp"]
-            su[block.user_rows] = upload["su"]
-        if self.num_shards == 1:
-            hp, hu = uploads[0]["hp"], uploads[0]["hu"]
-        else:
-            hp = self._consensus_association(
-                "hp", uploads, consensus_iterations
-            )
-            hu = self._consensus_association(
-                "hu", uploads, consensus_iterations
-            )
-        return FactorSet(sf=self.sf, sp=sp, su=su, hp=hp, hu=hu)
-
-    def _consensus_association(
-        self, which: str, uploads: list[dict], iterations: int
-    ) -> np.ndarray:
-        """Global Eq. (12)/(13) fixed point from reduced shard terms.
-
-        With shard factors fixed, the global numerator ``SᵀXSf`` and
-        gram ``SᵀS`` decompose over shards exactly, so each shard
-        uploads its k×k terms and iterating the plain multiplicative
-        update from the size-weighted mean of the shard associations
-        converges to the one ``k×k`` matrix that best explains the
-        *whole* dataset given the merged entity factors.
-        """
-        sf = self.sf
-        num_classes = sf.shape[1]
-        sfT_sf = sf.T @ sf
-        numerator = np.zeros((num_classes, num_classes), dtype=sf.dtype)
-        gram = np.zeros((num_classes, num_classes), dtype=sf.dtype)
-        weighted = np.zeros((num_classes, num_classes), dtype=sf.dtype)
-        total_rows = 0
-        for upload in uploads:
-            terms = upload[f"{which}_terms"]
-            if terms is None:
-                continue
-            rows, numerator_term, gram_term = terms
-            numerator += numerator_term
-            gram += gram_term
-            weighted += rows * upload[which]
-            total_rows += rows
-        if total_rows == 0:
-            return np.eye(num_classes, dtype=sf.dtype)
-        association = weighted / total_rows
-        for _ in range(iterations):
-            association = association * safe_sqrt_ratio(
-                numerator, gram @ association @ sfT_sf
-            )
-        return association
-
-
 def _validate_sharding(
     n_shards: int | str,
-    update_style: str,
     backend: str,
     partitioner: object = "hash",
     workers=None,
@@ -987,11 +76,6 @@ def _validate_sharding(
             f"n_shards must be >= 1 or 'auto', got {n_shards!r}"
         )
     validate_halo(halo)
-    if update_style != "projector":
-        raise ValueError(
-            "sharded solvers support only update_style='projector' (the "
-            "Lagrangian Δ-split needs global factor grams mid-sweep)"
-        )
     validate_backend(backend)
     validate_partitioner(partitioner)
     # repro-lint: disable=REP006 -- workers= applicability check immediately
@@ -1013,14 +97,20 @@ def open_solver_pool(
 ) -> WorkerPool:
     """A pool sized for a sharded solve.
 
-    With ``max_workers=None`` the process backend is capped at the
-    shard count — idle worker processes cost real memory, idle threads
-    don't.  ``n_shards`` is a hint (use the worker default when the
-    count is still ``"auto"``-unresolved).  The socket backend's width
-    is its ``workers=["host:port", ...]`` list instead.  Shared by the
-    per-fit pools here and the serving engine's long-lived solver pool,
-    so the cap policy lives in exactly one place.
+    One shard on an in-process backend runs inline on a serial pool —
+    there is nothing to overlap.  With ``max_workers=None`` the process
+    backend is capped at the shard count — idle worker processes cost
+    real memory, idle threads don't.  ``n_shards`` is a hint (use the
+    worker default when the count is still ``"auto"``-unresolved).  The
+    socket backend's width is its ``workers=["host:port", ...]`` list
+    instead.  Shared by the per-solve pools here and the serving
+    engine's long-lived solver pool, so the cap policy lives in exactly
+    one place.
     """
+    # repro-lint: disable=REP006 -- pool sizing policy per validated
+    # backend (one in-process shard needs no threads).
+    if n_shards == 1 and backend in ("serial", "thread"):
+        return WorkerPool(1, backend="serial")
     # repro-lint: disable=REP006 -- pool sizing policy per validated
     # backend (socket width = workers list, process capped at shards).
     if backend == "socket":
@@ -1031,18 +121,80 @@ def open_solver_pool(
     return WorkerPool(max_workers, backend=backend)
 
 
-class ShardedTriClustering(OfflineTriClustering):
+class _ShardedPlan:
+    """The planning step shared by both sharded solvers.
+
+    Holds the sharding configuration and overrides ``_plan``: partition
+    the snapshot's users into ``n_shards`` blocks and run them on the
+    borrowed :attr:`pool` or a fresh one.  Everything else — the sweep,
+    the convergence bookkeeping, the merge — is the plain solver's.
+    """
+
+    def _init_sharding(
+        self,
+        n_shards: int | str,
+        partitioner,
+        max_workers: int | None,
+        backend: str,
+        workers,
+        consensus_iterations: int,
+        halo: str,
+    ) -> None:
+        _validate_sharding(n_shards, backend, partitioner, workers, halo)
+        self.n_shards = n_shards
+        self.partitioner = partitioner
+        self.max_workers = max_workers
+        self.backend = backend
+        self.workers = workers
+        self.consensus_iterations = consensus_iterations
+        self.halo = halo
+        self.last_plan: ShardedGraph | None = None
+        #: Optional externally-owned pool (e.g. the serving engine's).
+        #: When set, solves run on it and never shut it down — this also
+        #: skips the per-snapshot churn of opening a fresh pool (threads
+        #: or worker processes) every step; each solve re-scatters its
+        #: shard blocks under a fresh epoch and releases them afterwards.
+        #: When None, each solve opens and closes its own pool.
+        self.pool: WorkerPool | None = None
+
+    def _plan(self, graph: TripartiteGraph) -> SweepPlan:
+        n_shards = resolve_shard_count(
+            self.n_shards, graph.num_users, self.max_workers
+        )
+        sharded = extract_shard_blocks(
+            graph,
+            make_partition(graph, n_shards, self.partitioner),
+            halo=self.halo == "on",
+        )
+        self.last_plan = sharded
+        if self.pool is not None:
+            return SweepPlan(
+                sharded, self.pool, owns_pool=False,
+                consensus_iterations=self.consensus_iterations,
+            )
+        return SweepPlan(
+            sharded,
+            open_solver_pool(
+                self.max_workers, self.backend, n_shards, self.workers
+            ),
+            consensus_iterations=self.consensus_iterations,
+        )
+
+
+class ShardedTriClustering(_ShardedPlan, OfflineTriClustering):
     """Algorithm 1 over a user partition (offline sharded solver).
 
     Parameters (beyond :class:`OfflineTriClustering`)
     ----------
     n_shards:
-        User partitions; 1 reproduces the plain solver bit for bit.
-        ``"auto"`` picks per fit from the user count and worker count
-        (see :func:`resolve_shard_count`).
+        User partitions; 1 *is* the plain solver's one-shard solve.
+        ``"auto"`` re-resolves per solve from the user count and worker
+        count (see :func:`resolve_shard_count`).
     partitioner:
         ``"hash"`` (default), ``"greedy"``, or a callable — see
-        :func:`repro.graph.partition.make_partition`.
+        :func:`repro.graph.partition.make_partition`.  The hash
+        partitioner keys on user *ids*, so a user keeps their shard
+        across snapshots.
     max_workers:
         Worker bound for the shard fan-out (``None`` = CPU count,
         capped at ``n_shards`` for the process backend).
@@ -1071,7 +223,6 @@ class ShardedTriClustering(OfflineTriClustering):
         patience: int = 3,
         seed=None,
         track_history: bool = True,
-        update_style: str = "projector",
         kernel: object = "auto",
         dtype: str = "float64",
         spmm: object = "auto",
@@ -1085,8 +236,9 @@ class ShardedTriClustering(OfflineTriClustering):
         consensus_iterations: int = CONSENSUS_ITERATIONS,
         halo: str = "on",
     ) -> None:
-        _validate_sharding(
-            n_shards, update_style, backend, partitioner, workers, halo
+        self._init_sharding(
+            n_shards, partitioner, max_workers, backend, workers,
+            consensus_iterations, halo,
         )
         super().__init__(
             num_classes=num_classes,
@@ -1097,110 +249,23 @@ class ShardedTriClustering(OfflineTriClustering):
             patience=patience,
             seed=seed,
             track_history=track_history,
-            update_style=update_style,
             kernel=kernel,
             dtype=dtype,
             spmm=spmm,
             spmm_threads=spmm_threads,
             objective_every=objective_every,
         )
-        self.n_shards = n_shards
-        self.partitioner = partitioner
-        self.max_workers = max_workers
-        self.backend = backend
-        self.workers = workers
-        self.consensus_iterations = consensus_iterations
-        self.halo = halo
-        self.last_plan: ShardedGraph | None = None
-        #: Pool traffic/timing delta for the most recent fit (a
-        #: :meth:`~repro.utils.executor.PoolTelemetry.delta` dict), or
-        #: ``None`` before the first fit.
-        self.last_telemetry: dict | None = None
-        #: Optional externally-owned pool (e.g. the serving engine's).
-        #: When set, fits run on it and never shut it down; when None,
-        #: each fit opens and closes its own pool.
-        self.pool: WorkerPool | None = None
-
-    def fit(
-        self,
-        graph: TripartiteGraph,
-        initial_factors: FactorSet | None = None,
-    ) -> TriClusteringResult:
-        rng = spawn_rng(self.seed)
-        # Same cast sequence as the plain solver's fit (both are no-ops
-        # in the float64 default), so 1-shard trajectories stay
-        # bit-identical to it in either dtype.
-        kernel = resolve_kernel_name(self.kernel)
-        spmm = resolve_spmm_name(self.spmm)
-        graph = graph.astype(self._np_dtype)
-        self._validate_prior(graph)
-        factors = self._initial_factors(graph, rng, initial_factors).astype(
-            self._np_dtype
-        )
-        n_shards = resolve_shard_count(
-            self.n_shards, graph.num_users, self.max_workers
-        )
-        sharded = extract_shard_blocks(
-            graph,
-            make_partition(graph, n_shards, self.partitioner),
-            halo=self.halo == "on",
-        )
-        sf0 = graph.sf0
-
-        pool = (
-            self.pool
-            if self.pool is not None
-            else open_solver_pool(
-                self.max_workers, self.backend, n_shards, self.workers
-            )
-        )
-        try:
-            telemetry_before = pool.telemetry.snapshot()
-            solver = ShardedSolver(
-                sharded, factors, pool, update_style=self.update_style,
-                kernel=kernel, spmm=spmm, spmm_threads=self.spmm_threads,
-            )
-            history, converged, iterations_run = solver.solve_offline(
-                self.weights,
-                sf0,
-                max_iterations=self.max_iterations,
-                tolerance=self.tolerance,
-                patience=self.patience,
-                track_history=self.track_history,
-                objective_every=self.objective_every,
-            )
-            merged = solver.merged_factors(self.consensus_iterations)
-            self.last_telemetry = pool.telemetry.delta(telemetry_before)
-        finally:
-            if pool is not self.pool:
-                pool.shutdown()
-            else:
-                # Externally-owned pool: release the graph-sized shard
-                # states now rather than pinning them until the next fit.
-                pool.discard_resident()
-        self.last_plan = sharded
-        return TriClusteringResult(
-            factors=merged,
-            history=history,
-            converged=converged,
-            iterations=iterations_run,
-        )
 
 
-class ShardedOnlineTriClustering(OnlineTriClustering):
+class ShardedOnlineTriClustering(_ShardedPlan, OnlineTriClustering):
     """Algorithm 2 over a user partition (online sharded solver).
 
-    Inherits the temporal machinery (warm starts, decayed priors,
-    per-user carried state) from :class:`OnlineTriClustering` unchanged
-    — only the inner sweep loop is sharded, so 1-shard runs replay the
-    plain solver's trajectory bit for bit.  The hash partitioner keys on
-    user *ids*, so a user keeps their shard across snapshots.
-    ``n_shards="auto"`` re-resolves the shard count on every snapshot
-    from the snapshot's user count.  ``backend`` selects the execution
-    backend per :mod:`repro.utils.executor`; on the process and socket
-    backends an externally-owned pool keeps its workers (local
-    processes or remote connections) across snapshots and each snapshot
-    re-scatters its shard blocks under a fresh epoch.
+    The temporal machinery (warm starts, decayed priors, per-user
+    carried state) is :class:`OnlineTriClustering`'s unchanged; only
+    each snapshot's plan differs.  The sharding parameters are
+    :class:`ShardedTriClustering`'s.  On the process and socket backends
+    an externally-owned pool keeps its workers (local processes or
+    remote connections) across snapshots.
     """
 
     def __init__(
@@ -1216,7 +281,6 @@ class ShardedOnlineTriClustering(OnlineTriClustering):
         patience: int = 3,
         seed=None,
         track_history: bool = False,
-        update_style: str = "projector",
         state_smoothing: float = 0.8,
         kernel: object = "auto",
         dtype: str = "float64",
@@ -1231,8 +295,9 @@ class ShardedOnlineTriClustering(OnlineTriClustering):
         consensus_iterations: int = CONSENSUS_ITERATIONS,
         halo: str = "on",
     ) -> None:
-        _validate_sharding(
-            n_shards, update_style, backend, partitioner, workers, halo
+        self._init_sharding(
+            n_shards, partitioner, max_workers, backend, workers,
+            consensus_iterations, halo,
         )
         super().__init__(
             num_classes=num_classes,
@@ -1246,105 +311,10 @@ class ShardedOnlineTriClustering(OnlineTriClustering):
             patience=patience,
             seed=seed,
             track_history=track_history,
-            update_style=update_style,
             state_smoothing=state_smoothing,
             kernel=kernel,
             dtype=dtype,
             spmm=spmm,
             spmm_threads=spmm_threads,
             objective_every=objective_every,
-        )
-        self.n_shards = n_shards
-        self.partitioner = partitioner
-        self.max_workers = max_workers
-        self.backend = backend
-        self.workers = workers
-        self.consensus_iterations = consensus_iterations
-        self.halo = halo
-        self.last_plan: ShardedGraph | None = None
-        #: Pool traffic/timing delta for the most recent snapshot solve
-        #: (a :meth:`~repro.utils.executor.PoolTelemetry.delta` dict),
-        #: or ``None`` before the first one.
-        self.last_telemetry: dict | None = None
-        #: Optional externally-owned pool (e.g. the serving engine's).
-        #: When set, partial_fits run on it and never shut it down —
-        #: this also skips the per-snapshot churn of opening a fresh
-        #: pool (threads or worker processes) every step.  When None,
-        #: each step owns its pool.
-        self.pool: WorkerPool | None = None
-
-    def _optimize(
-        self,
-        graph: TripartiteGraph,
-        factors: FactorSet,
-        sfw: np.ndarray | None,
-        su_prior: np.ndarray | None,
-        evolving_rows: np.ndarray,
-    ) -> "OnlineTriClustering._OptimizeOutput":
-        # Same cast sequence as the plain solver's _optimize (no-ops in
-        # the float64 default) for 1-shard bit-identity in either dtype.
-        kernel = resolve_kernel_name(self.kernel)
-        spmm = resolve_spmm_name(self.spmm)
-        graph = graph.astype(self._np_dtype)
-        factors = factors.astype(self._np_dtype)
-        if sfw is not None:
-            sfw = sfw.astype(self._np_dtype, copy=False)
-        if su_prior is not None:
-            su_prior = su_prior.astype(self._np_dtype, copy=False)
-        sf_prior = sfw if sfw is not None else graph.sf0
-        n_shards = resolve_shard_count(
-            self.n_shards, graph.num_users, self.max_workers
-        )
-        sharded = extract_shard_blocks(
-            graph,
-            make_partition(graph, n_shards, self.partitioner),
-            halo=self.halo == "on",
-        )
-
-        pool = (
-            self.pool
-            if self.pool is not None
-            else open_solver_pool(
-                self.max_workers, self.backend, n_shards, self.workers
-            )
-        )
-        try:
-            telemetry_before = pool.telemetry.snapshot()
-            solver = ShardedSolver(
-                sharded,
-                factors,
-                pool,
-                update_style=self.update_style,
-                su_prior=su_prior,
-                evolving_rows=evolving_rows,
-                kernel=kernel,
-                spmm=spmm,
-                spmm_threads=self.spmm_threads,
-            )
-            history, converged, iterations_run = solver.solve_online(
-                self.weights,
-                sf_prior,
-                max_iterations=self.max_iterations,
-                tolerance=self.tolerance,
-                patience=self.patience,
-                track_history=self.track_history,
-                objective_every=self.objective_every,
-                su_prior_active=su_prior is not None,
-            )
-            merged = solver.merged_factors(self.consensus_iterations)
-            self.last_telemetry = pool.telemetry.delta(telemetry_before)
-        finally:
-            if pool is not self.pool:
-                pool.shutdown()
-            else:
-                # Externally-owned pool: release the graph-sized shard
-                # states now rather than pinning them until the next
-                # snapshot (worker processes themselves persist).
-                pool.discard_resident()
-        self.last_plan = sharded
-        return self._OptimizeOutput(
-            factors=merged,
-            history=history,
-            converged=converged,
-            iterations=iterations_run,
         )

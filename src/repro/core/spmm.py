@@ -42,9 +42,10 @@ ready-made :class:`SpmmEngine` instance.  ``"auto"`` resolves to numba
 when importable and scipy otherwise (the threaded engine is an explicit
 opt-in: on the 1-core reference host it would only add dispatch
 overhead, and "auto" must never regress the default).  Requesting
-``"numba"`` explicitly without numba raises.  The sharded coordinator
-pins ``"auto"`` to a concrete name via :func:`resolve_spmm_name` before
-scattering shard state, so heterogeneous fleets run one implementation.
+``"numba"`` explicitly without numba raises.  The solve loop resolves
+the engine once per solve; out-of-process shard payloads carry its
+concrete name (:func:`resolve_spmm_name`), so heterogeneous fleets run
+one implementation.
 
 Thread budgets come from :mod:`repro.utils.threads`: an explicit
 ``spmm_threads=`` wins, else the process default installed by worker
@@ -317,9 +318,9 @@ def resolve_spmm(
 def get_spmm(name: str, threads: int | None = None) -> SpmmEngine:
     """Resolve a *concrete* engine name (``"scipy"/"threads"/"numba"``).
 
-    Used by the sharded worker commands, which receive the already
-    auto-resolved name in their shard payload so every shard — local or
-    remote — runs the implementation the coordinator chose.
+    Used by out-of-process shard workers, which receive the already
+    auto-resolved name in their shard payload so every shard runs the
+    implementation the coordinator chose.
     """
     return resolve_spmm(name, threads)
 
@@ -327,10 +328,11 @@ def get_spmm(name: str, threads: int | None = None) -> SpmmEngine:
 def resolve_spmm_name(spmm: object = "auto") -> str:
     """Auto-resolve an spmm choice to its concrete name.
 
-    The sharded coordinators call this once before scattering shard
-    state so ``"auto"`` means "whatever the coordinator has", not
-    "whatever each worker host happens to have" — the same cross-host
-    determinism pin the kernel registry applies.
+    The solve loop pins out-of-process shard payloads with this, so
+    ``"auto"`` means "whatever the coordinator has", not "whatever each
+    worker host happens to have" — the same cross-host determinism pin
+    the kernel registry applies.  An unregistered instance pins to
+    ``"scipy"`` (in-process solves use it as is).
     """
     if isinstance(spmm, SpmmEngine):
         return spmm.name if spmm.name in SPMM_ENGINES else "scipy"

@@ -7,10 +7,7 @@ individual update calls:
 
 - ``Xp·Sf`` appears in both the ``Sp`` and ``Hp`` updates,
 - ``Xu·Sf`` appears in both the ``Su`` and ``Hu`` updates,
-- ``Sfᵀ·Sf`` appears in the ``Hp`` and ``Hu`` denominators (and in
-  every Lagrangian-style ``Δ`` assembly),
-- the factor grams ``Spᵀ·Sp`` / ``Suᵀ·Su`` and the association grams
-  ``H·(SfᵀSf)·Hᵀ`` recur across the Lagrangian-style updates.
+- ``Sfᵀ·Sf`` appears in both the ``Hp`` and ``Hu`` denominators.
 
 The sparse-dense products dominate the sweep cost (``O(nnz·k)`` each),
 so computing each of them once per sweep instead of twice is a direct
@@ -51,6 +48,7 @@ every update call — invalidation is automatic.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Callable
 
 import numpy as np
@@ -143,7 +141,7 @@ class SweepCache:
         entry = self._memo.get(key)
         if entry is not None:
             cached_deps, value = entry
-            if all(a is b for a, b in zip(cached_deps, deps)):
+            if all(map(operator.is_, cached_deps, deps)):
                 self._hits += 1
                 return value
         value = compute()
@@ -253,18 +251,6 @@ class SweepCache:
         decided by the identity of ``factor`` itself.
         """
         return self._get(f"gram:{name}", (factor,), lambda: factor.T @ factor)
-
-    def hp_gram(self, hp: np.ndarray, sf: np.ndarray) -> np.ndarray:
-        """``Hp·(SfᵀSf)·Hpᵀ`` (Lagrangian-style ``Sp`` denominators)."""
-        return self._get(
-            "hp_gram", (hp, sf), lambda: hp @ self.gram("sf", sf) @ hp.T
-        )
-
-    def hu_gram(self, hu: np.ndarray, sf: np.ndarray) -> np.ndarray:
-        """``Hu·(SfᵀSf)·Huᵀ`` (Lagrangian-style ``Su`` denominators)."""
-        return self._get(
-            "hu_gram", (hu, sf), lambda: hu @ self.gram("sf", sf) @ hu.T
-        )
 
     def assoc_denominator(
         self, name: str, factor: np.ndarray, h: np.ndarray, sf: np.ndarray

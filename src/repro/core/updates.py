@@ -4,24 +4,17 @@ Every rule has the shape ``S ← S ∘ sqrt(numerator / denominator)`` where
 the numerator collects the negative part of the KKT gradient and the
 denominator the positive part.
 
-Two equivalent-at-stationarity formulations are provided for the
-orthogonality-constrained factors (``Sf``, ``Sp``, ``Su``):
-
-- ``"projector"`` (default) — the closed form of Ding et al. [9], the
-  source the paper cites for its rules ("following the updating rules
-  proposed and proved in [9]").  The Lagrangian ``Δ`` is absorbed via
-  ``S·Δ + S·(gram) = S·Sᵀ·N``, yielding all-non-negative numerators and
-  denominators and stable iterations.  Graph-regularization terms stay
-  explicit with the standard ``Du``/``Gu`` split (provably monotone for
-  GNMF-style objectives).
-- ``"lagrangian"`` — the literal ``Δ = Δ⁺ − Δ⁻`` split as printed in the
-  paper's derivation (Eqs. 7, 9, 11, 24, 26).  This transcription is the
-  intermediate proof form; iterated verbatim it is only locally stable
-  (it can blow up once a factor column collapses), so it is exposed for
-  fidelity ablation, guarded by a per-step ratio clip.
+The orthogonality-constrained factors (``Sf``, ``Sp``, ``Su``) use the
+closed form of Ding et al. [9], the source the paper cites for its
+rules ("following the updating rules proposed and proved in [9]").  The
+Lagrangian ``Δ`` of the paper's derivation (Eqs. 7, 9, 11, 24, 26) is
+absorbed via ``S·Δ + S·(gram) = S·Sᵀ·N``, yielding all-non-negative
+numerators and denominators and stable iterations.  Graph-regularization
+terms stay explicit with the standard ``Du``/``Gu`` split (provably
+monotone for GNMF-style objectives).
 
 ``Hp``/``Hu`` (Eqs. 12, 13) are the plain, provably non-increasing NMF
-updates in both styles.
+updates.
 
 Sparse data matrices are consumed as ``scipy.sparse`` and only multiplied
 against ``k``-column dense factors; the projector ``S·Sᵀ·N`` is evaluated
@@ -38,7 +31,7 @@ cached path evaluates the exact same expressions (CSR materialization
 preserves per-row accumulation order), so results are bit-identical to
 the uncached path either way.
 
-Every projector-style rule also accepts an optional
+Every rule also accepts an optional
 :class:`~repro.core.kernels.Kernel` that evaluates the fused element-wise
 tail ``S ∘ sqrt(max(num, 0)/max(den, EPS))``; when omitted, the NumPy
 kernel is used.  Kernels are bit-compatible with each other in float64
@@ -47,21 +40,13 @@ kernel is used.  Kernels are bit-compatible with each other in float64
 
 from __future__ import annotations
 
-from typing import Literal
-
 import numpy as np
 import scipy.sparse as sp
 
 from repro.core.kernels import Kernel, default_kernel
 from repro.core.sweepcache import SweepCache
-from repro.utils.matrices import nonneg_split, safe_sqrt_ratio
-
-#: Per-iteration bound on the multiplicative step, used by the
-#: ``"lagrangian"`` style (see :func:`repro.utils.matrices.safe_sqrt_ratio`).
-MAX_UPDATE_RATIO = 4.0
 
 MatrixLike = np.ndarray | sp.spmatrix
-UpdateStyle = Literal["projector", "lagrangian"]
 
 
 def _dot(x: MatrixLike, dense: np.ndarray) -> np.ndarray:
@@ -146,7 +131,6 @@ def update_sp(
     su: np.ndarray,
     xp: MatrixLike,
     xr: MatrixLike,
-    style: UpdateStyle = "projector",
     cache: SweepCache | None = None,
     kernel: Kernel | None = None,
 ) -> np.ndarray:
@@ -162,32 +146,16 @@ def update_sp(
     attraction = kernel.accumulate(                    # XpSfHpᵀ + XrᵀSu, n×k
         xp_sf @ hp.T, _cache_dot(cache, xr.T if xr_T is None else xr_T, su)
     )
-
-    if style == "projector":
-        denominator = _project(sp_factor, attraction)
-        return kernel.projector_tail(sp_factor, attraction, denominator)
-
-    suT_su = cache.gram("su", su) if cache is not None else su.T @ su
-    hp_gram = (
-        cache.hp_gram(hp, sf)
-        if cache is not None
-        else hp @ (sf.T @ sf) @ hp.T
-    )
-    delta = sp_factor.T @ attraction - hp_gram - suT_su
-    delta_plus, delta_minus = nonneg_split(delta)
-    numerator = attraction + sp_factor @ delta_minus
-    denominator = (
-        sp_factor @ hp_gram + sp_factor @ suT_su + sp_factor @ delta_plus
-    )
-    return sp_factor * safe_sqrt_ratio(numerator, denominator, MAX_UPDATE_RATIO)
+    denominator = _project(sp_factor, attraction)
+    return kernel.projector_tail(sp_factor, attraction, denominator)
 
 
 # --------------------------------------------------------------------- #
-# User factor
+# User factor (Eq. 11 offline, Eqs. 24 + 26 online)
 # --------------------------------------------------------------------- #
 
 
-def update_su(
+def update_su_online(
     su: np.ndarray,
     sf: np.ndarray,
     hu: np.ndarray,
@@ -197,25 +165,38 @@ def update_su(
     gu: MatrixLike,
     du: MatrixLike,
     beta: float,
-    style: UpdateStyle = "projector",
+    gamma: float = 0.0,
+    su_prior: np.ndarray | None = None,
+    evolving_rows: np.ndarray | None = None,
     cache: SweepCache | None = None,
     kernel: Kernel | None = None,
     gu_halo: MatrixLike | None = None,
     su_halo: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Eq. (11) — user factor update with graph regularization.
+    """User factor update with graph regularization and temporal terms.
 
     Attraction ``N = XuSfHuᵀ + XrSp + β·GuSu`` (words, posted/retweeted
     tweets, and neighbours' sentiments pull a user toward a class);
     repulsion is the projector on the factorization part plus the degree
-    term ``β·DuSu`` of the Laplacian split.
+    term ``β·DuSu`` of the Laplacian split.  Without prior rows this is
+    the offline Eq. (11), which online new-user rows follow too
+    (Eq. 24); evolving-user rows follow Eq. (26), which adds ``γ·Suw``
+    to the numerator and ``γ·Su`` to the denominator, pulling those rows
+    toward their decayed history.
 
-    ``gu_halo``/``su_halo`` carry a sharded solve's cut-edge remainder:
-    the halo CSR block over ghost columns and the neighbours' exchanged
-    ``Su`` rows aligned with those columns.  Their product folds into
-    ``GuSu`` before the kernel tail, so with the halo present the graph
-    attraction matches the unsharded update exactly (``Du`` must then
-    hold full-graph degrees; see ``graph/partition``).
+    Parameters
+    ----------
+    su_prior:
+        ``Suw(t)`` rows for evolving users, aligned with ``evolving_rows``.
+    evolving_rows:
+        Row indices of evolving users within ``su``.
+    gu_halo, su_halo:
+        A sharded solve's cut-edge remainder: the halo CSR block over
+        ghost columns and the neighbours' exchanged ``Su`` rows aligned
+        with those columns.  Their product folds into ``GuSu`` before
+        the kernel tail, so with the halo present the graph attraction
+        matches the unsharded update exactly (``Du`` must then hold
+        full-graph degrees; see ``graph/partition``).
     """
     kernel = kernel if kernel is not None else default_kernel()
     xu_sf = cache.xu_sf(sf) if cache is not None else _dot(xu, sf)
@@ -226,35 +207,22 @@ def update_su(
     if gu_halo is not None and su_halo is not None and gu_halo.nnz:
         gu_su = gu_su + _cache_dot(cache, gu_halo, su_halo)
     du_su = _cache_dot(cache, du, su)
-
-    if style == "projector":
-        projection = _project(su, factor_attraction)
+    projection = _project(su, factor_attraction)
+    if (
+        su_prior is None
+        or evolving_rows is None
+        or evolving_rows.size == 0
+        or gamma <= 0.0
+    ):
         return kernel.graph_tail(
             su, factor_attraction, projection, gu_su, du_su, beta
         )
-
-    spT_sp = (
-        cache.gram("sp", sp_factor)
-        if cache is not None
-        else sp_factor.T @ sp_factor
+    numerator, denominator = kernel.graph_terms(
+        factor_attraction, projection, gu_su, du_su, beta
     )
-    hu_gram = (
-        cache.hu_gram(hu, sf)
-        if cache is not None
-        else hu @ (sf.T @ sf) @ hu.T
-    )
-    delta = (
-        su.T @ factor_attraction
-        - hu_gram
-        - spT_sp
-        - beta * (su.T @ (du_su - gu_su))
-    )
-    delta_plus, delta_minus = nonneg_split(delta)
-    numerator = factor_attraction + beta * gu_su + su @ delta_minus
-    denominator = (
-        su @ hu_gram + su @ spT_sp + beta * du_su + su @ delta_plus
-    )
-    return su * safe_sqrt_ratio(numerator, denominator, MAX_UPDATE_RATIO)
+    numerator[evolving_rows] += gamma * su_prior
+    denominator[evolving_rows] += gamma * su[evolving_rows]
+    return kernel.multiply_tail(su, numerator, denominator)
 
 
 # --------------------------------------------------------------------- #
@@ -277,12 +245,11 @@ def sf_sweep_contribution(
 
     The numerator term ``XuᵀSuHu + XpᵀSpHp`` sums over user and tweet
     *rows*, so a user-partitioned model computes it per shard and adds
-    the ``l×k`` pieces — the separable half of the sharded ``Sf`` sweep.
-    The unsharded :func:`update_sf` evaluates exactly this expression,
-    so a single-block contribution reproduces it bit for bit.
+    the ``l×k`` pieces — the separable half of the ``Sf`` sweep; a
+    single block's contribution is the whole attraction.
 
     ``xp_T``/``xu_T`` optionally supply CSR-materialized transposes
-    (the sharded solver precomputes them per snapshot); sparse products
+    (the solve loop precomputes them per snapshot); sparse products
     through them accumulate in the same order as through the lazy
     ``.T`` views, so the result is unchanged bitwise.  ``spmm``
     optionally supplies an :class:`~repro.core.spmm.SpmmEngine` for the
@@ -303,9 +270,9 @@ def apply_sf_update(
 ) -> np.ndarray:
     """Projector-style ``Sf`` step from a reduced attraction.
 
-    The non-separable half of the sharded sweep: the orthogonality
-    projector ``Sf·Sfᵀ·N`` and the α prior act on the *global* ``Sf``
-    once per sweep, after the per-shard attractions have been summed.
+    The non-separable half of the sweep: the orthogonality projector
+    ``Sf·Sfᵀ·N`` and the α prior act on the *global* ``Sf`` once per
+    sweep, after the per-shard attractions have been summed.
     """
     kernel = kernel if kernel is not None else default_kernel()
     projection = _project(sf, factor_attraction)
@@ -324,7 +291,6 @@ def update_sf(
     xu: MatrixLike,
     sf_prior: np.ndarray | None,
     alpha: float,
-    style: UpdateStyle = "projector",
     cache: SweepCache | None = None,
     kernel: Kernel | None = None,
 ) -> np.ndarray:
@@ -333,7 +299,8 @@ def update_sf(
     ``sf_prior`` is ``Sf0`` (offline) or the decayed aggregate ``Sfw(t)``
     (online); the two rules are otherwise identical.  The α prior enters
     the numerator as ``α·Sf0`` (pull toward the lexicon) and the
-    denominator as ``α·Sf``.
+    denominator as ``α·Sf``.  A single-block composition of
+    :func:`sf_sweep_contribution` and :func:`apply_sf_update`.
     """
     factor_attraction = sf_sweep_contribution(
         sp_factor,
@@ -346,139 +313,4 @@ def update_sf(
         xu_T=cache.xu_T() if cache is not None else None,
         spmm=cache.spmm if cache is not None else None,
     )
-
-    if style == "projector":
-        return apply_sf_update(sf, factor_attraction, sf_prior, alpha, kernel)
-
-    if sf_prior is None or alpha == 0.0:
-        prior_numerator = 0.0
-        prior_denominator = 0.0
-    else:
-        prior_numerator = alpha * sf_prior
-        prior_denominator = alpha * sf
-
-    suT_su = cache.gram("su", su) if cache is not None else su.T @ su
-    spT_sp = (
-        cache.gram("sp", sp_factor)
-        if cache is not None
-        else sp_factor.T @ sp_factor
-    )
-    hu_gram = hu.T @ suT_su @ hu
-    hp_gram = hp.T @ spT_sp @ hp
-    prior_delta = (
-        np.zeros((sf.shape[1], sf.shape[1]), dtype=sf.dtype)
-        if sf_prior is None or alpha == 0.0
-        else alpha * (sf.T @ (sf - sf_prior))
-    )
-    delta = (
-        sf.T @ factor_attraction - hu_gram - hp_gram - prior_delta
-    )
-    delta_plus, delta_minus = nonneg_split(delta)
-    numerator = factor_attraction + prior_numerator + sf @ delta_minus
-    denominator = (
-        sf @ hu_gram + sf @ hp_gram + prior_denominator + sf @ delta_plus
-    )
-    return sf * safe_sqrt_ratio(numerator, denominator, MAX_UPDATE_RATIO)
-
-
-# --------------------------------------------------------------------- #
-# Online user factor (Eqs. 24 + 26)
-# --------------------------------------------------------------------- #
-
-
-def update_su_online(
-    su: np.ndarray,
-    sf: np.ndarray,
-    hu: np.ndarray,
-    sp_factor: np.ndarray,
-    xu: MatrixLike,
-    xr: MatrixLike,
-    gu: MatrixLike,
-    du: MatrixLike,
-    beta: float,
-    gamma: float,
-    su_prior: np.ndarray | None,
-    evolving_rows: np.ndarray | None,
-    style: UpdateStyle = "projector",
-    cache: SweepCache | None = None,
-    kernel: Kernel | None = None,
-    gu_halo: MatrixLike | None = None,
-    su_halo: np.ndarray | None = None,
-) -> np.ndarray:
-    """Eqs. (24)+(26) — online user update with row-wise temporal terms.
-
-    New-user rows follow Eq. (24) (identical to the offline Eq. (11));
-    evolving-user rows follow Eq. (26), which adds ``γ·Suw`` to the
-    numerator and ``γ·Su`` to the denominator, pulling those rows toward
-    their decayed history.
-
-    Parameters
-    ----------
-    su_prior:
-        ``Suw(t)`` rows for evolving users, aligned with ``evolving_rows``.
-    evolving_rows:
-        Row indices of evolving users within ``su``.
-    gu_halo, su_halo:
-        Sharded cut-edge remainder, folded into ``GuSu`` exactly as in
-        :func:`update_su`.
-    """
-    kernel = kernel if kernel is not None else default_kernel()
-    xu_sf = cache.xu_sf(sf) if cache is not None else _dot(xu, sf)
-    factor_attraction = kernel.accumulate(             # XuSfHuᵀ + XrSp, m×k
-        xu_sf @ hu.T, _cache_dot(cache, xr, sp_factor)
-    )
-    gu_su = _cache_dot(cache, gu, su)
-    if gu_halo is not None and su_halo is not None and gu_halo.nnz:
-        gu_su = gu_su + _cache_dot(cache, gu_halo, su_halo)
-    du_su = _cache_dot(cache, du, su)
-
-    has_temporal = (
-        su_prior is not None
-        and evolving_rows is not None
-        and evolving_rows.size > 0
-        and gamma > 0.0
-    )
-
-    if style == "projector":
-        projection = _project(su, factor_attraction)
-        if not has_temporal:
-            return kernel.graph_tail(
-                su, factor_attraction, projection, gu_su, du_su, beta
-            )
-        numerator, denominator = kernel.graph_terms(
-            factor_attraction, projection, gu_su, du_su, beta
-        )
-        numerator[evolving_rows] += gamma * su_prior
-        denominator[evolving_rows] += gamma * su[evolving_rows]
-        return kernel.multiply_tail(su, numerator, denominator)
-
-    spT_sp = (
-        cache.gram("sp", sp_factor)
-        if cache is not None
-        else sp_factor.T @ sp_factor
-    )
-    hu_gram = (
-        cache.hu_gram(hu, sf)
-        if cache is not None
-        else hu @ (sf.T @ sf) @ hu.T
-    )
-    temporal_delta = np.zeros((su.shape[1], su.shape[1]), dtype=su.dtype)
-    if has_temporal:
-        su_evolving = su[evolving_rows]
-        temporal_delta = gamma * (su_evolving.T @ (su_evolving - su_prior))
-    delta = (
-        su.T @ factor_attraction
-        - hu_gram
-        - spT_sp
-        - beta * (su.T @ (du_su - gu_su))
-        - temporal_delta
-    )
-    delta_plus, delta_minus = nonneg_split(delta)
-    numerator = factor_attraction + beta * gu_su + su @ delta_minus
-    denominator = (
-        su @ hu_gram + su @ spT_sp + beta * du_su + su @ delta_plus
-    )
-    if has_temporal:
-        numerator[evolving_rows] += gamma * su_prior
-        denominator[evolving_rows] += gamma * su[evolving_rows]
-    return su * safe_sqrt_ratio(numerator, denominator, MAX_UPDATE_RATIO)
+    return apply_sf_update(sf, factor_attraction, sf_prior, alpha, kernel)

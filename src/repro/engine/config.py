@@ -43,14 +43,29 @@ from repro.utils.transport import validate_workers
 #: What ``ingest(..., block=False)`` does when the queue is full.
 OVERFLOW_POLICIES = ("drop", "raise")
 
-#: Update styles the online solver understands (sharded solves are
-#: additionally restricted to ``"projector"``, checked by the solver).
-UPDATE_STYLES = ("projector", "lagrangian")
-
 
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ValueError(message)
+
+
+def _without_removed_fields(solver: dict[str, Any]) -> dict[str, Any]:
+    """A solver-section dict minus fields of removed options.
+
+    Configs and checkpoints written before the Lagrangian update style
+    was removed record ``update_style``; its surviving value
+    ``"projector"`` is what every solver now runs, so it is dropped.
+    Any other value names an update rule that no longer exists.
+    """
+    if "update_style" not in solver:
+        return solver
+    style = solver["update_style"]
+    _require(
+        style == "projector",
+        f"update_style {style!r} was removed; only the projector "
+        "updates remain",
+    )
+    return {key: value for key, value in solver.items() if key != "update_style"}
 
 
 @dataclass(frozen=True)
@@ -83,7 +98,6 @@ class SolverConfig:
     max_iterations: int = 100
     tolerance: float = 1e-5
     patience: int = 3
-    update_style: str = "projector"
     state_smoothing: float = 0.8
     track_history: bool = False
     kernel: str = "auto"
@@ -108,11 +122,6 @@ class SolverConfig:
             0.0 <= self.state_smoothing < 1.0,
             f"state_smoothing must be in [0, 1), got {self.state_smoothing}",
         )
-        if self.update_style not in UPDATE_STYLES:
-            raise ValueError(
-                f"unknown update_style {self.update_style!r}; valid "
-                "choices: " + ", ".join(repr(s) for s in UPDATE_STYLES)
-            )
         # Names only (no Kernel instances): configs must serialize.
         _require(
             isinstance(self.kernel, str),
@@ -274,6 +283,8 @@ class EngineConfig:
         for name, cls in self._SECTIONS.items():
             value = getattr(self, name)
             if isinstance(value, dict):
+                if cls is SolverConfig:
+                    value = _without_removed_fields(value)
                 object.__setattr__(self, name, cls(**value))
             elif not isinstance(value, cls):
                 raise TypeError(

@@ -66,6 +66,8 @@ _FACTOR_NAMES = ("sf", "sp", "su", "hp", "hu")
 
 #: SolverConfig fields, as they appear in both v1 solver params and v2
 #: config dumps (everything the online solver takes beyond num_classes).
+#: ``update_style`` is a removed option that old checkpoints record;
+#: EngineConfig accepts its surviving value and rejects the others.
 _SOLVER_FIELDS = (
     "alpha",
     "beta",

@@ -16,10 +16,10 @@ not the history:
   TripartiteGraph` (single COO→CSR conversion per matrix) and runs one
   :class:`~repro.core.online.OnlineTriClustering` step (Algorithm 2,
   warm-started from decayed history, shared-product
-  :class:`~repro.core.sweepcache.SweepCache` inside) — or, with
-  ``n_shards > 1``, a :class:`~repro.core.sharded.
-  ShardedOnlineTriClustering` step that routes each snapshot's users
-  and tweets onto user-partition shards, sweeps them on a worker pool,
+  :class:`~repro.core.sweepcache.SweepCache` inside, solved as one
+  shard) — or, with ``n_shards > 1`` or another backend, a
+  :class:`~repro.core.sharded.ShardedOnlineTriClustering` step that
+  runs the same sweep loop over user-partition shards on a worker pool
   and merges the per-shard user sentiments back into one model;
 - **classify(texts)** scores arbitrary texts between snapshots via
   micro-batched fold-in against the latest factors, with an LRU cache
@@ -94,7 +94,6 @@ class SnapshotReport:
     #: Worker-pool traffic/timing for the solve (a
     #: :meth:`~repro.utils.executor.PoolTelemetry.delta` dict: exchange
     #: rounds, commands, bytes up/down, send/wait seconds, ...).
-    #: ``None`` for unsharded solvers, which use no pool.
     pool_telemetry: dict | None = None
 
     @property
@@ -432,7 +431,7 @@ class StreamingSentimentEngine:
             converged=step.converged,
             build_seconds=built - started,
             solve_seconds=solved - built,
-            pool_telemetry=getattr(self.solver, "last_telemetry", None),
+            pool_telemetry=self.solver.last_telemetry,
         )
         self._reports.append(report)
         logger.debug(
@@ -597,7 +596,6 @@ class StreamingSentimentEngine:
             max_iterations=solver.max_iterations,
             tolerance=solver.tolerance,
             patience=solver.patience,
-            update_style=solver.update_style,
             state_smoothing=solver.state_smoothing,
             track_history=solver.track_history,
             # A pre-configured solver may carry a Kernel *instance*;

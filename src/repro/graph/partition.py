@@ -28,7 +28,8 @@ are, with ``halo=True``, *retained* as per-shard halo structures — a
 exchange read-only boundary ``Su`` rows per sweep and evaluate the
 graph-smoothness term on the *full* ``Gu``.  With ``halo=False`` they
 are dropped (the legacy block-diagonal approximation).  Either way a
-1-shard partition cuts nothing and is exactly the original model.
+1-shard partition cuts nothing: its one block shares the original
+model's matrices.
 ``Xu`` rows are taken whole — a user's word aggregate keeps evidence
 from retweets of other shards' tweets, which costs nothing and loses
 nothing.
@@ -531,12 +532,34 @@ def extract_shard_blocks(
     (see module docstring).  Cross-shard ``Gu`` entries are dropped
     with ``halo=False`` and retained as per-shard halo structures with
     ``halo=True`` — the cut statistics record both what was cut and
-    what the halo recovered.
+    what the halo recovered.  A one-shard partition cuts nothing, so
+    its block shares the graph's matrices and carries no halo.
     """
     if partition.num_users != graph.num_users:
         raise ValueError(
             f"partition covers {partition.num_users} users but the graph "
             f"has {graph.num_users}"
+        )
+    if partition.n_shards == 1:
+        # One shard cuts nothing: the block is the graph itself, so it
+        # reuses the graph's own CSR matrices instead of slicing copies.
+        block = _block_from_parts(
+            index=0,
+            user_rows=np.arange(graph.num_users),
+            tweet_rows=np.arange(graph.num_tweets),
+            xp=graph.xp.tocsr(),
+            xu=graph.xu.tocsr(),
+            xr=graph.xr.tocsr(),
+            gu=graph.user_graph.adjacency.tocsr(),
+        )
+        return ShardedGraph(
+            graph=graph,
+            partition=partition,
+            blocks=[block],
+            gu_cut_weight=0.0,
+            gu_total_weight=float(graph.user_graph.adjacency.sum()) / 2.0,
+            xr_cut_nnz=0,
+            xr_total_nnz=int(graph.xr.nnz),
         )
     corpus = graph.corpus
     # Corpora expose the author-row array precomputed (duck-typed:

@@ -57,6 +57,22 @@ class TripartiteGraph:
             raise ValueError(
                 f"Sf0 has {self.sf0.shape[0]} rows, expected {l} features"
             )
+        # The multiplicative updates assume finite non-negative weights;
+        # a NaN or negative entry would otherwise surface only as
+        # non-finite factors after a solve.
+        for name, matrix in (
+            ("Xp", self.xp),
+            ("Xu", self.xu),
+            ("Xr", self.xr),
+            ("Gu", self.user_graph.adjacency),
+        ):
+            data = matrix.data if sp.issparse(matrix) else np.asarray(matrix)
+            if not np.isfinite(data).all():
+                raise ValueError(f"{name} has non-finite entries")
+            if (data < 0).any():
+                raise ValueError(f"{name} has negative entries")
+        if self.sf0 is not None and not np.isfinite(self.sf0).all():
+            raise ValueError("Sf0 has non-finite entries")
 
     @property
     def num_tweets(self) -> int:

@@ -67,7 +67,7 @@ import traceback
 from collections import deque
 from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from multiprocessing.connection import wait as _connection_wait
 from typing import Any, TypeVar
 
@@ -144,7 +144,7 @@ class PoolTelemetry:
     exchange_seconds: float = 0.0
 
     def snapshot(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))  # flat numeric fields: asdict minus deepcopy
 
     def delta(self, before: dict) -> dict:
         """Counter movement since a prior :meth:`snapshot`."""
@@ -174,7 +174,7 @@ class SharedRef:
 
 def _resolve_shared_args(shared: dict, args: tuple) -> tuple:
     """Swap :class:`SharedRef` tokens for their current shared values."""
-    if not any(isinstance(arg, SharedRef) for arg in args):
+    if SharedRef not in map(type, args):  # the per-exchange common case
         return args
     resolved = []
     for arg in args:
@@ -1104,6 +1104,16 @@ class WorkerPool:
     def parallel(self) -> bool:
         """Whether this pool can actually overlap work."""
         return self.backend != "serial" and self.max_workers > 1
+
+    @property
+    def remote(self) -> bool:
+        """Whether resident states live outside this process.
+
+        ``True`` for the process and socket backends, whose commands,
+        states and shared-resident ops cross a pickle boundary (so they
+        must carry names, not live objects); ``False`` in-process.
+        """
+        return self._backend_impl().remote
 
     @property
     def closed(self) -> bool:

@@ -68,3 +68,17 @@ class TestConverged:
         for total in (0.0, 0.0):
             history.append(value(total))
         assert history.converged(tolerance=1e-6, window=1)
+
+    @pytest.mark.parametrize("window", [0, 1, 2, 3])
+    def test_pending_matches_appending(self, window):
+        totals = (10.0, 10.0, 5.0, 5.0001, 5.0001, 5.0001)
+        for count in range(len(totals)):
+            history = ConvergenceHistory()
+            for total in totals[:count]:
+                history.append(value(total))
+            appended = ConvergenceHistory(list(history.records))
+            appended.append(value(totals[count]))
+            assert history.converged(
+                1e-3, window, pending=value(totals[count])
+            ) == appended.converged(1e-3, window)
+            assert len(history) == count

@@ -28,11 +28,8 @@ import pytest
 from repro.core.initialization import lexicon_seeded_factors
 from repro.core.objective import ObjectiveWeights, compute_objective
 from repro.core.offline import OfflineTriClustering
-from repro.core.sharded import (
-    ShardedSolver,
-    ShardedTriClustering,
-    open_solver_pool,
-)
+from repro.core.sharded import ShardedTriClustering, open_solver_pool
+from repro.core.sweep import ShardedSolver
 from repro.graph.partition import extract_shard_blocks, make_partition
 from repro.utils.transport import LocalWorkerFleet, WorkerLost
 

@@ -157,6 +157,57 @@ class TestObjectiveStatics:
         )
         assert lazy == bundled  # frozen dataclass: exact field equality
 
+    def test_shared_grams_bit_identical(self, setup):
+        """Computing each factor gram once (or taking it from a sweep
+        cache that already holds it) changes no bits of any term."""
+        from repro.core.objective import ObjectiveStatics
+        from repro.core.sweepcache import SweepCache
+
+        factors, xp, xu, xr, laplacian = setup
+        weights = ObjectiveWeights(alpha=0.1, beta=0.5, gamma=0.2)
+        sf_prior = np.full_like(factors.sf, 0.3)
+        statics = ObjectiveStatics.from_matrices(xp, xu, xr)
+        # Every gram recomputed in place, term by term.
+        sf, spf, su, hp, hu = (
+            factors.sf, factors.sp, factors.su, factors.hp, factors.hu
+        )
+        expected = (
+            max(
+                statics.xp_sq
+                - 2.0 * float(np.sum((statics.xp_T @ (spf @ hp)) * sf))
+                + float(np.trace((sf.T @ sf) @ (hp.T @ (spf.T @ spf) @ hp))),
+                0.0,
+            ),
+            max(
+                statics.xu_sq
+                - 2.0 * float(np.sum((statics.xu_T @ (su @ hu)) * sf))
+                + float(np.trace((sf.T @ sf) @ (hu.T @ (su.T @ su) @ hu))),
+                0.0,
+            ),
+            max(
+                statics.xr_sq
+                - 2.0 * float(np.sum((xr @ spf) * su))
+                + float(np.trace((su.T @ su) @ (spf.T @ spf))),
+                0.0,
+            ),
+        )
+        cache = SweepCache(xp, xu, xr)
+        cache.gram("sp", spf)  # held over from an update rule
+        for value in (
+            compute_objective(
+                factors, xp, xu, xr, laplacian, weights, sf_prior=sf_prior,
+                statics=statics,
+            ),
+            compute_objective(
+                factors, xp, xu, xr, laplacian, weights, sf_prior=sf_prior,
+                statics=statics, cache=cache,
+            ),
+        ):
+            assert (
+                value.tweet_loss, value.user_loss, value.retweet_loss
+            ) == expected
+        assert cache.hits == 1
+
     def test_solver_history_matches_lazy_recomputation(self, graph):
         """A fitted trajectory's recorded objectives equal a from-scratch
         lazy evaluation of the final factors (statics threading through

@@ -23,8 +23,8 @@ class TestParameters:
             OfflineTriClustering(alpha=-0.1)
         with pytest.raises(ValueError):
             OfflineTriClustering(max_iterations=0)
-        with pytest.raises(ValueError):
-            OfflineTriClustering(update_style="other")
+        with pytest.raises(TypeError):  # the update_style option was removed
+            OfflineTriClustering(update_style="projector")
 
     def test_rejects_sf0_class_mismatch(self, graph):
         solver = OfflineTriClustering(num_classes=2)
@@ -101,13 +101,3 @@ class TestWithoutLexicon:
         bare = build_tripartite_graph(corpus, vectorizer=shared_vectorizer)
         result = OfflineTriClustering(max_iterations=15, seed=3).fit(bare)
         assert np.all(np.isfinite(result.factors.sf))
-
-
-class TestLagrangianStyle:
-    def test_runs_and_stays_finite(self, graph):
-        solver = OfflineTriClustering(
-            max_iterations=30, seed=3, update_style="lagrangian"
-        )
-        result = solver.fit(graph)
-        for name in ("sf", "sp", "su"):
-            assert np.all(np.isfinite(getattr(result.factors, name)))

@@ -35,8 +35,8 @@ class TestParameters:
             OnlineTriClustering(state_smoothing=1.0)
         with pytest.raises(ValueError):
             OnlineTriClustering(num_classes=1)
-        with pytest.raises(ValueError):
-            OnlineTriClustering(update_style="nope")
+        with pytest.raises(TypeError):  # the update_style option was removed
+            OnlineTriClustering(update_style="projector")
 
 
 class TestStreamProcessing:

@@ -1,4 +1,9 @@
-"""Sharding invariants: 1-shard bit-identity, determinism, merge, edges."""
+"""Sharding invariants: 1-shard bit-identity, determinism, merge, edges.
+
+The one-shard parity tests compare the solve loop with the sequential
+reference loops in :mod:`tests.core.reference`, not with the plain
+solvers (which run the same loop at one shard).
+"""
 
 import numpy as np
 import pytest
@@ -15,6 +20,10 @@ from repro.core.sharded import (
 from repro.data.stream import SnapshotStream
 from repro.graph.tripartite import build_tripartite_graph
 from repro.utils.matrices import hard_assignments
+from tests.core.reference import (
+    ReferenceOfflineTriClustering,
+    ReferenceOnlineTriClustering,
+)
 
 FACTOR_NAMES = ("sf", "sp", "su", "hp", "hu")
 MAX_ITER = 20
@@ -29,7 +38,9 @@ def assert_factors_equal(a, b):
 
 class TestOfflineBitIdentity:
     def test_one_shard_reproduces_plain_solver_bitwise(self, graph):
-        plain = OfflineTriClustering(seed=7, max_iterations=MAX_ITER).fit(graph)
+        plain = ReferenceOfflineTriClustering(
+            seed=7, max_iterations=MAX_ITER
+        ).fit(graph)
         sharded = ShardedTriClustering(
             seed=7, max_iterations=MAX_ITER, n_shards=1
         ).fit(graph)
@@ -40,7 +51,9 @@ class TestOfflineBitIdentity:
 
     def test_one_shard_identity_without_prior(self, corpus):
         graph = build_tripartite_graph(corpus)  # no lexicon -> no Sf0
-        plain = OfflineTriClustering(seed=3, max_iterations=8).fit(graph)
+        plain = ReferenceOfflineTriClustering(
+            seed=3, max_iterations=8
+        ).fit(graph)
         sharded = ShardedTriClustering(
             seed=3, max_iterations=8, n_shards=1
         ).fit(graph)
@@ -48,14 +61,20 @@ class TestOfflineBitIdentity:
         assert plain.history.totals == sharded.history.totals
 
     def test_one_shard_identity_with_worker_pool(self, graph):
-        """Threaded execution must not change the numbers."""
-        serial = ShardedTriClustering(
-            seed=7, max_iterations=8, n_shards=1, max_workers=1
+        """A borrowed thread pool (the serving engine lends its classify
+        pool to the solver) must not change the numbers at one shard."""
+        from repro.utils.executor import WorkerPool
+
+        reference = ReferenceOfflineTriClustering(
+            seed=7, max_iterations=8
         ).fit(graph)
-        threaded = ShardedTriClustering(
-            seed=7, max_iterations=8, n_shards=1, max_workers=4
-        ).fit(graph)
-        assert_factors_equal(serial.factors, threaded.factors)
+        solver = ShardedTriClustering(seed=7, max_iterations=8, n_shards=1)
+        with WorkerPool(4, backend="thread") as pool:
+            solver.pool = pool
+            threaded = solver.fit(graph)
+        assert solver.last_telemetry["rounds"] > 0
+        assert_factors_equal(reference.factors, threaded.factors)
+        assert reference.history.totals == threaded.history.totals
 
 
 class TestMultiShardDeterminism:
@@ -83,7 +102,7 @@ class TestMultiShardDeterminism:
         """Row factors survive scatter -> merge untouched for any
         partition (initialization is global, then scattered)."""
         from repro.core.initialization import lexicon_seeded_factors
-        from repro.core.sharded import ShardedSolver
+        from repro.core.sweep import ShardedSolver
         from repro.graph.partition import extract_shard_blocks, make_partition
         from repro.utils.executor import WorkerPool
 
@@ -154,9 +173,14 @@ class TestBackendDeterminism:
     def test_offline_backends_bitwise_equal(
         self, graph, backend, n_shards, request
     ):
-        reference = ShardedTriClustering(
-            seed=7, max_iterations=8, n_shards=n_shards
-        ).fit(graph)
+        if n_shards == 1:  # one shard: the sequential loop is the oracle
+            reference = ReferenceOfflineTriClustering(
+                seed=7, max_iterations=8
+            ).fit(graph)
+        else:
+            reference = ShardedTriClustering(
+                seed=7, max_iterations=8, n_shards=n_shards
+            ).fit(graph)
         run = ShardedTriClustering(
             seed=7, max_iterations=8, n_shards=n_shards,
             **_backend_kwargs(request, backend),
@@ -173,10 +197,15 @@ class TestBackendDeterminism:
         self, n_shards, corpus, shared_vectorizer, lexicon
     ) -> dict:
         if n_shards not in self._ONLINE_REFERENCE:
-            solver = ShardedOnlineTriClustering(
-                seed=7, max_iterations=6, n_shards=n_shards,
-                track_history=True,
-            )
+            if n_shards == 1:  # one shard: the sequential loop is the oracle
+                solver = ReferenceOnlineTriClustering(
+                    seed=7, max_iterations=6, track_history=True
+                )
+            else:
+                solver = ShardedOnlineTriClustering(
+                    seed=7, max_iterations=6, n_shards=n_shards,
+                    track_history=True,
+                )
             steps = []
             for snapshot in SnapshotStream(corpus, interval_days=30):
                 graph = build_tripartite_graph(
@@ -248,7 +277,7 @@ class TestConvergenceParity:
 
     @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
     def test_offline_converging_matches_plain_bitwise(self, graph, backend):
-        plain = OfflineTriClustering(
+        plain = ReferenceOfflineTriClustering(
             seed=7, max_iterations=60, tolerance=1e-3, patience=2
         ).fit(graph)
         assert plain.converged  # the rollback path is actually exercised
@@ -263,7 +292,7 @@ class TestConvergenceParity:
 
     @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
     def test_online_converging_matches_plain_bitwise(self, graph, backend):
-        plain = OnlineTriClustering(
+        plain = ReferenceOnlineTriClustering(
             seed=7, max_iterations=60, tolerance=1e-3, patience=2,
             track_history=True,
         ).partial_fit(graph)
@@ -303,7 +332,7 @@ class TestObjectiveEvery:
                 OnlineTriClustering(objective_every=bad)
 
     def test_plain_offline_records_subsample(self, graph):
-        every1 = OfflineTriClustering(
+        every1 = ReferenceOfflineTriClustering(
             seed=7, max_iterations=9, tolerance=0.0
         ).fit(graph)
         every3 = OfflineTriClustering(
@@ -315,7 +344,7 @@ class TestObjectiveEvery:
         assert every3.iterations == every1.iterations
 
     def test_plain_offline_final_sweep_always_recorded(self, graph):
-        every1 = OfflineTriClustering(
+        every1 = ReferenceOfflineTriClustering(
             seed=7, max_iterations=8, tolerance=0.0
         ).fit(graph)
         every3 = OfflineTriClustering(
@@ -331,7 +360,7 @@ class TestObjectiveEvery:
 
     @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
     def test_sharded_offline_matches_plain(self, graph, backend):
-        plain = OfflineTriClustering(
+        plain = ReferenceOfflineTriClustering(
             seed=7, max_iterations=8, tolerance=0.0, objective_every=3
         ).fit(graph)
         run = ShardedTriClustering(
@@ -344,7 +373,7 @@ class TestObjectiveEvery:
 
     @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
     def test_sharded_online_matches_plain(self, graph, backend):
-        plain = OnlineTriClustering(
+        plain = ReferenceOnlineTriClustering(
             seed=7, max_iterations=8, tolerance=0.0, track_history=True,
             objective_every=3,
         ).partial_fit(graph)
@@ -359,7 +388,7 @@ class TestObjectiveEvery:
     def test_sharded_convergence_only_at_evaluated_sweeps(self, graph):
         """With a coarse cadence, convergence lands on an evaluated
         sweep in both the plain and fused loops."""
-        plain = OfflineTriClustering(
+        plain = ReferenceOfflineTriClustering(
             seed=7, max_iterations=60, tolerance=1e-3, patience=2,
             objective_every=2,
         ).fit(graph)
@@ -551,10 +580,6 @@ class TestEdgeCases:
     def test_rejects_bad_configuration(self):
         with pytest.raises(ValueError, match="n_shards"):
             ShardedTriClustering(n_shards=0)
-        with pytest.raises(ValueError, match="projector"):
-            ShardedTriClustering(update_style="lagrangian")
-        with pytest.raises(ValueError, match="projector"):
-            ShardedOnlineTriClustering(update_style="lagrangian")
 
     def test_greedy_partitioner_accepted(self, graph):
         result = ShardedTriClustering(
@@ -575,7 +600,7 @@ class TestOnlineBitIdentity:
     def test_one_shard_stream_bitwise(
         self, corpus, shared_vectorizer, lexicon
     ):
-        plain = OnlineTriClustering(seed=7, max_iterations=10)
+        plain = ReferenceOnlineTriClustering(seed=7, max_iterations=10)
         sharded = ShardedOnlineTriClustering(
             seed=7, max_iterations=10, n_shards=1
         )

@@ -17,12 +17,13 @@ from repro.core.updates import (
     update_hu,
     update_sf,
     update_sp,
-    update_su,
     update_su_online,
 )
 from tests.core.test_updates import make_problem
 
-STYLES = ("projector", "lagrangian")
+#: Update styles the parametrized tests below run (their ids name it);
+#: the projector closed form is the only one.
+STYLES = ("projector",)
 
 
 class TestMemoization:
@@ -59,7 +60,7 @@ class TestMemoization:
             f["sp"], f["sf"], f["hp"], f["su"], xp, xr, cache=cache
         )
         update_hp(f["hp"], sp_new, f["sf"], xp, cache=cache)
-        su_new = update_su(
+        su_new = update_su_online(
             f["su"], f["sf"], f["hu"], sp_new, xu, xr, gu, du, 0.8,
             cache=cache,
         )
@@ -79,32 +80,28 @@ class TestKernelEquivalence:
         cache = SweepCache(xp, xu)
         pairs = [
             (
+                update_sp(f["sp"], f["sf"], f["hp"], f["su"], xp, xr),
                 update_sp(
-                    f["sp"], f["sf"], f["hp"], f["su"], xp, xr, style=style
+                    f["sp"], f["sf"], f["hp"], f["su"], xp, xr, cache=cache
                 ),
-                update_sp(
-                    f["sp"], f["sf"], f["hp"], f["su"], xp, xr, style=style,
+            ),
+            (
+                update_su_online(
+                    f["su"], f["sf"], f["hu"], f["sp"], xu, xr, gu, du, 0.8
+                ),
+                update_su_online(
+                    f["su"], f["sf"], f["hu"], f["sp"], xu, xr, gu, du, 0.8,
                     cache=cache,
                 ),
             ),
             (
-                update_su(
-                    f["su"], f["sf"], f["hu"], f["sp"], xu, xr, gu, du, 0.8,
-                    style=style,
-                ),
-                update_su(
-                    f["su"], f["sf"], f["hu"], f["sp"], xu, xr, gu, du, 0.8,
-                    style=style, cache=cache,
-                ),
-            ),
-            (
                 update_sf(
                     f["sf"], f["sp"], f["hp"], f["su"], f["hu"], xp, xu,
-                    sf0, 0.05, style=style,
+                    sf0, 0.05,
                 ),
                 update_sf(
                     f["sf"], f["sp"], f["hp"], f["su"], f["hu"], xp, xu,
-                    sf0, 0.05, style=style, cache=cache,
+                    sf0, 0.05, cache=cache,
                 ),
             ),
             (
@@ -119,12 +116,11 @@ class TestKernelEquivalence:
                 update_su_online(
                     f["su"], f["sf"], f["hu"], f["sp"], xu, xr, gu, du,
                     0.8, 0.2, f["su"][:2] * 0.9, np.array([0, 1]),
-                    style=style,
                 ),
                 update_su_online(
                     f["su"], f["sf"], f["hu"], f["sp"], xu, xr, gu, du,
                     0.8, 0.2, f["su"][:2] * 0.9, np.array([0, 1]),
-                    style=style, cache=cache,
+                    cache=cache,
                 ),
             ),
         ]
@@ -148,7 +144,6 @@ class TestSolverEquivalence:
             tolerance=0.0,
             seed=7,
             track_history=False,
-            update_style=style,
         )
         result = solver.fit(graph)
 
@@ -164,18 +159,17 @@ class TestSolverEquivalence:
         du = graph.user_graph.degree_matrix
         for _ in range(iterations):
             factors.sp = update_sp(
-                factors.sp, factors.sf, factors.hp, factors.su, xp, xr,
-                style=style,
+                factors.sp, factors.sf, factors.hp, factors.su, xp, xr
             )
             factors.hp = update_hp(factors.hp, factors.sp, factors.sf, xp)
-            factors.su = update_su(
+            factors.su = update_su_online(
                 factors.su, factors.sf, factors.hu, factors.sp, xu, xr,
-                gu, du, 0.8, style=style,
+                gu, du, 0.8,
             )
             factors.hu = update_hu(factors.hu, factors.su, factors.sf, xu)
             factors.sf = update_sf(
                 factors.sf, factors.sp, factors.hp, factors.su, factors.hu,
-                xp, xu, graph.sf0, 0.05, style=style,
+                xp, xu, graph.sf0, 0.05,
             )
 
         for name in ("sf", "sp", "su", "hp", "hu"):
@@ -267,7 +261,7 @@ class TestTransposeBudgetBoundary:
             sp_new = update_sp(
                 f["sp"], f["sf"], f["hp"], f["su"], xp, xr, cache=cache
             )
-            su_new = update_su(
+            su_new = update_su_online(
                 f["su"], f["sf"], f["hu"], sp_new, xu, xr, gu, du,
                 beta=0.8, cache=cache,
             )

@@ -71,6 +71,19 @@ class TestValidation:
         with pytest.raises(TypeError):
             EngineConfig(solver={"iterations": 3})
 
+    def test_removed_update_style_field(self):
+        """Dumps that record the removed ``update_style`` option keep
+        loading at its surviving value; the removed style is refused."""
+        payload = EngineConfig(solver={"max_iterations": 7}).to_dict()
+        assert "update_style" not in payload["solver"]
+        payload["solver"]["update_style"] = "projector"
+        assert EngineConfig.from_dict(payload) == EngineConfig(
+            solver={"max_iterations": 7}
+        )
+        payload["solver"]["update_style"] = "lagrangian"
+        with pytest.raises(ValueError, match="removed"):
+            EngineConfig.from_dict(payload)
+
     def test_frozen(self):
         config = EngineConfig()
         with pytest.raises(AttributeError):

@@ -243,6 +243,45 @@ class TestLegacyFormat:
                 err_msg=name,
             )
 
+    @staticmethod
+    def _record_update_style(path, style: str, version: int) -> None:
+        """Write the removed ``update_style`` option into a checkpoint,
+        the way engines saved before its removal recorded it."""
+        if version == 1:
+            _downgrade_to_v1(path)
+        state_path = path / "state.json"
+        state = json.loads(state_path.read_text())
+        if version == 1:
+            state["solver"]["params"]["update_style"] = style
+        else:
+            state["engine"]["config"]["solver"]["update_style"] = style
+        state_path.write_text(json.dumps(state))
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_recorded_projector_style_loads_and_continues_bitwise(
+        self, fed_engine, corpus, batches, tmp_path, version
+    ):
+        fed_engine.save(tmp_path / "ckpt")
+        self._record_update_style(tmp_path / "ckpt", "projector", version)
+        loaded = StreamingSentimentEngine.load(tmp_path / "ckpt")
+        feed(fed_engine, corpus, batches[2:3])
+        feed(loaded, corpus, batches[2:3])
+        for name in ("sf", "sp", "su", "hp", "hu"):
+            np.testing.assert_array_equal(
+                getattr(fed_engine.factors, name),
+                getattr(loaded.factors, name),
+                err_msg=name,
+            )
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_recorded_lagrangian_style_is_refused(
+        self, fed_engine, tmp_path, version
+    ):
+        fed_engine.save(tmp_path / "ckpt")
+        self._record_update_style(tmp_path / "ckpt", "lagrangian", version)
+        with pytest.raises(ValueError, match="update_style.*removed"):
+            StreamingSentimentEngine.load(tmp_path / "ckpt")
+
     def test_v1_sharded_checkpoint_restores_sharding(
         self, corpus, lexicon, batches, tmp_path
     ):

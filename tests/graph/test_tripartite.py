@@ -86,6 +86,45 @@ class TestValidation:
         with pytest.raises(ValueError, match="Sf0"):
             TripartiteGraph(**parts)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
+    @pytest.mark.parametrize("name", ["Xp", "Xu", "Xr", "Gu"])
+    def test_rejects_non_finite_or_negative_weights(self, graph, name, value):
+        parts = corrupted_parts(graph, name, value)
+        with pytest.raises(ValueError, match=name):
+            TripartiteGraph(**parts)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_sf0(self, graph, value):
+        parts = corrupted_parts(graph, "Sf0", value)
+        with pytest.raises(ValueError, match="Sf0"):
+            TripartiteGraph(**parts)
+
+
+def corrupted_parts(graph, name: str, value: float) -> dict:
+    """``graph``'s constructor arguments with one entry of ``name``
+    (``"Xp"``/``"Xu"``/``"Xr"``/``"Gu"``/``"Sf0"``) set to ``value``."""
+    parts = dict(
+        corpus=graph.corpus,
+        vectorizer=graph.vectorizer,
+        xp=graph.xp,
+        xu=graph.xu,
+        xr=graph.xr,
+        user_graph=graph.user_graph,
+        sf0=graph.sf0,
+    )
+    if name == "Sf0":
+        parts["sf0"] = graph.sf0.copy()
+        parts["sf0"][0, 0] = value
+        return parts
+    key = {"Xp": "xp", "Xu": "xu", "Xr": "xr", "Gu": "gu"}[name]
+    matrix = (graph.user_graph.adjacency if key == "gu" else parts[key]).copy()
+    matrix.data[0] = value
+    if key == "gu":
+        parts["user_graph"] = UserGraph(adjacency=matrix)
+    else:
+        parts[key] = matrix
+    return parts
+
 
 class TestNetworkxExport:
     def test_layers_and_edges(self, corpus, lexicon):
