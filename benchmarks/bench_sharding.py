@@ -24,8 +24,8 @@ scipy/numpy products but serialize the Python-level bookkeeping between
 them; processes own their shards outright (blocks pinned worker-resident,
 ``Sf`` broadcast once as a versioned shared resident, then one fused
 exchange per sweep moving only ``l×k`` pieces) at the price of that
-per-sweep IPC; socket workers pay the same per-sweep exchange through
-framed-pickle TCP instead of pipes.  The ``rounds/sweep`` and
+per-sweep IPC; socket workers pay the same per-sweep exchange, in the
+same frames, over TCP instead of a socketpair.  The ``rounds/sweep`` and
 ``KiB/sweep`` columns surface the pool telemetry so the coordination
 cost is measured, not asserted (the thread 1-shard baseline is the
 plain solver and has no pool — those cells read ``-``).  Either way the

@@ -86,7 +86,7 @@ class OfflineTriClustering:
         documented tolerance — see ``tests/core/test_kernels.py``).
     spmm:
         Sparse·dense product engine: ``"auto"`` (numba when importable,
-        scipy otherwise), ``"scipy"``, ``"threads"``, ``"numba"``, or an
+        scipy otherwise), ``"scipy"``, ``"numba"``, or an
         :class:`~repro.core.spmm.SpmmEngine` instance.  Engines are
         float64 bit-identical (see :mod:`repro.core.spmm`), so this
         affects speed only.

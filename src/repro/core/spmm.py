@@ -11,41 +11,37 @@ one core.  This module makes that layer pluggable, mirroring the
   the ``np.asarray(x @ dense)`` expression the call sites historically
   inlined, so the default path is unchanged to the bit and to the
   nanosecond.
-* :class:`ThreadedSpmmEngine` — row-block parallel CSR×dense on a
-  :class:`~concurrent.futures.ThreadPoolExecutor`.  scipy's sparsetools
-  release the GIL, so contiguous row blocks of the same product overlap
-  on real cores with zero copies (the blocks are index-slice *views* of
-  the parent CSR arrays).
 * :class:`NumbaSpmmEngine` — an ``@njit(parallel=True, cache=True)``
   ``prange`` row loop, compiled lazily when :mod:`numba` is importable.
   One pass, no Python dispatch per block, and ``cache=True`` so forked
   workers reuse the on-disk compilation instead of re-JITting.
 
-**Why every engine is bit-identical in float64.**  scipy's
+The removed ``"threads"`` name is refused with its reason; configs and
+checkpoints that record it load as ``"scipy"`` (the same bits).
+
+**Why the numba engine is bit-identical in float64.**  scipy's
 ``csr_matvecs`` accumulates each output row in storage (column-index)
 order: ``out[i, j] += data[jj] * dense[indices[jj], j]`` for ``jj`` in
-``indptr[i]..indptr[i+1]``.  Both parallel engines partition work *by
-output row* and keep that per-row accumulation order verbatim, so the
+``indptr[i]..indptr[i+1]``.  The numba loop partitions work *by output
+row* and keeps that per-row accumulation order verbatim, so the
 float64 result is bit-identical to scipy by construction at any thread
 count — parallelism only changes *which core* owns a row, never the
 order of the additions within it.  Row-parallelism requires the CSR
-layout, which is why the engines advertise :attr:`SpmmEngine.prefers_csr`
+layout, which is why the engine advertises :attr:`SpmmEngine.prefers_csr`
 and :class:`~repro.core.sweepcache.SweepCache` materializes its CSR
-transposes for them regardless of the working-set budget.  Operands an
+transposes for it regardless of the working-set budget.  Operands the
 engine cannot row-parallelize (lazy CSC ``.T`` views, dense matrices,
 mixed dtypes) fall back to the scipy expression — same bits, so the
 fallback is invisible to results.
 
 Engine selection mirrors the kernel registry: solver constructors accept
-a *name* (``"auto"``, ``"scipy"``, ``"threads"``, ``"numba"``) or a
-ready-made :class:`SpmmEngine` instance.  ``"auto"`` resolves to numba
-when importable and scipy otherwise (the threaded engine is an explicit
-opt-in: on the 1-core reference host it would only add dispatch
-overhead, and "auto" must never regress the default).  Requesting
-``"numba"`` explicitly without numba raises.  The solve loop resolves
-the engine once per solve; out-of-process shard payloads carry its
-concrete name (:func:`resolve_spmm_name`), so heterogeneous fleets run
-one implementation.
+a *name* (``"auto"``, ``"scipy"``, ``"numba"``) or a ready-made
+:class:`SpmmEngine` instance.  ``"auto"`` resolves to numba when
+importable and scipy otherwise.  Requesting ``"numba"`` explicitly
+without numba raises.  The solve loop resolves the engine once per
+solve; out-of-process shard payloads carry its concrete name
+(:func:`resolve_spmm_name`), so heterogeneous fleets run one
+implementation.
 
 Thread budgets come from :mod:`repro.utils.threads`: an explicit
 ``spmm_threads=`` wins, else the process default installed by worker
@@ -63,13 +59,7 @@ from repro.core.kernels import numba_available
 from repro.utils.threads import spmm_thread_default
 
 #: Engine names accepted by solver constructors and ``SolverConfig``.
-SPMM_ENGINES = ("auto", "scipy", "threads", "numba")
-
-#: Below this many CSR rows a parallel engine runs the product inline:
-#: the per-row work is so small that handing blocks to a pool (or
-#: launching a prange region) costs more than the whole product.
-#: Purely a speed guard — both paths are bit-identical.
-MIN_PARALLEL_ROWS = 2048
+SPMM_ENGINES = ("auto", "scipy", "numba")
 
 MatrixLike = np.ndarray | sp.spmatrix
 
@@ -78,6 +68,11 @@ def validate_spmm(spmm: object) -> None:
     """Raise ``ValueError`` unless ``spmm`` is a known name or instance."""
     if isinstance(spmm, SpmmEngine):
         return
+    if spmm == "threads":
+        raise ValueError(
+            "spmm='threads' was removed: it was slower than 'scipy' and "
+            "computed the same bits; use 'scipy' or 'auto'"
+        )
     if spmm not in SPMM_ENGINES:
         raise ValueError(
             f"spmm must be one of {SPMM_ENGINES} or an SpmmEngine "
@@ -127,78 +122,6 @@ class SpmmEngine:
 
 class ScipySpmmEngine(SpmmEngine):
     """Alias of the base implementation, for explicit construction."""
-
-
-def _csr_row_block(x: sp.csr_matrix, start: int, stop: int) -> sp.csr_matrix:
-    """Rows ``[start, stop)`` of a CSR matrix as zero-copy views.
-
-    ``data``/``indices`` are numpy slices of the parent arrays; only the
-    ``(stop-start+1)``-long rebased indptr is allocated.
-    """
-    indptr = x.indptr[start : stop + 1]
-    base = indptr[0]
-    return sp.csr_matrix(
-        (x.data[base : indptr[-1]], x.indices[base : indptr[-1]], indptr - base),
-        shape=(stop - start, x.shape[1]),
-    )
-
-
-class ThreadedSpmmEngine(SpmmEngine):
-    """Row-block parallel CSR×dense over a thread pool.
-
-    Splits the output rows into ``threads`` contiguous blocks and runs
-    ``block @ dense`` concurrently — scipy's sparsetools release the
-    GIL, so the blocks genuinely overlap.  Per-row accumulation order is
-    scipy's own (each block *is* a scipy product), so results are
-    bit-identical to the reference engine at any thread count.
-    """
-
-    name = "threads"
-    prefers_csr = True
-
-    def __init__(self, threads: int | None = None) -> None:
-        self.threads = _resolve_threads(threads)
-        # A 1-thread budget makes this engine exactly the scipy path, so
-        # it must not override the transpose layout policy either — on a
-        # 1-core host the opt-in engine is a no-op, not a regression.
-        self.prefers_csr = self.threads > 1
-        self._executor = None
-
-    def _pool(self):
-        if self._executor is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            self._executor = ThreadPoolExecutor(
-                max_workers=self.threads, thread_name_prefix="repro-spmm"
-            )
-        return self._executor
-
-    def matmul(self, x: MatrixLike, dense: np.ndarray) -> np.ndarray:
-        rows = x.shape[0]
-        if (
-            self.threads <= 1
-            or not sp.issparse(x)
-            or x.format != "csr"
-            or getattr(dense, "ndim", 0) != 2
-            or rows < MIN_PARALLEL_ROWS
-        ):
-            return np.asarray(x @ dense)
-        blocks = min(self.threads, max(1, rows // (MIN_PARALLEL_ROWS // 2)))
-        if blocks <= 1:
-            return np.asarray(x @ dense)
-        bounds = np.linspace(0, rows, blocks + 1, dtype=np.int64)
-        out = np.empty(
-            (rows, dense.shape[1]), dtype=np.result_type(x.dtype, dense.dtype)
-        )
-
-        def run(block_index: int) -> None:
-            start, stop = int(bounds[block_index]), int(bounds[block_index + 1])
-            if stop > start:
-                out[start:stop] = _csr_row_block(x, start, stop) @ dense
-
-        # list() drains the iterator so worker exceptions propagate here.
-        list(self._pool().map(run, range(blocks)))
-        return out
 
 
 class NumbaSpmmEngine(SpmmEngine):
@@ -274,9 +197,9 @@ def _numba_spmm_impl():  # pragma: no cover - needs numba
 
 _SCIPY_ENGINE = ScipySpmmEngine()
 
-#: Constructed engines keyed by ``(name, resolved_threads)`` so thread
-#: pools and jit dispatchers are shared across solver instances.
-_ENGINES: dict[tuple[str, int], SpmmEngine] = {}
+#: Constructed numba engines keyed by resolved thread budget, shared
+#: across solver instances.
+_ENGINES: dict[int, SpmmEngine] = {}
 
 
 def resolve_spmm(
@@ -284,9 +207,7 @@ def resolve_spmm(
 ) -> SpmmEngine:
     """Resolve an engine name (or pass through an instance) to an engine.
 
-    ``"auto"`` picks numba when importable and scipy otherwise — the
-    threaded engine is never auto-selected, so the default path on any
-    host is exactly the historical scipy expression.  An explicit
+    ``"auto"`` picks numba when importable and scipy otherwise.  An explicit
     ``"numba"`` request without numba raises, because silently falling
     back would invalidate a benchmark that believes it is measuring the
     compiled engine.
@@ -306,17 +227,14 @@ def resolve_spmm(
             "bit-identical scipy engine)"
         )
     resolved = _resolve_threads(threads)
-    key = (spmm, resolved)
-    engine = _ENGINES.get(key)
+    engine = _ENGINES.get(resolved)
     if engine is None:
-        cls = ThreadedSpmmEngine if spmm == "threads" else NumbaSpmmEngine
-        engine = cls(threads=resolved)
-        _ENGINES[key] = engine
+        engine = _ENGINES[resolved] = NumbaSpmmEngine(threads=resolved)
     return engine
 
 
 def get_spmm(name: str, threads: int | None = None) -> SpmmEngine:
-    """Resolve a *concrete* engine name (``"scipy"/"threads"/"numba"``).
+    """Resolve a *concrete* engine name (``"scipy"``/``"numba"``).
 
     Used by out-of-process shard workers, which receive the already
     auto-resolved name in their shard payload so every shard runs the

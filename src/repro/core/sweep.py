@@ -39,9 +39,11 @@ Execution backends: every shard interaction is expressed as a picklable
 module-level *command* run against shard state held by the
 :class:`~repro.utils.executor.WorkerPool` (``backend="serial"|"thread"|
 "process"|"socket"``).  States are scattered **once per solve**; the
-out-of-process backends receive compact :meth:`~repro.graph.partition.
-ShardBlock.to_payload` CSR pieces plus *names* of the kernel and spmm
-engine (pinned by the coordinator, so ``"auto"`` resolves once), while
+two out-of-process backends (forked workers over a socketpair, remote
+workers over TCP — one framing, one exchange) receive compact
+:meth:`~repro.graph.partition.ShardBlock.to_payload` CSR pieces plus
+*names* of the kernel and spmm engine (``"scipy"`` or ``"numba"``,
+pinned by the coordinator, so ``"auto"`` resolves once), while
 in-process states keep the resolved kernel and engine *instances*.
 ``Sf`` itself is a version-keyed *shared resident*
 (:meth:`~repro.utils.executor.WorkerPool.share`): the full matrix is

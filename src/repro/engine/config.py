@@ -50,13 +50,18 @@ def _require(condition: bool, message: str) -> None:
 
 
 def _without_removed_fields(solver: dict[str, Any]) -> dict[str, Any]:
-    """A solver-section dict minus fields of removed options.
+    """A solver-section dict minus fields and values of removed options.
 
     Configs and checkpoints written before the Lagrangian update style
     was removed record ``update_style``; its surviving value
     ``"projector"`` is what every solver now runs, so it is dropped.
-    Any other value names an update rule that no longer exists.
+    Any other value names an update rule that no longer exists.  Those
+    written before the ``"threads"`` spmm engine was removed may record
+    ``spmm="threads"``; it computed scipy's bits, so it loads as
+    ``"scipy"``.
     """
+    if solver.get("spmm") == "threads":
+        solver = {**solver, "spmm": "scipy"}
     if "update_style" not in solver:
         return solver
     style = solver["update_style"]
@@ -82,7 +87,9 @@ class SolverConfig:
     serializable) and ``dtype`` the factor precision (``"float64"``
     default, ``"float32"`` opt-in) — see :mod:`repro.core.kernels`.
     ``spmm`` selects the sparse·dense product engine
-    (``"auto"``/``"scipy"``/``"threads"``/``"numba"``, names only) and
+    (``"auto"``/``"scipy"``/``"numba"``, names only; the removed
+    ``"threads"`` engine is refused here, while old configs and
+    checkpoints that record it load as ``"scipy"``) and
     ``spmm_threads`` its thread budget (``None`` = process default) —
     see :mod:`repro.core.spmm`; engines are float64 bit-identical, so
     both knobs are speed-only.  ``objective_every`` evaluates the

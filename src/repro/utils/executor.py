@@ -13,9 +13,9 @@ that ordered-map contract around three interchangeable backends:
   dense matrix products, and both scipy's sparsetools and numpy's BLAS
   release the GIL, so shards genuinely overlap on a multi-core machine
   while sharing the factor arrays zero-copy.
-- ``"process"`` — a pool of long-lived worker *processes*, which dodges
-  the residual GIL cost of the Python-level bookkeeping between BLAS
-  calls entirely.  Because nothing is shared, the backend adds a
+- ``"process"`` — a pool of long-lived forked worker *processes*, which
+  dodges the residual GIL cost of the Python-level bookkeeping between
+  BLAS calls entirely.  Because nothing is shared, the backend adds a
   **worker-resident state** protocol on top of the stateless ``map``:
   :meth:`WorkerPool.scatter` ships each work item's state to its worker
   exactly once (keyed by a monotonically increasing *epoch*), and
@@ -23,13 +23,17 @@ that ordered-map contract around three interchangeable backends:
   the pinned states, so per-call IPC is the command's arguments and
   return value — for the sharded solver, the global ``Sf`` broadcast
   down and an ``l×k`` contribution back — never the shard blocks.
-- ``"socket"`` — the process backend's protocol carried over TCP
-  (:mod:`repro.utils.transport`) to workers **on any host**:
+  Each worker talks over one end of an anonymous ``socketpair``.
+- ``"socket"`` — the same protocol over TCP to workers **on any host**:
   ``WorkerPool(backend="socket", workers=["host:port", ...])`` talks to
-  ``python -m repro worker --listen HOST:PORT`` servers.  Same resident
-  state contract, same one-in-flight exchange, plus connect and
-  exchange timeouts so a lost peer raises
-  :class:`~repro.utils.transport.WorkerLost` instead of hanging.
+  ``python -m repro worker --listen HOST:PORT`` servers, with connect
+  and exchange timeouts on top.
+
+The two out-of-process backends share one framing
+(:class:`~repro.utils.transport.SocketConnection`), one worker loop and
+one one-in-flight exchange; they differ only in how workers start and
+stop (fork versus connect).  A lost worker raises
+:class:`~repro.utils.transport.WorkerLost` on either, never a hang.
 
 ``scatter``/``run_resident`` are implemented by every backend (the
 in-process ones simply keep the states in a list), so callers write one
@@ -62,16 +66,22 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import os
+import selectors
+import socket
 import time
 import traceback
 from collections import deque
 from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from multiprocessing.connection import wait as _connection_wait
 from typing import Any, TypeVar
 
-from repro.utils.transport import FrameError, PayloadDecodeError, PipeChannel
+from repro.utils.transport import (
+    FrameError,
+    PayloadDecodeError,
+    SocketConnection,
+    WorkerLost,
+)
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -390,8 +400,7 @@ def _process_worker_main(
             break
         except Exception as exc:
             # The message arrived whole but does not decode on this end
-            # (socket transport: PayloadDecodeError; pipes: whatever
-            # unpickling raised) — classic version skew, the client
+            # (PayloadDecodeError) — classic version skew, the client
             # sent a command this build does not define.  The channel
             # itself is still in sync, so name the cause in an error
             # reply instead of dying silently.
@@ -470,33 +479,27 @@ def _process_worker_main(
         pass
 
 
-def _pipe_worker_entry(
-    raw_conn,
-    blas_threads: int | None = None,
-    spmm_threads: int | None = None,
-) -> None:
-    """Process-backend child entry: frame the pipe, run the worker loop."""
-    _process_worker_main(
-        PipeChannel(raw_conn), blas_threads, spmm_threads
-    )
-
-
 class _ExchangeBackend:
     """Shared half of the out-of-process backends (process, socket).
 
-    Owns the resident-state bookkeeping (round-robin placement keyed by
-    the scatter epoch) and the **one-in-flight exchange**: each worker
-    is sent its commands strictly one at a time — the next command only
-    after the previous reply — while all workers are waited on
-    concurrently.  One message per direction per worker means the
-    channel can never fill both directions at once, so the exchange is
-    deadlock-free for arbitrarily large payloads on any transport that
-    delivers whole messages in order (OS pipes, framed TCP).
+    Both talk to their workers through one
+    :class:`~repro.utils.transport.SocketConnection` each — a socketpair
+    to a forked child, or TCP to a remote server — so everything but
+    worker start (fork versus connect) and shutdown lives here: the
+    resident-state bookkeeping (round-robin placement keyed by the
+    scatter epoch), the readiness wait, the lost-worker errors, and the
+    **one-in-flight exchange**: each worker is sent its commands
+    strictly one at a time — the next command only after the previous
+    reply — while all workers are waited on concurrently.  One message
+    per direction per worker means the channel can never fill both
+    directions at once, so the exchange is deadlock-free for
+    arbitrarily large payloads.
 
-    Subclasses provide the transport: :meth:`_ensure_workers`,
-    :meth:`_worker_count`/:meth:`_connection`, :meth:`_wait` (readiness,
-    possibly with a deadline), :meth:`_lost` (the exception for a dead
-    or desynchronized peer) and :meth:`_broken_error`.
+    A worker that dies or breaks protocol raises
+    :class:`~repro.utils.transport.WorkerLost` (EOF from a dead peer
+    wakes the wait immediately); ``exchange_timeout`` (``None`` = no
+    deadline) bounds a silent hang too.  Either way the pool is
+    permanently broken — the lost worker's resident state is gone.
 
     Functions crossing the boundary (commands, ``from_payload``) must
     be picklable, i.e. module-level.
@@ -515,7 +518,19 @@ class _ExchangeBackend:
     #: them from the coordinator mirror instead).
     remote = True
 
-    def __init__(self, telemetry: PoolTelemetry | None = None) -> None:
+    def __init__(
+        self,
+        max_workers: int,
+        exchange_timeout: float | None,
+        telemetry: PoolTelemetry | None = None,
+    ) -> None:
+        self.max_workers = max_workers
+        self.exchange_timeout = exchange_timeout
+        self._conns: list[SocketConnection] = []
+        #: Worker labels for error messages, parallel to ``_conns``.
+        self._names: list[str] = []
+        self._selector: selectors.BaseSelector | None = None
+        self._registered: set[SocketConnection] = set()
         self._placement: list[int] = []
         self._epoch: int | None = None
         self._broken = False
@@ -523,6 +538,14 @@ class _ExchangeBackend:
         self._shared_ops: list[tuple] = []
         self._op_cursor: dict[int, int] = {}
         self._op_base = 0
+
+    @property
+    def parallel(self) -> bool:
+        return self.max_workers > 1
+
+    @property
+    def active(self) -> bool:
+        return bool(self._conns)
 
     @property
     def resident_count(self) -> int:
@@ -561,27 +584,53 @@ class _ExchangeBackend:
             del self._shared_ops[: low - self._op_base]
             self._op_base = low
 
-    # -- transport hooks (subclass responsibility) ---------------------- #
+    # -- transport ------------------------------------------------------ #
 
     def _ensure_workers(self, needed: int) -> None:
-        raise NotImplementedError
-
-    def _worker_count(self) -> int:
-        raise NotImplementedError
-
-    def _connection(self, slot: int):
+        """Start (fork or connect) workers; subclass responsibility."""
         raise NotImplementedError
 
     def _wait(self, connections: list) -> list:
-        """Connections with a readable reply (blocks; may raise)."""
-        raise NotImplementedError
+        """Connections with a readable reply, within the exchange deadline."""
+        # One long-lived selector, synced by delta: the exchange calls
+        # _wait once per reply wakeup, and the in-flight set changes by
+        # one or two connections each time — re-registering everything
+        # (or rebuilding the selector) per wakeup would put avoidable
+        # syscalls on the per-sweep hot path.
+        if self._selector is None:
+            self._selector = selectors.DefaultSelector()
+        current = set(connections)
+        for conn in self._registered - current:
+            self._selector.unregister(conn)
+        for conn in current - self._registered:
+            self._selector.register(conn, selectors.EVENT_READ)
+        self._registered = current
+        ready = self._selector.select(self.exchange_timeout)
+        if not ready:
+            self._broken = True
+            pending = ", ".join(
+                self._names[self._conns.index(conn)] for conn in connections
+            )
+            raise WorkerLost(
+                f"no reply from worker(s) {pending} within "
+                f"{self.exchange_timeout}s; the pool is now broken — "
+                "create a new pool"
+            )
+        return [key.fileobj for key, _ in ready]
 
-    def _lost(self, slot: int, index: int, exc: Exception) -> Exception:
-        """Exception for a worker lost around ``index`` (pool now broken)."""
-        raise NotImplementedError
+    def _lost(self, slot: int, index: int, exc: Exception) -> WorkerLost:
+        """Error for a worker lost around ``index`` (pool now broken)."""
+        self._broken = True
+        return WorkerLost(
+            f"worker {self._names[slot]} lost around item {index} "
+            f"({exc!r}); the pool is now broken — create a new pool"
+        )
 
-    def _broken_error(self) -> Exception:
-        raise NotImplementedError
+    def _broken_error(self) -> WorkerLost:
+        return WorkerLost(
+            "a worker was lost earlier; this pool is broken — "
+            "create a new pool"
+        )
 
     # -- exchange protocol --------------------------------------------- #
 
@@ -609,15 +658,11 @@ class _ExchangeBackend:
         errors: list[tuple[int, BaseException, str]] = []
         in_flight: dict[Any, tuple[int, int]] = {}  # conn -> (slot, index)
 
-        def transport_failure(slot: int, index: int, exc: Exception):
-            self._broken = True
-            return self._lost(slot, index, exc)
-
         def send_next(slot: int) -> None:
             if errors or not queues.get(slot):
                 return
             index, message = queues[slot].popleft()
-            conn = self._connection(slot)
+            conn = self._conns[slot]
             next_cursor = None
             if message[0] == "run":
                 # Piggyback the shared-resident ops this worker has not
@@ -634,7 +679,7 @@ class _ExchangeBackend:
                 errors.append((index, exc, traceback.format_exc()))
                 return
             except (BrokenPipeError, OSError) as exc:
-                raise transport_failure(slot, index, exc) from exc
+                raise self._lost(slot, index, exc) from exc
             except Exception as exc:
                 # A serialization failure (unpicklable command argument)
                 # writes nothing, so the channel itself stays in sync —
@@ -660,7 +705,7 @@ class _ExchangeBackend:
                 try:
                     reply = conn.recv()
                 except (EOFError, OSError, PayloadDecodeError) as exc:
-                    raise transport_failure(slot, index, exc) from exc
+                    raise self._lost(slot, index, exc) from exc
                 if reply[0] == "ok":
                     results[index] = reply[1]
                 else:
@@ -678,7 +723,7 @@ class _ExchangeBackend:
         if len(items) <= 1:
             return [fn(item) for item in items]
         self._ensure_workers(len(items))
-        workers = self._worker_count()
+        workers = len(self._conns)
         return self._exchange(
             [
                 (index, index % workers, ("map", fn, item))
@@ -688,7 +733,7 @@ class _ExchangeBackend:
 
     def scatter(self, items, to_payload, from_payload, epoch) -> None:
         self._ensure_workers(len(items))
-        workers = self._worker_count()
+        workers = len(self._conns)
         self._placement = [index % workers for index in range(len(items))]
         self._epoch = epoch
         # Workers clear their shared stores on the epoch change, so the
@@ -733,41 +778,52 @@ class _ExchangeBackend:
             self._exchange(
                 [
                     (slot, slot, ("discard", self._epoch))
-                    for slot in range(self._worker_count())
+                    for slot in range(len(self._conns))
                 ]
             )
         self._placement = []
         self._reset_shared_ops()
 
+    def prestart(self) -> None:
+        self._ensure_workers(self.max_workers)
+
+    def shutdown(self) -> None:
+        if self._selector is not None:
+            self._selector.close()
+            self._selector = None
+            self._registered = set()
+        for conn in self._conns:
+            try:
+                conn.send(("shutdown",))
+            except OSError:
+                pass
+        for conn in self._conns:
+            conn.close()
+        self._conns = []
+        self._names = []
+        self._placement = []
+        self._epoch = None
+
 
 class ProcessBackend(_ExchangeBackend):
-    """Worker processes with pinned per-item state.
+    """Forked worker processes with pinned per-item state.
 
     Workers are started lazily (``fork`` where available) and live until
     ``shutdown``, so consecutive scatters — e.g. one per streaming
-    snapshot — reuse the same processes.  Items are placed round-robin
-    (``index % workers``) and exchanged under the one-in-flight
-    discipline of :class:`_ExchangeBackend`.
+    snapshot — reuse the same processes.  Each worker gets one end of an
+    anonymous ``socket.socketpair()``: the same framing as the socket
+    backend, and no listening socket another local user could reach.
+    Items are placed round-robin (``index % workers``).  A dead worker
+    shows up as EOF on its socketpair, so there is no exchange deadline.
     """
 
     def __init__(
         self, max_workers: int, telemetry: PoolTelemetry | None = None
     ) -> None:
-        super().__init__(telemetry)
-        self.max_workers = max_workers
+        super().__init__(max_workers, None, telemetry)
         self._ctx = mp.get_context(_process_start_method())
-        self._workers: list[tuple[Any, Any]] = []  # (process, channel)
+        self._processes: list[Any] = []
         self._driver_blas_snapshot: dict | None = None
-
-    @property
-    def parallel(self) -> bool:
-        return self.max_workers > 1
-
-    @property
-    def active(self) -> bool:
-        return bool(self._workers)
-
-    # -- lifecycle ----------------------------------------------------- #
 
     def _ensure_workers(self, needed: int) -> None:
         from repro.utils.threads import (
@@ -796,77 +852,39 @@ class ProcessBackend(_ExchangeBackend):
         ):
             self._driver_blas_snapshot = snapshot_blas_state()
             cap_blas_threads(blas_threads)
-        while len(self._workers) < target:
-            parent_conn, child_conn = self._ctx.Pipe()
+        while len(self._conns) < target:
+            parent_sock, child_sock = socket.socketpair()
             process = self._ctx.Process(
-                target=_pipe_worker_entry,
-                args=(child_conn, blas_threads, spmm_threads),
-                name=f"repro-shard-worker-{len(self._workers)}",
+                target=_process_worker_main,
+                args=(SocketConnection(child_sock), blas_threads, spmm_threads),
+                name=f"repro-shard-worker-{len(self._conns)}",
                 daemon=True,
             )
             process.start()
-            child_conn.close()
-            self._workers.append(
-                (process, PipeChannel(parent_conn, self._telemetry))
-            )
-
-    def prestart(self) -> None:
-        self._ensure_workers(self.max_workers)
+            child_sock.close()
+            self._processes.append(process)
+            self._names.append(f"process {len(self._conns)} (pid {process.pid})")
+            self._conns.append(SocketConnection(parent_sock, self._telemetry))
 
     def shutdown(self) -> None:
-        for _process, conn in self._workers:
-            try:
-                conn.send(("shutdown",))
-            except (BrokenPipeError, OSError):
-                pass
-        for process, conn in self._workers:
-            try:
-                conn.close()
-            except OSError:
-                pass
+        super().shutdown()
+        for process in self._processes:
             process.join(timeout=5)
             if process.is_alive():
                 process.terminate()
                 process.join(timeout=5)
-        self._workers = []
-        self._placement = []
-        self._epoch = None
+        self._processes = []
         if self._driver_blas_snapshot is not None:
             from repro.utils.threads import restore_blas_state
 
             restore_blas_state(self._driver_blas_snapshot)
             self._driver_blas_snapshot = None
 
-    # -- transport hooks ------------------------------------------------ #
-
-    def _worker_count(self) -> int:
-        return len(self._workers)
-
-    def _connection(self, slot: int):
-        return self._workers[slot][1]
-
-    def _wait(self, connections: list) -> list:
-        return _connection_wait(connections)
-
-    def _lost(self, slot: int, index: int, exc: Exception) -> Exception:
-        return RuntimeError(
-            f"worker process {slot} died around item {index}; "
-            "the pool is now broken — create a new pool"
-        )
-
-    def _broken_error(self) -> Exception:
-        return RuntimeError(
-            "a worker process died earlier; this pool is broken — "
-            "create a new pool"
-        )
-
 
 class SocketBackend(_ExchangeBackend):
     """Remote workers over TCP with pinned per-item state.
 
-    The process backend's contract carried by the framed-pickle
-    transport of :mod:`repro.utils.transport`: one
-    :class:`~repro.utils.transport.SocketConnection` per configured
+    One :class:`~repro.utils.transport.SocketConnection` per configured
     ``host:port`` (a ``python -m repro worker`` server), shard payloads
     installed once per epoch, commands exchanged one-in-flight.  Two
     failure modes the in-machine backends don't have are surfaced
@@ -875,11 +893,10 @@ class SocketBackend(_ExchangeBackend):
     - a worker that cannot be connected (or sends no valid hello)
       raises :class:`~repro.utils.transport.WorkerConnectError` within
       ``connect_timeout``;
-    - a worker that dies or stops replying mid-exchange raises
+    - a worker that stops replying mid-exchange raises
       :class:`~repro.utils.transport.WorkerLost` within
       ``exchange_timeout`` (EOF from a killed peer is detected
-      immediately; the timeout is the backstop for silent hangs), and
-      the pool is permanently broken — its resident state is gone.
+      immediately; the timeout is the backstop for silent hangs).
 
     ``REPRO_SOCKET_CONNECT_TIMEOUT`` / ``REPRO_SOCKET_EXCHANGE_TIMEOUT``
     override the defaults for deployments with slower fabrics.
@@ -898,8 +915,7 @@ class SocketBackend(_ExchangeBackend):
             validate_workers,
         )
 
-        super().__init__(telemetry)
-        self.addresses = validate_workers(workers)
+        addresses = validate_workers(workers)
         if connect_timeout is None:
             connect_timeout = float(
                 os.environ.get(
@@ -912,21 +928,9 @@ class SocketBackend(_ExchangeBackend):
                     "REPRO_SOCKET_EXCHANGE_TIMEOUT", DEFAULT_EXCHANGE_TIMEOUT
                 )
             )
+        super().__init__(len(addresses), exchange_timeout, telemetry)
+        self.addresses = addresses
         self.connect_timeout = connect_timeout
-        self.exchange_timeout = exchange_timeout
-        self._conns: list[Any] = []
-        self._selector: Any = None
-        self._registered: set[Any] = set()
-
-    @property
-    def parallel(self) -> bool:
-        return len(self.addresses) > 1
-
-    @property
-    def active(self) -> bool:
-        return bool(self._conns)
-
-    # -- lifecycle ----------------------------------------------------- #
 
     def _ensure_workers(self, needed: int) -> None:
         del needed  # every configured worker joins the placement ring
@@ -949,80 +953,7 @@ class SocketBackend(_ExchangeBackend):
                 conn.close()
             raise
         self._conns = conns
-
-    def prestart(self) -> None:
-        self._ensure_workers(len(self.addresses))
-
-    def shutdown(self) -> None:
-        if self._selector is not None:
-            self._selector.close()
-            self._selector = None
-            self._registered = set()
-        for conn in self._conns:
-            try:
-                conn.send(("shutdown",))
-            except (BrokenPipeError, OSError):
-                pass
-            conn.close()
-        self._conns = []
-        self._placement = []
-        self._epoch = None
-
-    # -- transport hooks ------------------------------------------------ #
-
-    def _worker_count(self) -> int:
-        return len(self._conns)
-
-    def _connection(self, slot: int):
-        return self._conns[slot]
-
-    def _wait(self, connections: list) -> list:
-        import selectors
-
-        from repro.utils.transport import WorkerLost
-
-        # One long-lived selector, synced by delta: the exchange calls
-        # _wait once per reply wakeup, and the in-flight set changes by
-        # one or two connections each time — re-registering everything
-        # (or rebuilding the selector) per wakeup would put avoidable
-        # syscalls on the per-sweep hot path.
-        if self._selector is None:
-            self._selector = selectors.DefaultSelector()
-        current = set(connections)
-        for conn in self._registered - current:
-            self._selector.unregister(conn)
-        for conn in current - self._registered:
-            self._selector.register(conn, selectors.EVENT_READ)
-        self._registered = current
-        ready = self._selector.select(self.exchange_timeout)
-        if not ready:
-            self._broken = True
-            pending = ", ".join(
-                self.addresses[self._conns.index(conn)]
-                for conn in connections
-            )
-            raise WorkerLost(
-                f"no reply from worker(s) {pending} within "
-                f"{self.exchange_timeout}s; the pool is now broken — "
-                "create a new pool"
-            )
-        return [key.fileobj for key, _ in ready]
-
-    def _lost(self, slot: int, index: int, exc: Exception) -> Exception:
-        from repro.utils.transport import WorkerLost
-
-        return WorkerLost(
-            f"worker {self.addresses[slot]} lost around item {index} "
-            f"({exc!r}); the pool is now broken — create a new pool"
-        )
-
-    def _broken_error(self) -> Exception:
-        from repro.utils.transport import WorkerLost
-
-        return WorkerLost(
-            "a socket worker was lost earlier; this pool is broken — "
-            "create a new pool"
-        )
+        self._names = list(self.addresses)
 
 
 # --------------------------------------------------------------------- #

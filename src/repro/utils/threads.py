@@ -286,7 +286,7 @@ def worker_blas_limit(pool_width: int) -> int | None:
 # --------------------------------------------------------------------- #
 # spmm thread budget
 #
-# The compiled/threaded sparse·dense engines in :mod:`repro.core.spmm`
+# The compiled sparse·dense engine in :mod:`repro.core.spmm`
 # (and the prange kernel tails in :mod:`repro.core.kernels`) size their
 # thread pools from this budget rather than from the raw core count, so
 # worker mains can install a fair share once and every engine resolved

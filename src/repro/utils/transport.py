@@ -1,10 +1,11 @@
-"""Socket transport for multi-host shard workers.
+"""Socket transport for shard workers, local and remote.
 
-The process backend's command protocol is already the shape an RPC
-needs: picklable commands down, factor-sized replies up, resident shard
-state keyed by an epoch, and **at most one in-flight message per
-direction per worker**.  This module carries that exact protocol over
-TCP so the same solve can fan out past one machine:
+The pool's command protocol is already the shape an RPC needs:
+picklable commands down, factor-sized replies up, resident shard state
+keyed by an epoch, and **at most one in-flight message per direction
+per worker**.  This module carries that exact protocol over a stream
+socket — an anonymous ``socketpair`` to each forked worker of the
+process backend, TCP to workers on any host:
 
 - a tiny **framing layer** — each message is ``MAGIC ++ u32 segment
   count ++ u64 lengths ++ segments`` (:func:`send_frame` /
@@ -15,11 +16,10 @@ TCP so the same solve can fan out past one machine:
   a hard frame size ceiling and a :class:`FrameError` for anything
   that does not parse, so a corrupted or hostile stream fails loudly
   instead of desynchronizing the exchange;
-- :class:`SocketConnection` — duck-types the two-method surface of a
-  :class:`multiprocessing.connection.Connection` (``send``/``recv``
-  plus ``fileno``/``close``), which lets the **same worker loop** that
-  serves the process backend (:func:`repro.utils.executor.
-  _process_worker_main`) serve remote clients unchanged;
+- :class:`SocketConnection` — whole pickled messages over one socket
+  (``send``/``recv`` plus ``fileno``/``close``); the **one worker
+  loop** (:func:`repro.utils.executor._process_worker_main`) serves a
+  forked worker's socketpair and a remote client's TCP session alike;
 - :class:`WorkerServer` — ``python -m repro worker --listen HOST:PORT``:
   accepts any number of pool clients (one thread per connection, each
   with its own resident states) and runs the worker loop against each;
@@ -27,17 +27,17 @@ TCP so the same solve can fan out past one machine:
   benchmarks, CI smoke jobs and fault-injection tests (it can ``kill``
   a worker mid-solve).
 
-The client half lives in :class:`repro.utils.executor.SocketBackend`
+The client half is :class:`repro.utils.executor.ProcessBackend` (forked
+workers) and :class:`repro.utils.executor.SocketBackend`
 (``WorkerPool(backend="socket", workers=["host:port", ...])``), which
-reuses the process backend's one-in-flight exchange discipline — the
-deadlock-freedom argument carries over verbatim, with an exchange
-timeout layered on top so a lost peer surfaces as :class:`WorkerLost`
-instead of a hang.
+share one one-in-flight exchange; a lost peer surfaces as
+:class:`WorkerLost` instead of a hang.
 
 **Security**: frames are pickles, and unpickling executes code.  The
-protocol authenticates nothing and encrypts nothing — run workers only
-on trusted networks (localhost, a private cluster fabric, an SSH
-tunnel), exactly like ``multiprocessing``'s own connection machinery.
+protocol authenticates nothing and encrypts nothing — run TCP workers
+only on trusted networks (localhost, a private cluster fabric, an SSH
+tunnel).  A process-backend worker listens on nothing: its socketpair
+is reachable only by the parent that created it.
 """
 
 from __future__ import annotations
@@ -339,8 +339,14 @@ def _recv_into_exact(sock: socket.socket, buffer: bytearray) -> None:
         received += count
 
 
-def _parse_frame_header(header: bytes) -> int:
-    """Validate magic and return the segment count."""
+def _recv_frame_raw(sock: socket.socket) -> tuple:
+    """Read one frame; returns ``(obj, total_bytes_received)``.
+
+    The out-of-band segments are received into preallocated bytearrays
+    and numpy reconstructs its arrays directly over that memory, so a
+    factor array crosses the wire with exactly one resident copy.
+    """
+    header = _recv_exact(sock, _HEADER.size, start=True)
     magic, nsegments = _HEADER.unpack(header)
     if magic != MAGIC:
         raise FrameError(
@@ -353,48 +359,26 @@ def _parse_frame_header(header: bytes) -> int:
             f"frame with {nsegments} segments exceeds the "
             f"{MAX_FRAME_SEGMENTS}-segment ceiling"
         )
-    return nsegments
-
-
-def _check_frame_lengths(lengths: tuple) -> int:
+    length_block = _recv_exact(sock, nsegments * _LENGTH.size, start=False)
+    lengths = struct.unpack(f"!{nsegments}Q", length_block)
     total = sum(lengths)
     if total > MAX_FRAME_BYTES:
         raise FrameError(
             f"frame of {total} bytes exceeds the {MAX_FRAME_BYTES}-byte "
             "ceiling"
         )
-    return total
-
-
-def _decode_segments(stream, buffers: list):
-    """Unpickle the stream segment against its out-of-band buffers.
-
-    The buffers are the preallocated receive-side bytearrays; numpy
-    reconstructs its arrays directly over that memory, so a factor
-    array crosses the wire with exactly one resident copy.
-    """
-    try:
-        return pickle.loads(stream, buffers=buffers)
-    except Exception as exc:
-        raise PayloadDecodeError(
-            f"frame payload does not unpickle: {exc!r}"
-        ) from exc
-
-
-def _recv_frame_raw(sock: socket.socket) -> tuple:
-    """Read one frame; returns ``(obj, total_bytes_received)``."""
-    header = _recv_exact(sock, _HEADER.size, start=True)
-    nsegments = _parse_frame_header(header)
-    length_block = _recv_exact(sock, nsegments * _LENGTH.size, start=False)
-    lengths = struct.unpack(f"!{nsegments}Q", length_block)
-    total = _check_frame_lengths(lengths)
     stream = _recv_exact(sock, lengths[0], start=False)
     buffers: list[bytearray] = []
     for length in lengths[1:]:
         buffer = bytearray(length)
         _recv_into_exact(sock, buffer)
         buffers.append(buffer)
-    obj = _decode_segments(stream, buffers)
+    try:
+        obj = pickle.loads(stream, buffers=buffers)
+    except Exception as exc:
+        raise PayloadDecodeError(
+            f"frame payload does not unpickle: {exc!r}"
+        ) from exc
     return obj, _HEADER.size + len(length_block) + total
 
 
@@ -412,14 +396,14 @@ def recv_frame(sock: socket.socket):
 
 
 class SocketConnection:
-    """A framed socket with the ``Connection`` send/recv surface.
+    """A framed stream socket carrying whole pickled messages.
 
-    Duck-types what :func:`repro.utils.executor._process_worker_main`
-    and the one-in-flight exchange need from a
-    :class:`multiprocessing.connection.Connection`: blocking
-    ``send(obj)`` / ``recv()`` of whole pickled messages, ``fileno()``
-    for readiness waits, and ``close()``.  A receive timeout (set via
-    ``settimeout``) surfaces as :class:`TimeoutError` from ``recv``.
+    What :func:`repro.utils.executor._process_worker_main` and the
+    one-in-flight exchange need: blocking ``send(obj)`` / ``recv()`` of
+    whole messages, ``fileno()`` for readiness waits, and ``close()``.
+    Works over TCP and over an ``AF_UNIX`` socketpair alike.  A receive
+    timeout (set via ``settimeout``) surfaces as :class:`TimeoutError`
+    from ``recv``.
 
     When ``telemetry`` is set (any object with ``bytes_sent``/
     ``bytes_received``/``send_seconds`` counters — in practice
@@ -428,7 +412,8 @@ class SocketConnection:
     """
 
     def __init__(self, sock: socket.socket, telemetry=None) -> None:
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        if sock.family in (socket.AF_INET, socket.AF_INET6):
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._sock = sock
         self.telemetry = telemetry
 
@@ -454,97 +439,6 @@ class SocketConnection:
     def close(self) -> None:
         try:
             self._sock.close()
-        except OSError:
-            pass
-
-
-class PipeChannel:
-    """Segmented protocol-5 frames over a multiprocessing ``Connection``.
-
-    The process backend's pipe counterpart of :class:`SocketConnection`:
-    the same ``send``/``recv``/``fileno``/``close`` surface, but each
-    frame travels as one ``send_bytes`` message carrying the header and
-    the pickle stream, followed by one ``send_bytes`` per out-of-band
-    buffer — so a numpy factor array is written from (and received
-    into) its own memory instead of being copied through a monolithic
-    ``pickle.dumps`` bytestring.  Receive preallocates a bytearray per
-    buffer and fills it with ``recv_bytes_into``; numpy reconstructs
-    its arrays directly over that memory.
-
-    A peer that dies mid-message surfaces as the ``Connection``'s own
-    :class:`EOFError`/:class:`OSError`, which both the worker loop and
-    the exchange treat as a lost peer.
-    """
-
-    def __init__(self, conn, telemetry=None) -> None:
-        self._conn = conn
-        self.telemetry = telemetry
-
-    def fileno(self) -> int:
-        return self._conn.fileno()
-
-    def send(self, obj: object) -> None:
-        started = time.perf_counter()
-        segments = serialize_segments(obj)
-        lengths = [_segment_nbytes(segment) for segment in segments]
-        total = sum(lengths)
-        if total > MAX_FRAME_BYTES:
-            raise FrameError(
-                f"frame of {total} bytes exceeds the "
-                f"{MAX_FRAME_BYTES}-byte ceiling"
-            )
-        header = _HEADER.pack(MAGIC, len(segments)) + struct.pack(
-            f"!{len(segments)}Q", *lengths
-        )
-        # Header + stream share one small message (one concat of the
-        # already-small protocol-5 stream); each out-of-band buffer is
-        # written as its own message, straight from the array memory.
-        self._conn.send_bytes(header + segments[0])
-        for segment in segments[1:]:
-            self._conn.send_bytes(segment)
-        if self.telemetry is not None:
-            self.telemetry.bytes_sent += len(header) + total
-            self.telemetry.send_seconds += time.perf_counter() - started
-
-    def recv(self):
-        first = self._conn.recv_bytes()
-        if len(first) < _HEADER.size:
-            raise FrameError(
-                f"pipe message of {len(first)} bytes is shorter than a "
-                "frame header"
-            )
-        nsegments = _parse_frame_header(first[: _HEADER.size])
-        lengths_end = _HEADER.size + nsegments * _LENGTH.size
-        if len(first) < lengths_end:
-            raise FrameError("pipe message truncates the frame lengths")
-        lengths = struct.unpack(
-            f"!{nsegments}Q", first[_HEADER.size : lengths_end]
-        )
-        total = _check_frame_lengths(lengths)
-        stream = first[lengths_end:]
-        if len(stream) != lengths[0]:
-            raise FrameError(
-                f"pipe message carries {len(stream)} stream bytes, frame "
-                f"header promised {lengths[0]}"
-            )
-        buffers: list[bytearray] = []
-        for length in lengths[1:]:
-            buffer = bytearray(length)
-            received = self._conn.recv_bytes_into(buffer)
-            if received != length:
-                raise FrameError(
-                    f"pipe buffer message of {received} bytes, frame "
-                    f"header promised {length}"
-                )
-            buffers.append(buffer)
-        obj = _decode_segments(stream, buffers)
-        if self.telemetry is not None:
-            self.telemetry.bytes_received += lengths_end + total
-        return obj
-
-    def close(self) -> None:
-        try:
-            self._conn.close()
         except OSError:
             pass
 

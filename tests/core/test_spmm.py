@@ -4,16 +4,20 @@ The contracts under test, in the order :mod:`repro.core.spmm` documents
 them:
 
 1. Registry validation and ``"auto"`` resolution (numba when importable,
-   scipy otherwise; the threaded engine is explicit opt-in only, and an
-   explicit ``"numba"`` without numba is an error, never a silent
-   fallback).
+   scipy otherwise; an explicit ``"numba"`` without numba is an error,
+   never a silent fallback; the removed ``"threads"`` engine is refused
+   by name).
 2. Engine products are float64 (and float32) bit-identical to the scipy
-   reference at any thread count, including every guarded fallback
-   (non-CSR, dense, 1-d operand, sub-threshold row counts).
+   reference at any thread budget, including every guarded fallback
+   (non-CSR, dense, 1-d operand, small row counts).
 3. Solver-level float64 factors are one model across engines and thread
-   counts — offline, online, and sharded across serial/thread/process
+   budgets — offline, online, and sharded across serial/thread/process
    backends and shard counts — because the engine knob is speed-only.
 4. ``SolverConfig`` carries the knobs (names only) and round-trips them.
+
+The product and solver matrices run ``spmm="auto"`` at each thread
+budget: numba's ``prange`` row loop where numba is installed (the CI
+with-numba leg), the scipy reference otherwise.
 """
 
 import numpy as np
@@ -25,11 +29,10 @@ from repro.core.offline import OfflineTriClustering
 from repro.core.online import OnlineTriClustering
 from repro.core.sharded import ShardedTriClustering
 from repro.core.spmm import (
-    MIN_PARALLEL_ROWS,
     SPMM_ENGINES,
     ScipySpmmEngine,
     SpmmEngine,
-    ThreadedSpmmEngine,
+    _resolve_threads,
     default_spmm,
     get_spmm,
     resolve_spmm,
@@ -41,13 +44,12 @@ from repro.data.stream import SnapshotStream
 from repro.engine.config import EngineConfig, SolverConfig
 from repro.graph.tripartite import build_tripartite_graph
 
-needs_numba = pytest.mark.skipif(
-    not numba_available(), reason="numba is not installed"
-)
-
-#: The thread counts the acceptance matrix pins (1 = serial fallback,
-#: 2/4 = genuinely partitioned row blocks on this engine).
+#: The thread budgets the acceptance matrix pins (1 = serial, 2/4 =
+#: genuinely partitioned rows under the numba engine).
 THREADS = (1, 2, 4)
+
+#: Rows of the product operands: enough for every thread to own many.
+ROWS = 6144
 
 FACTOR_NAMES = ("sf", "sp", "su", "hp", "hu")
 
@@ -68,6 +70,11 @@ class TestRegistry:
         with pytest.raises(ValueError, match="spmm must be one of"):
             validate_spmm("blas")
 
+    def test_removed_threads_engine_refused_by_name(self):
+        assert SPMM_ENGINES == ("auto", "scipy", "numba")
+        with pytest.raises(ValueError, match="'threads' was removed"):
+            validate_spmm("threads")
+
     @pytest.mark.parametrize("threads", [None, 1, 2, 64])
     def test_valid_thread_budgets(self, threads):
         validate_spmm_threads(threads)
@@ -78,7 +85,7 @@ class TestRegistry:
             validate_spmm_threads(threads)
 
     def test_resolve_instance_passthrough(self):
-        engine = ThreadedSpmmEngine(threads=2)
+        engine = ScipySpmmEngine()
         assert resolve_spmm(engine) is engine
 
     def test_scipy_resolution_is_shared(self):
@@ -90,25 +97,17 @@ class TestRegistry:
         assert resolve_spmm("auto").name == expected
         assert resolve_spmm_name("auto") == expected
 
-    def test_auto_never_selects_threads(self):
-        # The threaded engine is explicit opt-in: "auto" must leave the
-        # default path byte-for-byte the historical scipy expression.
-        assert resolve_spmm("auto").name != "threads"
-
-    def test_engines_cached_by_name_and_threads(self):
-        assert get_spmm("threads", 2) is get_spmm("threads", 2)
-        assert get_spmm("threads", 2) is not get_spmm("threads", 4)
-
     def test_custom_instance_resolves_to_scipy_name(self):
         class Custom(SpmmEngine):
             name = "custom"
 
         assert resolve_spmm_name(Custom()) == "scipy"
-        assert resolve_spmm_name(ThreadedSpmmEngine(threads=1)) == "threads"
+        assert resolve_spmm_name(ScipySpmmEngine()) == "scipy"
 
     def test_concrete_names_pin_through(self):
-        for name in ("scipy", "threads"):
+        for name in ("scipy", "numba") if numba_available() else ("scipy",):
             assert resolve_spmm_name(name) == name
+            assert get_spmm(name, 2).name == name
 
     @pytest.mark.skipif(numba_available(), reason="numba is installed")
     def test_explicit_numba_without_numba_raises(self):
@@ -117,9 +116,9 @@ class TestRegistry:
 
     def test_env_override_sets_thread_budget(self, monkeypatch):
         monkeypatch.setenv("REPRO_SPMM_THREADS", "3")
-        assert ThreadedSpmmEngine().threads == 3
+        assert _resolve_threads(None) == 3
         monkeypatch.delenv("REPRO_SPMM_THREADS")
-        assert ThreadedSpmmEngine(threads=5).threads == 5
+        assert _resolve_threads(5) == 5
 
 
 class TestProductBitIdentity:
@@ -128,21 +127,21 @@ class TestProductBitIdentity:
     @pytest.mark.parametrize("threads", THREADS)
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_threaded_csr_product(self, threads, dtype):
-        x = random_csr(3 * MIN_PARALLEL_ROWS, 64, seed=11, dtype=dtype)
+        x = random_csr(ROWS, 64, seed=11, dtype=dtype)
         dense = (
             np.random.default_rng(12).standard_normal((64, 3)).astype(dtype)
         )
         reference = np.asarray(x @ dense)
-        produced = ThreadedSpmmEngine(threads=threads).matmul(x, dense)
+        produced = resolve_spmm("auto", threads).matmul(x, dense)
         assert produced.dtype == reference.dtype
         np.testing.assert_array_equal(produced, reference)
 
     def test_threaded_product_with_empty_rows(self):
-        # Zero-nnz rows exercise empty row blocks in the partition.
-        x = random_csr(3 * MIN_PARALLEL_ROWS, 32, seed=13, density=0.001)
+        # Zero-nnz rows: each row's accumulation starts and ends empty.
+        x = random_csr(ROWS, 32, seed=13, density=0.001)
         dense = np.random.default_rng(14).standard_normal((32, 3))
         np.testing.assert_array_equal(
-            ThreadedSpmmEngine(threads=4).matmul(x, dense),
+            resolve_spmm("auto", 4).matmul(x, dense),
             np.asarray(x @ dense),
         )
 
@@ -152,10 +151,7 @@ class TestProductBitIdentity:
     )
     def test_guarded_fallbacks_match_scipy(self, operand):
         rng = np.random.default_rng(15)
-        if operand == "small":
-            x = random_csr(MIN_PARALLEL_ROWS - 1, 16, seed=16)
-        else:
-            x = random_csr(3 * MIN_PARALLEL_ROWS, 16, seed=16)
+        x = random_csr(7 if operand == "small" else ROWS, 16, seed=16)
         if operand == "csc":
             x = x.tocsc()
         elif operand == "dense":
@@ -165,7 +161,7 @@ class TestProductBitIdentity:
             if operand == "vector"
             else rng.standard_normal((16, 3))
         )
-        engine = ThreadedSpmmEngine(threads=4)
+        engine = resolve_spmm("auto", 4)
         np.testing.assert_array_equal(
             engine.matmul(x, dense), np.asarray(x @ dense)
         )
@@ -173,38 +169,8 @@ class TestProductBitIdentity:
     def test_zero_row_matrix(self):
         x = sp.csr_matrix((0, 5))
         dense = np.ones((5, 3))
-        out = ThreadedSpmmEngine(threads=2).matmul(x, dense)
+        out = resolve_spmm("auto", 2).matmul(x, dense)
         assert out.shape == (0, 3)
-
-    def test_worker_exceptions_propagate(self):
-        x = random_csr(3 * MIN_PARALLEL_ROWS, 16, seed=17)
-        dense = np.random.default_rng(18).standard_normal((16, 3))
-
-        engine = ThreadedSpmmEngine(threads=2)
-        original = sp.csr_matrix.__matmul__
-
-        def boom(self, other):
-            if self.shape[0] < x.shape[0]:  # only the row blocks
-                raise RuntimeError("block product failed")
-            return original(self, other)
-
-        sp.csr_matrix.__matmul__ = boom
-        try:
-            with pytest.raises(RuntimeError, match="block product failed"):
-                engine.matmul(x, dense)
-        finally:
-            sp.csr_matrix.__matmul__ = original
-
-    @needs_numba
-    @pytest.mark.parametrize("threads", THREADS)
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_numba_csr_product(self, threads, dtype):
-        x = random_csr(3 * MIN_PARALLEL_ROWS, 64, seed=19, dtype=dtype)
-        dense = (
-            np.random.default_rng(20).standard_normal((64, 3)).astype(dtype)
-        )
-        produced = resolve_spmm("numba", threads).matmul(x, dense)
-        np.testing.assert_array_equal(produced, np.asarray(x @ dense))
 
 
 def offline_factors(graph, **overrides):
@@ -224,23 +190,12 @@ class TestSolverLevelDeterminism:
     @pytest.mark.parametrize("threads", THREADS)
     def test_offline_threads_equals_scipy(self, graph, threads):
         reference = offline_factors(graph, spmm="scipy")
-        produced = offline_factors(
-            graph, spmm="threads", spmm_threads=threads
-        )
-        assert_factors_equal(produced, reference)
-
-    @needs_numba
-    @pytest.mark.parametrize("threads", THREADS)
-    def test_offline_numba_equals_scipy(self, graph, threads):
-        reference = offline_factors(graph, spmm="scipy")
-        produced = offline_factors(graph, spmm="numba", spmm_threads=threads)
+        produced = offline_factors(graph, spmm="auto", spmm_threads=threads)
         assert_factors_equal(produced, reference)
 
     def test_engine_instance_equals_name(self, graph):
-        by_name = offline_factors(graph, spmm="threads", spmm_threads=2)
-        by_instance = offline_factors(
-            graph, spmm=ThreadedSpmmEngine(threads=2)
-        )
+        by_name = offline_factors(graph, spmm="auto", spmm_threads=2)
+        by_instance = offline_factors(graph, spmm=resolve_spmm("auto", 2))
         assert_factors_equal(by_instance, by_name)
 
     def test_online_threads_equals_scipy(
@@ -250,7 +205,7 @@ class TestSolverLevelDeterminism:
             name: OnlineTriClustering(
                 max_iterations=8, seed=7, spmm=name, spmm_threads=2
             )
-            for name in ("scipy", "threads")
+            for name in ("scipy", "auto")
         }
         snapshots = 0
         for snapshot in SnapshotStream(corpus, interval_days=21):
@@ -264,7 +219,7 @@ class TestSolverLevelDeterminism:
                 for name, solver in solvers.items()
             }
             assert_factors_equal(
-                steps["threads"].factors, steps["scipy"].factors
+                steps["auto"].factors, steps["scipy"].factors
             )
             snapshots += 1
             if snapshots >= 2:
@@ -286,7 +241,7 @@ class TestSolverLevelDeterminism:
             ).fit(graph).factors
 
         reference = factors("scipy")
-        produced = factors("threads", spmm_threads=2)
+        produced = factors("auto", spmm_threads=2)
         assert_factors_equal(produced, reference)
 
     @pytest.mark.parametrize("threads", THREADS)
@@ -302,7 +257,7 @@ class TestSolverLevelDeterminism:
             ).fit(graph).factors
 
         reference = factors(spmm="scipy")
-        produced = factors(spmm="threads", spmm_threads=threads)
+        produced = factors(spmm="auto", spmm_threads=threads)
         assert_factors_equal(produced, reference)
 
 
@@ -326,8 +281,8 @@ class TestSolverConfig:
 
     def test_round_trip(self):
         config = EngineConfig(
-            solver={"spmm": "threads", "spmm_threads": 4}
+            solver={"spmm": "scipy", "spmm_threads": 4}
         )
         restored = EngineConfig.from_dict(config.to_dict())
-        assert restored.solver.spmm == "threads"
+        assert restored.solver.spmm == "scipy"
         assert restored.solver.spmm_threads == 4

@@ -279,14 +279,17 @@ class TestTransposeBudgetBoundary:
     def test_prefers_csr_engine_overrides_budget(self, monkeypatch):
         """A row-parallel spmm engine pins the CSR layout at any budget."""
         from repro.core import sweepcache as sweepcache_module
-        from repro.core.spmm import ThreadedSpmmEngine
+        from repro.core.spmm import SpmmEngine
+
+        class RowParallelEngine(SpmmEngine):
+            prefers_csr = True
 
         monkeypatch.setattr(
             sweepcache_module, "TRANSPOSE_OPERAND_BUDGET", 0
         )
         f, xp, xu, xr, gu, du, sf0 = make_problem(5)
         assert SweepCache(xp, xu, xr).xp_T() is None  # budget alone: lazy
-        cache = SweepCache(xp, xu, xr, spmm=ThreadedSpmmEngine(threads=2))
+        cache = SweepCache(xp, xu, xr, spmm=RowParallelEngine())
         for accessor in (cache.xp_T, cache.xu_T, cache.xr_T):
             transpose = accessor()
             assert transpose is not None

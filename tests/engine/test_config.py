@@ -84,6 +84,28 @@ class TestValidation:
         with pytest.raises(ValueError, match="removed"):
             EngineConfig.from_dict(payload)
 
+    def test_removed_threads_spmm_loads_as_scipy(self):
+        """Dumps that record the removed ``"threads"`` spmm engine load
+        as ``"scipy"`` (the same bits); other solver fields survive."""
+        payload = EngineConfig(
+            solver={"spmm": "scipy", "spmm_threads": 4}
+        ).to_dict()
+        payload["solver"]["spmm"] = "threads"
+        restored = EngineConfig.from_dict(payload)
+        assert restored.solver.spmm == "scipy"
+        assert restored.solver.spmm_threads == 4
+        assert EngineConfig(solver={"spmm": "threads"}).solver.spmm == "scipy"
+
+    def test_removed_threads_spmm_refused_when_passed_directly(self):
+        from repro.core.offline import OfflineTriClustering
+        from repro.core.online import OnlineTriClustering
+
+        with pytest.raises(ValueError, match="'threads' was removed"):
+            SolverConfig(spmm="threads")
+        for solver in (OfflineTriClustering, OnlineTriClustering):
+            with pytest.raises(ValueError, match="'threads' was removed"):
+                solver(spmm="threads")
+
     def test_frozen(self):
         config = EngineConfig()
         with pytest.raises(AttributeError):

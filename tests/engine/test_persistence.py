@@ -7,7 +7,7 @@ import pytest
 
 from repro.data.stream import iter_tweet_batches
 from repro.data.tweet import Tweet
-from repro.engine import EngineConfig, StreamingSentimentEngine
+from repro.engine import EngineConfig, SolverConfig, StreamingSentimentEngine
 
 INTERVAL_DAYS = 21
 
@@ -281,6 +281,38 @@ class TestLegacyFormat:
         self._record_update_style(tmp_path / "ckpt", "lagrangian", version)
         with pytest.raises(ValueError, match="update_style.*removed"):
             StreamingSentimentEngine.load(tmp_path / "ckpt")
+
+    def test_recorded_threads_spmm_loads_as_scipy_and_continues_bitwise(
+        self, fed_engine, corpus, batches, tmp_path
+    ):
+        """The removed ``"threads"`` spmm engine computed scipy's bits:
+        a checkpoint recording it loads as ``"scipy"``, continues
+        bit-for-bit, and re-saves without the removed name."""
+        fed_engine.save(tmp_path / "ckpt")
+        state_path = tmp_path / "ckpt" / "state.json"
+        state = json.loads(state_path.read_text())
+        state["engine"]["config"]["solver"]["spmm"] = "threads"
+        state_path.write_text(json.dumps(state))
+        loaded = StreamingSentimentEngine.load(tmp_path / "ckpt")
+        assert loaded.config.solver.spmm == "scipy"
+        feed(fed_engine, corpus, batches[2:3])
+        feed(loaded, corpus, batches[2:3])
+        for name in ("sf", "sp", "su", "hp", "hu"):
+            np.testing.assert_array_equal(
+                getattr(fed_engine.factors, name),
+                getattr(loaded.factors, name),
+                err_msg=name,
+            )
+        loaded.save(tmp_path / "again")
+        resaved = json.loads((tmp_path / "again" / "state.json").read_text())
+        assert resaved["engine"]["config"]["solver"]["spmm"] == "scipy"
+
+    def test_threads_spmm_engine_config_is_refused(self, lexicon):
+        with pytest.raises(ValueError, match="'threads' was removed"):
+            StreamingSentimentEngine(
+                EngineConfig(solver=SolverConfig(spmm="threads")),
+                lexicon=lexicon,
+            )
 
     def test_v1_sharded_checkpoint_restores_sharding(
         self, corpus, lexicon, batches, tmp_path

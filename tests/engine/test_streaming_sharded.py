@@ -268,7 +268,7 @@ class TestProcessBackendEngine:
         )
         feed(engine, corpus, batches[:1])
         backend = engine._solver_pool._impl
-        processes = [process for process, _ in backend._workers]
+        processes = list(backend._processes)
         assert processes and all(p.is_alive() for p in processes)
         engine.close()
         assert all(not p.is_alive() for p in processes)

@@ -15,6 +15,7 @@ from repro.utils.executor import (
     WorkerPool,
     default_worker_count,
 )
+from repro.utils.transport import WorkerLost
 
 
 class TestWorkerPoolThread:
@@ -248,7 +249,7 @@ class TestProcessBackend:
         pool.scatter([[1], [2]])
         backend = pool._impl
         assert isinstance(backend, ProcessBackend)
-        processes = [process for process, _ in backend._workers]
+        processes = list(backend._processes)
         assert processes and all(p.is_alive() for p in processes)
         pool.shutdown()
         assert all(not p.is_alive() for p in processes)
@@ -329,23 +330,23 @@ class TestLifecycleHardening:
             assert not pool.active
             pool.prestart()
             assert pool.active
-            assert len(pool._impl._workers) == 2
+            assert len(pool._impl._processes) == 2
             # And the pre-forked workers serve as usual.
             assert pool.map(abs, [-1, -2, -3]) == [1, 2, 3]
 
     def test_dead_worker_breaks_pool_instead_of_desyncing(self):
         pool = WorkerPool(max_workers=2, backend="process")
         pool.scatter([[1], [2]])
-        process, _ = pool._impl._workers[1]
+        process = pool._impl._processes[1]
         process.terminate()
         process.join(timeout=5)
-        with pytest.raises(RuntimeError, match="died"):
+        with pytest.raises(WorkerLost, match="lost"):
             pool.run_resident(copy.copy, [(), ()])
         # The channel cannot be trusted any more: further use fails
         # loudly rather than mis-associating stale replies.
-        with pytest.raises(RuntimeError, match="broken"):
+        with pytest.raises(WorkerLost, match="broken"):
             pool.run_resident(copy.copy, [(), ()])
-        with pytest.raises(RuntimeError, match="broken"):
+        with pytest.raises(WorkerLost, match="broken"):
             pool.map(abs, [1, 2])
         pool.shutdown()  # still cleans up
 

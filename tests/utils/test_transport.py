@@ -7,6 +7,7 @@ stream is rejected as a :class:`FrameError` rather than desynchronizing
 the one-in-flight protocol.
 """
 
+import contextlib
 import copy
 import socket
 import threading
@@ -452,12 +453,17 @@ class TestExchangeFailures:
             stub.close()
 
 
-class TestKilledWorker:
+class _KilledWorkerCases:
+    """A killed worker raises ``WorkerLost`` promptly and breaks the pool.
+
+    Each subclass supplies :meth:`killable_pool`: a two-worker pool and
+    a ``kill(index)`` that hard-kills that pool's worker ``index``.
+    """
+
     def test_kill_before_exchange_raises_worker_lost(self):
-        with LocalWorkerFleet(2) as fleet:
-            pool = WorkerPool(backend="socket", workers=fleet.addresses)
+        with self.killable_pool() as (pool, kill):
             pool.scatter([[1], [2]])
-            fleet.kill(1)
+            kill(1)
             started = time.perf_counter()
             with pytest.raises(WorkerLost, match="lost"):
                 pool.run_resident(copy.copy, [(), ()])
@@ -468,16 +474,14 @@ class TestKilledWorker:
                 pool.run_resident(copy.copy, [(), ()])
             with pytest.raises(WorkerLost, match="broken"):
                 pool.map(abs, [1, 2])
-            pool.shutdown()
 
     def test_kill_mid_solve_raises_promptly(self):
         """Terminate a worker while its command is executing: the EOF
         must wake the exchange immediately — well before the command
         would have finished, and with no hang."""
-        with LocalWorkerFleet(2) as fleet:
-            pool = WorkerPool(backend="socket", workers=fleet.addresses)
+        with self.killable_pool() as (pool, kill):
             pool.scatter([[1], [2]])
-            killer = threading.Timer(0.3, fleet.kill, args=(0,))
+            killer = threading.Timer(0.3, kill, args=(0,))
             killer.start()
             started = time.perf_counter()
             try:
@@ -486,7 +490,41 @@ class TestKilledWorker:
             finally:
                 killer.cancel()
             assert time.perf_counter() - started < PROMPT_SECONDS
-            pool.shutdown()
+
+
+class TestKilledProcessWorker(_KilledWorkerCases):
+    """``backend="process"``: kill the pool's own forked worker."""
+
+    @contextlib.contextmanager
+    def killable_pool(self):
+        with WorkerPool(max_workers=2, backend="process") as pool:
+
+            def kill(index):
+                process = pool._impl._processes[index]
+                process.terminate()
+                process.join(timeout=10)
+
+            yield pool, kill
+
+    def test_fresh_pool_recovers(self):
+        with self.killable_pool() as (pool, kill):
+            pool.scatter([[1], [2]])
+            kill(0)
+            with pytest.raises(WorkerLost):
+                pool.run_resident(copy.copy, [(), ()])
+        with self.killable_pool() as (fresh, _):
+            fresh.scatter([[5], [6]])
+            assert fresh.run_resident(copy.copy, [(), ()]) == [[5], [6]]
+
+
+class TestKilledWorker(_KilledWorkerCases):
+    """``backend="socket"``: kill a ``LocalWorkerFleet`` server."""
+
+    @contextlib.contextmanager
+    def killable_pool(self):
+        with LocalWorkerFleet(2) as fleet:
+            with WorkerPool(backend="socket", workers=fleet.addresses) as pool:
+                yield pool, fleet.kill
 
     def test_fresh_pool_recovers_with_surviving_and_new_workers(self):
         """The documented recovery path: a broken pool is replaced, and

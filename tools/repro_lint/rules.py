@@ -178,7 +178,7 @@ class RawSparseProductRule(Rule):
     """Hot-path sparse·dense products must go through the spmm layer.
 
     PR 7 made every sweep product pluggable (``spmm="auto"|"scipy"|
-    "threads"|"numba"``) by routing all call sites through
+    "numba"``) by routing all call sites through
     ``SweepCache.dot`` / ``repro.core.spmm`` engines, with float64
     bit-identity across engines guaranteed by per-row IEEE accumulation
     order.  A raw ``X @ dense`` (or ``X.dot(dense)``) on a scipy operand
@@ -743,7 +743,6 @@ KNOB_LITERALS = frozenset(
         "numba",
         # core/spmm.SPMM_ENGINES
         "scipy",
-        "threads",
         # shared auto-resolution token
         "auto",
     }
