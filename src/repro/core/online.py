@@ -10,6 +10,14 @@ previous results instead of re-factorizing history:
   and follow the offline-style update Eq. (24); *disappeared* users keep
   their carried-forward sentiment.
 
+Temporal user state is array-native: the carried per-user estimate and
+each window entry of ``Su`` history are ``(ids, rows)`` pairs — a
+strictly increasing ``int64`` user-id array and the matching row block
+— so the per-snapshot bookkeeping (new/evolving split, ``Suw`` priors,
+history commit, smoothed state update) is ``np.searchsorted`` and mask
+arithmetic, never a loop over users.  The carried-state ids are exactly
+the users seen so far (every snapshot user enters the carried state).
+
 The solver is matrix-level: callers hand it one
 :class:`~repro.graph.tripartite.TripartiteGraph` per snapshot, built
 against a **shared vocabulary** so that feature rows align across time.
@@ -39,6 +47,18 @@ from repro.utils.matrices import hard_assignments
 from repro.utils.rng import RandomState, spawn_rng
 
 logger = get_logger("core.online")
+
+
+def _locate(keys: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of ``ids`` in the sorted ``keys``, and which are present.
+
+    Positions of absent ids are clipped into range (never used unmasked).
+    """
+    positions = np.searchsorted(keys, ids)
+    if keys.size == 0:
+        return positions, np.zeros(ids.shape, dtype=bool)
+    np.minimum(positions, keys.size - 1, out=positions)
+    return positions, keys[positions] == ids
 
 
 @dataclass
@@ -154,9 +174,16 @@ class OnlineTriClustering:
         self._rng = spawn_rng(seed)
 
         self._sf_history: deque[np.ndarray] = deque(maxlen=window - 1)
-        self._su_history: deque[dict[int, np.ndarray]] = deque(maxlen=window - 1)
-        self._user_state: dict[int, np.ndarray] = {}
-        self._seen_users: set[int] = set()
+        # Su(t-1), Su(t-2), ... and the carried state as (ids, rows)
+        # pairs with strictly increasing int64 ids; the carried ids are
+        # the users seen so far.
+        self._su_history: deque[tuple[np.ndarray, np.ndarray]] = deque(
+            maxlen=window - 1
+        )
+        self._user_state: tuple[np.ndarray, np.ndarray] = (
+            np.empty(0, dtype=np.int64),
+            np.empty((0, num_classes), dtype=self._np_dtype),
+        )
         self._steps = 0
         self._vocabulary_ref: object | None = None
 
@@ -187,24 +214,38 @@ class OnlineTriClustering:
             aggregate[: sf_past.shape[0]] += (self.tau ** lag) * sf_past
         return aggregate
 
+    def _history_prior(
+        self, ids: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``Σ_lag τ^lag·Su(t−lag)`` rows for ``ids`` and which had history.
+
+        Lags are added most recent first, as a float64 accumulator.
+        """
+        aggregate = np.zeros((ids.size, self.num_classes))
+        found = np.zeros(ids.size, dtype=bool)
+        # history[-1] is Su(t-1), history[-2] is Su(t-2), ...
+        for lag, (past_ids, past_rows) in enumerate(
+            reversed(self._su_history), start=1
+        ):
+            positions, hit = _locate(past_ids, ids)
+            aggregate[hit] += (self.tau ** lag) * past_rows[positions[hit]]
+            found |= hit
+        return aggregate, found
+
     def user_prior(self, user_id: int) -> np.ndarray | None:
         """``Suw(t)`` row for one user, or ``None`` without history.
 
         Falls back to the decayed carried-forward estimate when the user
         was seen before the current window (still an "evolving" user).
         """
-        aggregate = np.zeros(self.num_classes)
-        found = False
-        for lag, su_past in enumerate(reversed(self._su_history), start=1):
-            row = su_past.get(user_id)
-            if row is not None:
-                aggregate += (self.tau ** lag) * row
-                found = True
-        if found:
-            return aggregate
-        carried = self._user_state.get(user_id)
-        if carried is not None:
-            return self.tau * carried
+        ids = np.array([user_id], dtype=np.int64)
+        aggregate, found = self._history_prior(ids)
+        if found[0]:
+            return aggregate[0]
+        state_ids, state_rows = self._user_state
+        positions, hit = _locate(state_ids, ids)
+        if hit[0]:
+            return self.tau * state_rows[positions[0]]
         return None
 
     def _check_vocabulary(self, graph: TripartiteGraph) -> None:
@@ -238,17 +279,16 @@ class OnlineTriClustering:
     def partial_fit(self, graph: TripartiteGraph) -> OnlineStepResult:
         """Process one snapshot; updates the internal temporal state."""
         self._check_vocabulary(graph)
-        corpus = graph.corpus
-        user_ids = corpus.user_ids
-        current = set(user_ids)
-        new_rows = np.array(
-            [i for i, uid in enumerate(user_ids) if uid not in self._seen_users],
-            dtype=np.int64,
-        )
-        evolving_rows = np.array(
-            [i for i, uid in enumerate(user_ids) if uid in self._seen_users],
-            dtype=np.int64,
-        )
+        user_ids = graph.corpus.user_ids
+        ids = np.asarray(user_ids, dtype=np.int64)
+        order = np.argsort(ids, kind="stable")
+        snapshot_ids = ids[order]
+        if np.any(snapshot_ids[1:] == snapshot_ids[:-1]):
+            raise ValueError("snapshot corpus has duplicate user ids")
+        state_ids, state_rows = self._user_state
+        carried_at, evolving = _locate(state_ids, ids)
+        new_rows = np.flatnonzero(~evolving)
+        evolving_rows = np.flatnonzero(evolving)
 
         # --- warm starts (Algorithm 2, lines 1-2) ---
         sfw = self.feature_prior(graph.num_features)
@@ -266,21 +306,18 @@ class OnlineTriClustering:
                 sf_init = sfw.copy()
                 sf_init[fresh_rows] = graph.sf0[fresh_rows]
 
-        su_prior_rows: list[np.ndarray] = []
         su_init = self._rng.uniform(
             0.01, 1.0, size=(graph.num_users, self.num_classes)
         )
-        kept_evolving: list[int] = []
-        for row in evolving_rows:
-            prior = self.user_prior(user_ids[int(row)])
-            if prior is not None:
-                su_init[int(row)] = np.maximum(prior, 1e-6)
-                su_prior_rows.append(prior)
-                kept_evolving.append(int(row))
-        evolving_rows = np.array(kept_evolving, dtype=np.int64)
-        su_prior = (
-            np.vstack(su_prior_rows) if su_prior_rows else None
-        )
+        su_prior = None
+        if evolving_rows.size:
+            # Suw(t): the lag sum for users inside the window, else the
+            # decayed carried estimate (every evolving user has one).
+            su_prior, found = self._history_prior(ids[evolving_rows])
+            carried = self.tau * state_rows[carried_at[evolving_rows[~found]]]
+            su_init[evolving_rows[found]] = np.maximum(su_prior[found], 1e-6)
+            su_init[evolving_rows[~found]] = np.maximum(carried, 1e-6)
+            su_prior[~found] = carried
 
         factors = warm_started_factors(
             graph.num_tweets,
@@ -297,27 +334,31 @@ class OnlineTriClustering:
 
         # --- commit temporal state ---
         self._sf_history.append(result.factors.sf.copy())
-        su_snapshot = {
-            uid: result.factors.su[i].copy() for i, uid in enumerate(user_ids)
-        }
-        self._su_history.append(su_snapshot)
+        su_rows = np.ascontiguousarray(result.factors.su[order])
+        self._su_history.append((snapshot_ids, su_rows))
         # The carried per-user state is an exponentially smoothed average of
         # row-normalized snapshot estimates.  A single snapshot sees few
         # tweets per user, so overwriting would make the global user
         # readout as noisy as the mini-batch baseline; smoothing implements
         # Observation 2 (user sentiment is stable over short horizons).
-        for uid, row in su_snapshot.items():
-            total = row.sum()
-            normalized = row / total if total > 0 else row
-            previous = self._user_state.get(uid)
-            if previous is None:
-                self._user_state[uid] = normalized
-            else:
-                self._user_state[uid] = (
-                    self.state_smoothing * previous
-                    + (1.0 - self.state_smoothing) * normalized
-                )
-        self._seen_users |= current
+        totals = su_rows.sum(axis=1)
+        smoothed = np.divide(
+            su_rows, totals[:, None], out=su_rows.copy(),
+            where=(totals > 0)[:, None],
+        )
+        previous_at, returning = _locate(state_ids, snapshot_ids)
+        smoothed[returning] = (
+            self.state_smoothing * state_rows[previous_at[returning]]
+            + (1.0 - self.state_smoothing) * smoothed[returning]
+        )
+        # Users absent from this snapshot keep their carried rows.
+        absent = ~_locate(snapshot_ids, state_ids)[1]
+        merged_ids = np.concatenate([state_ids[absent], snapshot_ids])
+        merged_order = np.argsort(merged_ids, kind="stable")
+        self._user_state = (
+            merged_ids[merged_order],
+            np.concatenate([state_rows[absent], smoothed])[merged_order],
+        )
         self._steps += 1
 
         return OnlineStepResult(
@@ -403,7 +444,7 @@ class OnlineTriClustering:
     @property
     def seen_users(self) -> set[int]:
         """All user ids observed in any processed snapshot (a copy)."""
-        return set(self._seen_users)
+        return set(self._user_state[0].tolist())
 
     @property
     def steps(self) -> int:
@@ -412,13 +453,11 @@ class OnlineTriClustering:
 
     def user_sentiment_rows(self) -> dict[int, np.ndarray]:
         """Latest sentiment vector per user (disappeared users included)."""
-        return {uid: row.copy() for uid, row in self._user_state.items()}
+        state_ids, state_rows = self._user_state
+        return dict(zip(state_ids.tolist(), state_rows.copy()))
 
     def user_sentiment_labels(self) -> dict[int, int]:
         """Latest hard sentiment class per user ever seen."""
-        if not self._user_state:
-            return {}
-        uids = sorted(self._user_state)
-        matrix = np.vstack([self._user_state[uid] for uid in uids])
-        labels = hard_assignments(matrix)
-        return {uid: int(label) for uid, label in zip(uids, labels)}
+        state_ids, state_rows = self._user_state
+        labels = hard_assignments(state_rows)
+        return dict(zip(state_ids.tolist(), labels.tolist()))

@@ -9,7 +9,11 @@ per-user sentiment, RNG position).  ``save`` writes all of it to a
 directory — numeric arrays in one ``arrays.npz``, structured metadata
 in one ``state.json`` — and ``load`` reconstructs an engine that
 continues the stream *bit-for-bit* where the saved one stopped
-(round-trip and continuation are regression-tested).
+(round-trip and continuation are regression-tested).  The solver's
+per-user state is written and restored as the arrays it lives in —
+sorted ``int64`` ids beside their rows — and ``load`` refuses user
+arrays that are unsorted, duplicated, miscounted, of the wrong width
+or inconsistent with the recorded ``seen_users`` (``ValueError``).
 
 Format version 2 persists the engine's configuration as one
 :meth:`~repro.engine.config.EngineConfig.to_dict` blob (the solver's
@@ -166,6 +170,14 @@ def _rebuild_vectorizer(state: dict, vocabulary: Vocabulary) -> CountVectorizer:
     return CountVectorizer(vocabulary=vocabulary, binary=state["binary"])
 
 
+def _int_map_arrays(mapping: dict[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """An ``int -> int`` dict as key-sorted ``int64`` key/value arrays."""
+    keys = np.fromiter(mapping.keys(), dtype=np.int64, count=len(mapping))
+    values = np.fromiter(mapping.values(), dtype=np.int64, count=len(mapping))
+    order = np.argsort(keys)
+    return keys[order], values[order]
+
+
 def save_engine(engine: "StreamingSentimentEngine", path: str | Path) -> Path:
     """Write ``engine`` to the directory ``path`` (created if missing)."""
     if not engine.is_ready:
@@ -200,36 +212,18 @@ def save_engine(engine: "StreamingSentimentEngine", path: str | Path) -> Path:
     arrays["alignment"] = engine.alignment
     for lag, sf_past in enumerate(solver._sf_history):
         arrays[f"sf_history_{lag}"] = sf_past
-    for lag, su_past in enumerate(solver._su_history):
-        uids = sorted(su_past)
-        arrays[f"su_history_{lag}_uids"] = np.array(uids, dtype=np.int64)
-        arrays[f"su_history_{lag}_rows"] = (
-            np.vstack([su_past[uid] for uid in uids])
-            if uids
-            else np.empty((0, solver.num_classes))
-        )
-    user_state = solver.user_sentiment_rows()
-    state_uids = sorted(user_state)
-    arrays["user_state_uids"] = np.array(state_uids, dtype=np.int64)
-    arrays["user_state_rows"] = (
-        np.vstack([user_state[uid] for uid in state_uids])
-        if state_uids
-        else np.empty((0, solver.num_classes))
-    )
-    author_items = sorted(builder._author_of.items())
-    arrays["author_tweet_ids"] = np.array(
-        [t for t, _ in author_items], dtype=np.int64
-    )
-    arrays["author_user_ids"] = np.array(
-        [u for _, u in author_items], dtype=np.int64
-    )
-    seen_items = sorted(builder._last_seen.items())
-    arrays["last_seen_uids"] = np.array(
-        [u for u, _ in seen_items], dtype=np.int64
-    )
-    arrays["last_seen_values"] = np.array(
-        [s for _, s in seen_items], dtype=np.int64
-    )
+    for lag, (uids, rows) in enumerate(solver._su_history):
+        arrays[f"su_history_{lag}_uids"] = uids
+        arrays[f"su_history_{lag}_rows"] = rows
+    state_uids, state_rows = solver._user_state
+    arrays["user_state_uids"] = state_uids
+    arrays["user_state_rows"] = state_rows
+    (
+        arrays["author_tweet_ids"], arrays["author_user_ids"]
+    ) = _int_map_arrays(builder._author_of)
+    (
+        arrays["last_seen_uids"], arrays["last_seen_values"]
+    ) = _int_map_arrays(builder._last_seen)
     np.savez_compressed(path / ARRAYS_FILE, **arrays)
 
     lexicon = builder.lexicon
@@ -242,7 +236,7 @@ def save_engine(engine: "StreamingSentimentEngine", path: str | Path) -> Path:
         "solver": {
             "kind": kind,
             "steps": solver.steps,
-            "seen_users": sorted(solver.seen_users),
+            "seen_users": state_uids.tolist(),
             "rng": solver._rng.bit_generator.state,
         },
         "vectorizer": _vectorizer_state(builder.vectorizer),
@@ -313,6 +307,40 @@ def _config_from_v1(state: dict) -> tuple[EngineConfig, int]:
     return config, classify_seed
 
 
+def _user_rows(
+    arrays: dict[str, np.ndarray], prefix: str, num_classes: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``({prefix}_uids, {prefix}_rows)`` pair, rejecting malformed ones.
+
+    The solver looks users up by binary search, so the ids must be
+    strictly increasing integers with exactly one ``num_classes``-wide
+    row each.
+    """
+    uids = arrays[f"{prefix}_uids"]
+    rows = arrays[f"{prefix}_rows"]
+    if uids.ndim != 1 or uids.dtype.kind not in "iu":
+        raise ValueError(
+            f"malformed checkpoint: {prefix}_uids must be a 1-D integer "
+            f"array, got {uids.dtype} with shape {uids.shape}"
+        )
+    if np.any(uids[1:] <= uids[:-1]):
+        raise ValueError(
+            f"malformed checkpoint: {prefix}_uids is not strictly "
+            "increasing (unsorted or duplicate user ids)"
+        )
+    if rows.ndim != 2 or rows.shape[0] != uids.size:
+        raise ValueError(
+            f"malformed checkpoint: {prefix}_rows has shape {rows.shape} "
+            f"but {prefix}_uids holds {uids.size} user ids"
+        )
+    if rows.shape[1] != num_classes:
+        raise ValueError(
+            f"malformed checkpoint: {prefix}_rows has {rows.shape[1]} "
+            f"columns, expected num_classes={num_classes}"
+        )
+    return uids.astype(np.int64, copy=False), rows
+
+
 def load_engine(path: str | Path) -> "StreamingSentimentEngine":
     """Rebuild an engine saved by :func:`save_engine` (format 1 or 2)."""
     from repro.engine.streaming import StreamingSentimentEngine
@@ -355,48 +383,53 @@ def load_engine(path: str | Path) -> "StreamingSentimentEngine":
     # --- solver temporal state ---
     solver = engine.solver
     solver._steps = int(state["solver"]["steps"])
-    solver._seen_users = set(
-        int(uid) for uid in state["solver"]["seen_users"]
-    )
     solver._rng.bit_generator.state = state["solver"]["rng"]
     for lag in range(int(state["sf_history_len"])):
         solver._sf_history.append(arrays[f"sf_history_{lag}"])
     for lag in range(int(state["su_history_len"])):
-        uids = arrays[f"su_history_{lag}_uids"]
-        rows = arrays[f"su_history_{lag}_rows"]
         solver._su_history.append(
-            {int(uid): row for uid, row in zip(uids, rows)}
+            _user_rows(arrays, f"su_history_{lag}", solver.num_classes)
         )
-    solver._user_state = {
-        int(uid): row
-        for uid, row in zip(arrays["user_state_uids"], arrays["user_state_rows"])
-    }
+    state_uids, state_rows = _user_rows(
+        arrays, "user_state", solver.num_classes
+    )
+    # Seen users are the carried-state ids; the JSON copy must agree.
+    if not np.array_equal(
+        np.asarray(state["solver"]["seen_users"], dtype=np.int64), state_uids
+    ):
+        raise ValueError(
+            "malformed checkpoint: solver.seen_users differs from "
+            "user_state_uids"
+        )
+    solver._user_state = (state_uids, state_rows)
     solver._vocabulary_ref = vocabulary
 
     # --- builder bookkeeping ---
     builder = engine.builder
-    builder._author_of = {
-        int(t): int(u)
-        for t, u in zip(arrays["author_tweet_ids"], arrays["author_user_ids"])
-    }
+    builder._author_of = dict(
+        zip(
+            arrays["author_tweet_ids"].tolist(),
+            arrays["author_user_ids"].tolist(),
+        )
+    )
     builder._profiles = {
         p.user_id: p
         for p in (_profile_from_json(r) for r in state["builder"]["profiles"])
     }
     builder._snapshots_built = int(state["builder"]["snapshots_built"])
     if "last_seen_uids" in arrays:
-        builder._last_seen = {
-            int(uid): int(seen)
-            for uid, seen in zip(
-                arrays["last_seen_uids"], arrays["last_seen_values"]
+        builder._last_seen = dict(
+            zip(
+                arrays["last_seen_uids"].tolist(),
+                arrays["last_seen_values"].tolist(),
             )
-        }
+        )
     else:
         # v1 checkpoints carry no activity recency; treat every known
         # profile as fresh at restore so compaction never mistakes
         # pre-upgrade users for long-inactive ones.
         latest = builder._snapshots_built - 1
-        builder._last_seen = {uid: latest for uid in builder._profiles}
+        builder._last_seen = dict.fromkeys(builder._profiles, latest)
 
     # --- serving state ---
     factors = FactorSet(

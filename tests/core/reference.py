@@ -8,9 +8,16 @@ evaluation after each sweep, and the ``objective_every`` / final-record
 / convergence bookkeeping — so parity tests compare the solve loop with
 something other than itself.  Initialization, temporal state and
 readouts are inherited unchanged.
+
+:class:`DictTemporalState` is the second oracle: the online solver's
+temporal user bookkeeping (new/evolving split, ``Suw`` priors, ``Su``
+history commit and smoothed carried state) as the per-user dict loops
+it was first written as, for parity with the array-native state.
 """
 
 from __future__ import annotations
+
+from collections import deque
 
 import numpy as np
 
@@ -18,7 +25,9 @@ from repro.core.convergence import ConvergenceHistory
 from repro.core.kernels import resolve_kernel
 from repro.core.objective import ObjectiveStatics, compute_objective
 from repro.core.offline import OfflineTriClustering, TriClusteringResult
-from repro.core.online import OnlineTriClustering
+from repro.core.initialization import warm_started_factors
+from repro.core.online import OnlineStepResult, OnlineTriClustering
+from repro.core.sharded import ShardedOnlineTriClustering
 from repro.core.spmm import resolve_spmm
 from repro.core.state import FactorSet
 from repro.core.sweepcache import SweepCache
@@ -30,6 +39,7 @@ from repro.core.updates import (
     update_su_online,
 )
 from repro.graph.tripartite import TripartiteGraph
+from repro.utils.matrices import hard_assignments
 from repro.utils.rng import spawn_rng
 
 
@@ -215,3 +225,147 @@ class ReferenceOnlineTriClustering(OnlineTriClustering):
             converged=converged,
             iterations=iterations_run,
         )
+
+
+class DictTemporalState:
+    """Online temporal user state as per-user dicts and Python loops.
+
+    Mixed in ahead of an online solver class, it replaces the solver's
+    user bookkeeping — ``Su`` history as ``{user_id: row}`` dicts, the
+    carried state as one such dict, seen users as a set — while the
+    snapshot solve (``_optimize``) and the ``Sf`` history stay the
+    solver's own.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._su_history: deque[dict[int, np.ndarray]] = deque(
+            maxlen=self.window - 1
+        )
+        self._user_state: dict[int, np.ndarray] = {}
+        self._seen_users: set[int] = set()
+
+    def user_prior(self, user_id: int) -> np.ndarray | None:
+        aggregate = np.zeros(self.num_classes)
+        found = False
+        for lag, su_past in enumerate(reversed(self._su_history), start=1):
+            row = su_past.get(user_id)
+            if row is not None:
+                aggregate += (self.tau ** lag) * row
+                found = True
+        if found:
+            return aggregate
+        carried = self._user_state.get(user_id)
+        if carried is not None:
+            return self.tau * carried
+        return None
+
+    def partial_fit(self, graph: TripartiteGraph) -> OnlineStepResult:
+        self._check_vocabulary(graph)
+        corpus = graph.corpus
+        user_ids = corpus.user_ids
+        current = set(user_ids)
+        new_rows = np.array(
+            [i for i, uid in enumerate(user_ids) if uid not in self._seen_users],
+            dtype=np.int64,
+        )
+        evolving_rows = np.array(
+            [i for i, uid in enumerate(user_ids) if uid in self._seen_users],
+            dtype=np.int64,
+        )
+
+        sfw = self.feature_prior(graph.num_features)
+        sf_init = sfw if sfw is not None else graph.sf0
+        if sf_init is None:
+            sf_init = self._rng.uniform(
+                0.01, 1.0, size=(graph.num_features, self.num_classes)
+            )
+        elif sfw is not None and graph.sf0 is not None:
+            fresh_rows = ~sfw.any(axis=1)
+            if fresh_rows.any():
+                sf_init = sfw.copy()
+                sf_init[fresh_rows] = graph.sf0[fresh_rows]
+
+        su_prior_rows: list[np.ndarray] = []
+        su_init = self._rng.uniform(
+            0.01, 1.0, size=(graph.num_users, self.num_classes)
+        )
+        kept_evolving: list[int] = []
+        for row in evolving_rows:
+            prior = self.user_prior(user_ids[int(row)])
+            if prior is not None:
+                su_init[int(row)] = np.maximum(prior, 1e-6)
+                su_prior_rows.append(prior)
+                kept_evolving.append(int(row))
+        evolving_rows = np.array(kept_evolving, dtype=np.int64)
+        su_prior = (
+            np.vstack(su_prior_rows) if su_prior_rows else None
+        )
+
+        factors = warm_started_factors(
+            graph.num_tweets,
+            graph.num_users,
+            sf_init,
+            su_init=su_init,
+            seed=self._rng,
+            dtype=self._np_dtype,
+        )
+
+        result = self._optimize(
+            graph, factors, sfw, su_prior, evolving_rows
+        )
+
+        self._sf_history.append(result.factors.sf.copy())
+        su_snapshot = {
+            uid: result.factors.su[i].copy() for i, uid in enumerate(user_ids)
+        }
+        self._su_history.append(su_snapshot)
+        for uid, row in su_snapshot.items():
+            total = row.sum()
+            normalized = row / total if total > 0 else row
+            previous = self._user_state.get(uid)
+            if previous is None:
+                self._user_state[uid] = normalized
+            else:
+                self._user_state[uid] = (
+                    self.state_smoothing * previous
+                    + (1.0 - self.state_smoothing) * normalized
+                )
+        self._seen_users |= current
+        self._steps += 1
+
+        return OnlineStepResult(
+            snapshot_index=self._steps - 1,
+            factors=result.factors,
+            history=result.history,
+            converged=result.converged,
+            iterations=result.iterations,
+            user_ids=user_ids,
+            new_user_rows=new_rows,
+            evolving_user_rows=evolving_rows,
+        )
+
+    @property
+    def seen_users(self) -> set[int]:
+        return set(self._seen_users)
+
+    def user_sentiment_rows(self) -> dict[int, np.ndarray]:
+        return {uid: row.copy() for uid, row in self._user_state.items()}
+
+    def user_sentiment_labels(self) -> dict[int, int]:
+        if not self._user_state:
+            return {}
+        uids = sorted(self._user_state)
+        matrix = np.vstack([self._user_state[uid] for uid in uids])
+        labels = hard_assignments(matrix)
+        return {uid: int(label) for uid, label in zip(uids, labels)}
+
+
+class DictStateOnlineTriClustering(DictTemporalState, OnlineTriClustering):
+    """The plain online solver with dict-based temporal user state."""
+
+
+class DictStateShardedOnlineTriClustering(
+    DictTemporalState, ShardedOnlineTriClustering
+):
+    """The sharded online solver with dict-based temporal user state."""

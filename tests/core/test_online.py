@@ -1,12 +1,20 @@
 """Integration tests for the online tri-clustering solver."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.core.online import OnlineTriClustering
+from repro.core.sharded import ShardedOnlineTriClustering
 from repro.data.stream import SnapshotStream
+from repro.data.synthetic import SyntheticCorpus, synthesize_graph
 from repro.eval.metrics import clustering_accuracy
 from repro.graph.tripartite import build_tripartite_graph
+from tests.core.reference import (
+    DictStateOnlineTriClustering,
+    DictStateShardedOnlineTriClustering,
+)
 
 
 def stream_graphs(corpus, shared_vectorizer, lexicon, interval=14):
@@ -219,3 +227,170 @@ class TestVocabularyGuard:
             )
             step = solver.partial_fit(graph)
             assert step.factors.num_features == len(vectorizer.vocabulary)
+
+
+# --------------------------------------------------------------------- #
+# Array-native temporal state vs the dict-based oracle
+# --------------------------------------------------------------------- #
+
+CHURN_GROUP_SIZE = 14
+#: The user groups posting in each snapshot.  B is away for two
+#: snapshots and C and A for one each, D arrives last: across window 2
+#: and 3 that exercises new users, the lag-1 and lag-2-only history
+#: sums, and the carried ``τ·state`` fallback for users who return
+#: after the window.
+CHURN_SCHEDULE = ("AB", "AC", "A", "ABC", "BC", "A", "ABCD")
+UNKNOWN_IDS = (-1, 0, 10**12)
+
+
+class _IdCorpus(SyntheticCorpus):
+    """A synthetic corpus whose user rows carry the given ids."""
+
+    def __init__(self, author_rows, user_ids) -> None:
+        super().__init__(author_rows, len(user_ids))
+        self._ids = [int(uid) for uid in user_ids]
+        self._rows = {uid: row for row, uid in enumerate(self._ids)}
+
+    @property
+    def user_ids(self) -> list[int]:
+        return list(self._ids)
+
+    def user_position(self, user_id: int) -> int:
+        return self._rows[user_id]
+
+
+def churny_stream():
+    """Snapshot graphs over sparse ids that follow ``CHURN_SCHEDULE``.
+
+    Odd snapshots list their users out of id order.
+    """
+    rng = np.random.default_rng(5)
+    pool = np.sort(rng.choice(10**9, size=4 * CHURN_GROUP_SIZE, replace=False))
+    groups = {
+        name: pool[i * CHURN_GROUP_SIZE:(i + 1) * CHURN_GROUP_SIZE]
+        for i, name in enumerate("ABCD")
+    }
+    graphs = []
+    for t, members in enumerate(CHURN_SCHEDULE):
+        ids = np.concatenate([groups[name] for name in members])
+        if t % 2:
+            ids = rng.permutation(ids)
+        base = synthesize_graph(
+            num_users=ids.size, vocab_size=40, tweets_per_user=3.0, seed=t
+        )
+        graphs.append(
+            dataclasses.replace(
+                base, corpus=_IdCorpus(base.corpus.author_rows, ids)
+            )
+        )
+    return pool, graphs
+
+
+def returns_after_window(window: int) -> int:
+    """Users who post again after ``window - 1`` snapshots away."""
+    count = 0
+    for t, members in enumerate(CHURN_SCHEDULE):
+        recent = "".join(CHURN_SCHEDULE[max(0, t - window + 1):t])
+        earlier = "".join(CHURN_SCHEDULE[:max(0, t - window + 1)])
+        count += sum(g in earlier and g not in recent for g in members)
+    return count
+
+
+def assert_bitwise(a, b, what=""):
+    assert a.dtype == b.dtype and a.shape == b.shape, what
+    assert a.tobytes() == b.tobytes(), what
+
+
+class TestArrayStateParity:
+    """The array-native temporal state reproduces the dict-based one.
+
+    Same seed and churny stream through the solver and through the same
+    solver class with :class:`tests.core.reference.DictTemporalState`
+    bookkeeping: every factor, new/evolving split, prior, carried row
+    and readout must match bit for bit, on the plain solver and on two
+    shards over each execution backend.
+    """
+
+    SOLVERS = ["plain", "thread", "process", "socket"]
+
+    @pytest.fixture(scope="class")
+    def stream(self):
+        return churny_stream()
+
+    @staticmethod
+    def _pair(solver, request, **params):
+        if solver == "plain":
+            return (
+                DictStateOnlineTriClustering(**params),
+                OnlineTriClustering(**params),
+            )
+        params["n_shards"] = 2
+        params["backend"] = solver
+        if solver == "socket":
+            params["workers"] = request.getfixturevalue("socket_workers")
+        else:
+            params["max_workers"] = 2
+        return (
+            DictStateShardedOnlineTriClustering(**params),
+            ShardedOnlineTriClustering(**params),
+        )
+
+    def test_stream_has_returns_after_window(self):
+        for window in (2, 3):
+            assert returns_after_window(window) > 0
+
+    def test_duplicate_snapshot_user_ids_rejected(self, stream):
+        _, graphs = stream
+        graph = graphs[0]
+        ids = graph.corpus.user_ids
+        ids[1] = ids[0]
+        duplicated = dataclasses.replace(
+            graph, corpus=_IdCorpus(graph.corpus.author_rows, ids)
+        )
+        solver = OnlineTriClustering(seed=3, max_iterations=2)
+        with pytest.raises(ValueError, match="duplicate user ids"):
+            solver.partial_fit(duplicated)
+        assert solver.steps == 0 and not solver.seen_users
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("state_smoothing", [0.0, 0.8])
+    @pytest.mark.parametrize("window", [2, 3])
+    def test_bitwise_equal_to_dict_state(
+        self, stream, solver, dtype, state_smoothing, window, request
+    ):
+        pool, graphs = stream
+        oracle, run = self._pair(
+            solver, request, seed=3, max_iterations=4, window=window,
+            state_smoothing=state_smoothing, dtype=dtype,
+        )
+        probe_ids = [int(uid) for uid in pool] + list(UNKNOWN_IDS)
+        for t, graph in enumerate(graphs):
+            expected = oracle.partial_fit(graph)
+            result = run.partial_fit(graph)
+            for name in ("sf", "sp", "su", "hp", "hu"):
+                assert_bitwise(
+                    getattr(expected.factors, name),
+                    getattr(result.factors, name),
+                    f"snapshot {t}: {name}",
+                )
+            assert_bitwise(expected.new_user_rows, result.new_user_rows)
+            assert_bitwise(
+                expected.evolving_user_rows, result.evolving_user_rows
+            )
+            assert expected.history.totals == result.history.totals
+            assert expected.user_ids == result.user_ids
+
+            for uid in probe_ids:
+                want, got = oracle.user_prior(uid), run.user_prior(uid)
+                if want is None:
+                    assert got is None, uid
+                else:
+                    assert_bitwise(want, got, f"snapshot {t}: prior {uid}")
+            want_rows = oracle.user_sentiment_rows()
+            got_rows = run.user_sentiment_rows()
+            assert set(want_rows) == set(got_rows)
+            for uid, row in want_rows.items():
+                assert_bitwise(row, got_rows[uid], f"snapshot {t}: row {uid}")
+            assert oracle.user_sentiment_labels() == run.user_sentiment_labels()
+            assert oracle.seen_users == run.seen_users

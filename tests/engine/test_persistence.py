@@ -456,6 +456,169 @@ class TestGuards:
             engine.save(tmp_path / "ckpt")
 
 
+def _edit_arrays(path, edit) -> None:
+    """Rewrite a checkpoint's ``arrays.npz`` through ``edit(arrays)``."""
+    with np.load(path / "arrays.npz") as handle:
+        arrays = {key: handle[key] for key in handle.files}
+    edit(arrays)
+    np.savez_compressed(path / "arrays.npz", **arrays)
+
+
+def _swap_first_two(arrays, prefix):
+    for suffix in ("uids", "rows"):
+        key = f"{prefix}_{suffix}"
+        arrays[key] = arrays[key][[1, 0, *range(2, len(arrays[key]))]]
+
+
+def _duplicate_first(arrays, prefix):
+    uids = arrays[f"{prefix}_uids"].copy()
+    uids[1] = uids[0]
+    arrays[f"{prefix}_uids"] = uids
+
+
+class TestMalformedCheckpoints:
+    """User-state arrays that cannot be binary-searched or that disagree
+    with each other are refused by name, not silently truncated."""
+
+    @pytest.mark.parametrize(
+        ("edit", "match"),
+        [
+            (
+                lambda a: _swap_first_two(a, "user_state"),
+                "user_state_uids is not strictly increasing",
+            ),
+            (
+                lambda a: _duplicate_first(a, "su_history_0"),
+                "su_history_0_uids is not strictly increasing",
+            ),
+            (
+                lambda a: a.update(user_state_rows=a["user_state_rows"][:-1]),
+                "user_state_rows has shape .* but user_state_uids holds",
+            ),
+            (
+                lambda a: a.update(
+                    su_history_0_uids=a["su_history_0_uids"][:-1]
+                ),
+                "su_history_0_rows has shape .* but su_history_0_uids holds",
+            ),
+            (
+                lambda a: a.update(user_state_rows=a["user_state_rows"][:, :2]),
+                "user_state_rows has 2 columns, expected num_classes=3",
+            ),
+            (
+                lambda a: a.update(
+                    su_history_0_rows=np.hstack(
+                        [a["su_history_0_rows"], a["su_history_0_rows"]]
+                    )
+                ),
+                "su_history_0_rows has 6 columns, expected num_classes=3",
+            ),
+            (
+                lambda a: a.update(
+                    user_state_uids=a["user_state_uids"].astype(np.float64)
+                ),
+                "user_state_uids must be a 1-D integer array",
+            ),
+        ],
+        ids=[
+            "unsorted-state", "duplicate-history", "state-count",
+            "history-count", "state-width", "history-width", "float-ids",
+        ],
+    )
+    def test_malformed_user_arrays_rejected(
+        self, fed_engine, tmp_path, edit, match
+    ):
+        path = fed_engine.save(tmp_path / "ckpt")
+        _edit_arrays(path, edit)
+        with pytest.raises(ValueError, match=match):
+            StreamingSentimentEngine.load(path)
+
+    def test_seen_users_disagreeing_with_state_rejected(
+        self, fed_engine, tmp_path
+    ):
+        path = fed_engine.save(tmp_path / "ckpt")
+        state_file = path / "state.json"
+        state = json.loads(state_file.read_text())
+        state["solver"]["seen_users"] = state["solver"]["seen_users"][1:]
+        state_file.write_text(json.dumps(state))
+        with pytest.raises(ValueError, match="seen_users differs"):
+            StreamingSentimentEngine.load(path)
+
+
+class TestCheckpointLayout:
+    def test_npz_keys_and_solver_fields_are_pinned(
+        self, fed_engine, tmp_path
+    ):
+        """The format-2 layout (npz keys, JSON ``solver`` fields and
+        top-level sections) is fixed; the uid arrays are sorted int64."""
+        path = fed_engine.save(tmp_path / "ckpt")
+        with np.load(path / "arrays.npz") as handle:
+            arrays = {key: handle[key] for key in handle.files}
+        assert set(arrays) == {
+            "factors_sf", "factors_sp", "factors_su", "factors_hp",
+            "factors_hu", "alignment", "sf_history_0",
+            "su_history_0_uids", "su_history_0_rows",
+            "user_state_uids", "user_state_rows",
+            "author_tweet_ids", "author_user_ids",
+            "last_seen_uids", "last_seen_values",
+        }
+        state = json.loads((path / "state.json").read_text())
+        assert set(state) == {
+            "version", "engine", "solver", "vectorizer", "vocabulary",
+            "lexicon", "builder", "sf_history_len", "su_history_len",
+        }
+        assert state["version"] == 2
+        assert set(state["solver"]) == {"kind", "steps", "seen_users", "rng"}
+        for key in ("su_history_0_uids", "user_state_uids"):
+            assert arrays[key].dtype == np.int64
+            assert np.all(np.diff(arrays[key]) > 0)
+        assert state["solver"]["seen_users"] == (
+            arrays["user_state_uids"].tolist()
+        )
+
+    def test_float32_carried_state_restores_and_continues_bitwise(
+        self, corpus, lexicon, batches, tmp_path
+    ):
+        """Carried rows and the whole ``Su`` window (window 3) come back
+        as float32 and the restored engine's priors, carried rows and
+        factors continue bit for bit."""
+        engine = feed(
+            StreamingSentimentEngine(
+                EngineConfig(
+                    seed=7,
+                    solver={
+                        "max_iterations": 6, "dtype": "float32", "window": 3,
+                    },
+                ),
+                lexicon=lexicon,
+            ),
+            corpus,
+            batches[:2],
+        )
+        engine.save(tmp_path / "ckpt")
+        loaded = StreamingSentimentEngine.load(tmp_path / "ckpt")
+        rows = loaded.solver.user_sentiment_rows()
+        assert rows and all(row.dtype == np.float32 for row in rows.values())
+        for solver in (engine.solver, loaded.solver):
+            assert len(solver._su_history) == 2
+        feed(engine, corpus, batches[2:])
+        feed(loaded, corpus, batches[2:])
+        for name in ("sf", "sp", "su", "hp", "hu"):
+            original = getattr(engine.factors, name)
+            restored = getattr(loaded.factors, name)
+            assert restored.dtype == np.float32
+            assert restored.tobytes() == original.tobytes(), name
+        want = engine.solver.user_sentiment_rows()
+        got = loaded.solver.user_sentiment_rows()
+        assert set(want) == set(got)
+        for uid, row in want.items():
+            assert got[uid].dtype == np.float32
+            assert got[uid].tobytes() == row.tobytes(), uid
+        for uid in list(want)[:50]:
+            prior = engine.solver.user_prior(uid)
+            assert loaded.solver.user_prior(uid).tobytes() == prior.tobytes()
+
+
 class TestSocketBackendCheckpoints:
     def test_socket_backend_round_trips_and_continues_bitwise(
         self, corpus, lexicon, batches, tmp_path, socket_workers
