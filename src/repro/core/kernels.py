@@ -28,7 +28,7 @@ and a hand-rolled reduction could not stay bit-compatible with BLAS's
 pairwise accumulation order.  The kernels deliberately cover only the
 element-wise region where bit-exact fusion is possible.
 
-Kernel selection mirrors the partitioner idiom: solver constructors accept
+Kernel selection mirrors the spmm idiom: solver constructors accept
 a *name* (``"auto"``, ``"numpy"``, ``"numba"``) or a ready-made
 :class:`Kernel` instance (used by the benchmarks to measure baseline
 implementations).  ``"auto"`` resolves to numba when importable and numpy

@@ -95,12 +95,6 @@ class OfflineTriClustering:
         tails; ``None`` uses the process default (worker fair share or
         the affinity core count — see
         :func:`repro.utils.threads.spmm_thread_default`).
-    objective_every:
-        Evaluate the objective every this many sweeps (default 1 =
-        every sweep, the paper's loop).  Larger values trade convergence
-        granularity for per-sweep cost — convergence can only be
-        detected at evaluated sweeps — and the final sweep is always
-        evaluated so the recorded history ends at the returned factors.
     """
 
     def __init__(
@@ -117,7 +111,6 @@ class OfflineTriClustering:
         dtype: str = "float64",
         spmm: object = "auto",
         spmm_threads: int | None = None,
-        objective_every: int = 1,
     ) -> None:
         if num_classes < 2:
             raise ValueError(f"num_classes must be >= 2, got {num_classes}")
@@ -125,10 +118,6 @@ class OfflineTriClustering:
             raise ValueError("alpha and beta must be non-negative")
         if max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if not isinstance(objective_every, int) or objective_every < 1:
-            raise ValueError(
-                f"objective_every must be an int >= 1, got {objective_every!r}"
-            )
         self.num_classes = num_classes
         self.weights = ObjectiveWeights(alpha=alpha, beta=beta)
         self.max_iterations = max_iterations
@@ -144,7 +133,6 @@ class OfflineTriClustering:
         validate_spmm_threads(spmm_threads)
         self.spmm = spmm
         self.spmm_threads = spmm_threads
-        self.objective_every = objective_every
         #: Pool traffic/timing delta of the most recent fit (a
         #: :meth:`~repro.utils.executor.PoolTelemetry.delta` dict), or
         #: ``None`` before the first fit.
@@ -214,9 +202,8 @@ class OfflineTriClustering:
                 tolerance=self.tolerance,
                 patience=self.patience,
                 track_history=self.track_history,
-                objective_every=self.objective_every,
             )
-            merged = solver.merged_factors(plan.consensus_iterations)
+            merged = solver.merged_factors()
         self.last_telemetry = plan.telemetry
         if converged:
             logger.debug(

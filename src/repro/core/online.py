@@ -109,10 +109,6 @@ class OnlineTriClustering:
         Sparse·dense product engine and its thread budget; see
         :class:`~repro.core.offline.OfflineTriClustering` and
         :mod:`repro.core.spmm` (float64 bit-identical, speed-only).
-    objective_every:
-        Evaluate the objective every this many sweeps (default 1 =
-        every sweep); the final sweep is always evaluated.  See
-        :class:`~repro.core.offline.OfflineTriClustering`.
     """
 
     def __init__(
@@ -133,14 +129,9 @@ class OnlineTriClustering:
         dtype: str = "float64",
         spmm: object = "auto",
         spmm_threads: int | None = None,
-        objective_every: int = 1,
     ) -> None:
         if num_classes < 2:
             raise ValueError(f"num_classes must be >= 2, got {num_classes}")
-        if not isinstance(objective_every, int) or objective_every < 1:
-            raise ValueError(
-                f"objective_every must be an int >= 1, got {objective_every!r}"
-            )
         if not (0.0 < tau <= 1.0):
             raise ValueError(f"tau must be in (0, 1], got {tau}")
         if window < 2:
@@ -166,7 +157,6 @@ class OnlineTriClustering:
         validate_spmm_threads(spmm_threads)
         self.spmm = spmm
         self.spmm_threads = spmm_threads
-        self.objective_every = objective_every
         #: Pool traffic/timing delta of the most recent snapshot solve
         #: (a :meth:`~repro.utils.executor.PoolTelemetry.delta` dict),
         #: or ``None`` before the first one.
@@ -413,10 +403,9 @@ class OnlineTriClustering:
                 tolerance=self.tolerance,
                 patience=self.patience,
                 track_history=self.track_history,
-                objective_every=self.objective_every,
                 su_prior_active=su_prior is not None,
             )
-            merged = solver.merged_factors(plan.consensus_iterations)
+            merged = solver.merged_factors()
         self.last_telemetry = plan.telemetry
         return self._OptimizeOutput(
             factors=merged,

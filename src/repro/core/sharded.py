@@ -3,9 +3,10 @@
 :class:`ShardedTriClustering` / :class:`ShardedOnlineTriClustering` are
 :class:`~repro.core.offline.OfflineTriClustering` /
 :class:`~repro.core.online.OnlineTriClustering` with a different
-*plan*: instead of one shard solved inline, each solve partitions the
-snapshot's users (tweets follow their author) into ``n_shards`` blocks
-and runs them on a :class:`~repro.utils.executor.WorkerPool` of the
+*plan*: instead of one shard solved inline, each solve hash-partitions
+the snapshot's users by id (tweets follow their author) into
+``n_shards`` blocks and runs them on a
+:class:`~repro.utils.executor.WorkerPool` of the
 chosen backend.  The sweep, the convergence bookkeeping and the merge
 are the one solve loop of :mod:`repro.core.sweep`, so ``n_shards=1``
 *is* the plain solver (on a serial pool for in-process backends) and
@@ -18,13 +19,12 @@ from __future__ import annotations
 
 from repro.core.offline import OfflineTriClustering
 from repro.core.online import OnlineTriClustering
-from repro.core.sweep import CONSENSUS_ITERATIONS, SweepPlan
+from repro.core.sweep import SweepPlan
 from repro.graph.partition import (
     ShardedGraph,
     extract_shard_blocks,
-    make_partition,
+    hash_partition,
     validate_halo,
-    validate_partitioner,
 )
 from repro.graph.tripartite import TripartiteGraph
 from repro.utils.executor import (
@@ -65,7 +65,6 @@ def resolve_shard_count(
 def _validate_sharding(
     n_shards: int | str,
     backend: str,
-    partitioner: object = "hash",
     workers=None,
     halo: str = "on",
 ) -> None:
@@ -77,7 +76,6 @@ def _validate_sharding(
         )
     validate_halo(halo)
     validate_backend(backend)
-    validate_partitioner(partitioner)
     # repro-lint: disable=REP006 -- workers= applicability check immediately
     # after validate_backend; the registry owns the name, not this branch.
     if backend == "socket":
@@ -133,20 +131,16 @@ class _ShardedPlan:
     def _init_sharding(
         self,
         n_shards: int | str,
-        partitioner,
         max_workers: int | None,
         backend: str,
         workers,
-        consensus_iterations: int,
         halo: str,
     ) -> None:
-        _validate_sharding(n_shards, backend, partitioner, workers, halo)
+        _validate_sharding(n_shards, backend, workers, halo)
         self.n_shards = n_shards
-        self.partitioner = partitioner
         self.max_workers = max_workers
         self.backend = backend
         self.workers = workers
-        self.consensus_iterations = consensus_iterations
         self.halo = halo
         self.last_plan: ShardedGraph | None = None
         #: Optional externally-owned pool (e.g. the serving engine's).
@@ -163,21 +157,17 @@ class _ShardedPlan:
         )
         sharded = extract_shard_blocks(
             graph,
-            make_partition(graph, n_shards, self.partitioner),
+            hash_partition(graph.corpus.user_ids, n_shards),
             halo=self.halo == "on",
         )
         self.last_plan = sharded
         if self.pool is not None:
-            return SweepPlan(
-                sharded, self.pool, owns_pool=False,
-                consensus_iterations=self.consensus_iterations,
-            )
+            return SweepPlan(sharded, self.pool, owns_pool=False)
         return SweepPlan(
             sharded,
             open_solver_pool(
                 self.max_workers, self.backend, n_shards, self.workers
             ),
-            consensus_iterations=self.consensus_iterations,
         )
 
 
@@ -189,12 +179,10 @@ class ShardedTriClustering(_ShardedPlan, OfflineTriClustering):
     n_shards:
         User partitions; 1 *is* the plain solver's one-shard solve.
         ``"auto"`` re-resolves per solve from the user count and worker
-        count (see :func:`resolve_shard_count`).
-    partitioner:
-        ``"hash"`` (default), ``"greedy"``, or a callable — see
-        :func:`repro.graph.partition.make_partition`.  The hash
-        partitioner keys on user *ids*, so a user keeps their shard
-        across snapshots.
+        count (see :func:`resolve_shard_count`).  Users are
+        hash-partitioned by *id* (see
+        :func:`repro.graph.partition.hash_partition`), so a user keeps
+        their shard across snapshots.
     max_workers:
         Worker bound for the shard fan-out (``None`` = CPU count,
         capped at ``n_shards`` for the process backend).
@@ -205,8 +193,6 @@ class ShardedTriClustering(_ShardedPlan, OfflineTriClustering):
     workers:
         ``backend="socket"`` only: ``["host:port", ...]`` addresses of
         running ``python -m repro worker`` servers.
-    consensus_iterations:
-        Global ``Hp``/``Hu`` distillation steps at merge time.
     halo:
         ``"on"`` (default) exchanges boundary ``Su`` rows per sweep so
         the graph regularizer sees the full ``Gu``; ``"off"`` drops
@@ -227,19 +213,13 @@ class ShardedTriClustering(_ShardedPlan, OfflineTriClustering):
         dtype: str = "float64",
         spmm: object = "auto",
         spmm_threads: int | None = None,
-        objective_every: int = 1,
         n_shards: int | str = 1,
-        partitioner="hash",
         max_workers: int | None = None,
         backend: str = "thread",
         workers=None,
-        consensus_iterations: int = CONSENSUS_ITERATIONS,
         halo: str = "on",
     ) -> None:
-        self._init_sharding(
-            n_shards, partitioner, max_workers, backend, workers,
-            consensus_iterations, halo,
-        )
+        self._init_sharding(n_shards, max_workers, backend, workers, halo)
         super().__init__(
             num_classes=num_classes,
             alpha=alpha,
@@ -253,7 +233,6 @@ class ShardedTriClustering(_ShardedPlan, OfflineTriClustering):
             dtype=dtype,
             spmm=spmm,
             spmm_threads=spmm_threads,
-            objective_every=objective_every,
         )
 
 
@@ -286,19 +265,13 @@ class ShardedOnlineTriClustering(_ShardedPlan, OnlineTriClustering):
         dtype: str = "float64",
         spmm: object = "auto",
         spmm_threads: int | None = None,
-        objective_every: int = 1,
         n_shards: int | str = 1,
-        partitioner="hash",
         max_workers: int | None = None,
         backend: str = "thread",
         workers=None,
-        consensus_iterations: int = CONSENSUS_ITERATIONS,
         halo: str = "on",
     ) -> None:
-        self._init_sharding(
-            n_shards, partitioner, max_workers, backend, workers,
-            consensus_iterations, halo,
-        )
+        self._init_sharding(n_shards, max_workers, backend, workers, halo)
         super().__init__(
             num_classes=num_classes,
             alpha=alpha,
@@ -316,5 +289,4 @@ class ShardedOnlineTriClustering(_ShardedPlan, OnlineTriClustering):
             dtype=dtype,
             spmm=spmm,
             spmm_threads=spmm_threads,
-            objective_every=objective_every,
         )

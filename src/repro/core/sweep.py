@@ -27,11 +27,13 @@ Model semantics at more than one shard:
   dropped ``Xr`` cut entries.  ``halo="off"`` restores the legacy
   block-diagonal approximation (cut ``Gu`` edges dropped too, tallied
   in :class:`~repro.graph.partition.ShardedGraph`).  Either way runs
-  are seed-deterministic for a fixed ``(seed, n_shards, partitioner)``
-  — initialization is global-then-scattered and reductions are ordered.
+  are seed-deterministic for a fixed ``(seed, n_shards)`` — users are
+  hash-partitioned by id, initialization is global-then-scattered and
+  reductions are ordered.
 - After the last sweep, per-shard ``Hp``/``Hu`` are distilled into one
-  global pair by iterating the *global* Eq. (12)/(13) updates on the
-  reduced numerators (``Σ_s Sp_sᵀXp_sSf`` etc.), so the merged
+  global pair by :data:`CONSENSUS_ITERATIONS` steps of the *global*
+  Eq. (12)/(13) updates on the reduced numerators
+  (``Σ_s Sp_sᵀXp_sSf`` etc.), so the merged
   :class:`~repro.core.state.FactorSet` serves classify traffic exactly
   like a one-shard one.
 
@@ -672,7 +674,6 @@ class ShardedSolver:
         tolerance: float,
         patience: int,
         track_history: bool,
-        objective_every: int = 1,
     ) -> tuple[ConvergenceHistory, bool, int]:
         """Run Algorithm 1 to convergence, one exchange per sweep.
 
@@ -699,11 +700,7 @@ class ShardedSolver:
         for iteration in range(max_iterations):
             if iteration > 0:
                 self._advance_sf(weights)
-            fuse = (
-                evaluate
-                and iteration >= 1
-                and iteration % objective_every == 0
-            )
+            fuse = evaluate and iteration >= 1
             objective = self._exchange(
                 _shard_offline_pass_with_objective, weights, False, fuse,
                 stop,
@@ -734,7 +731,6 @@ class ShardedSolver:
         tolerance: float,
         patience: int,
         track_history: bool,
-        objective_every: int = 1,
         su_prior_active: bool = False,
     ) -> tuple[ConvergenceHistory, bool, int]:
         """Run Algorithm 2 to convergence, one exchange per sweep.
@@ -754,10 +750,9 @@ class ShardedSolver:
         )
         for iteration in range(max_iterations):
             self._advance_sf(weights)
-            fuse = evaluate and (iteration + 1) % objective_every == 0
             objective = self._exchange(
                 _shard_online_pass_with_objective, weights, su_prior_active,
-                fuse,
+                evaluate,
             )
             iterations_run = iteration + 1
             if objective is not None:
@@ -767,11 +762,6 @@ class ShardedSolver:
                     break
         if not evaluate:
             history.append(self.objective(weights, su_prior_active))
-        elif iterations_run % objective_every != 0:
-            # objective_every skipped the final sweep; record it.
-            history.append(self.objective(weights, su_prior_active))
-            if history.converged(tolerance, window=patience):
-                converged = True
         return history, converged, iterations_run
 
     def _exchange(
@@ -875,9 +865,7 @@ class ShardedSolver:
     # Merge
     # ------------------------------------------------------------------ #
 
-    def merged_factors(
-        self, consensus_iterations: int = CONSENSUS_ITERATIONS
-    ) -> FactorSet:
+    def merged_factors(self) -> FactorSet:
         """Scatter shard rows back and distill global ``Hp``/``Hu``.
 
         Consumes any pending convergence rollback left by
@@ -910,12 +898,12 @@ class ShardedSolver:
         for block, upload in zip(self.sharded.blocks, uploads):
             sp[block.tweet_rows] = upload["sp"]
             su[block.user_rows] = upload["su"]
-        hp = self._consensus_association("hp", uploads, consensus_iterations)
-        hu = self._consensus_association("hu", uploads, consensus_iterations)
+        hp = self._consensus_association("hp", uploads)
+        hu = self._consensus_association("hu", uploads)
         return FactorSet(sf=self.sf, sp=sp, su=su, hp=hp, hu=hu)
 
     def _consensus_association(
-        self, which: str, uploads: list[dict], iterations: int
+        self, which: str, uploads: list[dict]
     ) -> np.ndarray:
         """Global Eq. (12)/(13) fixed point from reduced shard terms.
 
@@ -945,7 +933,7 @@ class ShardedSolver:
         if total_rows == 0:
             return np.eye(num_classes, dtype=sf.dtype)
         association = weighted / total_rows
-        for _ in range(iterations):
+        for _ in range(CONSENSUS_ITERATIONS):
             association = association * safe_sqrt_ratio(
                 numerator, gram @ association @ sfT_sf
             )
@@ -972,7 +960,6 @@ class SweepPlan:
     #: ``False``: the pool is borrowed (e.g. the serving engine's); only
     #: its graph-sized resident shard states are released.
     owns_pool: bool = True
-    consensus_iterations: int = CONSENSUS_ITERATIONS
     #: Pool traffic/timing delta of the solve (a
     #: :meth:`~repro.utils.executor.PoolTelemetry.delta` dict), set when
     #: the solve inside :meth:`open` completes.

@@ -9,7 +9,7 @@ with a frozen dataclass hierarchy:
 - :class:`SolverConfig` — the online solver's hyperparameters
   (Algorithm 2 weights, convergence policy, warm-start smoothing);
 - :class:`ShardingConfig` — how the solve is partitioned and executed
-  (shard count, partitioner, execution backend, worker bound);
+  (shard count, execution backend, worker bound, halo exchange);
 - :class:`ServingConfig` — the classify path (fold-in iterations,
   micro-batch width, LRU size);
 - :class:`IngestConfig` — the async ingestion pipeline (queue bound,
@@ -17,31 +17,58 @@ with a frozen dataclass hierarchy:
 - :class:`EngineConfig` — the root object tying them together with the
   engine-level fields (classes, seed, checkpoint compaction).
 
-Every config validates at construction — including the
-``backend``/``partitioner`` strings, checked eagerly against the
-registries in :mod:`repro.utils.executor` and
-:mod:`repro.graph.partition` so a typo fails here with the valid
-choices listed, not three layers down inside the first sharded solve —
-and round-trips through ``to_dict``/``from_dict`` (the checkpoint
-format persists exactly that dict).  The old flat-kwargs constructor
-of :class:`~repro.engine.streaming.StreamingSentimentEngine` completed
-its one-release deprecation cycle and is gone; configuration enters
-through this hierarchy only.
+Every config validates at construction — counts must be non-bool ints
+in range, weights finite and non-negative, and the ``backend``/
+``kernel``/``spmm`` strings are checked eagerly against their
+registries so a typo fails here with the valid choices listed, not
+three layers down inside the first sharded solve — and round-trips
+through ``to_dict``/``from_dict`` (the checkpoint format persists
+exactly that dict).  Dicts recorded before an option was removed still
+load when they hold the value every solve now runs (see
+:data:`_REMOVED_FIELDS`); any other value of a removed option is
+refused by name.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any
 
 from repro.core.kernels import validate_dtype, validate_kernel
 from repro.core.spmm import validate_spmm, validate_spmm_threads
-from repro.graph.partition import validate_halo, validate_partitioner
+from repro.graph.partition import validate_halo
 from repro.utils.executor import validate_backend
 from repro.utils.transport import validate_workers
 
 #: What ``ingest(..., block=False)`` does when the queue is full.
 OVERFLOW_POLICIES = ("drop", "raise")
+
+#: Options that were removed, per config section (``""`` is the top
+#: level): ``name -> (values that still load, what runs now)``.  Each
+#: loadable value is what every solve runs since the removal —
+#: ``async_ingest`` loads at both values because the inline and queued
+#: ingest paths gave bit-identical factors.
+_REMOVED_FIELDS: dict[str, dict[str, tuple[tuple, str]]] = {
+    "": {
+        "cross_snapshot_edges": (
+            (False,), "Gu links only retweets of same-snapshot tweets"
+        ),
+    },
+    "solver": {
+        "update_style": (("projector",), "only the projector updates remain"),
+        "objective_every": ((1,), "the objective is evaluated every sweep"),
+    },
+    "sharding": {
+        "partitioner": (("hash",), "users are hash-partitioned by id"),
+        "consensus_iterations": (
+            (25,), "the merge runs a fixed 25 consensus steps"
+        ),
+    },
+    "ingest": {
+        "async_ingest": ((True, False), "ingest always runs on the queue"),
+    },
+}
 
 
 def _require(condition: bool, message: str) -> None:
@@ -49,28 +76,61 @@ def _require(condition: bool, message: str) -> None:
         raise ValueError(message)
 
 
-def _without_removed_fields(solver: dict[str, Any]) -> dict[str, Any]:
-    """A solver-section dict minus fields and values of removed options.
-
-    Configs and checkpoints written before the Lagrangian update style
-    was removed record ``update_style``; its surviving value
-    ``"projector"`` is what every solver now runs, so it is dropped.
-    Any other value names an update rule that no longer exists.  Those
-    written before the ``"threads"`` spmm engine was removed may record
-    ``spmm="threads"``; it computed scipy's bits, so it loads as
-    ``"scipy"``.
-    """
-    if solver.get("spmm") == "threads":
-        solver = {**solver, "spmm": "scipy"}
-    if "update_style" not in solver:
-        return solver
-    style = solver["update_style"]
-    _require(
-        style == "projector",
-        f"update_style {style!r} was removed; only the projector "
-        "updates remain",
+def _is_count(value: Any, minimum: int) -> bool:
+    return (
+        isinstance(value, int) and not isinstance(value, bool)
+        and value >= minimum
     )
-    return {key: value for key, value in solver.items() if key != "update_style"}
+
+
+def _count(
+    name: str, value: Any, minimum: int, optional: bool = False
+) -> None:
+    """Require a non-bool ``int`` ≥ ``minimum`` (or ``None`` if optional)."""
+    _require(
+        (optional and value is None) or _is_count(value, minimum),
+        f"{name} must be an int >= {minimum}"
+        + (" or None" if optional else "") + f", got {value!r}",
+    )
+
+
+def _real(name: str, value: Any) -> None:
+    """Require a finite, non-bool real number."""
+    _require(
+        isinstance(value, (int, float)) and not isinstance(value, bool)
+        and math.isfinite(value),
+        f"{name} must be a finite number, got {value!r}",
+    )
+
+
+def _weight(name: str, value: Any) -> None:
+    """Require a finite real ≥ 0."""
+    _real(name, value)
+    _require(value >= 0, f"{name} must be >= 0, got {value!r}")
+
+
+def _without_removed_fields(
+    section: str, payload: dict[str, Any]
+) -> dict[str, Any]:
+    """``payload`` minus the removed options of ``section``.
+
+    A removed option recorded at a value that still loads is dropped;
+    any other value raises ``ValueError`` naming the option.  Solver
+    sections recording the removed ``"threads"`` spmm engine load as
+    ``"scipy"``: it computed scipy's bits.
+    """
+    if section == "solver" and payload.get("spmm") == "threads":
+        payload = {**payload, "spmm": "scipy"}
+    removed = _REMOVED_FIELDS.get(section, {})
+    for name in removed.keys() & payload.keys():
+        loadable, now = removed[name]
+        value = payload[name]
+        _require(
+            any(type(value) is type(ok) and value == ok for ok in loadable),
+            f"{(section + '.') if section else ''}{name}={value!r} was "
+            f"removed; {now}",
+        )
+    return {key: value for key, value in payload.items() if key not in removed}
 
 
 @dataclass(frozen=True)
@@ -92,9 +152,7 @@ class SolverConfig:
     checkpoints that record it load as ``"scipy"``) and
     ``spmm_threads`` its thread budget (``None`` = process default) —
     see :mod:`repro.core.spmm`; engines are float64 bit-identical, so
-    both knobs are speed-only.  ``objective_every`` evaluates the
-    objective every N sweeps (default 1 = every sweep; larger values
-    coarsen convergence detection but cut per-sweep cost).
+    both knobs are speed-only.
     """
 
     alpha: float = 0.9
@@ -111,20 +169,16 @@ class SolverConfig:
     dtype: str = "float64"
     spmm: str = "auto"
     spmm_threads: int | None = None
-    objective_every: int = 1
 
     def __post_init__(self) -> None:
-        _require(
-            isinstance(self.objective_every, int) and self.objective_every >= 1,
-            f"objective_every must be an int >= 1, got {self.objective_every!r}",
-        )
+        for name in ("alpha", "beta", "gamma", "tolerance"):
+            _weight(name, getattr(self, name))
+        _real("tau", self.tau)
         _require(0.0 < self.tau <= 1.0, f"tau must be in (0, 1], got {self.tau}")
-        _require(self.window >= 2, f"window must be >= 2, got {self.window}")
-        _require(
-            self.max_iterations >= 1,
-            f"max_iterations must be >= 1, got {self.max_iterations}",
-        )
-        _require(self.patience >= 1, f"patience must be >= 1, got {self.patience}")
+        _count("window", self.window, 2)
+        _count("max_iterations", self.max_iterations, 1)
+        _count("patience", self.patience, 1)
+        _real("state_smoothing", self.state_smoothing)
         _require(
             0.0 <= self.state_smoothing < 1.0,
             f"state_smoothing must be in [0, 1), got {self.state_smoothing}",
@@ -148,6 +202,9 @@ class SolverConfig:
 class ShardingConfig:
     """How the per-snapshot solve is partitioned and executed.
 
+    Users are hash-partitioned by id, so a user keeps their shard
+    across snapshots (see :func:`repro.graph.partition.hash_partition`).
+
     ``max_workers`` also bounds the engine's classify thread pool —
     one knob governs the engine's total worker budget, exactly as the
     old flat ``max_workers`` kwarg did.
@@ -161,10 +218,8 @@ class ShardingConfig:
     """
 
     n_shards: int | str = 1
-    partitioner: str = "hash"
     backend: str = "thread"
     max_workers: int | None = None
-    consensus_iterations: int = 25
     workers: tuple[str, ...] | None = None
     #: Cut-edge halo exchange: ``"on"`` evaluates the graph regularizer
     #: on the full ``Gu`` via per-sweep boundary-row exchanges;
@@ -174,13 +229,10 @@ class ShardingConfig:
     halo: str = "on"
 
     def __post_init__(self) -> None:
-        if self.n_shards != "auto" and (
-            not isinstance(self.n_shards, int) or self.n_shards < 1
-        ):
-            raise ValueError(
-                f"n_shards must be >= 1 or 'auto', got {self.n_shards!r}"
-            )
-        validate_partitioner(self.partitioner)
+        _require(
+            self.n_shards == "auto" or _is_count(self.n_shards, 1),
+            f"n_shards must be an int >= 1 or 'auto', got {self.n_shards!r}",
+        )
         validate_backend(self.backend)
         validate_halo(self.halo)
         if self.backend == "socket":
@@ -190,14 +242,7 @@ class ShardingConfig:
                 "sharding.workers is only meaningful with "
                 f"backend='socket' (got backend={self.backend!r})"
             )
-        _require(
-            self.max_workers is None or self.max_workers >= 1,
-            f"max_workers must be >= 1 or None, got {self.max_workers}",
-        )
-        _require(
-            self.consensus_iterations >= 1,
-            f"consensus_iterations must be >= 1, got {self.consensus_iterations}",
-        )
+        _count("max_workers", self.max_workers, 1, optional=True)
 
 
 @dataclass(frozen=True)
@@ -209,44 +254,29 @@ class ServingConfig:
     cache_size: int = 4096
 
     def __post_init__(self) -> None:
-        _require(
-            self.classify_iterations >= 1,
-            f"classify_iterations must be >= 1, got {self.classify_iterations}",
-        )
-        _require(
-            self.classify_batch_size >= 1,
-            f"classify_batch_size must be >= 1, got {self.classify_batch_size}",
-        )
-        _require(
-            self.cache_size >= 0,
-            f"cache_size must be >= 0, got {self.cache_size}",
-        )
+        _count("classify_iterations", self.classify_iterations, 1)
+        _count("classify_batch_size", self.classify_batch_size, 1)
+        _count("cache_size", self.cache_size, 0)
 
 
 @dataclass(frozen=True)
 class IngestConfig:
     """The asynchronous ingestion pipeline.
 
-    With ``async_ingest`` on (the default), ``engine.ingest`` is an
-    O(1) enqueue: a dedicated worker drains the bounded queue,
-    tokenizing and growing the vocabulary off the producer's thread.
+    ``engine.ingest`` is an O(1) enqueue: a dedicated worker drains the
+    bounded queue, tokenizing and growing the vocabulary off the
+    producer's thread; ``engine.flush()`` is the barrier.
     ``max_queued_batches`` bounds the queue; a full queue blocks the
     producer (``block=True``, backpressure) or applies ``overflow``
     (``"raise"`` an :class:`~repro.engine.pipeline.IngestQueueFull`, or
     ``"drop"`` the batch) when the producer passed ``block=False``.
-    ``async_ingest=False`` restores the synchronous tokenize-on-ingest
-    path; both produce bit-identical factors (regression-tested).
     """
 
-    async_ingest: bool = True
     max_queued_batches: int = 64
     overflow: str = "raise"
 
     def __post_init__(self) -> None:
-        _require(
-            self.max_queued_batches >= 1,
-            f"max_queued_batches must be >= 1, got {self.max_queued_batches}",
-        )
+        _count("max_queued_batches", self.max_queued_batches, 1)
         if self.overflow not in OVERFLOW_POLICIES:
             raise ValueError(
                 f"unknown overflow policy {self.overflow!r}; valid "
@@ -272,7 +302,6 @@ class EngineConfig:
 
     num_classes: int = 3
     seed: int | None = 0
-    cross_snapshot_edges: bool = False
     max_profile_age: int | None = None
     solver: SolverConfig = field(default_factory=SolverConfig)
     sharding: ShardingConfig = field(default_factory=ShardingConfig)
@@ -290,22 +319,15 @@ class EngineConfig:
         for name, cls in self._SECTIONS.items():
             value = getattr(self, name)
             if isinstance(value, dict):
-                if cls is SolverConfig:
-                    value = _without_removed_fields(value)
-                object.__setattr__(self, name, cls(**value))
+                value = cls(**_without_removed_fields(name, value))
+                object.__setattr__(self, name, value)
             elif not isinstance(value, cls):
                 raise TypeError(
                     f"{name} must be a {cls.__name__} or dict, "
                     f"got {type(value).__name__}"
                 )
-        _require(
-            self.num_classes >= 2,
-            f"num_classes must be >= 2, got {self.num_classes}",
-        )
-        _require(
-            self.max_profile_age is None or self.max_profile_age >= 1,
-            f"max_profile_age must be >= 1 or None, got {self.max_profile_age}",
-        )
+        _count("num_classes", self.num_classes, 2)
+        _count("max_profile_age", self.max_profile_age, 1, optional=True)
 
     # ------------------------------------------------------------------ #
     # Serialization
@@ -313,12 +335,15 @@ class EngineConfig:
 
     def to_dict(self) -> dict[str, Any]:
         """Nested plain-dict form (JSON-ready; checkpoints persist it)."""
-        validate_partitioner(self.sharding.partitioner, allow_callable=False)
         return asdict(self)
 
     @classmethod
     def from_dict(cls, payload: dict[str, Any]) -> "EngineConfig":
-        """Inverse of :meth:`to_dict`; unknown keys raise ``TypeError``."""
+        """Inverse of :meth:`to_dict`; unknown keys raise ``TypeError``.
+
+        Removed options are stripped first (see :data:`_REMOVED_FIELDS`).
+        """
+        payload = _without_removed_fields("", payload)
         known = {f.name for f in fields(cls)}
         unknown = set(payload) - known
         if unknown:
@@ -331,4 +356,3 @@ class EngineConfig:
     def replace(self, **changes: Any) -> "EngineConfig":
         """A copy with top-level fields replaced (sections take dicts too)."""
         return replace(self, **changes)
-

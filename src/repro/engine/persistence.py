@@ -33,8 +33,12 @@ aged-out tweets after a restart.
 Not persisted (by design): pending un-snapshotted tweets (``save``
 refuses them — advance or discard first), the bounded tokenization
 memo, telemetry reports, and the classify LRU (recomputed on demand).
-Custom vectorizer analyzers and callable partitioners cannot be
-serialized; engines using them are rejected with a clear error.
+Custom vectorizer analyzers cannot be serialized; engines using them
+are rejected with a clear error.
+
+Both versions load through :meth:`~repro.engine.config.EngineConfig.
+from_dict`, so a checkpoint that records a removed option loads only
+at the value every solve now runs and is refused otherwise.
 """
 
 from __future__ import annotations
@@ -124,11 +128,6 @@ def _profile_from_json(record: dict) -> UserProfile:
 def _validate_solver(solver: OnlineTriClustering) -> str:
     """The checkpoint ``kind`` of ``solver``, rejecting the unknown."""
     if type(solver) is ShardedOnlineTriClustering:
-        if not isinstance(solver.partitioner, str):
-            raise ValueError(
-                "cannot persist an engine whose solver uses a callable "
-                "partitioner; use a named strategy ('hash'/'greedy')"
-            )
         return "sharded"
     if type(solver) is OnlineTriClustering:
         return "online"
@@ -296,14 +295,14 @@ def _config_from_v1(state: dict) -> tuple[EngineConfig, int]:
         "cache_size": engine_state["cache_size"],
     }
     classify_seed = int(engine_state["classify_seed"])
-    config = EngineConfig(
-        num_classes=engine_state["num_classes"],
-        seed=classify_seed,
-        cross_snapshot_edges=engine_state["cross_snapshot_edges"],
-        solver=solver_config,
-        sharding=sharding_config,
-        serving=serving_config,
-    )
+    config = EngineConfig.from_dict({
+        "num_classes": engine_state["num_classes"],
+        "seed": classify_seed,
+        "cross_snapshot_edges": engine_state["cross_snapshot_edges"],
+        "solver": solver_config,
+        "sharding": sharding_config,
+        "serving": serving_config,
+    })
     return config, classify_seed
 
 

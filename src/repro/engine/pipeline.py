@@ -16,9 +16,9 @@ contract of any unflushed buffer.)
 
 Ordering and determinism: exactly one worker drains the queue, so
 batches are processed in submission order — the vocabulary grows in the
-same order as the synchronous path, and snapshots assembled after a
-:meth:`flush` are **bit-identical** to synchronous ingestion
-(regression-tested).
+same order as running each batch inline, and snapshots assembled
+after a :meth:`flush` are **bit-identical** to inline ingestion
+(regression-tested against the builder and solver run directly).
 
 Backpressure: the queue is bounded by ``max_queued_batches``.  A full
 queue blocks the producer when ``block=True`` (default), otherwise the
@@ -235,55 +235,3 @@ class IngestPipeline:
                 "incomplete (see the chained exception)"
             ) from self._error
 
-
-class SyncIngest:
-    """Drop-in synchronous stand-in for :class:`IngestPipeline`.
-
-    Used when ``IngestConfig.async_ingest`` is off: same surface
-    (``submit``/``flush``/``queued``/``close``), but ``submit`` runs
-    the ingestion step inline on the caller's thread — the historical
-    behaviour, and the reference the async path is regression-tested
-    against for bit-identical factors.
-    """
-
-    def __init__(
-        self,
-        process_batch: Callable[[list[Tweet], list[UserProfile] | None], None],
-    ) -> None:
-        self._process_batch = process_batch
-        self._closed = False
-
-    def submit(
-        self,
-        tweets: Iterable[Tweet],
-        users: Iterable[UserProfile] | None = None,
-        block: bool = True,
-    ) -> int:
-        del block  # synchronous: there is no queue to be full
-        if self._closed:
-            raise RuntimeError(
-                "IngestPipeline is closed; create a new engine instead of "
-                "reusing one that was shut down"
-            )
-        batch = list(tweets)
-        profiles = list(users) if users is not None else None
-        self._process_batch(batch, profiles)
-        return len(batch)
-
-    def flush(self) -> None:
-        pass
-
-    @property
-    def queued(self) -> int:
-        return 0
-
-    @property
-    def dropped(self) -> int:
-        return 0
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    def close(self) -> None:
-        self._closed = True

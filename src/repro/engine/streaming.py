@@ -9,8 +9,7 @@ not the history:
   IngestPipeline`), which tokenizes each text exactly once into the
   :class:`~repro.graph.incremental.IncrementalTripartiteBuilder` and
   grows the shared vocabulary append-only — producers never block on
-  tokenization (``IngestConfig(async_ingest=False)`` restores the
-  synchronous path, bit-identical by regression test);
+  tokenization, and ``flush()`` waits until the queue is drained;
 - **advance_snapshot()** barriers on the ingest queue, assembles the
   buffered delta into a :class:`~repro.graph.tripartite.
   TripartiteGraph` (single COO→CSR conversion per matrix) and runs one
@@ -68,7 +67,7 @@ from repro.core.state import FactorSet
 from repro.data.tweet import Tweet, UserProfile
 from repro.engine.cache import FoldInCache
 from repro.engine.config import EngineConfig, ShardingConfig, SolverConfig
-from repro.engine.pipeline import IngestPipeline, SyncIngest
+from repro.engine.pipeline import IngestPipeline
 from repro.graph.incremental import IncrementalTripartiteBuilder
 from repro.graph.tripartite import TripartiteGraph
 from repro.text.lexicon import SentimentLexicon
@@ -126,7 +125,7 @@ class StreamingSentimentEngine:
         A pre-configured :class:`~repro.core.online.OnlineTriClustering`
         (or sharded subclass); when ``None`` one is built from the
         config.  Mutually exclusive with non-default ``config.solver``
-        and with ``config.sharding``'s shard/backend/partitioner fields
+        and with ``config.sharding``'s shard/backend/halo fields
         — configure sharding on the solver instance instead (the engine
         adopts its settings).
 
@@ -173,7 +172,6 @@ class StreamingSentimentEngine:
             vectorizer=vectorizer,
             lexicon=lexicon,
             num_classes=config.num_classes,
-            cross_snapshot_edges=config.cross_snapshot_edges,
         )
         sharding = config.sharding
         if solver is not None:
@@ -196,13 +194,6 @@ class StreamingSentimentEngine:
                 )
             # repro-lint: disable=REP006 -- consistency guard against the
             # ShardingConfig default, not name dispatch (config validated it).
-            if sharding.partitioner != "hash":
-                raise ValueError(
-                    "pass either a solver instance or partitioner, not both "
-                    "(configure sharding on the solver)"
-                )
-            # repro-lint: disable=REP006 -- consistency guard against the
-            # ShardingConfig default, not name dispatch (config validated it).
             if sharding.halo != "on":
                 raise ValueError(
                     "pass either a solver instance or halo, not both "
@@ -222,11 +213,9 @@ class StreamingSentimentEngine:
                 num_classes=config.num_classes,
                 seed=config.seed,
                 n_shards=sharding.n_shards,
-                partitioner=sharding.partitioner,
                 max_workers=sharding.max_workers,
                 backend=sharding.backend,
                 workers=sharding.workers,
-                consensus_iterations=sharding.consensus_iterations,
                 halo=sharding.halo,
                 **asdict(config.solver),
             )
@@ -237,9 +226,6 @@ class StreamingSentimentEngine:
                 "pass matching values"
             )
         self.n_shards = getattr(self.solver, "n_shards", 1)
-        self.partitioner = getattr(
-            self.solver, "partitioner", sharding.partitioner
-        )
         self.backend = getattr(self.solver, "backend", "thread")
         self.max_workers = sharding.max_workers
         classify_workers = (
@@ -312,14 +298,11 @@ class StreamingSentimentEngine:
         # Created last: the pipeline starts the ingest worker thread,
         # and the process-backend prestart above must fork before any
         # thread exists.
-        if config.ingest.async_ingest:
-            self._ingest: IngestPipeline | SyncIngest = IngestPipeline(
-                self._ingest_batch,
-                max_queued_batches=config.ingest.max_queued_batches,
-                overflow=config.ingest.overflow,
-            )
-        else:
-            self._ingest = SyncIngest(self._ingest_batch)
+        self._ingest = IngestPipeline(
+            self._ingest_batch,
+            max_queued_batches=config.ingest.max_queued_batches,
+            overflow=config.ingest.overflow,
+        )
 
     # ------------------------------------------------------------------ #
     # Ingestion → model
@@ -351,12 +334,10 @@ class StreamingSentimentEngine:
     ) -> int:
         """Queue tweets for the next snapshot; returns the accepted count.
 
-        Non-blocking by default configuration: the call enqueues the
-        batch in O(1) and a dedicated worker tokenizes it off-thread
-        (``config.ingest.async_ingest=False`` restores inline
-        tokenization).  ``block`` controls backpressure when the queue
-        is full: ``True`` waits for space; ``False`` applies
-        ``config.ingest.overflow`` — raise
+        Non-blocking: the call enqueues the batch in O(1) and a
+        dedicated worker tokenizes it off-thread.  ``block`` controls
+        backpressure when the queue is full: ``True`` waits for space;
+        ``False`` applies ``config.ingest.overflow`` — raise
         :class:`~repro.engine.pipeline.IngestQueueFull` or drop the
         batch (returning 0).
         """
@@ -613,19 +594,16 @@ class StreamingSentimentEngine:
                 else resolve_spmm_name(solver.spmm)
             ),
             spmm_threads=solver.spmm_threads,
-            objective_every=solver.objective_every,
         )
         if isinstance(solver, ShardedOnlineTriClustering):
             sharding_config = ShardingConfig(
                 n_shards=solver.n_shards,
-                partitioner=solver.partitioner,
                 backend=solver.backend,
                 max_workers=(
                     solver.max_workers
                     if solver.max_workers is not None
                     else self.max_workers
                 ),
-                consensus_iterations=solver.consensus_iterations,
                 workers=solver.workers,
                 halo=solver.halo,
             )

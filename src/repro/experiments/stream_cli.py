@@ -96,12 +96,6 @@ def build_stream_parser() -> argparse.ArgumentParser:
         help="workers for sharded solve/classify (default: auto)",
     )
     parser.add_argument(
-        "--partitioner",
-        choices=["hash", "greedy"],
-        default="hash",
-        help="shard routing strategy (default hash)",
-    )
-    parser.add_argument(
         "--checkpoint",
         default=None,
         help=(
@@ -152,8 +146,8 @@ def _load_lexicon(path: str | None) -> SentimentLexicon | None:
 def config_from_args(args: argparse.Namespace) -> EngineConfig:
     """One validated EngineConfig from the CLI surface.
 
-    Raises the config layer's eager errors (unknown backend or
-    partitioner, bad counts) before any data is read.
+    Raises the config layer's eager errors (unknown backend, bad
+    counts) before any data is read.
     """
     workers = (
         tuple(
@@ -171,7 +165,6 @@ def config_from_args(args: argparse.Namespace) -> EngineConfig:
         solver={"max_iterations": args.max_iterations},
         sharding={
             "n_shards": args.n_shards,
-            "partitioner": args.partitioner,
             "backend": args.backend,
             "max_workers": args.max_workers,
             "workers": workers,

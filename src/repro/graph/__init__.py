@@ -11,8 +11,8 @@ the tri-clustering framework factorizes:
   a corpus, a vocabulary and all matrices together.
 - :mod:`repro.graph.incremental` — per-snapshot delta assembly for the
   streaming pipeline (tokenize once, single COO→CSR conversion).
-- :mod:`repro.graph.partition` — user-partition sharding: hash and
-  ``Gu``-aware greedy partitioners plus per-shard block extraction.
+- :mod:`repro.graph.partition` — user-partition sharding: the hash
+  partitioner plus per-shard block extraction.
 """
 
 from repro.graph.bipartite import (
@@ -26,9 +26,7 @@ from repro.graph.partition import (
     ShardedGraph,
     UserPartition,
     extract_shard_blocks,
-    greedy_partition,
     hash_partition,
-    make_partition,
 )
 from repro.graph.tripartite import TripartiteGraph, build_tripartite_graph
 from repro.graph.usergraph import UserGraph, build_user_graph
@@ -41,9 +39,7 @@ __all__ = [
     "UserGraph",
     "UserPartition",
     "extract_shard_blocks",
-    "greedy_partition",
     "hash_partition",
-    "make_partition",
     "build_tripartite_graph",
     "build_tweet_feature_matrix",
     "build_user_feature_matrix",

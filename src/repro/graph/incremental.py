@@ -69,15 +69,12 @@ class IncrementalTripartiteBuilder:
         against the vocabulary *as grown so far*.
     num_classes:
         Sentiment classes ``k`` for the prior.
-    cross_snapshot_edges:
-        When ``True``, a retweet whose source tweet arrived in an
-        *earlier* snapshot still contributes a ``Gu`` user-user edge
-        (provided both users are active in the current snapshot).  The
-        default ``False`` matches
-        :func:`~repro.graph.usergraph.build_user_graph`, which only sees
-        within-snapshot sources.  This gates ``Gu`` edges only; the
-        snapshot's *user set* always includes retweeted authors, exactly
-        like :meth:`~repro.data.corpus.TweetCorpus.window`.
+
+    A snapshot's ``Gu`` links a retweet to its source's author only when
+    the source tweet is in the same snapshot, matching
+    :func:`~repro.graph.usergraph.build_user_graph`; its *user set*
+    still includes retweeted authors of earlier tweets, exactly like
+    :meth:`~repro.data.corpus.TweetCorpus.window`.
     """
 
     def __init__(
@@ -85,12 +82,10 @@ class IncrementalTripartiteBuilder:
         vectorizer: CountVectorizer | None = None,
         lexicon: SentimentLexicon | None = None,
         num_classes: int = 3,
-        cross_snapshot_edges: bool = False,
     ) -> None:
         self.vectorizer = vectorizer or TfidfVectorizer()
         self.lexicon = lexicon
         self.num_classes = num_classes
-        self.cross_snapshot_edges = cross_snapshot_edges
 
         if self.vectorizer.vocabulary is None:
             # partial_fit with no documents initializes an empty,
@@ -300,8 +295,6 @@ class IncrementalTripartiteBuilder:
         engine path stays a drop-in replacement for the rebuild path.
         Sources never ingested are unresolvable here, whereas ``window``
         can see them elsewhere in its full corpus.
-        (``cross_snapshot_edges`` gates only ``Gu`` edges, not user
-        presence.)
         """
         active = {t.user_id for t in tweets}
         for tweet in tweets:
@@ -348,32 +341,23 @@ class IncrementalTripartiteBuilder:
     def _build_user_graph(
         self, tweets: list[Tweet], corpus: TweetCorpus
     ) -> UserGraph:
-        """``Gu`` from the snapshot's retweet edges.
+        """``Gu`` from the snapshot's retweet edges (same-snapshot sources).
 
-        With ``cross_snapshot_edges`` the author lookup spans all
-        ingested history, so a retweet of last week's tweet still links
-        the two users when both are active now.
+        Both users of every edge posted in this snapshot, so both are
+        rows of ``corpus``.
         """
-        snapshot_ids = {t.tweet_id for t in tweets}
+        author_of = {t.tweet_id: t.user_id for t in tweets}
         pairs: list[tuple[int, int]] = []
         for tweet in tweets:
-            source = tweet.retweet_of
-            if source is None:
-                continue
-            if not self.cross_snapshot_edges and source not in snapshot_ids:
-                continue
-            author = self._author_of.get(source)
+            author = author_of.get(tweet.retweet_of)
             if author is None or author == tweet.user_id:
                 continue
-            try:
-                pairs.append(
-                    (
-                        corpus.user_position(tweet.user_id),
-                        corpus.user_position(author),
-                    )
+            pairs.append(
+                (
+                    corpus.user_position(tweet.user_id),
+                    corpus.user_position(author),
                 )
-            except KeyError:
-                continue  # author not active in this snapshot
+            )
         return UserGraph(
             adjacency=assemble_adjacency(pairs, corpus.num_users)
         )

@@ -1,4 +1,4 @@
-"""User-partition sharding: partitioners and per-shard block extraction.
+"""User-partition sharding: the hash partitioner and per-shard blocks.
 
 The tri-clustering objective couples millions of users to one compact
 word–sentiment factor ``Sf``.  Partitioning the *user* side (and each
@@ -6,15 +6,9 @@ user's tweets, which follow their author) splits the big matrices into
 per-shard blocks whose updates touch disjoint rows, while ``Sf`` stays
 global — the block-coordinate structure the sharded solver exploits.
 
-Two partitioners are provided:
-
-- :func:`hash_partition` (default) — a stateless splitmix64 mix of the
-  user *id*, so a user lands on the same shard in every snapshot of a
-  stream regardless of who else is present;
-- :func:`greedy_partition` — a ``Gu``-aware greedy edge-cut heuristic
-  (degree-descending placement onto the neighbour-heaviest shard under
-  a balance cap), for workloads where retweet communities are strong
-  enough that cut edges would visibly perturb the graph regularizer.
+:func:`hash_partition` places users by a stateless splitmix64 mix of
+the user *id*, so a user lands on the same shard in every snapshot of
+a stream regardless of who else is present.
 
 ``extract_shard_blocks`` slices a :class:`~repro.graph.tripartite.
 TripartiteGraph` into :class:`ShardBlock` views.  Cut-edge handling:
@@ -37,7 +31,7 @@ nothing.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,11 +40,6 @@ import scipy.sparse as sp
 from repro.core.objective import ObjectiveStatics
 from repro.graph.tripartite import TripartiteGraph
 from repro.graph.usergraph import UserGraph
-
-PartitionFn = Callable[[Sequence[int], sp.spmatrix, int], "UserPartition"]
-
-#: Registry of named partition strategies (see :func:`make_partition`).
-PARTITION_STRATEGIES = ("hash", "greedy")
 
 #: Valid settings for the cut-edge halo exchange knob.
 HALO_MODES = ("on", "off")
@@ -65,35 +54,6 @@ def validate_halo(halo: str) -> str:
     if halo not in HALO_MODES:
         raise ValueError(f"halo must be one of {HALO_MODES}, got {halo!r}")
     return halo
-
-
-def validate_partitioner(
-    strategy: str | PartitionFn, allow_callable: bool = True
-) -> str | PartitionFn:
-    """Return ``strategy`` if it names a registered partitioner.
-
-    The single eager check for ``partitioner=`` arguments: solvers and
-    the engine config call it at construction time, so a typo fails
-    with the valid choices listed instead of deep inside the first
-    sharded solve.  Callables (custom routing hooks) pass through
-    unless ``allow_callable`` is off — serializable configurations
-    require a named strategy.
-    """
-    if callable(strategy):
-        if allow_callable:
-            return strategy
-        raise ValueError(
-            "partitioner must be a named strategy for this context; "
-            "valid choices: "
-            + ", ".join(repr(name) for name in PARTITION_STRATEGIES)
-        )
-    if strategy not in PARTITION_STRATEGIES:
-        raise ValueError(
-            f"unknown partitioner {strategy!r}; valid choices: "
-            + ", ".join(repr(name) for name in PARTITION_STRATEGIES)
-            + (" (or a callable)" if allow_callable else "")
-        )
-    return strategy
 
 
 @dataclass(frozen=True)
@@ -146,19 +106,13 @@ def _splitmix64(values: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def hash_partition(
-    user_ids: Sequence[int],
-    adjacency: sp.spmatrix | None = None,
-    n_shards: int = 1,
-) -> UserPartition:
+def hash_partition(user_ids: Sequence[int], n_shards: int) -> UserPartition:
     """Stateless deterministic partition by mixed user id.
 
     A user's shard depends only on ``(user_id, n_shards)`` — never on
     which other users share the snapshot — so streaming re-partitions
-    are sticky per user.  ``adjacency`` is accepted (and ignored) for
-    signature compatibility with :func:`greedy_partition`.
+    are sticky per user.
     """
-    del adjacency
     if n_shards < 1:
         raise ValueError(f"n_shards must be >= 1, got {n_shards}")
     ids = np.asarray(list(user_ids), dtype=np.int64).astype(np.uint64)
@@ -170,91 +124,6 @@ def hash_partition(
         n_shards=n_shards,
         assignments=(mixed % np.uint64(n_shards)).astype(np.int64),
     )
-
-
-def greedy_partition(
-    user_ids: Sequence[int],
-    adjacency: sp.spmatrix | None = None,
-    n_shards: int = 1,
-    balance: float = 1.1,
-) -> UserPartition:
-    """``Gu``-aware greedy edge-cut partition.
-
-    Users are placed in weighted-degree-descending order (ties broken by
-    row index, so the result is deterministic); each goes to the shard
-    holding the largest edge weight to its already-placed neighbours,
-    subject to a per-shard capacity of ``ceil(m / n_shards) * balance``.
-    Ties prefer the least-loaded shard, then the lowest shard index.
-    Isolated users therefore fill shards round-robin-by-load, keeping
-    the partition balanced.
-    """
-    if n_shards < 1:
-        raise ValueError(f"n_shards must be >= 1, got {n_shards}")
-    if balance < 1.0:
-        raise ValueError(f"balance must be >= 1.0, got {balance}")
-    num_users = len(list(user_ids))
-    if adjacency is None:
-        adjacency = sp.csr_matrix((num_users, num_users))
-    adjacency = adjacency.tocsr()
-    if adjacency.shape[0] != num_users:
-        raise ValueError(
-            f"adjacency is {adjacency.shape[0]}x{adjacency.shape[1]} but "
-            f"there are {num_users} users"
-        )
-    if num_users == 0:
-        return UserPartition(n_shards=n_shards, assignments=np.empty(0, np.int64))
-
-    capacity = max(int(np.ceil(num_users / n_shards * balance)), 1)
-    degrees = np.asarray(adjacency.sum(axis=1)).ravel()
-    order = np.lexsort((np.arange(num_users), -degrees))
-    assignments = np.full(num_users, -1, dtype=np.int64)
-    loads = np.zeros(n_shards, dtype=np.int64)
-
-    for row in order:
-        start, stop = adjacency.indptr[row], adjacency.indptr[row + 1]
-        neighbours = adjacency.indices[start:stop]
-        weights = adjacency.data[start:stop]
-        gains = np.zeros(n_shards)
-        placed = assignments[neighbours] >= 0
-        if placed.any():
-            np.add.at(gains, assignments[neighbours[placed]], weights[placed])
-        open_shards = loads < capacity
-        if not open_shards.any():  # all full (balance rounding): least loaded
-            open_shards = loads == loads.min()
-        gains[~open_shards] = -np.inf
-        best_gain = gains.max()
-        candidates = np.flatnonzero(gains == best_gain)
-        target = candidates[np.argmin(loads[candidates])]
-        assignments[row] = target
-        loads[target] += 1
-    return UserPartition(n_shards=n_shards, assignments=assignments)
-
-
-def make_partition(
-    graph: TripartiteGraph,
-    n_shards: int,
-    strategy: str | PartitionFn = "hash",
-) -> UserPartition:
-    """Partition ``graph``'s users with a named or custom strategy.
-
-    ``strategy`` is ``"hash"``, ``"greedy"``, or any callable
-    ``(user_ids, adjacency, n_shards) -> UserPartition`` — the pluggable
-    hook for custom shard routing.
-    """
-    user_ids = graph.corpus.user_ids
-    adjacency = graph.user_graph.adjacency
-    if callable(strategy):
-        partition = strategy(user_ids, adjacency, n_shards)
-        if partition.num_users != len(user_ids):
-            raise ValueError(
-                f"partitioner returned {partition.num_users} assignments "
-                f"for {len(user_ids)} users"
-            )
-        return partition
-    validate_partitioner(strategy)
-    if strategy == "hash":
-        return hash_partition(user_ids, adjacency, n_shards)
-    return greedy_partition(user_ids, adjacency, n_shards)
 
 
 def _csr_payload(matrix: sp.csr_matrix) -> tuple:

@@ -4,8 +4,8 @@ The solvers run every sweep through the shared solve loop of
 :mod:`repro.core.sweep` (one shard for the plain solvers).  These
 subclasses replace that loop with the straightforward single-block
 sweep — the update calls in the paper's order, one objective
-evaluation after each sweep, and the ``objective_every`` / final-record
-/ convergence bookkeeping — so parity tests compare the solve loop with
+evaluation after each sweep, and the final-record / convergence
+bookkeeping — so parity tests compare the solve loop with
 something other than itself.  Initialization, temporal state and
 readouts are inherited unchanged.
 
@@ -105,22 +105,12 @@ class ReferenceOfflineTriClustering(OfflineTriClustering):
             )
             iterations_run = iteration + 1
 
-            if (
-                (self.track_history or self.tolerance > 0)
-                and iterations_run % self.objective_every == 0
-            ):
+            if self.track_history or self.tolerance > 0:
                 history.append(objective())
                 if history.converged(self.tolerance, window=self.patience):
                     converged = True
                     break
 
-        if (
-            (self.track_history or self.tolerance > 0)
-            and iterations_run % self.objective_every != 0
-        ):
-            history.append(objective())
-            if history.converged(self.tolerance, window=self.patience):
-                converged = True
         if not history.records:
             history.append(objective())
         return TriClusteringResult(
@@ -201,22 +191,12 @@ class ReferenceOnlineTriClustering(OnlineTriClustering):
             )
             iterations_run = iteration + 1
 
-            if (
-                (self.track_history or self.tolerance > 0)
-                and iterations_run % self.objective_every == 0
-            ):
+            if self.track_history or self.tolerance > 0:
                 history.append(objective())
                 if history.converged(self.tolerance, window=self.patience):
                     converged = True
                     break
 
-        if (
-            (self.track_history or self.tolerance > 0)
-            and iterations_run % self.objective_every != 0
-        ):
-            history.append(objective())
-            if history.converged(self.tolerance, window=self.patience):
-                converged = True
         if not history.records:
             history.append(objective())
         return self._OptimizeOutput(

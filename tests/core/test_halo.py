@@ -30,7 +30,7 @@ from repro.core.objective import ObjectiveWeights, compute_objective
 from repro.core.offline import OfflineTriClustering
 from repro.core.sharded import ShardedTriClustering, open_solver_pool
 from repro.core.sweep import ShardedSolver
-from repro.graph.partition import extract_shard_blocks, make_partition
+from repro.graph.partition import extract_shard_blocks, hash_partition
 from repro.utils.transport import LocalWorkerFleet, WorkerLost
 
 #: Fault paths must raise well within this, never hang.
@@ -59,7 +59,7 @@ def _ghost_global_ids(sharded, block):
 class TestHaloExtraction:
     def test_recovers_all_cut_weight(self, graph):
         sharded = extract_shard_blocks(
-            graph, make_partition(graph, 4, "hash"), halo=True
+            graph, hash_partition(graph.corpus.user_ids, 4), halo=True
         )
         assert sharded.gu_cut_weight > 0
         assert np.isclose(sharded.gu_recovered_weight, sharded.gu_cut_weight)
@@ -68,7 +68,7 @@ class TestHaloExtraction:
 
     def test_halo_off_drops_everything(self, graph):
         sharded = extract_shard_blocks(
-            graph, make_partition(graph, 4, "hash"), halo=False
+            graph, hash_partition(graph.corpus.user_ids, 4), halo=False
         )
         assert sharded.gu_recovered_weight == 0.0
         assert sharded.gu_dropped_weight == sharded.gu_cut_weight
@@ -81,7 +81,7 @@ class TestHaloExtraction:
         halo CSR carries exactly the full graph's cut entries."""
         adjacency = graph.user_graph.adjacency
         sharded = extract_shard_blocks(
-            graph, make_partition(graph, 4, "hash"), halo=True
+            graph, hash_partition(graph.corpus.user_ids, 4), halo=True
         )
         for block in sharded.blocks:
             ghost_ids = _ghost_global_ids(sharded, block)
@@ -90,7 +90,7 @@ class TestHaloExtraction:
 
     def test_boundary_rows_are_exactly_the_cut_rows(self, graph):
         adjacency = graph.user_graph.adjacency
-        partition = make_partition(graph, 4, "hash")
+        partition = hash_partition(graph.corpus.user_ids, 4)
         sharded = extract_shard_blocks(graph, partition, halo=True)
         for block in sharded.blocks:
             remote = np.setdiff1d(
@@ -108,7 +108,7 @@ class TestHaloExtraction:
             graph.user_graph.adjacency.sum(axis=1)
         ).ravel()
         sharded = extract_shard_blocks(
-            graph, make_partition(graph, 4, "hash"), halo=True
+            graph, hash_partition(graph.corpus.user_ids, 4), halo=True
         )
         for block in sharded.blocks:
             np.testing.assert_allclose(
@@ -124,7 +124,7 @@ class TestHaloExtraction:
 
     def test_one_shard_has_no_halo(self, graph):
         sharded = extract_shard_blocks(
-            graph, make_partition(graph, 1, "hash"), halo=True
+            graph, hash_partition(graph.corpus.user_ids, 1), halo=True
         )
         (block,) = sharded.blocks
         assert sharded.gu_cut_weight == 0.0
@@ -147,7 +147,7 @@ class TestHaloObjectiveExactness:
             sf_prior=graph.sf0,
         )
         sharded = extract_shard_blocks(
-            graph, make_partition(graph, 4, "hash"), halo=halo
+            graph, hash_partition(graph.corpus.user_ids, 4), halo=halo
         )
         with open_solver_pool(None, "serial", 4) as pool:
             solver = ShardedSolver(sharded, factors, pool)
@@ -187,7 +187,7 @@ class TestHaloRollback:
         )
         weights = ObjectiveWeights(alpha=0.05, beta=0.8, gamma=0.0)
         sharded = extract_shard_blocks(
-            graph, make_partition(graph, 4, "hash"), halo=True
+            graph, hash_partition(graph.corpus.user_ids, 4), halo=True
         )
         with open_solver_pool(None, "serial", 4) as pool:
             solver = ShardedSolver(sharded, factors, pool)

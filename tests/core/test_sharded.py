@@ -103,13 +103,15 @@ class TestMultiShardDeterminism:
         partition (initialization is global, then scattered)."""
         from repro.core.initialization import lexicon_seeded_factors
         from repro.core.sweep import ShardedSolver
-        from repro.graph.partition import extract_shard_blocks, make_partition
+        from repro.graph.partition import extract_shard_blocks, hash_partition
         from repro.utils.executor import WorkerPool
 
         factors = lexicon_seeded_factors(
             graph.num_tweets, graph.num_users, graph.sf0, seed=7
         )
-        sharded = extract_shard_blocks(graph, make_partition(graph, 3))
+        sharded = extract_shard_blocks(
+            graph, hash_partition(graph.corpus.user_ids, 3)
+        )
         with WorkerPool(1) as pool:
             solver = ShardedSolver(sharded, factors.copy(), pool)
             merged = solver.merged_factors()
@@ -319,89 +321,6 @@ class TestConvergenceParity:
         assert runs[0].iterations == runs[1].iterations
 
 
-class TestObjectiveEvery:
-    """``objective_every=N`` trades convergence granularity for cost;
-    the factors themselves must not move, and the sharded loops must
-    agree with the plain solvers record for record."""
-
-    def test_rejects_bad_values(self):
-        for bad in (0, -1, 1.5, "2"):
-            with pytest.raises(ValueError, match="objective_every"):
-                OfflineTriClustering(objective_every=bad)
-            with pytest.raises(ValueError, match="objective_every"):
-                OnlineTriClustering(objective_every=bad)
-
-    def test_plain_offline_records_subsample(self, graph):
-        every1 = ReferenceOfflineTriClustering(
-            seed=7, max_iterations=9, tolerance=0.0
-        ).fit(graph)
-        every3 = OfflineTriClustering(
-            seed=7, max_iterations=9, tolerance=0.0, objective_every=3
-        ).fit(graph)
-        assert_factors_equal(every1.factors, every3.factors)
-        # Records at sweeps 3, 6, 9 — the same values, subsampled.
-        assert every3.history.totals == every1.history.totals[2::3]
-        assert every3.iterations == every1.iterations
-
-    def test_plain_offline_final_sweep_always_recorded(self, graph):
-        every1 = ReferenceOfflineTriClustering(
-            seed=7, max_iterations=8, tolerance=0.0
-        ).fit(graph)
-        every3 = OfflineTriClustering(
-            seed=7, max_iterations=8, tolerance=0.0, objective_every=3
-        ).fit(graph)
-        assert_factors_equal(every1.factors, every3.factors)
-        # Sweeps 3, 6, then the trailing sweep-8 record.
-        assert every3.history.totals == [
-            every1.history.totals[2],
-            every1.history.totals[5],
-            every1.history.totals[7],
-        ]
-
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
-    def test_sharded_offline_matches_plain(self, graph, backend):
-        plain = ReferenceOfflineTriClustering(
-            seed=7, max_iterations=8, tolerance=0.0, objective_every=3
-        ).fit(graph)
-        run = ShardedTriClustering(
-            seed=7, max_iterations=8, tolerance=0.0, objective_every=3,
-            n_shards=1, backend=backend, max_workers=2,
-        ).fit(graph)
-        assert_factors_equal(plain.factors, run.factors)
-        assert plain.history.totals == run.history.totals
-        assert plain.iterations == run.iterations
-
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
-    def test_sharded_online_matches_plain(self, graph, backend):
-        plain = ReferenceOnlineTriClustering(
-            seed=7, max_iterations=8, tolerance=0.0, track_history=True,
-            objective_every=3,
-        ).partial_fit(graph)
-        run = ShardedOnlineTriClustering(
-            seed=7, max_iterations=8, tolerance=0.0, track_history=True,
-            objective_every=3, n_shards=1, backend=backend, max_workers=2,
-        ).partial_fit(graph)
-        assert_factors_equal(plain.factors, run.factors)
-        assert list(plain.history.totals) == list(run.history.totals)
-        assert plain.iterations == run.iterations
-
-    def test_sharded_convergence_only_at_evaluated_sweeps(self, graph):
-        """With a coarse cadence, convergence lands on an evaluated
-        sweep in both the plain and fused loops."""
-        plain = ReferenceOfflineTriClustering(
-            seed=7, max_iterations=60, tolerance=1e-3, patience=2,
-            objective_every=2,
-        ).fit(graph)
-        run = ShardedTriClustering(
-            seed=7, max_iterations=60, tolerance=1e-3, patience=2,
-            objective_every=2, n_shards=1,
-        ).fit(graph)
-        assert_factors_equal(plain.factors, run.factors)
-        assert plain.history.totals == run.history.totals
-        assert plain.converged == run.converged
-        assert plain.iterations == run.iterations
-
-
 class TestPoolTelemetry:
     """The fused loop's coordination cost, counted not asserted from
     vibes: one exchange round per sweep, the full ``Sf`` broadcast
@@ -425,19 +344,6 @@ class TestPoolTelemetry:
         assert telemetry["shared_updates"] == 6
         assert telemetry["commands"] >= telemetry["rounds"]
 
-    def test_offline_rounds_independent_of_objective_cadence(self, graph):
-        by_every = {}
-        for every in (1, 3):
-            solver = ShardedTriClustering(
-                seed=7, max_iterations=6, tolerance=0.0, n_shards=2,
-                objective_every=every,
-            )
-            solver.fit(graph)
-            by_every[every] = solver.last_telemetry["rounds"]
-        # The objective rides the sweep exchange: evaluating it more
-        # often must not add rounds.
-        assert by_every[1] == by_every[3]
-
     def test_online_rounds_and_broadcasts(self, graph):
         solver = ShardedOnlineTriClustering(
             seed=7, max_iterations=4, tolerance=0.0, track_history=True,
@@ -447,8 +353,8 @@ class TestPoolTelemetry:
         assert step.iterations == 4
         telemetry = solver.last_telemetry
         # scatter + priming contribution round + one fused exchange per
-        # sweep + merge (objective_every=1 records the final sweep
-        # in-loop: no trailing objective round).
+        # sweep + merge (every sweep is evaluated in-loop, so there is
+        # no trailing objective round).
         assert telemetry["rounds"] == 1 + 1 + 4 + 1
         assert telemetry["shared_sets"] == 2
         assert telemetry["shared_updates"] == 4
@@ -580,12 +486,6 @@ class TestEdgeCases:
     def test_rejects_bad_configuration(self):
         with pytest.raises(ValueError, match="n_shards"):
             ShardedTriClustering(n_shards=0)
-
-    def test_greedy_partitioner_accepted(self, graph):
-        result = ShardedTriClustering(
-            seed=7, max_iterations=4, n_shards=2, partitioner="greedy"
-        ).fit(graph)
-        assert np.isfinite(result.final_objective)
 
 
 class TestOnlineBitIdentity:

@@ -1,5 +1,7 @@
 """EngineConfig: validation, round-trip, socket workers, shim removal."""
 
+import math
+
 import pytest
 
 from repro.engine import (
@@ -26,21 +28,17 @@ class TestValidation:
             solver={"max_iterations": 20},
             sharding={"n_shards": 4, "backend": "process"},
             serving={"cache_size": 0},
-            ingest={"async_ingest": False},
+            ingest={"overflow": "drop"},
         )
         assert config.solver.max_iterations == 20
         assert config.solver.alpha == 0.9  # untouched defaults survive
         assert config.sharding.n_shards == 4
         assert config.serving.cache_size == 0
-        assert config.ingest.async_ingest is False
+        assert config.ingest.overflow == "drop"
 
     def test_bad_backend_rejected_eagerly_with_choices(self):
         with pytest.raises(ValueError, match="serial.*thread.*process"):
             EngineConfig(sharding={"backend": "cluster"})
-
-    def test_bad_partitioner_rejected_eagerly_with_choices(self):
-        with pytest.raises(ValueError, match="hash.*greedy"):
-            EngineConfig(sharding={"partitioner": "modulo"})
 
     def test_bad_scalars_rejected(self):
         with pytest.raises(ValueError, match="n_shards"):
@@ -61,6 +59,36 @@ class TestValidation:
             EngineConfig(solver={"update_style": "magic"})
         with pytest.raises(ValueError, match="halo"):
             EngineConfig(sharding={"halo": "maybe"})
+
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"solver": {"max_iterations": 2.5}}, "max_iterations"),
+            ({"solver": {"window": 2.5}}, "window"),
+            ({"solver": {"patience": True}}, "patience"),
+            ({"solver": {"alpha": math.nan}}, "alpha"),
+            ({"solver": {"alpha": -1}}, "alpha"),
+            ({"solver": {"beta": math.inf}}, "beta"),
+            ({"solver": {"gamma": "0.2"}}, "gamma"),
+            ({"solver": {"tolerance": -1}}, "tolerance"),
+            ({"solver": {"tau": math.nan}}, "tau"),
+            ({"solver": {"state_smoothing": None}}, "state_smoothing"),
+            ({"sharding": {"n_shards": True}}, "n_shards"),
+            ({"sharding": {"max_workers": 1.5}}, "max_workers"),
+            ({"serving": {"classify_iterations": 2.5}}, "classify_iterations"),
+            ({"serving": {"classify_batch_size": 2.5}}, "classify_batch_size"),
+            ({"serving": {"cache_size": 1.5}}, "cache_size"),
+            ({"ingest": {"max_queued_batches": 1.5}}, "max_queued_batches"),
+            ({"num_classes": 2.5}, "num_classes"),
+            ({"max_profile_age": True}, "max_profile_age"),
+        ],
+    )
+    def test_malformed_values_rejected_naming_field(self, kwargs, field):
+        """Counts are non-bool ints in range and weights finite and
+        non-negative, checked when the config is built — never left to
+        fail mid-solve."""
+        with pytest.raises(ValueError, match=field):
+            EngineConfig(**kwargs)
 
     def test_halo_defaults_on_and_round_trips(self):
         assert EngineConfig().sharding.halo == "on"
@@ -117,10 +145,9 @@ class TestRoundTrip:
         config = EngineConfig(
             num_classes=4,
             seed=11,
-            cross_snapshot_edges=True,
             max_profile_age=3,
             solver={"max_iterations": 12, "tau": 0.5},
-            sharding={"n_shards": "auto", "partitioner": "greedy"},
+            sharding={"n_shards": "auto", "halo": "off"},
             serving={"classify_batch_size": 32},
             ingest={"overflow": "drop", "max_queued_batches": 8},
         )
@@ -140,18 +167,64 @@ class TestRoundTrip:
         with pytest.raises(TypeError, match="n_shards"):
             EngineConfig.from_dict({"n_shards": 2})
 
-    def test_callable_partitioner_not_serializable(self):
-        config = EngineConfig(
-            sharding={"partitioner": lambda ids, adj, n: None}
-        )
-        with pytest.raises(ValueError, match="named strategy"):
-            config.to_dict()
-
     def test_replace(self):
         config = EngineConfig()
         changed = config.replace(sharding={"n_shards": 2})
         assert changed.sharding.n_shards == 2
         assert config.sharding.n_shards == 1  # original untouched
+
+
+class TestRemovedOptions:
+    """Options removed from the config still load from old dicts at the
+    value every solve now runs; any other value is refused by name."""
+
+    #: (section, option, value that loads, value that is refused);
+    #: section ``""`` is the top level.
+    REMOVED = [
+        ("", "cross_snapshot_edges", False, True),
+        ("solver", "objective_every", 1, 3),
+        ("sharding", "partitioner", "hash", "greedy"),
+        ("sharding", "consensus_iterations", 25, 10),
+        ("ingest", "async_ingest", True, "off"),
+    ]
+
+    @staticmethod
+    def _payload(section, option, value):
+        payload = EngineConfig().to_dict()
+        (payload[section] if section else payload)[option] = value
+        return payload
+
+    @pytest.mark.parametrize("section, option, old, bad", REMOVED)
+    def test_old_default_loads(self, section, option, old, bad):
+        payload = self._payload(section, option, old)
+        assert EngineConfig.from_dict(payload) == EngineConfig()
+        if section:
+            assert EngineConfig(**{section: {option: old}}) == EngineConfig()
+
+    @pytest.mark.parametrize("section, option, old, bad", REMOVED)
+    def test_other_value_refused(self, section, option, old, bad):
+        with pytest.raises(ValueError, match=f"{option}.*removed"):
+            EngineConfig.from_dict(self._payload(section, option, bad))
+        if section:
+            with pytest.raises(ValueError, match=option):
+                EngineConfig(**{section: {option: bad}})
+
+    def test_async_ingest_false_loads(self):
+        payload = self._payload("ingest", "async_ingest", False)
+        assert EngineConfig.from_dict(payload) == EngineConfig()
+
+    def test_integer_valued_flags_are_not_the_old_default(self):
+        """``True == 1`` in Python; a recorded ``True`` is still not
+        the removed option's integer default."""
+        with pytest.raises(ValueError, match="objective_every"):
+            EngineConfig(solver={"objective_every": True})
+        with pytest.raises(ValueError, match="cross_snapshot_edges"):
+            EngineConfig.from_dict({"cross_snapshot_edges": 0})
+
+    def test_to_dict_omits_removed_options(self):
+        payload = EngineConfig().to_dict()
+        for section, option, _, _ in self.REMOVED:
+            assert option not in (payload[section] if section else payload)
 
 
 class TestSocketWorkers:

@@ -56,13 +56,15 @@ def _downgrade_to_v1(path) -> None:
         c["sharding"]["n_shards"] == 1 and c["sharding"]["backend"] == "thread"
     )
     params = {"num_classes": c["num_classes"], **c["solver"]}
+    # Version-1 engines recorded options that were removed since; they
+    # always held the defaults every solve now runs.
     if sharded:
         params.update(
             n_shards=c["sharding"]["n_shards"],
-            partitioner=c["sharding"]["partitioner"],
+            partitioner="hash",
             max_workers=c["sharding"]["max_workers"],
             backend=c["sharding"]["backend"],
-            consensus_iterations=c["sharding"]["consensus_iterations"],
+            consensus_iterations=25,
         )
     state["version"] = 1
     state["engine"] = {
@@ -70,11 +72,11 @@ def _downgrade_to_v1(path) -> None:
         "classify_iterations": c["serving"]["classify_iterations"],
         "classify_batch_size": c["serving"]["classify_batch_size"],
         "cache_size": c["serving"]["cache_size"],
-        "cross_snapshot_edges": c["cross_snapshot_edges"],
+        "cross_snapshot_edges": False,
         "classify_seed": state["engine"]["classify_seed"],
         "n_shards": c["sharding"]["n_shards"],
         "max_workers": c["sharding"]["max_workers"],
-        "partitioner": c["sharding"]["partitioner"],
+        "partitioner": "hash",
         "backend": c["sharding"]["backend"],
     }
     state["solver"] = {
@@ -135,7 +137,7 @@ class TestRoundTrip:
     def test_sharded_solver_round_trips(self, corpus, lexicon, batches, tmp_path):
         engine = feed(
             StreamingSentimentEngine(
-                config(8, sharding={"n_shards": 2, "partitioner": "greedy"}),
+                config(8, sharding={"n_shards": 2}),
                 lexicon=lexicon,
             ),
             corpus,
@@ -145,7 +147,6 @@ class TestRoundTrip:
         loaded = StreamingSentimentEngine.load(tmp_path / "ckpt")
         assert loaded.n_shards == 2
         assert loaded.solver.n_shards == 2
-        assert loaded.solver.partitioner == "greedy"
         texts = [t.text for t in corpus.tweets[:16]]
         np.testing.assert_array_equal(
             loaded.classify(texts), engine.classify(texts)
@@ -332,6 +333,79 @@ class TestLegacyFormat:
         # v1 checkpoints predate the cut-edge halo: they were solved
         # block-diagonal, and restoring must preserve that.
         assert loaded.config.sharding.halo == "off"
+
+
+    #: Removed options as old v2 ``state.json`` files recorded them at
+    #: their defaults: (config section or ``""`` for the top level,
+    #: option, recorded value).
+    REMOVED_DEFAULTS = [
+        ("", "cross_snapshot_edges", False),
+        ("solver", "objective_every", 1),
+        ("sharding", "partitioner", "hash"),
+        ("sharding", "consensus_iterations", 25),
+        ("ingest", "async_ingest", True),
+    ]
+
+    def test_recorded_removed_defaults_load_and_continue_bitwise(
+        self, fed_engine, corpus, batches, tmp_path
+    ):
+        """A checkpoint that records every removed option at its old
+        default loads and continues the stream bit-for-bit."""
+        fed_engine.save(tmp_path / "ckpt")
+        state_path = tmp_path / "ckpt" / "state.json"
+        state = json.loads(state_path.read_text())
+        recorded = state["engine"]["config"]
+        for section, option, value in self.REMOVED_DEFAULTS:
+            (recorded[section] if section else recorded)[option] = value
+        state_path.write_text(json.dumps(state))
+        loaded = StreamingSentimentEngine.load(tmp_path / "ckpt")
+        assert loaded.config == fed_engine.effective_config()
+        feed(fed_engine, corpus, batches[2:3])
+        feed(loaded, corpus, batches[2:3])
+        for name in ("sf", "sp", "su", "hp", "hu"):
+            np.testing.assert_array_equal(
+                getattr(fed_engine.factors, name),
+                getattr(loaded.factors, name),
+                err_msg=name,
+            )
+
+    @pytest.mark.parametrize(
+        "where, option, value",
+        [
+            ("params", "partitioner", "greedy"),
+            ("engine", "cross_snapshot_edges", True),
+        ],
+    )
+    def test_v1_removed_option_at_other_value_refused(
+        self, corpus, lexicon, batches, tmp_path, where, option, value
+    ):
+        engine = feed(
+            StreamingSentimentEngine(
+                config(6, sharding={"n_shards": 2}), lexicon=lexicon
+            ),
+            corpus,
+            batches[:1],
+        )
+        engine.save(tmp_path / "ckpt")
+        _downgrade_to_v1(tmp_path / "ckpt")
+        state_path = tmp_path / "ckpt" / "state.json"
+        state = json.loads(state_path.read_text())
+        recorded = (
+            state["solver"]["params"] if where == "params" else state["engine"]
+        )
+        recorded[option] = value
+        state_path.write_text(json.dumps(state))
+        with pytest.raises(ValueError, match=f"{option}.*removed"):
+            StreamingSentimentEngine.load(tmp_path / "ckpt")
+
+    def test_malformed_config_value_refused_on_load(self, fed_engine, tmp_path):
+        fed_engine.save(tmp_path / "ckpt")
+        state_path = tmp_path / "ckpt" / "state.json"
+        state = json.loads(state_path.read_text())
+        state["engine"]["config"]["solver"]["max_iterations"] = 2.5
+        state_path.write_text(json.dumps(state))
+        with pytest.raises(ValueError, match="max_iterations"):
+            StreamingSentimentEngine.load(tmp_path / "ckpt")
 
 
 class TestCompaction:

@@ -2,10 +2,12 @@
 
 import threading
 import time
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from repro.core.online import OnlineTriClustering
 from repro.data.stream import iter_tweet_batches
 from repro.data.tweet import Tweet
 from repro.engine import (
@@ -14,6 +16,7 @@ from repro.engine import (
     StreamingSentimentEngine,
 )
 from repro.engine.pipeline import IngestPipeline
+from repro.graph.incremental import IncrementalTripartiteBuilder
 
 INTERVAL_DAYS = 21
 
@@ -39,28 +42,28 @@ def feed(engine, corpus, batches):
 class TestBitIdentity:
     def test_async_matches_sync_bitwise(self, corpus, lexicon, batches):
         """The tentpole regression: the queue-drained path must produce
-        the same factors as inline tokenization at the same seed."""
-        sync = feed(
-            StreamingSentimentEngine(
-                config(ingest={"async_ingest": False}), lexicon=lexicon
-            ),
-            corpus,
-            batches,
-        )
-        async_ = feed(
+        the same factors as running the same steps inline — builder
+        ingest, snapshot assembly and one solver step per batch."""
+        engine = feed(
             StreamingSentimentEngine(config(), lexicon=lexicon),
             corpus,
             batches,
         )
+        builder = IncrementalTripartiteBuilder(lexicon=lexicon)
+        solver = OnlineTriClustering(seed=7, **asdict(config().solver))
+        for _, _, tweets in batches:
+            builder.ingest(tweets, users=corpus.profiles_for(tweets))
+            step = solver.partial_fit(builder.build_snapshot())
         for name in ("sf", "sp", "su", "hp", "hu"):
             np.testing.assert_array_equal(
-                getattr(sync.factors, name),
-                getattr(async_.factors, name),
+                getattr(step.factors, name),
+                getattr(engine.factors, name),
                 err_msg=name,
             )
-        texts = [t.text for t in corpus.tweets[:32]]
-        np.testing.assert_array_equal(sync.classify(texts), async_.classify(texts))
-        assert sync.user_sentiments() == async_.user_sentiments()
+        assert (
+            solver.user_sentiment_labels()
+            == engine.solver.user_sentiment_labels()
+        )
 
     def test_many_small_submits_match_one_large(self, corpus, lexicon, batches):
         """Batch granularity at the queue must not leak into the model."""

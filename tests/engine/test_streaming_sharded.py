@@ -38,12 +38,11 @@ class TestShardedEngine:
 
     def test_n_shards_builds_sharded_solver(self, lexicon):
         engine = StreamingSentimentEngine(
-            config(n_shards=3, partitioner="greedy", max_workers=2),
+            config(n_shards=3, max_workers=2),
             lexicon=lexicon,
         )
         assert isinstance(engine.solver, ShardedOnlineTriClustering)
         assert engine.solver.n_shards == 3
-        assert engine.solver.partitioner == "greedy"
         assert engine.n_shards == 3
 
     def test_solver_instance_carries_sharding_config(self, lexicon):
@@ -95,12 +94,6 @@ class TestShardedEngine:
         with pytest.raises(ValueError, match="backend"):
             StreamingSentimentEngine(
                 EngineConfig(sharding={"backend": "process"}),
-                lexicon=lexicon,
-                solver=OnlineTriClustering(),
-            )
-        with pytest.raises(ValueError, match="partitioner"):
-            StreamingSentimentEngine(
-                EngineConfig(sharding={"partitioner": "greedy"}),
                 lexicon=lexicon,
                 solver=OnlineTriClustering(),
             )

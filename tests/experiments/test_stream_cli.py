@@ -38,14 +38,12 @@ class TestParser:
                 "--snapshot-size", "200",
                 "--n-shards", "4",
                 "--checkpoint", "ckpt",
-                "--partitioner", "greedy",
             ]
         )
         assert args.input == "tweets.jsonl"
         assert args.snapshot_size == 200
         assert args.n_shards == 4
         assert args.checkpoint == "ckpt"
-        assert args.partitioner == "greedy"
         assert args.backend == "thread"  # default
 
     def test_backend_and_auto_shard_flags(self):

@@ -134,25 +134,19 @@ class TestBuilderBookkeeping:
         assert graph.num_tweets == 2
 
     def test_cross_snapshot_retweet_edges(self):
-        """A retweet of last snapshot's tweet links users when enabled."""
+        """A retweet of last snapshot's tweet adds its author to the
+        snapshot's users but no ``Gu`` edge, like ``build_user_graph``."""
         original = Tweet(tweet_id=0, user_id=1, text="yes on thirty", day=0)
         retweet = Tweet(
             tweet_id=1, user_id=2, text="yes on thirty", day=5, retweet_of=0
         )
-        own = Tweet(tweet_id=2, user_id=1, text="more words here", day=5)
 
-        linked = IncrementalTripartiteBuilder(cross_snapshot_edges=True)
-        linked.ingest([original])
-        linked.build_snapshot()
-        linked.ingest([retweet, own])
-        graph = linked.build_snapshot()
-        assert graph.user_graph.adjacency.nnz == 2  # symmetric 1-2 edge
-
-        default = IncrementalTripartiteBuilder()
-        default.ingest([original])
-        default.build_snapshot()
-        default.ingest([retweet, own])
-        graph = default.build_snapshot()
+        builder = IncrementalTripartiteBuilder()
+        builder.ingest([original])
+        builder.build_snapshot()
+        builder.ingest([retweet])
+        graph = builder.build_snapshot()
+        assert sorted(graph.corpus.user_ids) == [1, 2]
         assert graph.user_graph.adjacency.nnz == 0
 
     def test_users_profiles_attached(self):

@@ -1,4 +1,4 @@
-"""User partitioners and shard block extraction."""
+"""The hash partitioner and shard block extraction."""
 
 import numpy as np
 import pytest
@@ -6,11 +6,12 @@ import pytest
 from repro.graph.partition import (
     UserPartition,
     extract_shard_blocks,
-    greedy_partition,
     hash_partition,
-    make_partition,
 )
-from repro.graph.usergraph import assemble_adjacency
+
+
+def partition_of(graph, n_shards):
+    return hash_partition(graph.corpus.user_ids, n_shards)
 
 
 class TestUserPartition:
@@ -53,69 +54,9 @@ class TestHashPartition:
         assert hash_partition([], n_shards=3).num_users == 0
 
 
-class TestGreedyPartition:
-    def test_keeps_communities_together(self):
-        # Two 4-cliques with no cross edges: a 2-shard greedy cut is 0.
-        pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
-        pairs += [(i, j) for i in range(4, 8) for j in range(i + 1, 8)]
-        adjacency = assemble_adjacency(pairs, 8)
-        partition = greedy_partition(range(8), adjacency, n_shards=2)
-        assert partition.sizes.tolist() == [4, 4]
-        assert len(set(partition.assignments[:4])) == 1
-        assert len(set(partition.assignments[4:])) == 1
-        assert partition.assignments[0] != partition.assignments[4]
-
-    def test_respects_balance_capacity(self):
-        # One big clique: balance forces a split despite the edge cost.
-        pairs = [(i, j) for i in range(10) for j in range(i + 1, 10)]
-        adjacency = assemble_adjacency(pairs, 10)
-        partition = greedy_partition(range(10), adjacency, n_shards=2, balance=1.0)
-        assert partition.sizes.tolist() == [5, 5]
-
-    def test_isolated_users_fill_by_load(self):
-        partition = greedy_partition(range(9), None, n_shards=3)
-        assert partition.sizes.tolist() == [3, 3, 3]
-
-    def test_deterministic(self):
-        pairs = [(0, 1), (1, 2), (3, 4), (4, 5), (2, 3)]
-        adjacency = assemble_adjacency(pairs, 7)
-        a = greedy_partition(range(7), adjacency, n_shards=2)
-        b = greedy_partition(range(7), adjacency, n_shards=2)
-        np.testing.assert_array_equal(a.assignments, b.assignments)
-
-
-class TestMakePartition:
-    def test_named_strategies_and_callable(self, graph):
-        for strategy in ("hash", "greedy"):
-            partition = make_partition(graph, 3, strategy)
-            assert partition.num_users == graph.num_users
-        custom = make_partition(
-            graph,
-            2,
-            lambda ids, adj, n: UserPartition(
-                n_shards=n,
-                assignments=np.arange(len(ids)) % n,
-            ),
-        )
-        assert custom.sizes.sum() == graph.num_users
-
-    def test_unknown_strategy_rejected(self, graph):
-        with pytest.raises(ValueError, match="unknown partitioner.*'hash'"):
-            make_partition(graph, 2, "metis")
-
-    def test_greedy_cuts_no_more_gu_weight_than_hash(self, graph):
-        hash_cut = extract_shard_blocks(
-            graph, make_partition(graph, 3, "hash")
-        ).gu_cut_weight
-        greedy_cut = extract_shard_blocks(
-            graph, make_partition(graph, 3, "greedy")
-        ).gu_cut_weight
-        assert greedy_cut <= hash_cut
-
-
 class TestExtractShardBlocks:
     def test_single_shard_blocks_equal_original(self, graph):
-        sharded = extract_shard_blocks(graph, make_partition(graph, 1))
+        sharded = extract_shard_blocks(graph, partition_of(graph, 1))
         [block] = sharded.blocks
         assert (block.xp != graph.xp).nnz == 0
         assert (block.xu != graph.xu).nnz == 0
@@ -125,7 +66,7 @@ class TestExtractShardBlocks:
         assert sharded.xr_cut_nnz == 0
 
     def test_blocks_cover_rows_exactly_once(self, graph):
-        sharded = extract_shard_blocks(graph, make_partition(graph, 3))
+        sharded = extract_shard_blocks(graph, partition_of(graph, 3))
         user_rows = np.concatenate([b.user_rows for b in sharded.blocks])
         tweet_rows = np.concatenate([b.tweet_rows for b in sharded.blocks])
         assert sorted(user_rows.tolist()) == list(range(graph.num_users))
@@ -140,7 +81,7 @@ class TestExtractShardBlocks:
                 assert assignments[author] == block.index
 
     def test_cut_accounting_is_conserved(self, graph):
-        sharded = extract_shard_blocks(graph, make_partition(graph, 4))
+        sharded = extract_shard_blocks(graph, partition_of(graph, 4))
         kept_xr = sum(b.xr.nnz for b in sharded.blocks)
         assert kept_xr + sharded.xr_cut_nnz == graph.xr.nnz
         kept_gu = sum(float(b.gu.sum()) for b in sharded.blocks) / 2.0
@@ -151,14 +92,14 @@ class TestExtractShardBlocks:
         assert 0.0 <= sharded.xr_cut_fraction <= 1.0
 
     def test_xu_rows_sliced_whole(self, graph):
-        sharded = extract_shard_blocks(graph, make_partition(graph, 3))
+        sharded = extract_shard_blocks(graph, partition_of(graph, 3))
         for block in sharded.blocks:
             if block.num_users:
                 expected = graph.xu[block.user_rows]
                 assert (block.xu != expected).nnz == 0
 
     def test_block_laplacian_is_psd_block(self, graph):
-        sharded = extract_shard_blocks(graph, make_partition(graph, 3))
+        sharded = extract_shard_blocks(graph, partition_of(graph, 3))
         for block in sharded.blocks:
             if block.num_users == 0:
                 continue
@@ -168,7 +109,7 @@ class TestExtractShardBlocks:
 
     def test_empty_shards_allowed(self, graph):
         many = extract_shard_blocks(
-            graph, make_partition(graph, graph.num_users + 5)
+            graph, partition_of(graph, graph.num_users + 5)
         )
         empty = [b for b in many.blocks if b.is_empty]
         assert empty, "expected at least one empty shard"
@@ -190,7 +131,7 @@ class TestShardBlockPayload:
     """Compact serialization for the process backend's one-time shipping."""
 
     def test_round_trip_is_bit_identical(self, graph):
-        sharded = extract_shard_blocks(graph, make_partition(graph, 3))
+        sharded = extract_shard_blocks(graph, partition_of(graph, 3))
         for block in sharded.blocks:
             rebuilt = type(block).from_payload(block.to_payload())
             assert rebuilt.index == block.index
@@ -209,7 +150,7 @@ class TestShardBlockPayload:
             assert rebuilt.statics.xr_sq == block.statics.xr_sq
 
     def test_payload_drops_derived_members(self, graph):
-        sharded = extract_shard_blocks(graph, make_partition(graph, 2))
+        sharded = extract_shard_blocks(graph, partition_of(graph, 2))
         payload = sharded.blocks[0].to_payload()
         assert set(payload) == {
             "index", "user_rows", "tweet_rows", "xp", "xu", "xr", "gu"
@@ -218,7 +159,7 @@ class TestShardBlockPayload:
     def test_payload_survives_pickle(self, graph):
         import pickle
 
-        sharded = extract_shard_blocks(graph, make_partition(graph, 2))
+        sharded = extract_shard_blocks(graph, partition_of(graph, 2))
         block = sharded.blocks[0]
         rebuilt = type(block).from_payload(
             pickle.loads(pickle.dumps(block.to_payload()))

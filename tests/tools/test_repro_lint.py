@@ -718,16 +718,10 @@ class TestAgainstRealRepo:
         try:
             from repro.core.kernels import KERNELS
             from repro.core.spmm import SPMM_ENGINES
-            from repro.graph.partition import PARTITION_STRATEGIES
             from repro.utils.executor import BACKENDS
         finally:
             sys.path.pop(0)
-        live = (
-            set(BACKENDS)
-            | set(PARTITION_STRATEGIES)
-            | set(KERNELS)
-            | set(SPMM_ENGINES)
-        )
+        live = set(BACKENDS) | set(KERNELS) | set(SPMM_ENGINES)
         assert KNOB_LITERALS == live | {"auto"}
 
     def test_every_rule_has_a_distinct_code(self):

@@ -4,9 +4,9 @@ Eight PRs of scaling work accreted hard invariants — float64
 bit-identity by IEEE-op-order, every hot-path sparse·dense product
 routed through the :mod:`repro.core.spmm` engine layer, pickle only
 behind the framed transport, engine shared state mutated only under
-the serve lock, backend/partitioner/kernel/spmm names validated
-centrally, and seeds flowing through :mod:`repro.utils.rng`.  Until
-this package existed they were enforced only by convention plus
+the serve lock, backend/kernel/spmm names validated centrally, and
+seeds flowing through :mod:`repro.utils.rng`.  Until this package
+existed they were enforced only by convention plus
 after-the-fact regression tests; a single careless call site (a raw
 ``X @ dense`` in a sweep, an unseeded ``np.random``, a stray
 ``pickle.loads``) silently broke them.
@@ -26,8 +26,8 @@ REP004   unframed-pickle          unpickling happens only inside
                                   ``repro.utils.transport``
 REP005   unlocked-shared-write    engine shared state is written only under
                                   the owning lock
-REP006   knob-literal-dispatch    backend/partitioner/kernel/spmm string
-                                  dispatch lives with the central registries
+REP006   knob-literal-dispatch    backend/kernel/spmm string dispatch
+                                  lives with the central registries
 =======  =======================  ==========================================
 
 Run it as ``python -m tools.repro_lint [paths] [--baseline FILE]

@@ -726,7 +726,7 @@ class UnlockedSharedWriteRule(Rule):
 # REP006 — knob-string dispatch outside the central registries
 # --------------------------------------------------------------------- #
 
-#: The four knob namespaces, mirrored from the live registries.  A test
+#: The three knob namespaces, mirrored from the live registries.  A test
 #: cross-checks these against repro.* so drift fails loudly.
 KNOB_LITERALS = frozenset(
     {
@@ -735,9 +735,6 @@ KNOB_LITERALS = frozenset(
         "thread",
         "process",
         "socket",
-        # graph/partition.PARTITIONERS
-        "hash",
-        "greedy",
         # core/kernels.KERNELS
         "numpy",
         "numba",
@@ -751,14 +748,14 @@ KNOB_LITERALS = frozenset(
 #: A comparison only counts when the non-literal side *names* a knob —
 #: this is what keeps ``x.format != "csr"`` or ``mode == "process"`` on
 #: an unrelated variable out of scope.
-KNOB_NAME_HINTS = ("backend", "partitioner", "kernel", "spmm")
+KNOB_NAME_HINTS = ("backend", "kernel", "spmm")
 
 
 class KnobLiteralDispatchRule(Rule):
-    """Backend/partitioner/kernel/spmm string dispatch stays central.
+    """Backend/kernel/spmm string dispatch stays central.
 
-    The registries (``utils/executor.py``, ``graph/partition.py``,
-    ``core/kernels.py``, ``core/spmm.py``) own name validation and
+    The registries (``utils/executor.py``, ``core/kernels.py``,
+    ``core/spmm.py``) own name validation and
     ``"auto"`` resolution; ``engine/config.py`` validates eagerly at
     construction.  Scattered ``if backend == "proces":`` elsewhere is
     how typos ship (string dispatch has no exhaustiveness check) and
@@ -775,7 +772,6 @@ class KnobLiteralDispatchRule(Rule):
 
     EXEMPT = (
         "src/repro/utils/executor.py",
-        "src/repro/graph/partition.py",
         "src/repro/core/kernels.py",
         "src/repro/core/spmm.py",
         "src/repro/engine/config.py",
@@ -834,9 +830,9 @@ class KnobLiteralDispatchRule(Rule):
                     node,
                     f"dispatch on knob literal {shown} outside the central "
                     "registries; validate/resolve via validate_backend, "
-                    "validate_partitioner, resolve_kernel or "
-                    "resolve_spmm_name (or keep the branch in the registry "
-                    "module and suppress with the reason)",
+                    "resolve_kernel or resolve_spmm_name (or keep the "
+                    "branch in the registry module and suppress with the "
+                    "reason)",
                 )
 
 
