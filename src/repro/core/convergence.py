@@ -8,9 +8,21 @@ records exactly those traces so the figure can be regenerated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.core.objective import ObjectiveValue
+
+
+def validate_stopping(max_iterations: int, tolerance: float, patience: int) -> None:
+    """Reject settings that stop a solve early (a NaN tolerance passes
+    every relative-change test) or never test convergence at all."""
+    if max_iterations < 1:
+        raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
+    if not math.isfinite(tolerance) or tolerance < 0:
+        raise ValueError(f"tolerance must be a finite number >= 0, got {tolerance}")
+    if patience < 1:
+        raise ValueError(f"patience must be >= 1, got {patience}")
 
 
 @dataclass(frozen=True)

@@ -8,11 +8,14 @@ so the cost stays ``O(nnz·k + (n+m+l)·k²)`` per evaluation.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
+from repro.core.regularizers import Regularizer
 from repro.core.state import FactorSet
 from repro.core.sweepcache import SweepCache
 from repro.utils.matrices import frobenius_sq
@@ -36,8 +39,8 @@ class ObjectiveWeights:
     def __post_init__(self) -> None:
         for name in ("alpha", "beta", "gamma"):
             value = getattr(self, name)
-            if value < 0:
-                raise ValueError(f"{name} must be >= 0, got {value}")
+            if not math.isfinite(value) or value < 0:
+                raise ValueError(f"{name} must be a finite number >= 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -50,10 +53,13 @@ class ObjectiveValue:
     lexicon_loss: float    # Eq. (5):  α·||Sf − Sf0||²
     graph_loss: float      # Eq. (6):  β·tr(Suᵀ·Lu·Su)
     temporal_loss: float   # Eq. (19): γ·||Su(d,e) − Suw||²
+    #: Section 7 regularizer-stack values, in stack order (see
+    #: :mod:`repro.core.regularizers`); empty for the paper's solvers.
+    regularizer_losses: tuple[float, ...] = ()
 
     @property
     def total(self) -> float:
-        return (
+        total = (
             self.tweet_loss
             + self.user_loss
             + self.retweet_loss
@@ -61,6 +67,9 @@ class ObjectiveValue:
             + self.graph_loss
             + self.temporal_loss
         )
+        for value in self.regularizer_losses:
+            total += value
+        return total
 
 
 @dataclass(frozen=True)
@@ -188,6 +197,7 @@ def compute_objective(
     gu_halo: MatrixLike | None = None,
     su_halo: np.ndarray | None = None,
     cache: SweepCache | None = None,
+    regularizers: Sequence[Regularizer] = (),
 ) -> ObjectiveValue:
     """Evaluate every component of the (offline or online) objective.
 
@@ -284,4 +294,7 @@ def compute_objective(
         lexicon_loss=lexicon_loss,
         graph_loss=graph_loss,
         temporal_loss=temporal_loss,
+        regularizer_losses=tuple(
+            regularizer.objective(factors) for regularizer in regularizers
+        ),
     )

@@ -11,14 +11,16 @@ features.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.convergence import ConvergenceHistory
+from repro.core.convergence import ConvergenceHistory, validate_stopping
 from repro.core.initialization import lexicon_seeded_factors, random_factors
 from repro.core.kernels import resolve_dtype, validate_kernel
 from repro.core.objective import ObjectiveWeights
+from repro.core.regularizers import Regularizer
 from repro.core.spmm import validate_spmm, validate_spmm_threads
 from repro.core.state import FactorSet
 from repro.core.sweep import SweepPlan
@@ -97,6 +99,10 @@ class OfflineTriClustering:
         :func:`repro.utils.threads.spmm_thread_default`).
     """
 
+    #: Section 7 regularizer stack folded into the solve (see
+    #: :class:`~repro.core.unified.UnifiedTriClustering`); none here.
+    regularizers: Sequence[Regularizer] = ()
+
     def __init__(
         self,
         num_classes: int = 3,
@@ -114,10 +120,7 @@ class OfflineTriClustering:
     ) -> None:
         if num_classes < 2:
             raise ValueError(f"num_classes must be >= 2, got {num_classes}")
-        if alpha < 0 or beta < 0:
-            raise ValueError("alpha and beta must be non-negative")
-        if max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        validate_stopping(max_iterations, tolerance, patience)
         self.num_classes = num_classes
         self.weights = ObjectiveWeights(alpha=alpha, beta=beta)
         self.max_iterations = max_iterations
@@ -193,7 +196,7 @@ class OfflineTriClustering:
         plan = self._plan(graph)
         with plan.open(
             factors, kernel=self.kernel, spmm=self.spmm,
-            spmm_threads=self.spmm_threads,
+            spmm_threads=self.spmm_threads, regularizers=self.regularizers,
         ) as solver:
             history, converged, iterations = solver.solve_offline(
                 self.weights,

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.convergence import ConvergenceHistory
+from repro.core.convergence import ConvergenceHistory, validate_stopping
 from repro.core.initialization import warm_started_factors
 from repro.core.kernels import resolve_dtype, validate_kernel
 from repro.core.objective import ObjectiveWeights
@@ -132,6 +132,7 @@ class OnlineTriClustering:
     ) -> None:
         if num_classes < 2:
             raise ValueError(f"num_classes must be >= 2, got {num_classes}")
+        validate_stopping(max_iterations, tolerance, patience)
         if not (0.0 < tau <= 1.0):
             raise ValueError(f"tau must be in (0, 1], got {tau}")
         if window < 2:

@@ -15,8 +15,11 @@ contributes
   negative/positive parts of the term's gradient so the combined update
   keeps the standard fixed-point property.
 
-The :class:`~repro.core.unified.UnifiedTriClustering` solver consumes any
-combination of these; the five named regularizations of the paper map to:
+:class:`~repro.core.unified.UnifiedTriClustering` folds a stack of them
+into the shared solve loop, in stack order (:func:`stack_terms`).  A
+regularizer reads only its target factor, and :meth:`Regularizer.check`
+tests it against that factor's shape when a fit starts.  The five named
+regularizations of the paper map to:
 
 ==============================  ==========================================
 paper's name                    class
@@ -35,6 +38,8 @@ lexicon prior (Eq. 5)           :class:`PriorCloseness` on ``sf``
 from __future__ import annotations
 
 import abc
+import math
+from collections.abc import Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -50,14 +55,27 @@ class Regularizer(abc.ABC):
     def __init__(self, target: str, weight: float) -> None:
         if target not in TARGETS:
             raise ValueError(f"target must be one of {TARGETS}, got {target!r}")
-        if weight < 0:
-            raise ValueError(f"weight must be >= 0, got {weight}")
+        if not math.isfinite(weight) or weight < 0:
+            raise ValueError(f"weight must be a finite number >= 0, got {weight}")
         self.target = target
         self.weight = weight
 
     def factor(self, factors: FactorSet) -> np.ndarray:
         """The matrix this regularizer acts on."""
         return getattr(factors, self.target)
+
+    def check(self, shape: tuple[int, int]) -> None:
+        """Raise ``ValueError`` unless the term fits a ``shape`` target."""
+
+    def _require(self, ok: bool, message: str) -> None:
+        if not ok:
+            raise ValueError(f"{type(self).__name__} on {self.target}: {message}")
+
+    def _check_rows(self, rows: np.ndarray, shape: tuple[int, int]) -> None:
+        self._require(
+            rows.size == 0 or (rows.min() >= 0 and rows.max() < shape[0]),
+            f"rows must lie in [0, {shape[0]})",
+        )
 
     @abc.abstractmethod
     def objective(self, factors: FactorSet) -> float:
@@ -87,6 +105,8 @@ class PriorCloseness(Regularizer):
     ) -> None:
         super().__init__(target, weight)
         self.prior = np.asarray(prior, dtype=np.float64)
+        if not np.all(np.isfinite(self.prior)):
+            raise ValueError("prior must be finite")
         if np.any(self.prior < 0):
             raise ValueError("prior must be non-negative")
         self.rows = None if rows is None else np.asarray(rows, dtype=np.int64)
@@ -95,6 +115,16 @@ class PriorCloseness(Regularizer):
                 f"prior has {self.prior.shape[0]} rows for "
                 f"{self.rows.size} masked rows"
             )
+
+    def check(self, shape: tuple[int, int]) -> None:
+        expected = shape
+        if self.rows is not None:
+            self._check_rows(self.rows, shape)
+            expected = (self.rows.size, shape[1])
+        self._require(
+            self.prior.shape == expected,
+            f"prior has shape {self.prior.shape}, expected {expected}",
+        )
 
     def objective(self, factors: FactorSet) -> float:
         matrix = self.factor(factors)
@@ -131,11 +161,20 @@ class GraphSmoothness(Regularizer):
         adjacency = sp.csr_matrix(adjacency)
         if adjacency.shape[0] != adjacency.shape[1]:
             raise ValueError("adjacency must be square")
+        if not np.all(np.isfinite(adjacency.data)):
+            raise ValueError("adjacency must be finite")
         if (abs(adjacency - adjacency.T)).sum() > 1e-9:
             raise ValueError("adjacency must be symmetric")
         self.adjacency = adjacency
         degrees = np.asarray(adjacency.sum(axis=1)).ravel()
         self.degree = sp.diags(degrees, format="csr")
+
+    def check(self, shape: tuple[int, int]) -> None:
+        self._require(
+            self.adjacency.shape == (shape[0], shape[0]),
+            f"adjacency is {self.adjacency.shape[0]}x"
+            f"{self.adjacency.shape[1]}, expected {shape[0]}x{shape[0]}",
+        )
 
     def objective(self, factors: FactorSet) -> float:
         matrix = self.factor(factors)
@@ -217,6 +256,13 @@ class GuidedLabels(Regularizer):
         self.onehot = np.zeros((self.rows.size, num_classes))
         self.onehot[np.arange(self.rows.size), labels] = 1.0
 
+    def check(self, shape: tuple[int, int]) -> None:
+        self._check_rows(self.rows, shape)
+        self._require(
+            self.onehot.shape[1] == shape[1],
+            f"labels span {self.onehot.shape[1]} classes, expected {shape[1]}",
+        )
+
     def objective(self, factors: FactorSet) -> float:
         matrix = self.factor(factors)[self.rows]
         diff = matrix - self.onehot
@@ -229,3 +275,17 @@ class GuidedLabels(Regularizer):
         numerator[self.rows] += self.weight * self.onehot
         denominator[self.rows] += self.weight * matrix[self.rows]
         return numerator, denominator
+
+
+def stack_terms(
+    regularizers: Sequence[Regularizer], target: str, factors: FactorSet
+) -> list[tuple]:
+    """The stack's ``(numerator, denominator)`` additions on ``target``.
+
+    In stack order; zero-weight regularizers add nothing.
+    """
+    return [
+        regularizer.update_terms(factors)
+        for regularizer in regularizers
+        if regularizer.target == target and regularizer.weight != 0.0
+    ]

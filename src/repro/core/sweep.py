@@ -12,7 +12,11 @@ per sweep.  Every solver runs this loop: the plain
 :class:`~repro.core.online.OnlineTriClustering` are its one-shard case
 (a single block that reuses the graph's own matrices, solved inline on
 a serial pool); the :mod:`repro.core.sharded` subclasses only plan more
-shards and another pool.
+shards and another pool.  The Section 7
+:class:`~repro.core.unified.UnifiedTriClustering` is the one-shard
+offline solve with a regularizer stack: each regularizer's update terms
+join its target's ``Sp``/``Su`` update in the pass and the shared ``Sf``
+step, and its value joins the shard objective, all in stack order.
 
 Model semantics at more than one shard:
 
@@ -73,6 +77,7 @@ import numpy as np
 from repro.core.convergence import ConvergenceHistory
 from repro.core.kernels import Kernel, get_kernel, resolve_kernel, resolve_kernel_name
 from repro.core.objective import ObjectiveValue, ObjectiveWeights, compute_objective
+from repro.core.regularizers import Regularizer, stack_terms
 from repro.core.spmm import SpmmEngine, get_spmm, resolve_spmm, resolve_spmm_name
 from repro.core.state import FactorSet
 from repro.core.sweepcache import SweepCache
@@ -129,6 +134,9 @@ class _ShardState:
     #: (ghost) columns, refreshed from the coordinator's boundary stack
     #: at every exchange; ``None`` when the solve runs without a halo.
     su_halo: np.ndarray | None = None
+    #: The Section 7 regularizer stack folded into the offline pass and
+    #: the objective (one in-process shard only: it indexes global rows).
+    regularizers: tuple[Regularizer, ...] = ()
     #: Pre-pass ``(sp, su, hp, hu, su_halo)`` kept by the fused offline
     #: command whenever its objective may trigger convergence, so the
     #: merge can roll back the one speculative extra pass (halo rows
@@ -224,6 +232,9 @@ def _shard_offline_pass(
         state.sp = update_sp(
             state.sp, sf, state.hp, state.su, block.xp, block.xr,
             cache=cache, kernel=kernel,
+            regularization=stack_terms(
+                state.regularizers, "sp", _factor_view(sf, state)
+            ),
         )
         state.hp = update_hp(
             state.hp, state.sp, sf, block.xp, cache=cache, kernel=kernel
@@ -234,6 +245,9 @@ def _shard_offline_pass(
             block.gu, block.du, weights.beta,
             cache=cache, kernel=kernel,
             gu_halo=block.gu_halo, su_halo=state.su_halo,
+            regularization=stack_terms(
+                state.regularizers, "su", _factor_view(sf, state)
+            ),
         )
         state.hu = update_hu(
             state.hu, state.su, sf, block.xu, cache=cache, kernel=kernel
@@ -268,16 +282,20 @@ def _shard_online_pass(
     return _shard_contribution(state)
 
 
-def _objective_view(sf: np.ndarray, state: _ShardState) -> FactorSet:
+def _factor_view(sf: np.ndarray, state: _ShardState | None) -> FactorSet:
     """The shard's current factors as a :class:`FactorSet`, unchecked.
 
     The arrays come straight out of the update rules, and the initial
     and merged factor sets are validated, so the per-sweep objective
-    skips the shape and non-negativity scan of ``FactorSet.__init__``.
+    and regularizer terms skip the shape and non-negativity scan of
+    ``FactorSet.__init__``.  Without a state the view holds ``Sf`` only
+    (the shared ``Sf`` step's regularizers read nothing else).
     """
     view = object.__new__(FactorSet)
-    view.sf, view.sp, view.su = sf, state.sp, state.su
-    view.hp, view.hu = state.hp, state.hu
+    view.sf = sf
+    if state is not None:
+        view.sp, view.su = state.sp, state.su
+        view.hp, view.hu = state.hp, state.hu
     return view
 
 
@@ -300,7 +318,7 @@ def _shard_objective(
         state.su_halo = halo
     block = state.block
     return compute_objective(
-        _objective_view(sf, state),
+        _factor_view(sf, state),
         block.xp,
         block.xu,
         block.xr,
@@ -314,6 +332,7 @@ def _shard_objective(
         gu_halo=block.gu_halo,
         su_halo=state.su_halo,
         cache=state.cache,
+        regularizers=state.regularizers,
     )
 
 
@@ -324,6 +343,7 @@ def _shared_sf_step(
     alpha: float,
     kernel: Kernel | str,
     threads: int | None,
+    regularizers: Sequence[Regularizer],
 ) -> np.ndarray:
     """Versioned-resident ``Sf`` step: advance a holder's copy.
 
@@ -333,10 +353,14 @@ def _shared_sf_step(
     Out-of-process holders receive the kernel's pinned name and resolve
     it locally; the tails are bit-identical across implementations and
     thread budgets, so every holder lands on the same bits.
+    ``regularizers`` is the solve's stack; its ``Sf`` terms join the step.
     """
     if isinstance(kernel, str):
         kernel = get_kernel(kernel, threads=threads)
-    return apply_sf_update(sf, total, sf_prior, alpha, kernel=kernel)
+    return apply_sf_update(
+        sf, total, sf_prior, alpha, kernel=kernel,
+        regularization=stack_terms(regularizers, "sf", _factor_view(sf, None)),
+    )
 
 
 def _shard_boundary(state: _ShardState) -> np.ndarray | None:
@@ -502,6 +526,7 @@ class ShardedSolver:
         kernel: object = "numpy",
         spmm: object = "scipy",
         spmm_threads: int | None = None,
+        regularizers: Sequence[Regularizer] = (),
     ) -> None:
         if (
             spmm_threads is None
@@ -525,11 +550,14 @@ class ShardedSolver:
         # the Sf step's kernel as its pinned name; in-process commands
         # take the mirror's arrays and the kernel instance directly.
         self._remote = pool.remote
+        if regularizers and (self._remote or len(sharded.blocks) > 1):
+            raise ValueError("a regularizer stack needs a one-shard in-process solve")
         self._sf_kernel: Kernel | str = (
             resolve_kernel_name(resolved_kernel) if self._remote
             else resolved_kernel
         )
         self._kernel_threads = spmm_threads
+        self._regularizers = tuple(regularizers)
         self.sharded = sharded
         self.pool = pool
         self.num_shards = len(sharded.blocks)
@@ -595,6 +623,7 @@ class ShardedSolver:
                         if self._halo
                         else None
                     ),
+                    regularizers=self._regularizers,
                 )
             )
         # One shipment per solve; sweeps exchange only l×k pieces.
@@ -802,6 +831,7 @@ class ShardedSolver:
             weights.alpha,
             self._sf_kernel,
             self._kernel_threads,
+            self._regularizers,
         )
 
     def _reduce_contributions(self) -> np.ndarray:

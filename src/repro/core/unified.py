@@ -4,9 +4,14 @@
 data-fit terms of Eq. (1) stay fixed, while *any* combination of
 :mod:`repro.core.regularizers` instances replaces the hard-wired α/β
 terms.  With ``[PriorCloseness("sf", Sf0, α), GraphSmoothness("su", Gu,
-β)]`` it reproduces Algorithm 1 exactly; adding ``Sparsity``,
+β)]`` it reproduces Algorithm 1 bit for bit; adding ``Sparsity``,
 ``Diversity`` or ``GuidedLabels`` yields the extended framework the paper
 proposes for community detection / transfer learning / role mining.
+
+It is the one-shard :class:`~repro.core.offline.OfflineTriClustering`
+solve with ``α = β = 0`` and the stack folded into the shared pass of
+:mod:`repro.core.sweep`: initialization, sweep order, the lagged
+convergence test and the history are Algorithm 1's own.
 """
 
 from __future__ import annotations
@@ -14,45 +19,35 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.core.initialization import lexicon_seeded_factors, random_factors
-from repro.core.kernels import resolve_kernel, validate_kernel
-from repro.core.objective import bifactor_loss, trifactor_loss
+from repro.core.offline import OfflineTriClustering, TriClusteringResult
 from repro.core.regularizers import Regularizer
-from repro.core.spmm import (
-    resolve_spmm,
-    validate_spmm,
-    validate_spmm_threads,
-)
 from repro.core.state import FactorSet
-from repro.core.sweepcache import SweepCache
-from repro.core.updates import _project, update_hp, update_hu
 from repro.graph.tripartite import TripartiteGraph
-from repro.utils.rng import RandomState, spawn_rng
+from repro.utils.rng import RandomState
 
 
 @dataclass
-class UnifiedResult:
-    """Output of a unified fit."""
+class UnifiedResult(TriClusteringResult):
+    """Output of a unified fit: the offline result plus the stack's trace."""
 
-    factors: FactorSet
-    totals: list[float]
-    regularizer_values: list[dict[str, float]]
-    iterations: int
-    converged: bool
+    #: One key per regularizer (``<class>_<target>_<position>``).
+    regularizer_keys: tuple[str, ...] = ()
 
-    def tweet_sentiments(self) -> np.ndarray:
-        return self.factors.tweet_clusters()
+    @property
+    def totals(self) -> list[float]:
+        """Total objective after each sweep, regularizers included."""
+        return self.history.totals
 
-    def user_sentiments(self) -> np.ndarray:
-        return self.factors.user_clusters()
+    @property
+    def regularizer_values(self) -> list[dict[str, float]]:
+        """Each regularizer's value after each sweep, keyed as above."""
+        return [
+            dict(zip(self.regularizer_keys, record.objective.regularizer_losses, strict=True))
+            for record in self.history.records
+        ]
 
-    def feature_sentiments(self) -> np.ndarray:
-        return self.factors.feature_clusters()
 
-
-class UnifiedTriClustering:
+class UnifiedTriClustering(OfflineTriClustering):
     """Offline tri-clustering with an arbitrary regularizer stack."""
 
     def __init__(
@@ -67,24 +62,19 @@ class UnifiedTriClustering:
         spmm: object = "auto",
         spmm_threads: int | None = None,
     ) -> None:
-        if num_classes < 2:
-            raise ValueError(f"num_classes must be >= 2, got {num_classes}")
-        if max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        self.num_classes = num_classes
+        super().__init__(
+            num_classes=num_classes,
+            alpha=0.0,
+            beta=0.0,
+            max_iterations=max_iterations,
+            tolerance=tolerance,
+            patience=patience,
+            seed=seed,
+            kernel=kernel,
+            spmm=spmm,
+            spmm_threads=spmm_threads,
+        )
         self.regularizers = list(regularizers)
-        self.max_iterations = max_iterations
-        self.tolerance = tolerance
-        self.patience = patience
-        self.seed = seed
-        validate_kernel(kernel)
-        self.kernel = kernel
-        validate_spmm(spmm)
-        validate_spmm_threads(spmm_threads)
-        self.spmm = spmm
-        self.spmm_threads = spmm_threads
-
-    # ------------------------------------------------------------------ #
 
     def fit(
         self,
@@ -92,139 +82,17 @@ class UnifiedTriClustering:
         initial_factors: FactorSet | None = None,
     ) -> UnifiedResult:
         """Run the unified solver on a tripartite graph."""
-        rng = spawn_rng(self.seed)
-        xp, xu, xr = graph.xp, graph.xu, graph.xr
-
-        if initial_factors is not None:
-            factors = initial_factors.copy()
-        elif graph.sf0 is not None and graph.sf0.shape[1] == self.num_classes:
-            factors = lexicon_seeded_factors(
-                graph.num_tweets, graph.num_users, graph.sf0, seed=rng
-            )
-        else:
-            factors = random_factors(
-                graph.num_tweets,
-                graph.num_users,
-                graph.num_features,
-                self.num_classes,
-                seed=rng,
-            )
-
-        totals: list[float] = []
-        regularizer_values: list[dict[str, float]] = []
-        converged = False
-        iterations_run = 0
-        kernel = resolve_kernel(self.kernel, threads=self.spmm_threads)
-        spmm_engine = resolve_spmm(self.spmm, self.spmm_threads)
-        cache = SweepCache(xp, xu, xr, spmm=spmm_engine)
-        for iteration in range(self.max_iterations):
-            self._sweep(factors, xp, xu, xr, cache, kernel)
-            iterations_run = iteration + 1
-
-            total, values = self._objective(
-                factors, xp, xu, xr, spmm_engine
-            )
-            totals.append(total)
-            regularizer_values.append(values)
-            if self._converged(totals):
-                converged = True
-                break
-
-        return UnifiedResult(
-            factors=factors,
-            totals=totals,
-            regularizer_values=regularizer_values,
-            iterations=iterations_run,
-            converged=converged,
-        )
-
-    # ------------------------------------------------------------------ #
-
-    def _sweep(
-        self, factors: FactorSet, xp, xu, xr, cache: SweepCache, kernel
-    ) -> None:
-        """One full update sweep in Algorithm 1's order."""
-        # Sp: attraction from words and retweeters.
-        xr_T = cache.xr_T()
-        attraction = cache.xp_sf(factors.sf) @ factors.hp.T + cache.dot(
-            xr.T if xr_T is None else xr_T, factors.su
-        )
-        numerator, denominator = self._regularized(
-            "sp", factors, attraction, _project(factors.sp, attraction)
-        )
-        factors.sp = kernel.multiply_tail(factors.sp, numerator, denominator)
-
-        factors.hp = update_hp(
-            factors.hp, factors.sp, factors.sf, xp, cache=cache, kernel=kernel
-        )
-
-        # Su: attraction from words and posted/retweeted tweets.
-        attraction = cache.xu_sf(factors.sf) @ factors.hu.T + cache.dot(
-            xr, factors.sp
-        )
-        numerator, denominator = self._regularized(
-            "su", factors, attraction, _project(factors.su, attraction)
-        )
-        factors.su = kernel.multiply_tail(factors.su, numerator, denominator)
-
-        factors.hu = update_hu(
-            factors.hu, factors.su, factors.sf, xu, cache=cache, kernel=kernel
-        )
-
-        # Sf: attraction from tweet and user usage.
-        xp_T, xu_T = cache.xp_T(), cache.xu_T()
-        attraction = cache.dot(
-            xp.T if xp_T is None else xp_T, factors.sp
-        ) @ factors.hp + cache.dot(
-            xu.T if xu_T is None else xu_T, factors.su
-        ) @ factors.hu
-        numerator, denominator = self._regularized(
-            "sf", factors, attraction, _project(factors.sf, attraction)
-        )
-        factors.sf = kernel.multiply_tail(factors.sf, numerator, denominator)
-
-    def _regularized(
-        self,
-        target: str,
-        factors: FactorSet,
-        numerator: np.ndarray,
-        denominator: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Fold matching regularizers into an update's terms."""
+        rows = {"sf": graph.num_features, "sp": graph.num_tweets, "su": graph.num_users}
         for regularizer in self.regularizers:
-            if regularizer.target != target or regularizer.weight == 0.0:
-                continue
-            extra_numerator, extra_denominator = regularizer.update_terms(
-                factors
-            )
-            numerator = numerator + extra_numerator
-            denominator = denominator + extra_denominator
-        return numerator, denominator
-
-    def _objective(
-        self, factors: FactorSet, xp, xu, xr, spmm=None
-    ) -> tuple[float, dict[str, float]]:
-        total = (
-            trifactor_loss(xp, factors.sp, factors.hp, factors.sf, spmm=spmm)
-            + trifactor_loss(xu, factors.su, factors.hu, factors.sf, spmm=spmm)
-            + bifactor_loss(xr, factors.su, factors.sp, spmm=spmm)
+            regularizer.check((rows[regularizer.target], self.num_classes))
+        result = super().fit(graph, initial_factors)
+        return UnifiedResult(
+            factors=result.factors,
+            history=result.history,
+            converged=result.converged,
+            iterations=result.iterations,
+            regularizer_keys=tuple(
+                f"{type(regularizer).__name__.lower()}_{regularizer.target}_{index}"
+                for index, regularizer in enumerate(self.regularizers)
+            ),
         )
-        values: dict[str, float] = {}
-        for index, regularizer in enumerate(self.regularizers):
-            value = regularizer.objective(factors)
-            key = f"{type(regularizer).__name__.lower()}_{regularizer.target}_{index}"
-            values[key] = value
-            total += value
-        return total, values
-
-    def _converged(self, totals: list[float]) -> bool:
-        if len(totals) < self.patience + 1:
-            return False
-        for offset in range(self.patience):
-            current = totals[-1 - offset]
-            previous = totals[-2 - offset]
-            if abs(previous - current) >= self.tolerance * max(
-                abs(previous), 1e-30
-            ):
-                return False
-        return True

@@ -36,9 +36,16 @@ Every rule also accepts an optional
 tail ``S ∘ sqrt(max(num, 0)/max(den, EPS))``; when omitted, the NumPy
 kernel is used.  Kernels are bit-compatible with each other in float64
 (see :mod:`repro.core.kernels`), so this choice affects speed only.
+
+The ``Sp``, ``Su`` and ``Sf`` rules also take ``regularization``, the
+``(numerator, denominator)`` additions of a Section 7 regularizer stack
+(:func:`repro.core.regularizers.stack_terms`), added in stack order
+before a plain ``multiply_tail``; without them the fused tails run.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -74,6 +81,20 @@ def _cache_dot(
 def _project(s: np.ndarray, n: np.ndarray) -> np.ndarray:
     """``S·Sᵀ·N`` computed as ``S·(Sᵀ·N)`` — O(rows·k²)."""
     return s @ (s.T @ n)
+
+
+def _regularized_tail(
+    kernel: Kernel,
+    s: np.ndarray,
+    numerator: np.ndarray,
+    denominator: np.ndarray,
+    regularization: Sequence[tuple],
+) -> np.ndarray:
+    """The multiplicative tail after adding each regularizer's terms."""
+    for extra_numerator, extra_denominator in regularization:
+        numerator = numerator + extra_numerator
+        denominator = denominator + extra_denominator
+    return kernel.multiply_tail(s, numerator, denominator)
 
 
 # --------------------------------------------------------------------- #
@@ -133,6 +154,7 @@ def update_sp(
     xr: MatrixLike,
     cache: SweepCache | None = None,
     kernel: Kernel | None = None,
+    regularization: Sequence[tuple] = (),
 ) -> np.ndarray:
     """Eq. (9) — tweet factor update.
 
@@ -147,6 +169,10 @@ def update_sp(
         xp_sf @ hp.T, _cache_dot(cache, xr.T if xr_T is None else xr_T, su)
     )
     denominator = _project(sp_factor, attraction)
+    if regularization:
+        return _regularized_tail(
+            kernel, sp_factor, attraction, denominator, regularization
+        )
     return kernel.projector_tail(sp_factor, attraction, denominator)
 
 
@@ -172,6 +198,7 @@ def update_su_online(
     kernel: Kernel | None = None,
     gu_halo: MatrixLike | None = None,
     su_halo: np.ndarray | None = None,
+    regularization: Sequence[tuple] = (),
 ) -> np.ndarray:
     """User factor update with graph regularization and temporal terms.
 
@@ -208,21 +235,23 @@ def update_su_online(
         gu_su = gu_su + _cache_dot(cache, gu_halo, su_halo)
     du_su = _cache_dot(cache, du, su)
     projection = _project(su, factor_attraction)
-    if (
+    temporal = not (
         su_prior is None
         or evolving_rows is None
         or evolving_rows.size == 0
         or gamma <= 0.0
-    ):
+    )
+    if not temporal and not regularization:
         return kernel.graph_tail(
             su, factor_attraction, projection, gu_su, du_su, beta
         )
     numerator, denominator = kernel.graph_terms(
         factor_attraction, projection, gu_su, du_su, beta
     )
-    numerator[evolving_rows] += gamma * su_prior
-    denominator[evolving_rows] += gamma * su[evolving_rows]
-    return kernel.multiply_tail(su, numerator, denominator)
+    if temporal:
+        numerator[evolving_rows] += gamma * su_prior
+        denominator[evolving_rows] += gamma * su[evolving_rows]
+    return _regularized_tail(kernel, su, numerator, denominator, regularization)
 
 
 # --------------------------------------------------------------------- #
@@ -267,15 +296,22 @@ def apply_sf_update(
     sf_prior: np.ndarray | None,
     alpha: float,
     kernel: Kernel | None = None,
+    regularization: Sequence[tuple] = (),
 ) -> np.ndarray:
     """Projector-style ``Sf`` step from a reduced attraction.
 
     The non-separable half of the sweep: the orthogonality projector
     ``Sf·Sfᵀ·N`` and the α prior act on the *global* ``Sf`` once per
-    sweep, after the per-shard attractions have been summed.
+    sweep, after the per-shard attractions have been summed.  A
+    regularizer stack replaces the α prior (regularized solves run at
+    ``α = 0``).
     """
     kernel = kernel if kernel is not None else default_kernel()
     projection = _project(sf, factor_attraction)
+    if regularization:
+        return _regularized_tail(
+            kernel, sf, factor_attraction, projection, regularization
+        )
     if sf_prior is None or alpha == 0.0:
         return kernel.projector_tail(sf, factor_attraction, projection)
     return kernel.prior_tail(sf, factor_attraction, projection, sf_prior, alpha)

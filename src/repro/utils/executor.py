@@ -4,7 +4,7 @@ The sharded solver and the serving layer fan identical work items
 (per-shard sweep passes, classify micro-batches) across a pool and need
 the results back *in input order* so that reductions stay deterministic
 no matter how the OS schedules the workers.  :class:`WorkerPool` wraps
-that ordered-map contract around three interchangeable backends:
+that ordered-map contract around four interchangeable backends:
 
 - ``"serial"`` — a plain loop on the calling thread.  Allocates
   nothing, so a 1-shard solver pays nothing for the abstraction.
@@ -12,7 +12,9 @@ that ordered-map contract around three interchangeable backends:
   ThreadPoolExecutor`.  The hot per-shard work is sparse·dense and
   dense matrix products, and both scipy's sparsetools and numpy's BLAS
   release the GIL, so shards genuinely overlap on a multi-core machine
-  while sharing the factor arrays zero-copy.
+  while sharing the factor arrays zero-copy.  Both in-process backends
+  are one :class:`ThreadBackend`: ``"serial"`` is its one-worker case,
+  which never creates an executor.
 - ``"process"`` — a pool of long-lived forked worker *processes*, which
   dodges the residual GIL cost of the Python-level bookkeeping between
   BLAS calls entirely.  Because nothing is shared, the backend adds a
@@ -244,64 +246,20 @@ def _process_start_method() -> str:
 
 
 # --------------------------------------------------------------------- #
-# Serial backend
-# --------------------------------------------------------------------- #
-
-
-class SerialBackend:
-    """Plain in-process loop; the degenerate (and zero-cost) backend."""
-
-    parallel = False
-    remote = False
-
-    def __init__(self) -> None:
-        self._states: list[Any] = []
-
-    @property
-    def active(self) -> bool:
-        return False
-
-    @property
-    def resident_count(self) -> int:
-        return len(self._states)
-
-    def map(self, fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
-        return [fn(item) for item in items]
-
-    def scatter(self, items, to_payload, from_payload, epoch) -> None:
-        del to_payload, from_payload, epoch  # states stay in-process
-        self._states = list(items)
-
-    def run_resident(self, fn, per_state_args) -> list:
-        return [
-            fn(state, *args)
-            for state, args in zip(self._states, per_state_args)
-        ]
-
-    def prestart(self) -> None:
-        pass
-
-    def discard_resident(self) -> None:
-        self._states = []
-
-    def shutdown(self) -> None:
-        self._states = []
-
-
-# --------------------------------------------------------------------- #
-# Thread backend
+# In-process backend (serial and thread)
 # --------------------------------------------------------------------- #
 
 
 class ThreadBackend:
-    """Ordered map over a lazily created :class:`ThreadPoolExecutor`.
+    """Ordered map on the calling thread or a lazy :class:`ThreadPoolExecutor`.
 
-    Resident states are kept in-process (threads share memory), so
-    ``scatter`` is free and ``run_resident`` fans the command calls
-    across the pool exactly like ``map``.
+    The executor is created only when ``max_workers > 1`` and a call has
+    more than one item; otherwise items run inline, so the serial
+    backend (``max_workers=1``) allocates nothing.  Resident states are
+    kept in-process (threads share memory), so ``scatter`` is free and
+    ``run_resident`` fans the command calls out exactly like ``map``.
     """
 
-    parallel = True
     remote = False
 
     def __init__(self, max_workers: int) -> None:
@@ -326,7 +284,7 @@ class ThreadBackend:
         return self._executor
 
     def map(self, fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
-        if len(items) <= 1:
+        if len(items) <= 1 or self.max_workers <= 1:
             return [fn(item) for item in items]
         return list(self._pool().map(fn, items))
 
@@ -336,11 +294,7 @@ class ThreadBackend:
 
     def run_resident(self, fn, per_state_args) -> list:
         pairs = list(zip(self._states, per_state_args))
-        if len(pairs) <= 1:
-            return [fn(state, *args) for state, args in pairs]
-        return list(
-            self._pool().map(lambda pair: fn(pair[0], *pair[1]), pairs)
-        )
+        return self.map(lambda pair: fn(pair[0], *pair[1]), pairs)
 
     def prestart(self) -> None:
         pass
@@ -1017,7 +971,7 @@ class WorkerPool:
                 default_worker_count() if max_workers is None else max_workers
             )
         self._impl: (
-            SerialBackend | ThreadBackend | ProcessBackend | SocketBackend | None
+            ThreadBackend | ProcessBackend | SocketBackend | None
         ) = None
         self._closed = False
         self._epoch = 0
@@ -1079,10 +1033,10 @@ class WorkerPool:
                     self.exchange_timeout,
                     self.telemetry,
                 )
-            elif self.backend == "thread" and self.max_workers > 1:
-                self._impl = ThreadBackend(self.max_workers)
             else:
-                self._impl = SerialBackend()
+                self._impl = ThreadBackend(
+                    self.max_workers if self.backend == "thread" else 1
+                )
         return self._impl
 
     def _require_open(self) -> None:

@@ -13,25 +13,42 @@ readouts are inherited unchanged.
 temporal user bookkeeping (new/evolving split, ``Suw`` priors, ``Su``
 history commit and smoothed carried state) as the per-user dict loops
 it was first written as, for parity with the array-native state.
+
+:class:`ReferenceUnifiedTriClustering` is the third: the Section 7
+unified solver's own sweep loop (its regularizer folding, objective,
+initialization and convergence test), as it ran before the solver
+moved onto the shared solve loop.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.convergence import ConvergenceHistory
 from repro.core.kernels import resolve_kernel
-from repro.core.objective import ObjectiveStatics, compute_objective
+from repro.core.initialization import (
+    lexicon_seeded_factors,
+    random_factors,
+    warm_started_factors,
+)
+from repro.core.objective import (
+    ObjectiveStatics,
+    bifactor_loss,
+    compute_objective,
+    trifactor_loss,
+)
 from repro.core.offline import OfflineTriClustering, TriClusteringResult
-from repro.core.initialization import warm_started_factors
 from repro.core.online import OnlineStepResult, OnlineTriClustering
 from repro.core.sharded import ShardedOnlineTriClustering
 from repro.core.spmm import resolve_spmm
 from repro.core.state import FactorSet
 from repro.core.sweepcache import SweepCache
+from repro.core.unified import UnifiedTriClustering
 from repro.core.updates import (
+    _project,
     update_hp,
     update_hu,
     update_sf,
@@ -349,3 +366,170 @@ class DictStateShardedOnlineTriClustering(
     DictTemporalState, ShardedOnlineTriClustering
 ):
     """The sharded online solver with dict-based temporal user state."""
+
+
+@dataclass
+class ReferenceUnifiedResult:
+    """Output of a unified fit (the former ``UnifiedResult``)."""
+
+    factors: FactorSet
+    totals: list[float]
+    regularizer_values: list[dict[str, float]]
+    iterations: int
+    converged: bool
+
+    def tweet_sentiments(self) -> np.ndarray:
+        return self.factors.tweet_clusters()
+
+    def user_sentiments(self) -> np.ndarray:
+        return self.factors.user_clusters()
+
+    def feature_sentiments(self) -> np.ndarray:
+        return self.factors.feature_clusters()
+
+
+class ReferenceUnifiedTriClustering(UnifiedTriClustering):
+    """The unified solver's own sequential sweep loop."""
+
+    def fit(
+        self,
+        graph: TripartiteGraph,
+        initial_factors: FactorSet | None = None,
+    ) -> ReferenceUnifiedResult:
+        """Run the unified solver on a tripartite graph."""
+        rng = spawn_rng(self.seed)
+        xp, xu, xr = graph.xp, graph.xu, graph.xr
+
+        if initial_factors is not None:
+            factors = initial_factors.copy()
+        elif graph.sf0 is not None and graph.sf0.shape[1] == self.num_classes:
+            factors = lexicon_seeded_factors(
+                graph.num_tweets, graph.num_users, graph.sf0, seed=rng
+            )
+        else:
+            factors = random_factors(
+                graph.num_tweets,
+                graph.num_users,
+                graph.num_features,
+                self.num_classes,
+                seed=rng,
+            )
+
+        totals: list[float] = []
+        regularizer_values: list[dict[str, float]] = []
+        converged = False
+        iterations_run = 0
+        kernel = resolve_kernel(self.kernel, threads=self.spmm_threads)
+        spmm_engine = resolve_spmm(self.spmm, self.spmm_threads)
+        cache = SweepCache(xp, xu, xr, spmm=spmm_engine)
+        for iteration in range(self.max_iterations):
+            self._sweep(factors, xp, xu, xr, cache, kernel)
+            iterations_run = iteration + 1
+
+            total, values = self._objective(
+                factors, xp, xu, xr, spmm_engine
+            )
+            totals.append(total)
+            regularizer_values.append(values)
+            if self._converged(totals):
+                converged = True
+                break
+
+        return ReferenceUnifiedResult(
+            factors=factors,
+            totals=totals,
+            regularizer_values=regularizer_values,
+            iterations=iterations_run,
+            converged=converged,
+        )
+
+    # ------------------------------------------------------------------ #
+
+    def _sweep(
+        self, factors: FactorSet, xp, xu, xr, cache: SweepCache, kernel
+    ) -> None:
+        """One full update sweep in Algorithm 1's order."""
+        # Sp: attraction from words and retweeters.
+        xr_T = cache.xr_T()
+        attraction = cache.xp_sf(factors.sf) @ factors.hp.T + cache.dot(
+            xr.T if xr_T is None else xr_T, factors.su
+        )
+        numerator, denominator = self._regularized(
+            "sp", factors, attraction, _project(factors.sp, attraction)
+        )
+        factors.sp = kernel.multiply_tail(factors.sp, numerator, denominator)
+
+        factors.hp = update_hp(
+            factors.hp, factors.sp, factors.sf, xp, cache=cache, kernel=kernel
+        )
+
+        # Su: attraction from words and posted/retweeted tweets.
+        attraction = cache.xu_sf(factors.sf) @ factors.hu.T + cache.dot(
+            xr, factors.sp
+        )
+        numerator, denominator = self._regularized(
+            "su", factors, attraction, _project(factors.su, attraction)
+        )
+        factors.su = kernel.multiply_tail(factors.su, numerator, denominator)
+
+        factors.hu = update_hu(
+            factors.hu, factors.su, factors.sf, xu, cache=cache, kernel=kernel
+        )
+
+        # Sf: attraction from tweet and user usage.
+        xp_T, xu_T = cache.xp_T(), cache.xu_T()
+        attraction = cache.dot(
+            xp.T if xp_T is None else xp_T, factors.sp
+        ) @ factors.hp + cache.dot(
+            xu.T if xu_T is None else xu_T, factors.su
+        ) @ factors.hu
+        numerator, denominator = self._regularized(
+            "sf", factors, attraction, _project(factors.sf, attraction)
+        )
+        factors.sf = kernel.multiply_tail(factors.sf, numerator, denominator)
+
+    def _regularized(
+        self,
+        target: str,
+        factors: FactorSet,
+        numerator: np.ndarray,
+        denominator: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Fold matching regularizers into an update's terms."""
+        for regularizer in self.regularizers:
+            if regularizer.target != target or regularizer.weight == 0.0:
+                continue
+            extra_numerator, extra_denominator = regularizer.update_terms(
+                factors
+            )
+            numerator = numerator + extra_numerator
+            denominator = denominator + extra_denominator
+        return numerator, denominator
+
+    def _objective(
+        self, factors: FactorSet, xp, xu, xr, spmm=None
+    ) -> tuple[float, dict[str, float]]:
+        total = (
+            trifactor_loss(xp, factors.sp, factors.hp, factors.sf, spmm=spmm)
+            + trifactor_loss(xu, factors.su, factors.hu, factors.sf, spmm=spmm)
+            + bifactor_loss(xr, factors.su, factors.sp, spmm=spmm)
+        )
+        values: dict[str, float] = {}
+        for index, regularizer in enumerate(self.regularizers):
+            value = regularizer.objective(factors)
+            key = f"{type(regularizer).__name__.lower()}_{regularizer.target}_{index}"
+            values[key] = value
+            total += value
+        return total, values
+
+    def _converged(self, totals: list[float]) -> bool:
+        if len(totals) < self.patience + 1:
+            return False
+        for offset in range(self.patience):
+            current = totals[-1 - offset]
+            previous = totals[-2 - offset]
+            if abs(previous - current) >= self.tolerance * max(
+                abs(previous), 1e-30
+            ):
+                return False
+        return True

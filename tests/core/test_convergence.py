@@ -82,3 +82,54 @@ class TestConverged:
                 1e-3, window, pending=value(totals[count])
             ) == appended.converged(1e-3, window)
             assert len(history) == count
+
+
+class TestStoppingSettings:
+    """Bad stopping settings and weights fail at construction, by name."""
+
+    @pytest.fixture(params=["offline", "online", "unified", "sharded"])
+    def solver_class(self, request):
+        from repro.core.offline import OfflineTriClustering
+        from repro.core.online import OnlineTriClustering
+        from repro.core.sharded import ShardedTriClustering
+        from repro.core.unified import UnifiedTriClustering
+
+        return {
+            "offline": OfflineTriClustering,
+            "online": OnlineTriClustering,
+            "unified": UnifiedTriClustering,
+            "sharded": ShardedTriClustering,
+        }[request.param]
+
+    @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -1e-6])
+    def test_rejects_bad_tolerance(self, solver_class, tolerance):
+        with pytest.raises(ValueError, match="tolerance"):
+            solver_class(tolerance=tolerance)
+
+    def test_rejects_zero_patience(self, solver_class):
+        with pytest.raises(ValueError, match="patience"):
+            solver_class(patience=0)
+
+    def test_rejects_zero_max_iterations(self, solver_class):
+        with pytest.raises(ValueError, match="max_iterations"):
+            solver_class(max_iterations=0)
+
+    def test_zero_tolerance_still_allowed(self, solver_class):
+        assert solver_class(tolerance=0.0).tolerance == 0.0
+
+    @pytest.mark.parametrize("name", ["alpha", "beta", "gamma"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_weights_reject_non_finite(self, name, bad):
+        from repro.core.objective import ObjectiveWeights
+
+        with pytest.raises(ValueError, match=name):
+            ObjectiveWeights(**{name: bad})
+
+    @pytest.mark.parametrize("name", ["alpha", "beta"])
+    def test_solvers_reject_nan_weights(self, name):
+        from repro.core.offline import OfflineTriClustering
+        from repro.core.online import OnlineTriClustering
+
+        for solver_class in (OfflineTriClustering, OnlineTriClustering):
+            with pytest.raises(ValueError, match=name):
+                solver_class(**{name: float("nan")})

@@ -10,7 +10,6 @@ import pytest
 from repro.utils.executor import (
     BACKENDS,
     ProcessBackend,
-    SerialBackend,
     ThreadBackend,
     WorkerPool,
     default_worker_count,
@@ -265,17 +264,29 @@ class TestProcessBackend:
 
 class TestBackendSelection:
     def test_thread_facade_picks_impls(self):
+        # One in-process backend: "serial" and a one-worker "thread" pool
+        # are its one-worker case and never create an executor.
         serial = WorkerPool(max_workers=1, backend="thread")
         serial.map(lambda x: x, [1, 2])
-        serial.scatter([[1]])
-        assert isinstance(serial._impl, SerialBackend)
+        serial.scatter([[1], [2]])
+        serial.run_resident(list.append, [(3,), (4,)])
+        assert isinstance(serial._impl, ThreadBackend)
+        assert serial._impl.max_workers == 1
+        assert not serial.active
         explicit = WorkerPool(max_workers=4, backend="serial")
-        explicit.scatter([[1]])
-        assert isinstance(explicit._impl, SerialBackend)
+        explicit.scatter([[1], [2]])
+        explicit.run_resident(list.append, [(3,), (4,)])
+        assert isinstance(explicit._impl, ThreadBackend)
+        assert explicit._impl.max_workers == 1
         assert not explicit.parallel
+        assert not explicit.active
         threaded = WorkerPool(max_workers=4, backend="thread")
-        threaded.scatter([[1]])
+        threaded.scatter([[1], [2]])
+        threaded.run_resident(list.append, [(3,), (4,)])
         assert isinstance(threaded._impl, ThreadBackend)
+        assert threaded._impl.max_workers == 4
+        assert threaded.active
+        threaded.shutdown()
 
     def test_epoch_starts_at_zero(self):
         pool = WorkerPool(max_workers=1)
