@@ -50,6 +50,13 @@ Two speedup readouts per cell, deliberately separated:
   is made — and asserted — here, where the kernels are the whole
   workload rather than a slice of it.
 
+The transpose phase times the two ``Sf`` attraction products,
+``Xpᵀ·Sp`` and ``Xuᵀ·Su``, in isolation both ways the sweep cache can
+run them: the lazy ``.T`` (CSC) view and the materialized CSR
+transpose.  Each row records which form the cache's working-set policy
+(:data:`~repro.core.sweepcache.TRANSPOSE_OPERAND_BUDGET`) picks at that
+shape, so the table shows whether the policy pays at each scale.
+
 The sharded phase re-runs the fused solver through
 ``backend × n_shards`` to locate the scale where a multi-shard config
 first beats the 1-shard wall clock ("crossover").  On a single-core host
@@ -84,9 +91,8 @@ import pytest
 
 from repro.core.kernels import NumpyKernel, get_kernel, numba_available
 from repro.core.offline import OfflineTriClustering
-from repro.core.sharded import ShardedTriClustering
 from repro.core.spmm import resolve_spmm
-from repro.core.sweepcache import SweepCache
+from repro.core.sweepcache import TRANSPOSE_OPERAND_BUDGET, SweepCache
 from repro.data.synthetic import synthesize_graph
 from repro.experiments.reporting import (
     describe_host,
@@ -124,6 +130,9 @@ TAIL_REPS = 5
 
 #: Best-of repetitions for the isolated spmm microbenchmark.
 SPMM_REPS = 5
+
+#: Timed repetitions (median) for the isolated transpose-layout cells.
+TRANSPOSE_REPS = 30
 
 
 def bench_scales() -> tuple[int, ...]:
@@ -187,10 +196,10 @@ def _peak_rss_mb() -> float:
 
 
 def _fit(graph, kernel, dtype, sweeps, legacy: bool = False,
-         n_shards: int = 1, backend: str | None = None,
+         n_shards: int = 1, backend: str = "thread",
          spmm: str = "auto", spmm_threads: int | None = None):
     """One fixed-sweep fit; returns (result, elapsed_seconds)."""
-    common = dict(
+    solver = OfflineTriClustering(
         seed=SEED,
         max_iterations=sweeps,
         tolerance=0.0,
@@ -199,13 +208,9 @@ def _fit(graph, kernel, dtype, sweeps, legacy: bool = False,
         dtype=dtype,
         spmm=spmm,
         spmm_threads=spmm_threads,
+        n_shards=n_shards,
+        backend=backend,
     )
-    if backend is None:
-        solver = OfflineTriClustering(**common)
-    else:
-        solver = ShardedTriClustering(
-            n_shards=n_shards, backend=backend, **common
-        )
     with _legacy_transposes() if legacy else nullcontext():
         started = time.perf_counter()
         result = solver.fit(graph)
@@ -407,6 +412,47 @@ def _spmm_cells(graph) -> list[dict]:
     return rows
 
 
+def _transpose_cells(graph) -> list[dict]:
+    """Isolated ``Xpᵀ·Sp`` and ``Xuᵀ·Su``: lazy CSC view against CSR.
+
+    Both forms run at the scale's real shapes on a random ``k=3`` dense
+    operand, median of ``TRANSPOSE_REPS`` after a warm-up application
+    that also checks the two forms bitwise equal.  ``policy`` is the
+    form :class:`~repro.core.sweepcache.SweepCache` picks for this
+    operand: CSR while the operand fits ``TRANSPOSE_OPERAND_BUDGET``,
+    else the lazy view.
+    """
+    rng = spawn_rng(SEED)
+    rows = []
+    for label, x in (("Xpᵀ·Sp", graph.xp), ("Xuᵀ·Su", graph.xu)):
+        x = x.tocsr()
+        dense = rng.random((x.shape[0], 3))
+        forms = {"lazy_csc": x.T, "materialized_csr": x.T.tocsr()}
+        reference = np.asarray(forms["lazy_csc"] @ dense)
+        median_ms = {}
+        for form, operand in forms.items():
+            assert np.array_equal(np.asarray(operand @ dense), reference), (
+                f"{form} {label} diverged from the lazy view"
+            )
+            samples = []
+            for _ in range(TRANSPOSE_REPS):
+                started = time.perf_counter()
+                np.asarray(operand @ dense)
+                samples.append(time.perf_counter() - started)
+            median_ms[form] = float(np.median(samples)) * 1000
+        fits = x.shape[0] * dense.itemsize <= TRANSPOSE_OPERAND_BUDGET
+        rows.append(
+            dict(
+                product=label,
+                operand_rows=int(x.shape[0]),
+                lazy_csc_ms=median_ms["lazy_csc"],
+                materialized_csr_ms=median_ms["materialized_csr"],
+                policy="materialized_csr" if fits else "lazy_csc",
+            )
+        )
+    return rows
+
+
 def _spmm_sweep_cells(graph) -> list[dict]:
     """Whole-sweep marginal per spmm engine (kernel=auto, float64).
 
@@ -491,6 +537,7 @@ def run_kernel_benchmark(scales=None) -> dict:
                 tails=_tail_cells(graph),
                 spmm=_spmm_cells(graph),
                 spmm_sweep=_spmm_sweep_cells(graph),
+                transposes=_transpose_cells(graph),
                 sharded=_sharded_cells(graph),
             )
         )
@@ -599,6 +646,24 @@ def _render(outcome: dict) -> str:
         )
         rows = [
             [
+                row["product"],
+                row["operand_rows"],
+                round(row["lazy_csc_ms"], 2),
+                round(row["materialized_csr_ms"], 2),
+                row["policy"],
+            ]
+            for row in entry["transposes"]
+        ]
+        lines.append(
+            format_table(
+                ["Product", "Operand rows", "Lazy CSC ms (median)",
+                 "Materialized CSR ms (median)", "Policy picks"],
+                rows,
+                title=f"Transposed product layout — {title}",
+            )
+        )
+        rows = [
+            [
                 row["backend"],
                 row["n_shards"],
                 round(row["solve_seconds"] * 1000, 1),
@@ -655,6 +720,10 @@ def test_kernel_smoke():
         row["engine"] for row in outcome["by_scale"][0]["spmm_sweep"]
     }
     assert sweep_engines == spmm_engines
+    # Both transposed products ran both ways (bitwise equality of the
+    # two forms is asserted inside the cells).
+    transposes = outcome["by_scale"][0]["transposes"]
+    assert [row["product"] for row in transposes] == ["Xpᵀ·Sp", "Xuᵀ·Su"]
 
     if not numba_available():
         with pytest.raises(RuntimeError, match="numba"):

@@ -12,9 +12,10 @@
 - :mod:`repro.core.offline` — Algorithm 1 (:class:`OfflineTriClustering`).
 - :mod:`repro.core.online` — Algorithm 2 (:class:`OnlineTriClustering`).
 - :mod:`repro.core.sweep` — the one solve loop both algorithms run
-  (:class:`ShardedSolver`), planned as one or more user-partition shards.
-- :mod:`repro.core.sharded` — user-partition sharded variants of both
-  (:class:`ShardedTriClustering`, :class:`ShardedOnlineTriClustering`).
+  (:class:`ShardedSolver`), planned as one or more user-partition shards
+  from each solver's sharding settings.
+- :mod:`repro.core.sharded` — :class:`ShardedTriClustering` and
+  :class:`ShardedOnlineTriClustering`, aliases of the two solvers.
 """
 
 from repro.core.convergence import ConvergenceHistory, IterationRecord

@@ -2,11 +2,13 @@
 
 Solves Eq. (1) by cyclic multiplicative updates in the paper's order
 (Sp, Hp, Su, Hu, Sf), tracking the component losses each sweep.  The
-sweep itself is the shared solve loop of :mod:`repro.core.sweep`; this
-solver plans it as one shard (the whole graph, solved inline), and
-:class:`~repro.core.sharded.ShardedTriClustering` plans more.  The
-result object exposes hard/soft sentiment readouts for tweets, users and
-features.
+sweep itself is the shared solve loop of :mod:`repro.core.sweep`.
+Sharding is a constructor setting: by default each fit is one shard
+(the whole graph, solved inline); ``n_shards`` > 1 or an out-of-process
+``backend`` partitions the users onto a worker pool.
+:class:`~repro.core.sharded.ShardedTriClustering` is an alias of this
+class.  The result object exposes hard/soft sentiment readouts for
+tweets, users and features.
 """
 
 from __future__ import annotations
@@ -23,8 +25,10 @@ from repro.core.objective import ObjectiveWeights
 from repro.core.regularizers import Regularizer
 from repro.core.spmm import validate_spmm, validate_spmm_threads
 from repro.core.state import FactorSet
-from repro.core.sweep import SweepPlan
+from repro.core.sweep import SweepPlan, validate_sharding
+from repro.graph.partition import ShardedGraph
 from repro.graph.tripartite import TripartiteGraph
+from repro.utils.executor import WorkerPool
 from repro.utils.logging import get_logger
 from repro.utils.rng import RandomState, spawn_rng
 
@@ -97,6 +101,29 @@ class OfflineTriClustering:
         tails; ``None`` uses the process default (worker fair share or
         the affinity core count — see
         :func:`repro.utils.threads.spmm_thread_default`).
+    n_shards:
+        User partitions; 1 (default) solves the whole graph as one
+        shard.  ``"auto"`` re-resolves per solve from the user count
+        and worker count (see
+        :func:`~repro.core.sweep.resolve_shard_count`).  Users are
+        hash-partitioned by *id* (see
+        :func:`repro.graph.partition.hash_partition`), so a user keeps
+        their shard across snapshots.
+    max_workers:
+        Worker bound for the shard fan-out (``None`` = CPU count,
+        capped at ``n_shards`` for the process backend).
+    backend:
+        ``"serial"``, ``"thread"`` (default), ``"process"`` or
+        ``"socket"`` — see :mod:`repro.utils.executor`.  Results are
+        bit-identical across backends.  ``n_shards=1`` on an
+        in-process backend always runs inline.
+    workers:
+        ``backend="socket"`` only: ``["host:port", ...]`` addresses of
+        running ``python -m repro worker`` servers.
+    halo:
+        ``"on"`` (default) exchanges boundary ``Su`` rows per sweep so
+        the graph regularizer sees the full ``Gu``; ``"off"`` drops
+        cut edges (the legacy block-diagonal approximation).
     """
 
     #: Section 7 regularizer stack folded into the solve (see
@@ -117,6 +144,11 @@ class OfflineTriClustering:
         dtype: str = "float64",
         spmm: object = "auto",
         spmm_threads: int | None = None,
+        n_shards: int | str = 1,
+        max_workers: int | None = None,
+        backend: str = "thread",
+        workers=None,
+        halo: str = "on",
     ) -> None:
         if num_classes < 2:
             raise ValueError(f"num_classes must be >= 2, got {num_classes}")
@@ -136,6 +168,22 @@ class OfflineTriClustering:
         validate_spmm_threads(spmm_threads)
         self.spmm = spmm
         self.spmm_threads = spmm_threads
+        self.workers = validate_sharding(
+            n_shards, max_workers, backend, workers, halo
+        )
+        self.n_shards = n_shards
+        self.max_workers = max_workers
+        self.backend = backend
+        self.halo = halo
+        #: Optional externally-owned pool (e.g. the serving engine's).
+        #: When set, partitioned solves run on it and never shut it
+        #: down, re-scattering their shard blocks under a fresh epoch
+        #: each time.  When None, each such solve opens and closes its
+        #: own pool.
+        self.pool: WorkerPool | None = None
+        #: The partition of the most recent partitioned fit (``None``
+        #: while every fit runs as one inline shard, ``n_shards=1``).
+        self.last_plan: ShardedGraph | None = None
         #: Pool traffic/timing delta of the most recent fit (a
         #: :meth:`~repro.utils.executor.PoolTelemetry.delta` dict), or
         #: ``None`` before the first fit.
@@ -177,10 +225,6 @@ class OfflineTriClustering:
             seed=rng,
         )
 
-    def _plan(self, graph: TripartiteGraph) -> SweepPlan:
-        """The solve's shards and pool: here one shard, solved inline."""
-        return SweepPlan.one_shard(graph)
-
     def fit(
         self,
         graph: TripartiteGraph,
@@ -193,7 +237,7 @@ class OfflineTriClustering:
         factors = self._initial_factors(graph, rng, initial_factors).astype(
             self._np_dtype
         )
-        plan = self._plan(graph)
+        plan = SweepPlan.for_solver(self, graph)
         with plan.open(
             factors, kernel=self.kernel, spmm=self.spmm,
             spmm_threads=self.spmm_threads, regularizers=self.regularizers,

@@ -22,9 +22,13 @@ The solver is matrix-level: callers hand it one
 :class:`~repro.graph.tripartite.TripartiteGraph` per snapshot, built
 against a **shared vocabulary** so that feature rows align across time.
 Each snapshot's inner loop (Algorithm 2 order: Sf, Sp, Hp, Hu, Su) is
-the shared solve loop of :mod:`repro.core.sweep`, planned here as one
-shard; :class:`~repro.core.sharded.ShardedOnlineTriClustering` plans
-more.
+the shared solve loop of :mod:`repro.core.sweep`.  Sharding is a
+constructor setting, the same five as the offline solver's: by default
+each snapshot is one shard solved inline, and ``n_shards`` > 1 or an
+out-of-process ``backend`` partitions its users onto a worker pool.
+The temporal state is the same either way.
+:class:`~repro.core.sharded.ShardedOnlineTriClustering` is an alias of
+this class.
 """
 
 from __future__ import annotations
@@ -40,8 +44,10 @@ from repro.core.kernels import resolve_dtype, validate_kernel
 from repro.core.objective import ObjectiveWeights
 from repro.core.spmm import validate_spmm, validate_spmm_threads
 from repro.core.state import FactorSet
-from repro.core.sweep import SweepPlan
+from repro.core.sweep import SweepPlan, validate_sharding
+from repro.graph.partition import ShardedGraph
 from repro.graph.tripartite import TripartiteGraph
+from repro.utils.executor import WorkerPool
 from repro.utils.logging import get_logger
 from repro.utils.matrices import hard_assignments
 from repro.utils.rng import RandomState, spawn_rng
@@ -109,6 +115,12 @@ class OnlineTriClustering:
         Sparse·dense product engine and its thread budget; see
         :class:`~repro.core.offline.OfflineTriClustering` and
         :mod:`repro.core.spmm` (float64 bit-identical, speed-only).
+    n_shards / max_workers / backend / workers / halo:
+        Sharding settings; see
+        :class:`~repro.core.offline.OfflineTriClustering`.  On the
+        process and socket backends a borrowed :attr:`pool` keeps its
+        workers (local processes or remote connections) across
+        snapshots.
     """
 
     def __init__(
@@ -129,6 +141,11 @@ class OnlineTriClustering:
         dtype: str = "float64",
         spmm: object = "auto",
         spmm_threads: int | None = None,
+        n_shards: int | str = 1,
+        max_workers: int | None = None,
+        backend: str = "thread",
+        workers=None,
+        halo: str = "on",
     ) -> None:
         if num_classes < 2:
             raise ValueError(f"num_classes must be >= 2, got {num_classes}")
@@ -158,6 +175,19 @@ class OnlineTriClustering:
         validate_spmm_threads(spmm_threads)
         self.spmm = spmm
         self.spmm_threads = spmm_threads
+        self.workers = validate_sharding(
+            n_shards, max_workers, backend, workers, halo
+        )
+        self.n_shards = n_shards
+        self.max_workers = max_workers
+        self.backend = backend
+        self.halo = halo
+        #: Optional externally-owned pool; see
+        #: :attr:`~repro.core.offline.OfflineTriClustering.pool`.
+        self.pool: WorkerPool | None = None
+        #: The partition of the most recent partitioned snapshot solve
+        #: (``None`` while every solve runs as one inline shard).
+        self.last_plan: ShardedGraph | None = None
         #: Pool traffic/timing delta of the most recent snapshot solve
         #: (a :meth:`~repro.utils.executor.PoolTelemetry.delta` dict),
         #: or ``None`` before the first one.
@@ -372,10 +402,6 @@ class OnlineTriClustering:
         converged: bool
         iterations: int
 
-    def _plan(self, graph: TripartiteGraph) -> SweepPlan:
-        """The solve's shards and pool: here one shard, solved inline."""
-        return SweepPlan.one_shard(graph)
-
     def _optimize(
         self,
         graph: TripartiteGraph,
@@ -391,7 +417,7 @@ class OnlineTriClustering:
             sfw = sfw.astype(self._np_dtype, copy=False)
         if su_prior is not None:
             su_prior = su_prior.astype(self._np_dtype, copy=False)
-        plan = self._plan(graph)
+        plan = SweepPlan.for_solver(self, graph)
         with plan.open(
             factors, su_prior=su_prior, evolving_rows=evolving_rows,
             kernel=self.kernel, spmm=self.spmm,

@@ -7,12 +7,15 @@ rows, ``Su``/``Hu`` only user rows, and the ``Sf`` numerator
 (tweets follow their author) therefore yields shards that sweep their
 own factor blocks independently and contribute an additive ``l×k``
 piece to the global ``Sf`` update, which is reduced and applied once
-per sweep.  Every solver runs this loop: the plain
-:class:`~repro.core.offline.OfflineTriClustering` /
-:class:`~repro.core.online.OnlineTriClustering` are its one-shard case
-(a single block that reuses the graph's own matrices, solved inline on
-a serial pool); the :mod:`repro.core.sharded` subclasses only plan more
-shards and another pool.  The Section 7
+per sweep.  Every solver runs this loop.  Sharding is a constructor
+setting of :class:`~repro.core.offline.OfflineTriClustering` and
+:class:`~repro.core.online.OnlineTriClustering` (``n_shards``,
+``max_workers``, ``backend``, ``workers``, ``halo``), and
+:meth:`SweepPlan.for_solver` plans each solve from it: one in-process
+shard is a single block that reuses the graph's own matrices, solved
+inline; more shards hash-partition the users onto a pool of the chosen
+backend.  The ``Sharded*`` names of :mod:`repro.core.sharded` are
+aliases of the two solvers.  The Section 7
 :class:`~repro.core.unified.UnifiedTriClustering` is the one-shard
 offline solve with a regularizer stack: each regularizer's update terms
 join its target's ``Sp``/``Su`` update in the pass and the shared ``Sf``
@@ -94,11 +97,18 @@ from repro.graph.partition import (
     ShardedGraph,
     UserPartition,
     extract_shard_blocks,
+    hash_partition,
+    validate_halo,
 )
 from repro.graph.tripartite import TripartiteGraph
-from repro.utils.executor import WorkerPool
+from repro.utils.executor import (
+    WorkerPool,
+    default_worker_count,
+    validate_backend,
+)
 from repro.utils.matrices import safe_sqrt_ratio
 from repro.utils.threads import affinity_core_count
+from repro.utils.transport import validate_workers
 
 #: Iterations of the global Eq. (12)/(13) updates used to distill one
 #: ``Hp``/``Hu`` pair from per-shard factors at merge time.  The problem
@@ -975,13 +985,115 @@ class ShardedSolver:
 # --------------------------------------------------------------------- #
 
 
+#: ``n_shards="auto"``: one shard per this many users, capped by the
+#: worker count.  Below ~64 users per shard the per-shard matrices are
+#: too small for parallel overlap to beat dispatch overhead (the same
+#: scale floor the sharding benchmark gates its speedup assertion on).
+AUTO_USERS_PER_SHARD = 64
+
+
+def resolve_shard_count(
+    n_shards: int | str, num_users: int, max_workers: int | None = None
+) -> int:
+    """Resolve ``n_shards`` (an int or ``"auto"``) for one snapshot.
+
+    The ``"auto"`` heuristic picks ``min(workers, num_users // 64)``
+    (floored at 1): enough shards to keep every worker busy, but never
+    so many that a shard drops below :data:`AUTO_USERS_PER_SHARD` users
+    — tiny shards pay more in dispatch and cut edges than they earn in
+    overlap.  ``workers`` is ``max_workers`` when set, else the
+    machine's CPU count, so the same stream adapts per host and per
+    snapshot as the user population grows.
+    """
+    if n_shards == "auto":
+        workers = (
+            max_workers if max_workers is not None else default_worker_count()
+        )
+        return int(max(1, min(workers, num_users // AUTO_USERS_PER_SHARD)))
+    return int(n_shards)
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
+def validate_sharding(
+    n_shards: int | str,
+    max_workers: int | None,
+    backend: str,
+    workers=None,
+    halo: str = "on",
+) -> tuple[str, ...] | None:
+    """Check one set of sharding settings; return ``workers`` normalized.
+
+    The one check behind both solvers' constructors and
+    :class:`~repro.engine.config.ShardingConfig`: ``n_shards`` is an int
+    >= 1 or ``"auto"``, ``max_workers`` an int >= 1 or ``None``,
+    ``backend`` and ``halo`` name known modes, and ``workers`` is given
+    exactly when ``backend="socket"`` (returned as a tuple, else
+    ``None``).
+    """
+    if n_shards != "auto" and not _is_count(n_shards):
+        raise ValueError(
+            f"n_shards must be an int >= 1 or 'auto', got {n_shards!r}"
+        )
+    if max_workers is not None and not _is_count(max_workers):
+        raise ValueError(
+            f"max_workers must be an int >= 1 or None, got {max_workers!r}"
+        )
+    validate_halo(halo)
+    validate_backend(backend)
+    # repro-lint: disable=REP006 -- workers= applicability check immediately
+    # after validate_backend; the registry owns the name, not this branch.
+    if backend == "socket":
+        return validate_workers(workers)
+    if workers is not None:
+        raise ValueError(
+            "workers= is only meaningful with backend='socket' "
+            f"(got backend={backend!r})"
+        )
+    return None
+
+
+def open_solver_pool(
+    max_workers: int | None,
+    backend: str,
+    n_shards: int,
+    workers=None,
+) -> WorkerPool:
+    """A pool sized for a partitioned solve.
+
+    One shard on an in-process backend runs inline on a serial pool —
+    there is nothing to overlap.  With ``max_workers=None`` the process
+    backend is capped at the shard count — idle worker processes cost
+    real memory, idle threads don't.  ``n_shards`` is a hint (use the
+    worker default when the count is still ``"auto"``-unresolved).  The
+    socket backend's width is its ``workers=["host:port", ...]`` list
+    instead.  Shared by the per-solve pools of
+    :meth:`SweepPlan.for_solver` and the serving engine's long-lived
+    solver pool, so the cap policy lives in exactly one place.
+    """
+    # repro-lint: disable=REP006 -- pool sizing policy per validated
+    # backend (one in-process shard needs no threads).
+    if n_shards == 1 and backend in ("serial", "thread"):
+        return WorkerPool(1, backend="serial")
+    # repro-lint: disable=REP006 -- pool sizing policy per validated
+    # backend (socket width = workers list, process capped at shards).
+    if backend == "socket":
+        return WorkerPool(backend="socket", workers=workers)
+    # repro-lint: disable=REP006 -- see above: sizing policy, not dispatch.
+    if max_workers is None and backend == "process":
+        max_workers = max(1, min(default_worker_count(), n_shards))
+    return WorkerPool(max_workers, backend=backend)
+
+
 @dataclass
 class SweepPlan:
     """The shard blocks of one solve and the pool that holds them.
 
-    The plain solvers plan :meth:`one_shard`; the sharded subclasses
-    plan a partition and (optionally) a borrowed pool.  :meth:`open`
-    runs the solve's :class:`ShardedSolver` and cleans the pool up.
+    Both solvers plan every solve with :meth:`for_solver`, from their
+    sharding settings.  :meth:`open` runs the solve's
+    :class:`ShardedSolver` and cleans the pool up.
     """
 
     sharded: ShardedGraph
@@ -996,14 +1108,45 @@ class SweepPlan:
     telemetry: dict | None = field(default=None, init=False)
 
     @classmethod
-    def one_shard(cls, graph: TripartiteGraph) -> SweepPlan:
-        """The whole graph as one block, solved inline on a serial pool."""
-        partition = UserPartition(
-            n_shards=1, assignments=np.zeros(graph.num_users, dtype=np.int64)
+    def for_solver(cls, solver, graph: TripartiteGraph) -> SweepPlan:
+        """Plan one solve of ``graph`` from ``solver``'s sharding settings.
+
+        ``solver`` carries ``n_shards``, ``max_workers``, ``backend``,
+        ``workers``, ``halo``, an optional borrowed ``pool`` and the
+        ``last_plan`` this records.  ``n_shards=1`` on an in-process
+        backend is the whole graph as one block (the graph's own
+        matrices, no hashing), solved inline on a one-worker pool, with
+        no plan kept.  Otherwise users are hash-partitioned by id into
+        the resolved shard count and run on the borrowed pool or a
+        fresh one.
+        """
+        # repro-lint: disable=REP006 -- one in-process shard needs no
+        # pool or partition: planning policy on a validated backend.
+        if solver.n_shards == 1 and solver.backend in ("serial", "thread"):
+            partition = UserPartition(
+                n_shards=1,
+                assignments=np.zeros(graph.num_users, dtype=np.int64),
+            )
+            return cls(
+                extract_shard_blocks(graph, partition),
+                WorkerPool(1, backend="serial"),
+            )
+        n_shards = resolve_shard_count(
+            solver.n_shards, graph.num_users, solver.max_workers
         )
+        sharded = extract_shard_blocks(
+            graph,
+            hash_partition(graph.corpus.user_ids, n_shards),
+            halo=solver.halo == "on",
+        )
+        solver.last_plan = sharded
+        if solver.pool is not None:
+            return cls(sharded, solver.pool, owns_pool=False)
         return cls(
-            extract_shard_blocks(graph, partition),
-            WorkerPool(1, backend="serial"),
+            sharded,
+            open_solver_pool(
+                solver.max_workers, solver.backend, n_shards, solver.workers
+            ),
         )
 
     @contextmanager

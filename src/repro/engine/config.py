@@ -37,9 +37,7 @@ from typing import Any
 
 from repro.core.kernels import validate_dtype, validate_kernel
 from repro.core.spmm import validate_spmm, validate_spmm_threads
-from repro.graph.partition import validate_halo
-from repro.utils.executor import validate_backend
-from repro.utils.transport import validate_workers
+from repro.core.sweep import validate_sharding
 
 #: What ``ingest(..., block=False)`` does when the queue is full.
 OVERFLOW_POLICIES = ("drop", "raise")
@@ -229,20 +227,19 @@ class ShardingConfig:
     halo: str = "on"
 
     def __post_init__(self) -> None:
-        _require(
-            self.n_shards == "auto" or _is_count(self.n_shards, 1),
-            f"n_shards must be an int >= 1 or 'auto', got {self.n_shards!r}",
+        # The solvers' own check, so config and solver accept the same
+        # settings; it returns the socket worker list as a tuple.
+        object.__setattr__(
+            self,
+            "workers",
+            validate_sharding(
+                self.n_shards,
+                self.max_workers,
+                self.backend,
+                self.workers,
+                self.halo,
+            ),
         )
-        validate_backend(self.backend)
-        validate_halo(self.halo)
-        if self.backend == "socket":
-            object.__setattr__(self, "workers", validate_workers(self.workers))
-        elif self.workers is not None:
-            raise ValueError(
-                "sharding.workers is only meaningful with "
-                f"backend='socket' (got backend={self.backend!r})"
-            )
-        _count("max_workers", self.max_workers, 1, optional=True)
 
 
 @dataclass(frozen=True)

@@ -50,7 +50,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core.online import OnlineTriClustering
-from repro.core.sharded import ShardedOnlineTriClustering
 from repro.core.state import FactorSet
 from repro.data.tweet import Sentiment, UserProfile
 from repro.engine.config import EngineConfig
@@ -126,16 +125,22 @@ def _profile_from_json(record: dict) -> UserProfile:
 
 
 def _validate_solver(solver: OnlineTriClustering) -> str:
-    """The checkpoint ``kind`` of ``solver``, rejecting the unknown."""
-    if type(solver) is ShardedOnlineTriClustering:
-        return "sharded"
-    if type(solver) is OnlineTriClustering:
+    """The checkpoint ``kind`` of ``solver``, rejecting the unknown.
+
+    ``"online"`` for a one-shard thread-backend solver, ``"sharded"``
+    otherwise.  The kind is informational: ``load`` rebuilds the solver
+    from the recorded config and never reads it.
+    """
+    if type(solver) is not OnlineTriClustering:
+        raise ValueError(
+            f"cannot persist solver of type {type(solver).__name__}; "
+            "only OnlineTriClustering checkpoints are supported"
+        )
+    # repro-lint: disable=REP006 -- names the checkpoint kind of a
+    # validated backend, not dispatch.
+    if solver.n_shards == 1 and solver.backend == "thread":
         return "online"
-    raise ValueError(
-        f"cannot persist solver of type {type(solver).__name__}; "
-        "only OnlineTriClustering and ShardedOnlineTriClustering "
-        "checkpoints are supported"
-    )
+    return "sharded"
 
 
 def _vectorizer_state(vectorizer: CountVectorizer) -> dict:

@@ -15,11 +15,12 @@ not the history:
   TripartiteGraph` (single COO→CSR conversion per matrix) and runs one
   :class:`~repro.core.online.OnlineTriClustering` step (Algorithm 2,
   warm-started from decayed history, shared-product
-  :class:`~repro.core.sweepcache.SweepCache` inside, solved as one
-  shard) — or, with ``n_shards > 1`` or another backend, a
-  :class:`~repro.core.sharded.ShardedOnlineTriClustering` step that
-  runs the same sweep loop over user-partition shards on a worker pool
-  and merges the per-shard user sentiments back into one model;
+  :class:`~repro.core.sweepcache.SweepCache` inside).  Sharding is a
+  setting of that one solver, built from ``config.sharding``: by
+  default the step is one shard solved inline; with ``n_shards > 1`` or
+  another backend the same sweep loop runs over user-partition shards
+  on a worker pool and merges the per-shard user sentiments back into
+  one model (``ShardedOnlineTriClustering`` is an alias of the solver);
 - **classify(texts)** scores arbitrary texts between snapshots via
   micro-batched fold-in against the latest factors, with an LRU cache
   (:class:`~repro.engine.cache.FoldInCache`) absorbing repeated queries
@@ -61,9 +62,9 @@ from repro.core.inference import infer_tweet_memberships
 from repro.core.kernels import resolve_kernel_name
 from repro.core.labeling import apply_alignment, lexicon_column_alignment
 from repro.core.online import OnlineStepResult, OnlineTriClustering
-from repro.core.sharded import ShardedOnlineTriClustering, open_solver_pool
 from repro.core.spmm import resolve_spmm, resolve_spmm_name
 from repro.core.state import FactorSet
+from repro.core.sweep import open_solver_pool
 from repro.data.tweet import Tweet, UserProfile
 from repro.engine.cache import FoldInCache
 from repro.engine.config import EngineConfig, ShardingConfig, SolverConfig
@@ -123,11 +124,11 @@ class StreamingSentimentEngine:
         in incremental mode).
     solver:
         A pre-configured :class:`~repro.core.online.OnlineTriClustering`
-        (or sharded subclass); when ``None`` one is built from the
-        config.  Mutually exclusive with non-default ``config.solver``
-        and with ``config.sharding``'s shard/backend/halo fields
-        — configure sharding on the solver instance instead (the engine
-        adopts its settings).
+        (its sharding settings included); when ``None`` one is built
+        from the config.  Mutually exclusive with non-default
+        ``config.solver`` and with ``config.sharding``'s
+        shard/backend/halo fields — configure sharding on the solver
+        instance instead (the engine adopts its settings).
 
     The engine owns a worker pool sized by ``config.sharding.
     max_workers``, shared by classify micro-batching and the
@@ -175,49 +176,26 @@ class StreamingSentimentEngine:
         )
         sharding = config.sharding
         if solver is not None:
+            # max_workers stays settable: it also sizes the classify pool.
+            conflicts = [
+                name for name in ("n_shards", "backend", "halo")
+                if getattr(sharding, name) != getattr(ShardingConfig, name)
+            ]
             if config.solver != SolverConfig():
+                conflicts.insert(0, "solver settings")
+            if conflicts:
                 raise ValueError(
-                    "pass either a solver instance or solver settings, "
-                    "not both"
-                )
-            if sharding.n_shards != 1:
-                raise ValueError(
-                    "pass either a solver instance or n_shards, not both "
-                    "(configure sharding on the solver)"
-                )
-            # repro-lint: disable=REP006 -- consistency guard against the
-            # ShardingConfig default, not name dispatch (config validated it).
-            if sharding.backend != "thread":
-                raise ValueError(
-                    "pass either a solver instance or backend, not both "
-                    "(configure the backend on the solver)"
-                )
-            # repro-lint: disable=REP006 -- consistency guard against the
-            # ShardingConfig default, not name dispatch (config validated it).
-            if sharding.halo != "on":
-                raise ValueError(
-                    "pass either a solver instance or halo, not both "
-                    "(configure sharding on the solver)"
+                    "pass either a solver instance or "
+                    f"{', '.join(conflicts)}, not both (configure them on "
+                    "the solver)"
                 )
             self.solver = solver
-        # repro-lint: disable=REP006 -- solver-shape choice on an
-        # eagerly-validated EngineConfig knob, not name resolution.
-        elif sharding.n_shards == 1 and sharding.backend == "thread":
+        else:
             self.solver = OnlineTriClustering(
                 num_classes=config.num_classes,
                 seed=config.seed,
                 **asdict(config.solver),
-            )
-        else:
-            self.solver = ShardedOnlineTriClustering(
-                num_classes=config.num_classes,
-                seed=config.seed,
-                n_shards=sharding.n_shards,
-                max_workers=sharding.max_workers,
-                backend=sharding.backend,
-                workers=sharding.workers,
-                halo=sharding.halo,
-                **asdict(config.solver),
+                **asdict(sharding),
             )
         if self.solver.num_classes != config.num_classes:
             raise ValueError(
@@ -225,8 +203,8 @@ class StreamingSentimentEngine:
                 f"engine was configured with num_classes={config.num_classes}; "
                 "pass matching values"
             )
-        self.n_shards = getattr(self.solver, "n_shards", 1)
-        self.backend = getattr(self.solver, "backend", "thread")
+        self.n_shards = self.solver.n_shards
+        self.backend = self.solver.backend
         self.max_workers = sharding.max_workers
         classify_workers = (
             sharding.max_workers
@@ -235,44 +213,43 @@ class StreamingSentimentEngine:
         )
         self._pool = WorkerPool(classify_workers)
         self._solver_pool: WorkerPool | None = None
-        if isinstance(self.solver, ShardedOnlineTriClustering):
-            # An engine-built solver always runs on an engine-owned pool;
-            # a user-supplied one only when it didn't pin its own worker
-            # count (respect explicit config — it then opens a pool of
-            # its configured backend per partial_fit).  Thread solves
-            # share the classify pool; a process or socket solve gets a
-            # dedicated pool so classify stays on threads while workers
-            # (local processes or remote connections, and their resident
-            # shard blocks) persist across snapshots.
-            if self.solver.pool is None and (
-                solver is None or self.solver.max_workers is None
-            ):
-                # repro-lint: disable=REP006 -- pool-ownership dispatch on
-                # the validated backend (dedicated pool for out-of-process
-                # workers), not name resolution.
-                if self.backend in ("process", "socket"):
-                    shards_hint = (
-                        self.n_shards
-                        if isinstance(self.n_shards, int)
-                        else default_worker_count()
-                    )
-                    self._solver_pool = open_solver_pool(
-                        sharding.max_workers,
-                        self.backend,
-                        shards_hint,
-                        getattr(self.solver, "workers", None),
-                    )
-                    # Materialize workers now, while the engine process
-                    # is still single-threaded (classify threads and the
-                    # ingest worker spin up after this point): process
-                    # workers must never fork under live threads, and an
-                    # unreachable socket worker should fail construction,
-                    # not the first snapshot.
-                    self._solver_pool.prestart()
-                    self.solver.pool = self._solver_pool
-                # repro-lint: disable=REP006 -- see the branch above.
-                elif self.backend == "thread":
-                    self.solver.pool = self._pool
+        # An engine-built solver always runs on an engine-owned pool; a
+        # user-supplied one only when it didn't pin its own worker count
+        # (respect explicit config — it then opens a pool of its
+        # configured backend per partial_fit).  Thread solves share the
+        # classify pool (a one-shard solve still runs inline); a process
+        # or socket solve gets a dedicated pool so classify stays on
+        # threads while workers (local processes or remote connections,
+        # and their resident shard blocks) persist across snapshots.
+        if self.solver.pool is None and (
+            solver is None or self.solver.max_workers is None
+        ):
+            # repro-lint: disable=REP006 -- pool-ownership dispatch on
+            # the validated backend (dedicated pool for out-of-process
+            # workers), not name resolution.
+            if self.backend in ("process", "socket"):
+                shards_hint = (
+                    self.n_shards
+                    if isinstance(self.n_shards, int)
+                    else default_worker_count()
+                )
+                self._solver_pool = open_solver_pool(
+                    sharding.max_workers,
+                    self.backend,
+                    shards_hint,
+                    self.solver.workers,
+                )
+                # Materialize workers now, while the engine process is
+                # still single-threaded (classify threads and the ingest
+                # worker spin up after this point): process workers must
+                # never fork under live threads, and an unreachable
+                # socket worker should fail construction, not the first
+                # snapshot.
+                self._solver_pool.prestart()
+                self.solver.pool = self._solver_pool
+            # repro-lint: disable=REP006 -- see the branch above.
+            elif self.backend == "thread":
+                self.solver.pool = self._pool
         self.cache = FoldInCache(maxsize=config.serving.cache_size)
         self.classify_iterations = config.serving.classify_iterations
         self.classify_batch_size = config.serving.classify_batch_size
@@ -281,8 +258,7 @@ class StreamingSentimentEngine:
         # Engines are float64 bit-identical, so memberships never depend
         # on the choice.
         self._serve_spmm = resolve_spmm(
-            getattr(self.solver, "spmm", "scipy"),
-            getattr(self.solver, "spmm_threads", None),
+            self.solver.spmm, self.solver.spmm_threads
         )
         self._classify_seed = 0 if config.seed is None else int(config.seed)
         self._factors: FactorSet | None = None
@@ -595,20 +571,17 @@ class StreamingSentimentEngine:
             ),
             spmm_threads=solver.spmm_threads,
         )
-        if isinstance(solver, ShardedOnlineTriClustering):
-            sharding_config = ShardingConfig(
-                n_shards=solver.n_shards,
-                backend=solver.backend,
-                max_workers=(
-                    solver.max_workers
-                    if solver.max_workers is not None
-                    else self.max_workers
-                ),
-                workers=solver.workers,
-                halo=solver.halo,
-            )
-        else:
-            sharding_config = ShardingConfig(max_workers=self.max_workers)
+        sharding_config = ShardingConfig(
+            n_shards=solver.n_shards,
+            backend=solver.backend,
+            max_workers=(
+                solver.max_workers
+                if solver.max_workers is not None
+                else self.max_workers
+            ),
+            workers=solver.workers,
+            halo=solver.halo,
+        )
         return self.config.replace(
             num_classes=solver.num_classes,
             solver=solver_config,

@@ -48,8 +48,9 @@ HALO_MODES = ("on", "off")
 def validate_halo(halo: str) -> str:
     """Return ``halo`` if it names a valid halo mode.
 
-    The single eager check for ``halo=`` arguments, shared by the
-    sharded solvers and the engine config.
+    The single eager check for ``halo=`` arguments, reached through
+    :func:`repro.core.sweep.validate_sharding` by the solvers and the
+    engine config.
     """
     if halo not in HALO_MODES:
         raise ValueError(f"halo must be one of {HALO_MODES}, got {halo!r}")

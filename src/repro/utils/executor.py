@@ -66,6 +66,7 @@ processes behind a caller that believed the resources were released.
 
 from __future__ import annotations
 
+import math
 import multiprocessing as mp
 import os
 import selectors
@@ -79,6 +80,8 @@ from dataclasses import dataclass
 from typing import Any, TypeVar
 
 from repro.utils.transport import (
+    DEFAULT_CONNECT_TIMEOUT,
+    DEFAULT_EXCHANGE_TIMEOUT,
     FrameError,
     PayloadDecodeError,
     SocketConnection,
@@ -106,6 +109,34 @@ def validate_backend(backend: str) -> str:
             + ", ".join(repr(name) for name in BACKENDS)
         )
     return backend
+
+
+def _socket_timeout(name: str, value, env: str, default: float) -> float:
+    """Seconds for one socket timeout: ``value``, else ``$env``, else ``default``.
+
+    Must be a finite number > 0 (zero would turn every reply wait into
+    a poll); anything else raises a ``ValueError`` naming the parameter
+    or, for an env value, the variable.
+    """
+    if value is None:
+        raw = os.environ.get(env)
+        if raw is None:
+            return default
+        name = env
+        try:
+            value = float(raw)
+        except ValueError:
+            value = raw
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not math.isfinite(value)
+        or value <= 0
+    ):
+        raise ValueError(
+            f"{name} must be a finite number of seconds > 0, got {value!r}"
+        )
+    return float(value)
 
 
 def default_worker_count() -> int:
@@ -852,36 +883,19 @@ class SocketBackend(_ExchangeBackend):
       ``exchange_timeout`` (EOF from a killed peer is detected
       immediately; the timeout is the backstop for silent hangs).
 
-    ``REPRO_SOCKET_CONNECT_TIMEOUT`` / ``REPRO_SOCKET_EXCHANGE_TIMEOUT``
-    override the defaults for deployments with slower fabrics.
+    Both timeouts arrive resolved and checked by :class:`WorkerPool`.
     """
 
     def __init__(
         self,
         workers: Sequence[str],
-        connect_timeout: float | None = None,
-        exchange_timeout: float | None = None,
+        connect_timeout: float,
+        exchange_timeout: float,
         telemetry: PoolTelemetry | None = None,
     ) -> None:
-        from repro.utils.transport import (
-            DEFAULT_CONNECT_TIMEOUT,
-            DEFAULT_EXCHANGE_TIMEOUT,
-            validate_workers,
-        )
+        from repro.utils.transport import validate_workers
 
         addresses = validate_workers(workers)
-        if connect_timeout is None:
-            connect_timeout = float(
-                os.environ.get(
-                    "REPRO_SOCKET_CONNECT_TIMEOUT", DEFAULT_CONNECT_TIMEOUT
-                )
-            )
-        if exchange_timeout is None:
-            exchange_timeout = float(
-                os.environ.get(
-                    "REPRO_SOCKET_EXCHANGE_TIMEOUT", DEFAULT_EXCHANGE_TIMEOUT
-                )
-            )
         super().__init__(len(addresses), exchange_timeout, telemetry)
         self.addresses = addresses
         self.connect_timeout = connect_timeout
@@ -936,8 +950,12 @@ class WorkerPool:
         eagerly; at least one required).
     connect_timeout / exchange_timeout:
         ``backend="socket"`` only: seconds before a connect attempt /
-        a reply wait gives up (defaults from
-        :mod:`repro.utils.transport`, env-overridable).
+        a reply wait gives up.  ``None`` reads
+        ``REPRO_SOCKET_CONNECT_TIMEOUT`` / ``REPRO_SOCKET_EXCHANGE_TIMEOUT``,
+        else the defaults of :mod:`repro.utils.transport`.  Resolved and
+        checked here (a finite number > 0, else ``ValueError``), so a
+        bad value fails when the pool is built, not at the first
+        connect.
     """
 
     def __init__(
@@ -953,6 +971,14 @@ class WorkerPool:
             from repro.utils.transport import validate_workers
 
             workers = validate_workers(workers)
+            connect_timeout = _socket_timeout(
+                "connect_timeout", connect_timeout,
+                "REPRO_SOCKET_CONNECT_TIMEOUT", DEFAULT_CONNECT_TIMEOUT,
+            )
+            exchange_timeout = _socket_timeout(
+                "exchange_timeout", exchange_timeout,
+                "REPRO_SOCKET_EXCHANGE_TIMEOUT", DEFAULT_EXCHANGE_TIMEOUT,
+            )
         elif workers is not None:
             raise ValueError(
                 "workers= is only meaningful with backend='socket' "

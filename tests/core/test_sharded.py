@@ -270,6 +270,16 @@ class TestBackendDeterminism:
         with pytest.raises(ValueError, match="backend"):
             ShardedOnlineTriClustering(backend="gpu")
 
+    @pytest.mark.parametrize("max_workers", [0, -1, 2.5, "2", True])
+    @pytest.mark.parametrize(
+        "solver_class", [OfflineTriClustering, OnlineTriClustering]
+    )
+    def test_rejects_bad_max_workers_at_construction(
+        self, solver_class, max_workers
+    ):
+        with pytest.raises(ValueError, match="max_workers"):
+            solver_class(n_shards=2, max_workers=max_workers)
+
 
 class TestConvergenceParity:
     """Converging solves hit the fused loop's rollback/lag machinery:

@@ -141,7 +141,7 @@ class TestCustomEngines:
         """The process/socket shipping form pins names, never instances."""
         from repro.core.sweep import SweepPlan
 
-        plan = SweepPlan.one_shard(graph)
+        plan = SweepPlan.for_solver(OfflineTriClustering(), graph)
         solver = OfflineTriClustering(seed=7)
         factors = solver._initial_factors(graph, np.random.default_rng(0), None)
         with plan.open(

@@ -530,6 +530,71 @@ class TestGuards:
             engine.save(tmp_path / "ckpt")
 
 
+class TestShardingSpellings:
+    """Sharding is a solver setting: the engine and its checkpoints see
+    no difference between ``OnlineTriClustering(n_shards=2)`` and the
+    ``ShardedOnlineTriClustering`` spelling of the same settings."""
+
+    def test_engine_and_checkpoint_match_across_spellings(
+        self, corpus, lexicon, batches, tmp_path
+    ):
+        from repro.core.online import OnlineTriClustering
+        from repro.core.sharded import ShardedOnlineTriClustering
+
+        seen = {}
+        for name, solver_class in (
+            ("plain", OnlineTriClustering),
+            ("sharded", ShardedOnlineTriClustering),
+        ):
+            solver = solver_class(n_shards=2, max_iterations=5, seed=7)
+            with StreamingSentimentEngine(
+                lexicon=lexicon, solver=solver
+            ) as engine:
+                feed(engine, corpus, batches[:2])
+                effective = engine.effective_config()
+                path = engine.save(tmp_path / name)
+            state = json.loads((path / "state.json").read_text())
+            with StreamingSentimentEngine.load(path) as loaded:
+                feed(loaded, corpus, batches[2:3])
+                factors = loaded.factors
+            seen[name] = (
+                effective,
+                state["engine"]["config"]["sharding"],
+                state["solver"]["kind"],
+                factors,
+            )
+        plain, sharded = seen["plain"], seen["sharded"]
+        assert plain[0] == sharded[0]
+        assert plain[0].sharding.n_shards == 2
+        assert plain[1] == sharded[1]
+        assert plain[2] == sharded[2] == "sharded"
+        for name in ("sf", "sp", "su", "hp", "hu"):
+            np.testing.assert_array_equal(
+                getattr(plain[3], name), getattr(sharded[3], name),
+                err_msg=name,
+            )
+
+    def test_checkpoint_kind_follows_the_settings(
+        self, corpus, lexicon, batches, tmp_path
+    ):
+        kinds = {}
+        for name, sharding in (
+            ("default", {}),
+            ("two_shards", {"n_shards": 2}),
+            ("serial", {"backend": "serial"}),
+        ):
+            with StreamingSentimentEngine(
+                config(4, sharding=sharding), lexicon=lexicon
+            ) as engine:
+                feed(engine, corpus, batches[:1])
+                path = engine.save(tmp_path / name)
+            state = json.loads((path / "state.json").read_text())
+            kinds[name] = state["solver"]["kind"]
+        assert kinds == {
+            "default": "online", "two_shards": "sharded", "serial": "sharded"
+        }
+
+
 def _edit_arrays(path, edit) -> None:
     """Rewrite a checkpoint's ``arrays.npz`` through ``edit(arrays)``."""
     with np.load(path / "arrays.npz") as handle:

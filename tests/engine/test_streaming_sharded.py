@@ -226,6 +226,24 @@ class TestProcessBackendEngine:
             assert isinstance(engine.solver, ShardedOnlineTriClustering)
             assert engine.solver.n_shards == 1
 
+    def test_one_shard_process_engine_solves_on_its_process_pool(
+        self, corpus, lexicon, batches
+    ):
+        """One shard is inline only on an in-process backend: a
+        one-shard process engine still partitions (trivially) and
+        solves on its dedicated process pool."""
+        with StreamingSentimentEngine(
+            config(4, backend="process"), lexicon=lexicon
+        ) as engine:
+            assert engine._solver_pool is not None
+            assert engine._solver_pool.backend == "process"
+            assert engine.solver.pool is engine._solver_pool
+            feed(engine, corpus, batches[:1])
+            plan = engine.solver.last_plan
+            assert plan is not None and plan.n_shards == 1
+            assert engine._solver_pool.epoch >= 1
+            assert engine.reports[-1].pool_telemetry["rounds"] > 0
+
     def test_process_engine_matches_thread_engine_bitwise(
         self, corpus, lexicon, batches
     ):

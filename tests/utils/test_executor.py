@@ -97,6 +97,35 @@ class TestWorkerPoolThread:
         with pytest.raises(ValueError, match="worker"):
             WorkerPool(backend="socket", workers=[])
 
+    @pytest.mark.parametrize(
+        "value", [float("nan"), -1, 0, 0.0, float("inf"), "5", True]
+    )
+    @pytest.mark.parametrize("name", ["connect_timeout", "exchange_timeout"])
+    def test_socket_timeouts_checked_at_construction(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            WorkerPool(
+                backend="socket", workers=["127.0.0.1:7500"], **{name: value}
+            )
+
+    @pytest.mark.parametrize("raw", ["soon", "nan", "-1", "0", "inf"])
+    @pytest.mark.parametrize(
+        "env",
+        ["REPRO_SOCKET_CONNECT_TIMEOUT", "REPRO_SOCKET_EXCHANGE_TIMEOUT"],
+    )
+    def test_socket_timeout_env_checked_at_construction(
+        self, monkeypatch, env, raw
+    ):
+        monkeypatch.setenv(env, raw)
+        with pytest.raises(ValueError, match=env):
+            WorkerPool(backend="socket", workers=["127.0.0.1:7500"])
+
+    def test_socket_timeouts_resolve_from_env_and_arguments(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SOCKET_CONNECT_TIMEOUT", "2.5")
+        pool = WorkerPool(
+            backend="socket", workers=["127.0.0.1:7500"], exchange_timeout=7
+        )
+        assert (pool.connect_timeout, pool.exchange_timeout) == (2.5, 7.0)
+
     def test_workers_rejected_without_socket_backend(self):
         with pytest.raises(ValueError, match="socket"):
             WorkerPool(backend="thread", workers=["127.0.0.1:7500"])
