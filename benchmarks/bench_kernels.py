@@ -39,10 +39,15 @@ Two speedup readouts per cell, deliberately separated:
 - ``seconds_per_sweep`` — *marginal* wall-clock per sweep, measured as
   ``(t(BASE_SWEEPS + SWEEPS) − t(BASE_SWEEPS)) / SWEEPS`` so per-solve
   fixed costs (initialization, objective statics, the single objective
-  evaluation) cannot dilute or inflate the ratio.  This is the honest
-  end-to-end number — and it is Amdahl-limited: scipy's sparse·dense
-  products are an instruction-bound scalar loop whose cost is nearly
-  dtype-independent, and they dominate the sweep at scale.
+  evaluation) cannot dilute or inflate the ratio.  Each cell takes
+  ``SAMPLES`` such ``(lo, hi)`` fit pairs, round-robin across the
+  phase's cells so host drift lands on every cell alike, and reports
+  their median (``_q1``/``_q3`` hold the quartiles); one pair alone
+  swings up to ~2x between back-to-back runs on a 2-core host.  This
+  is the honest end-to-end number — and it is Amdahl-limited: scipy's
+  sparse·dense products are an instruction-bound scalar loop whose
+  cost is nearly dtype-independent, and they dominate the sweep at
+  scale.
 - ``per_sweep_kernel_ms`` (the ``tails`` section) — per-sweep time spent
   in the element-wise kernel layer itself: the five update tails of one
   Algorithm-1 sweep replayed at the scale's real factor shapes.  This
@@ -50,25 +55,30 @@ Two speedup readouts per cell, deliberately separated:
   is made — and asserted — here, where the kernels are the whole
   workload rather than a slice of it.
 
-The transpose phase times the two ``Sf`` attraction products,
-``Xpᵀ·Sp`` and ``Xuᵀ·Su``, in isolation both ways the sweep cache can
-run them: the lazy ``.T`` (CSC) view and the materialized CSR
+The transpose phase times the three transposed products of a sweep —
+``Xpᵀ·Sp`` and ``Xuᵀ·Su`` (the ``Sf`` attraction) and ``Xrᵀ·Su`` (the
+retweet term of the ``Sp`` update) — in isolation both ways the sweep
+cache can run them: the lazy ``.T`` (CSC) view and the materialized CSR
 transpose.  Each row records which form the cache's working-set policy
 (:data:`~repro.core.sweepcache.TRANSPOSE_OPERAND_BUDGET`) picks at that
-shape, so the table shows whether the policy pays at each scale.
+shape, so the table shows whether the policy pays at each scale.  One
+more table runs the same three products at the shape of one shard of
+the ``solve-sharded`` perfbench workload (a 2-shard split of a
+20k-user snapshot).
 
 The sharded phase re-runs the fused solver through
-``backend × n_shards`` to locate the scale where a multi-shard config
-first beats the 1-shard wall clock ("crossover").  On a single-core host
-that win comes from genuinely *dropped work* (cross-shard ``Xr``/``Gu``
-entries fall out of the block-diagonal model) plus smaller per-shard
-working sets, not parallelism — the ``host`` block in the JSON records
-which regime produced the numbers.
+``backend × n_shards`` (``SAMPLES`` fits per cell, round-robin, median
+and quartiles) to locate the scale where a multi-shard config first
+beats the 1-shard wall clock ("crossover").  On a single-core host
+that win can only come from *dropped work* (cross-shard ``Xr`` entries
+fall out of the sharded model) plus smaller per-shard working sets,
+not parallelism — the ``host`` block in the JSON records which regime
+produced the numbers.
 
 ``peak_rss_mb`` is the process high-water mark (``ru_maxrss``) read
-after each cell — monotone across cells by construction, so it is the
-footprint ceiling of everything up to and including that cell, not a
-per-cell delta.
+after each cell's first sample — monotone across cells by construction,
+so it is the footprint ceiling of everything up to and including that
+cell, not a per-cell delta.
 
 Scales are user counts (``REPRO_KERNELS_SCALES`` overrides, e.g.
 ``REPRO_KERNELS_SCALES=500`` for the CI smoke job).  The full matrix at
@@ -88,18 +98,21 @@ from contextlib import contextmanager, nullcontext
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.core.kernels import NumpyKernel, get_kernel, numba_available
 from repro.core.offline import OfflineTriClustering
 from repro.core.spmm import resolve_spmm
 from repro.core.sweepcache import TRANSPOSE_OPERAND_BUDGET, SweepCache
-from repro.data.synthetic import synthesize_graph
+from repro.data.synthetic import SyntheticCorpus, synthesize_graph
 from repro.experiments.reporting import (
     describe_host,
     format_table,
     results_dir,
     write_result,
 )
+from repro.graph.partition import extract_shard_blocks, hash_partition
+from repro.graph.tripartite import TripartiteGraph
 from repro.utils.matrices import safe_sqrt_ratio
 from repro.utils.rng import spawn_rng
 from repro.utils.threads import host_info, spmm_thread_default
@@ -110,6 +123,11 @@ from repro.utils.threads import host_info, spmm_thread_default
 #: keep every cell on the same arithmetic volume, never convergence luck.
 SWEEPS = 5
 BASE_SWEEPS = 2
+
+#: Timed samples per whole-solve and sharded cell (a ``(lo, hi)`` fit
+#: pair, or one sharded fit), taken round-robin across a phase's cells;
+#: cells report the median and the quartiles.
+SAMPLES = 5
 
 SEED = 7
 
@@ -133,6 +151,11 @@ SPMM_REPS = 5
 
 #: Timed repetitions (median) for the isolated transpose-layout cells.
 TRANSPOSE_REPS = 30
+
+#: The ``solve-sharded`` perfbench workload's graphs: users per
+#: snapshot and the snapshots cut from one synthesized population.
+SOLVE_SHARDED_USERS = 20_000
+SOLVE_SHARDED_SNAPSHOTS = 6
 
 
 def bench_scales() -> tuple[int, ...]:
@@ -195,6 +218,12 @@ def _peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
+def _spread(samples) -> tuple[float, float, float]:
+    """``(median, q1, q3)`` of ``samples``."""
+    q1, median, q3 = np.percentile(samples, [25, 50, 75])
+    return float(median), float(q1), float(q3)
+
+
 def _fit(graph, kernel, dtype, sweeps, legacy: bool = False,
          n_shards: int = 1, backend: str = "thread",
          spmm: str = "auto", spmm_threads: int | None = None):
@@ -218,45 +247,68 @@ def _fit(graph, kernel, dtype, sweeps, legacy: bool = False,
     return result, elapsed
 
 
-def _marginal_fit(graph, kernel, dtype, legacy: bool = False,
-                  spmm: str = "auto", spmm_threads: int | None = None):
-    """Marginal per-sweep seconds plus the long-run result and total."""
-    _, lo = _fit(graph, kernel, dtype, BASE_SWEEPS, legacy=legacy,
-                 spmm=spmm, spmm_threads=spmm_threads)
-    result, hi = _fit(
-        graph, kernel, dtype, BASE_SWEEPS + SWEEPS, legacy=legacy,
-        spmm=spmm, spmm_threads=spmm_threads,
-    )
-    return result, max(hi - lo, 0.0) / SWEEPS, hi
+def _marginal_fits(graph, cells: dict) -> dict:
+    """Marginal per-sweep seconds of every cell, from interleaved pairs.
+
+    ``cells`` maps a key to :func:`_fit` keyword arguments (all but
+    ``sweeps``).  Each of ``SAMPLES`` rounds visits every cell in turn
+    and fits it for ``BASE_SWEEPS`` and then ``BASE_SWEEPS + SWEEPS``
+    sweeps; the pair's difference over ``SWEEPS`` is one sample.
+    Returns ``key -> (long-run result, row fields)``, the fields being
+    the median and quartiles of the per-sweep samples, the median
+    long-run solve time, and the RSS high-water mark read after the
+    cell's first pair (the first round visits the cells in order).
+    """
+    per_sweep: dict = {key: [] for key in cells}
+    totals: dict = {key: [] for key in cells}
+    results, rss = {}, {}
+    for _ in range(SAMPLES):
+        for key, options in cells.items():
+            _, lo = _fit(graph, sweeps=BASE_SWEEPS, **options)
+            results[key], hi = _fit(
+                graph, sweeps=BASE_SWEEPS + SWEEPS, **options
+            )
+            per_sweep[key].append(max(hi - lo, 0.0) / SWEEPS)
+            totals[key].append(hi)
+            rss.setdefault(key, _peak_rss_mb())
+    timed = {}
+    for key in cells:
+        median, q1, q3 = _spread(per_sweep[key])
+        timed[key] = results[key], dict(
+            seconds_per_sweep=median,
+            seconds_per_sweep_q1=q1,
+            seconds_per_sweep_q3=q3,
+            solve_seconds=_spread(totals[key])[0],
+            peak_rss_mb=rss[key],
+        )
+    return timed
 
 
 def _kernel_cells(graph) -> list[dict]:
     """Phase A: whole-solve kernel × dtype on the unsharded solver."""
-    cells = [("legacy", _LegacyKernel(), "float64", True)]
-    cells.append(("numpy", "numpy", "float64", False))
+    cells = {
+        ("legacy", "float64"): dict(
+            kernel=_LegacyKernel(), dtype="float64", legacy=True
+        ),
+        ("numpy", "float64"): dict(kernel="numpy", dtype="float64"),
+    }
     if numba_available():
-        cells.append(("numba", "numba", "float64", False))
-    cells.append(("numpy", "numpy", "float32", False))
+        cells[("numba", "float64")] = dict(kernel="numba", dtype="float64")
+    cells[("numpy", "float32")] = dict(kernel="numpy", dtype="float32")
     if numba_available():
-        cells.append(("numba", "numba", "float32", False))
+        cells[("numba", "float32")] = dict(kernel="numba", dtype="float32")
 
-    rows = []
-    reference = {}
-    for label, kernel, dtype, legacy in cells:
-        result, per_sweep, total = _marginal_fit(
-            graph, kernel, dtype, legacy=legacy
+    timed = _marginal_fits(graph, cells)
+    rows = [
+        dict(
+            kernel=label,
+            dtype=dtype,
+            **fields,
+            objective=float(result.final_objective),
         )
-        rows.append(
-            dict(
-                kernel=label,
-                dtype=dtype,
-                seconds_per_sweep=per_sweep,
-                solve_seconds=total,
-                objective=float(result.final_objective),
-                peak_rss_mb=_peak_rss_mb(),
-            )
-        )
-        reference[(label, dtype)] = result
+        for (label, dtype), (result, fields) in timed.items()
+    ]
+    reference = {key: result for key, (result, _) in timed.items()}
 
     # Bit-identity: float64 is one model across kernel implementations
     # and across the transpose-layout policy.
@@ -413,18 +465,21 @@ def _spmm_cells(graph) -> list[dict]:
 
 
 def _transpose_cells(graph) -> list[dict]:
-    """Isolated ``Xpᵀ·Sp`` and ``Xuᵀ·Su``: lazy CSC view against CSR.
+    """Isolated ``Xpᵀ·Sp``, ``Xuᵀ·Su``, ``Xrᵀ·Su``: lazy CSC against CSR.
 
-    Both forms run at the scale's real shapes on a random ``k=3`` dense
-    operand, median of ``TRANSPOSE_REPS`` after a warm-up application
-    that also checks the two forms bitwise equal.  ``policy`` is the
-    form :class:`~repro.core.sweepcache.SweepCache` picks for this
-    operand: CSR while the operand fits ``TRANSPOSE_OPERAND_BUDGET``,
-    else the lazy view.
+    ``graph`` is anything with ``xp``/``xu``/``xr`` (a graph or a shard
+    block).  Both forms run at its real shapes on a random ``k=3``
+    dense operand, median of ``TRANSPOSE_REPS`` after a warm-up
+    application that also checks the two forms bitwise equal.
+    ``policy`` is the form :class:`~repro.core.sweepcache.SweepCache`
+    picks for this operand: CSR while the operand fits
+    ``TRANSPOSE_OPERAND_BUDGET``, else the lazy view.
     """
     rng = spawn_rng(SEED)
     rows = []
-    for label, x in (("Xpᵀ·Sp", graph.xp), ("Xuᵀ·Su", graph.xu)):
+    for label, x in (
+        ("Xpᵀ·Sp", graph.xp), ("Xuᵀ·Su", graph.xu), ("Xrᵀ·Su", graph.xr)
+    ):
         x = x.tocsr()
         dense = rng.random((x.shape[0], 3))
         forms = {"lazy_csc": x.T, "materialized_csr": x.T.tocsr()}
@@ -453,6 +508,39 @@ def _transpose_cells(graph) -> list[dict]:
     return rows
 
 
+def _solve_sharded_shard(num_users: int):
+    """Shard 0 of a 2-shard hash split of a ``solve-sharded`` snapshot.
+
+    Rebuilds the first graph of ``perfbench.loadgen.synthetic_stream``
+    at seed 1: one population synthesized with
+    ``SOLVE_SHARDED_SNAPSHOTS`` snapshots' worth of tweets and
+    retweets, cut to its first range of tweet rows.
+    """
+    whole = synthesize_graph(
+        num_users=num_users,
+        tweets_per_user=4.0 * SOLVE_SHARDED_SNAPSHOTS,
+        retweets_per_user=6.0 * SOLVE_SHARDED_SNAPSHOTS,
+        seed=[1, 3],
+    )
+    end = int(np.linspace(0, whole.num_tweets, SOLVE_SHARDED_SNAPSHOTS + 1)[1])
+    authors = whole.corpus.author_rows[:end]
+    xp = whole.xp.tocsr()[:end]
+    incidence = sp.csr_matrix(
+        (np.ones(end), (authors, np.arange(end))), shape=(num_users, end)
+    )
+    snapshot = TripartiteGraph(
+        corpus=SyntheticCorpus(authors, num_users),
+        vectorizer=whole.vectorizer,
+        xp=xp,
+        xu=(incidence @ xp).tocsr(),
+        xr=whole.xr.tocsc()[:, :end].tocsr(),
+        user_graph=whole.user_graph,
+        sf0=whole.sf0,
+    )
+    partition = hash_partition(snapshot.corpus.user_ids, 2)
+    return extract_shard_blocks(snapshot, partition).blocks[0]
+
+
 def _spmm_sweep_cells(graph) -> list[dict]:
     """Whole-sweep marginal per spmm engine (kernel=auto, float64).
 
@@ -461,19 +549,26 @@ def _spmm_sweep_cells(graph) -> list[dict]:
     asserted bit-identical to the scipy-engine row, the regression the
     engine layer's whole design hangs on.
     """
+    engines = _spmm_engine_cells()
+    timed = _marginal_fits(
+        graph,
+        {
+            label: dict(
+                kernel="auto", dtype="float64",
+                spmm=label, spmm_threads=engine.threads,
+            )
+            for label, engine in engines
+        },
+    )
     rows = []
     reference = None
-    for label, engine in _spmm_engine_cells():
-        result, per_sweep, total = _marginal_fit(
-            graph, "auto", "float64",
-            spmm=label, spmm_threads=engine.threads,
-        )
+    for label, engine in engines:
+        result, fields = timed[label]
         rows.append(
             dict(
                 engine=label,
                 threads=engine.threads,
-                seconds_per_sweep=per_sweep,
-                solve_seconds=total,
+                **fields,
                 objective=float(result.final_objective),
             )
         )
@@ -493,20 +588,35 @@ def _spmm_sweep_cells(graph) -> list[dict]:
 
 
 def _sharded_cells(graph) -> list[dict]:
-    """Phase B: backend × shards wall-clock on the fused float64 solver."""
+    """Phase B: backend × shards wall-clock on the fused float64 solver.
+
+    ``SAMPLES`` fits per cell, round-robin across the cells; a row
+    reads the median solve time and records the quartiles.
+    """
+    samples: dict = {cell: [] for cell in BACKEND_SHARDS}
+    results = {}
+    for _ in range(SAMPLES):
+        for backend, n_shards in BACKEND_SHARDS:
+            result, elapsed = _fit(
+                graph, "auto", "float64", SWEEPS,
+                n_shards=n_shards, backend=backend,
+            )
+            results[backend, n_shards] = result
+            samples[backend, n_shards].append(elapsed)
     rows = []
-    for backend, n_shards in BACKEND_SHARDS:
-        result, elapsed = _fit(
-            graph, "auto", "float64", SWEEPS,
-            n_shards=n_shards, backend=backend,
-        )
+    for (backend, n_shards), elapsed in samples.items():
+        median, q1, q3 = _spread(elapsed)
         rows.append(
             dict(
                 backend=backend,
                 n_shards=n_shards,
-                solve_seconds=elapsed,
-                seconds_per_sweep=elapsed / SWEEPS,
-                objective=float(result.final_objective),
+                solve_seconds=median,
+                solve_seconds_q1=q1,
+                solve_seconds_q3=q3,
+                seconds_per_sweep=median / SWEEPS,
+                objective=float(
+                    results[backend, n_shards].final_objective
+                ),
             )
         )
     baseline = rows[0]["solve_seconds"]
@@ -515,7 +625,7 @@ def _sharded_cells(graph) -> list[dict]:
     return rows
 
 
-def run_kernel_benchmark(scales=None) -> dict:
+def run_kernel_benchmark(scales=None, shard_users=SOLVE_SHARDED_USERS) -> dict:
     if scales is None:
         scales = bench_scales()
     by_scale = []
@@ -555,15 +665,46 @@ def run_kernel_benchmark(scales=None) -> dict:
         if best > 1.0 and crossover is None:
             crossover = entry["scale"]
 
+    shard = _solve_sharded_shard(shard_users)
     return dict(
         sweeps=SWEEPS,
         base_sweeps=BASE_SWEEPS,
+        samples=SAMPLES,
         seed=SEED,
         numba_available=numba_available(),
         host=host_info(),
         scales=list(scales),
         crossover_scale=crossover,
         by_scale=by_scale,
+        sharded_snapshot_transposes=dict(
+            snapshot_users=shard_users,
+            shard_users=shard.num_users,
+            shard_tweets=shard.num_tweets,
+            rows=_transpose_cells(shard),
+        ),
+    )
+
+
+def _iqr_ms(row: dict, name: str) -> str:
+    """A row's ``name`` quartiles in ms, as ``q1–q3``."""
+    return f"{row[name + '_q1'] * 1000:.1f}–{row[name + '_q3'] * 1000:.1f}"
+
+
+def _transpose_table(rows: list[dict], title: str) -> str:
+    return format_table(
+        ["Product", "Operand rows", "Lazy CSC ms (median)",
+         "Materialized CSR ms (median)", "Policy picks"],
+        [
+            [
+                row["product"],
+                row["operand_rows"],
+                round(row["lazy_csc_ms"], 2),
+                round(row["materialized_csr_ms"], 2),
+                row["policy"],
+            ]
+            for row in rows
+        ],
+        title=title,
     )
 
 
@@ -581,6 +722,7 @@ def _render(outcome: dict) -> str:
                 row["kernel"],
                 row["dtype"],
                 round(row["seconds_per_sweep"] * 1000, 1),
+                _iqr_ms(row, "seconds_per_sweep"),
                 f"{row['speedup_vs_legacy']:.2f}x",
                 round(row["peak_rss_mb"], 0),
             ]
@@ -588,8 +730,8 @@ def _render(outcome: dict) -> str:
         ]
         lines.append(
             format_table(
-                ["Kernel", "Dtype", "ms/sweep (marginal)", "Speedup",
-                 "RSS high-water MB"],
+                ["Kernel", "Dtype", "ms/sweep (marginal, median)",
+                 "Quartiles ms", "Speedup", "RSS high-water MB"],
                 rows,
                 title=f"Whole solve — {title}",
             )
@@ -632,34 +774,23 @@ def _render(outcome: dict) -> str:
                 row["engine"],
                 row["threads"],
                 round(row["seconds_per_sweep"] * 1000, 1),
+                _iqr_ms(row, "seconds_per_sweep"),
                 f"{row['speedup_vs_scipy']:.2f}x",
             ]
             for row in entry["spmm_sweep"]
         ]
         lines.append(
             format_table(
-                ["Engine", "Threads", "ms/sweep (marginal)",
-                 "Speedup vs scipy"],
+                ["Engine", "Threads", "ms/sweep (marginal, median)",
+                 "Quartiles ms", "Speedup vs scipy"],
                 rows,
                 title=f"Whole sweep by spmm engine — {title}",
             )
         )
-        rows = [
-            [
-                row["product"],
-                row["operand_rows"],
-                round(row["lazy_csc_ms"], 2),
-                round(row["materialized_csr_ms"], 2),
-                row["policy"],
-            ]
-            for row in entry["transposes"]
-        ]
         lines.append(
-            format_table(
-                ["Product", "Operand rows", "Lazy CSC ms (median)",
-                 "Materialized CSR ms (median)", "Policy picks"],
-                rows,
-                title=f"Transposed product layout — {title}",
+            _transpose_table(
+                entry["transposes"],
+                f"Transposed product layout — {title}",
             )
         )
         rows = [
@@ -667,17 +798,29 @@ def _render(outcome: dict) -> str:
                 row["backend"],
                 row["n_shards"],
                 round(row["solve_seconds"] * 1000, 1),
+                _iqr_ms(row, "solve_seconds"),
                 f"{row['speedup_vs_1shard']:.2f}x",
             ]
             for row in entry["sharded"]
         ]
         lines.append(
             format_table(
-                ["Backend", "Shards", "Solve ms", "Speedup vs 1-shard"],
+                ["Backend", "Shards", "Solve ms (median)", "Quartiles ms",
+                 "Speedup vs 1-shard"],
                 rows,
                 title=f"Sharded (kernel=auto, float64) — {title}",
             )
         )
+    shard = outcome["sharded_snapshot_transposes"]
+    lines.append(
+        _transpose_table(
+            shard["rows"],
+            f"Transposed product layout — shard 0 of a 2-shard split of "
+            f"one {shard['snapshot_users']}-user solve-sharded snapshot "
+            f"({shard['shard_users']} users, {shard['shard_tweets']} "
+            f"tweets), {describe_host(outcome['host'])}",
+        )
+    )
     lines.append(
         "crossover scale (first multi-shard wall-clock win): "
         f"{outcome['crossover_scale']}"
@@ -698,7 +841,7 @@ def test_kernel_smoke():
     explicit ``kernel="numba"`` request must raise rather than silently
     degrade.
     """
-    outcome = run_kernel_benchmark(scales=(500,))
+    outcome = run_kernel_benchmark(scales=(500,), shard_users=1_000)
     kernels = outcome["by_scale"][0]["kernels"]
     labels = {(row["kernel"], row["dtype"]) for row in kernels}
     assert ("legacy", "float64") in labels
@@ -720,10 +863,14 @@ def test_kernel_smoke():
         row["engine"] for row in outcome["by_scale"][0]["spmm_sweep"]
     }
     assert sweep_engines == spmm_engines
-    # Both transposed products ran both ways (bitwise equality of the
-    # two forms is asserted inside the cells).
+    # The three transposed products ran both ways, at the scale's shape
+    # and at a solve-sharded shard's (bitwise equality of the two forms
+    # is asserted inside the cells).
+    products = ["Xpᵀ·Sp", "Xuᵀ·Su", "Xrᵀ·Su"]
     transposes = outcome["by_scale"][0]["transposes"]
-    assert [row["product"] for row in transposes] == ["Xpᵀ·Sp", "Xuᵀ·Su"]
+    assert [row["product"] for row in transposes] == products
+    shard_rows = outcome["sharded_snapshot_transposes"]["rows"]
+    assert [row["product"] for row in shard_rows] == products
 
     if not numba_available():
         with pytest.raises(RuntimeError, match="numba"):

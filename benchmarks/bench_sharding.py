@@ -14,8 +14,8 @@ latency.
 Two speedup readouts are reported:
 
 - ``solve_speedup`` — end-to-end solve wall-clock ratio.  The honest
-  serving metric, but it mixes in convergence differences (the block-
-  diagonal model may stop after a different sweep count).
+  serving metric, but it mixes in convergence differences (a sharded
+  solve may stop after a different sweep count).
 - ``per_sweep_speedup`` — wall-clock *per sweep* ratio, the isolated
   parallelism win of fanning per-shard updates across the worker pool.
 
@@ -39,17 +39,15 @@ least bench scale (CI smoke runs record the trajectory without
 asserting).  ``REPRO_SHARDING_BACKENDS`` (comma-separated) restricts
 the backend axis.
 
-The matrix runs with the cut-edge halo on (the default) plus one legacy
-``halo="off"`` reference cell at the widest shard count.  Two drift
-columns separate accountability: **Objective drift** is the full-model
-gap versus unsharded, **Graph drift** is the graph-regularizer term's
-slice of it — the part the halo owns, asserted inside noise (<= 0.1%)
-at the widest shard count, while the total must strictly beat the
-legacy cell.  The residual total drift is the documented remaining
-approximation (cut ``Xr`` entries and per-shard ``Hp``/``Hu``), not the
-graph term.  ``Halo KiB/sweep`` surfaces the exchange payload
-(O(boundary rows x k) per sweep, coordinator-side accounting so it
-shows on every backend).
+Every multi-shard cell keeps the cut ``Gu`` edges as halo blocks.  Two
+drift columns separate accountability: **Objective drift** is the
+full-model gap versus unsharded, asserted under 25%; **Graph drift** is
+the graph-regularizer term's slice of it — the part the halo owns,
+asserted inside noise (<= 0.1%) at the widest shard count.  The
+residual total drift is the documented remaining approximation (cut
+``Xr`` entries and per-shard ``Hp``/``Hu``), not the graph term.
+``Halo KiB/sweep`` surfaces the exchange payload (O(boundary rows x k)
+per sweep, coordinator-side accounting so it shows on every backend).
 
 Emits ``benchmarks/results/bench_sharding.json`` plus the usual table.
 """
@@ -98,9 +96,7 @@ def bench_backends() -> tuple:
     return tuple(name.strip() for name in raw.split(",") if name.strip())
 
 
-def run_cell(
-    bundle, config, backend: str, n_shards: int, workers=None, halo="on"
-) -> dict:
+def run_cell(bundle, config, backend: str, n_shards: int, workers=None) -> dict:
     """One full engine pass at (backend, n_shards); per-snapshot timings."""
     engine = StreamingSentimentEngine(
         EngineConfig(
@@ -109,7 +105,6 @@ def run_cell(
             sharding={
                 "n_shards": n_shards,
                 "backend": backend,
-                "halo": halo,
                 # repro-lint: disable=REP006 -- socket-only workers list
                 # plumbing; ShardingConfig validates the backend name.
                 "workers": workers if backend == "socket" else None,
@@ -141,15 +136,15 @@ def run_cell(
                     wall_seconds=elapsed,
                     # Per-snapshot halo activity: a snapshot whose
                     # partition happens to cut no Gu edge runs with the
-                    # halo inert even when halo="on" — the telemetry
-                    # checker verifies all-or-nothing per solve.
+                    # halo inert — the telemetry checker verifies
+                    # all-or-nothing per solve.
                     halo_updates=pool.get("halo_updates", 0),
                     halo_bytes=pool.get("halo_bytes", 0),
                 )
             )
         # Final-snapshot factors evaluated on the FULL (uncut) objective,
         # so cells are compared on one common yardstick — this is the
-        # documented-tolerance number for the block-diagonal
+        # documented-tolerance number for the sharded solve's remaining
         # approximation, and the cross-backend determinism witness (all
         # backends must land on the bit-same value per shard count).
         step, graph = engine.last_step, engine.last_graph
@@ -171,7 +166,6 @@ def run_cell(
     return dict(
         backend=backend,
         n_shards=n_shards,
-        halo=halo,
         snapshots=len(rows),
         solve_seconds=solve_seconds,
         wall_seconds=sum(r["wall_seconds"] for r in rows),
@@ -198,7 +192,7 @@ def run_cell(
         # Halo payload per sweep (coordinator-side accounting, so it is
         # populated on every backend — the thread pool's zero-copy
         # bytes_sent/received columns read 0 by design).  O(cut-edge
-        # boundary rows x k) per exchange; 0 with the halo off.
+        # boundary rows x k) per exchange; 0 at one shard.
         halo_kib_per_sweep=(
             telemetry_total.get("halo_bytes", 0) / 1024.0 / max(sweeps, 1)
             if telemetry_total
@@ -232,12 +226,6 @@ def run_sharding_comparison(config=None, backends=None) -> dict:
             for backend in backends
             for n in SHARD_COUNTS
         ]
-        # One legacy block-diagonal reference cell: the halo's before/
-        # after contrast at the widest shard count, on the cheapest
-        # backend.  Its drift is what the halo exists to cut down.
-        runs.append(
-            run_cell(bundle, config, "thread", max(SHARD_COUNTS), halo="off")
-        )
     finally:
         if fleet is not None:
             fleet.close()
@@ -285,43 +273,27 @@ def test_bench_sharding(benchmark):
         # the full objective (documented tolerance).
         assert abs(run["objective_rel_diff"]) < 0.25
 
-    # The halo's accountability assertions.  The cut-edge halo makes
+    # The halo's accountability assertion.  The cut-edge halo makes
     # the graph-smoothness term exact, so at the widest shard count its
     # contribution to the drift must sit inside noise (<= 0.1%); the
     # remaining drift is the *documented* residual approximation (cut
-    # Xr entries and per-shard Hp/Hu/consensus — see README), which the
-    # halo must still strictly improve on versus the legacy
-    # block-diagonal reference cell.
-    legacy = [r for r in runs if r["halo"] == "off"]
+    # Xr entries and per-shard Hp/Hu/consensus — see README).
     for run in runs:
-        if run["halo"] != "on" or run["n_shards"] == 1:
-            continue
         if run["n_shards"] == max(outcome["shard_counts"]):
             assert abs(run["graph_rel_diff"]) <= 0.001, (
                 f"halo left graph-term drift outside noise: "
                 f"{run['graph_rel_diff']:+.4%}"
             )
-        for ref in legacy:
-            if ref["n_shards"] == run["n_shards"]:
-                assert abs(run["objective_rel_diff"]) < abs(
-                    ref["objective_rel_diff"]
-                ), (
-                    f"halo did not improve total drift at "
-                    f"n_shards={run['n_shards']}: "
-                    f"{run['objective_rel_diff']:+.4%} vs "
-                    f"legacy {ref['objective_rel_diff']:+.4%}"
-                )
 
     # Backends are an execution detail, not a model change: for every
-    # (shard count, halo) the final-snapshot objective must be
-    # bit-identical across every backend in the matrix.
-    by_count: dict[tuple, list[float]] = {}
+    # shard count the final-snapshot objective must be bit-identical
+    # across every backend in the matrix.
+    by_count: dict[int, list[float]] = {}
     for run in runs:
-        key = (run["n_shards"], run["halo"])
-        by_count.setdefault(key, []).append(run["full_objective"])
-    for key, values in by_count.items():
+        by_count.setdefault(run["n_shards"], []).append(run["full_objective"])
+    for n_shards, values in by_count.items():
         assert all(value == values[0] for value in values), (
-            f"backend-dependent objective at (n_shards, halo)={key}: {values}"
+            f"backend-dependent objective at n_shards={n_shards}: {values}"
         )
 
     if (
@@ -348,7 +320,6 @@ def test_bench_sharding(benchmark):
         [
             run["backend"],
             run["n_shards"],
-            run["halo"],
             run["snapshots"],
             round(run["solve_seconds"] * 1000, 1),
             round(run["seconds_per_sweep"] * 1000, 2),
@@ -378,7 +349,6 @@ def test_bench_sharding(benchmark):
         [
             "Backend",
             "Shards",
-            "Halo",
             "Snapshots",
             "Solve ms",
             "ms/sweep",

@@ -11,21 +11,21 @@ deterministic, so CI can gate on them even on noisy shared runners:
   the fused command back into separate pass and objective exchanges, or
   starts re-broadcasting ``Sf``, breaks this equality immediately.
   The cut-edge halo rides the fused exchange as command arguments, so
-  this equality holding on ``halo="on"`` cells *is* the zero-extra-
-  rounds guarantee.
+  this equality holding on multi-shard cells *is* the zero-extra-rounds
+  guarantee.
 - **shared_sets**: ``Sf`` is broadcast as a versioned shared resident
   exactly once per solve (plus the ``sf_prior`` resident — two sets per
   snapshot); every subsequent advance is a version-bumping ``l×k``
   update, never a re-send.
 - **shared_updates**: exactly one ``Sf`` version bump per sweep.
-- **halo_updates / halo_bytes**: with the halo on at multiple shards,
-  exactly one boundary-row exchange is consumed per sweep and its
-  payload (delivered ghost slices + returned boundary rows, float64
-  ``O(cut-edge boundary rows × k)``) is strictly positive and
-  8-byte-granular; with the halo off (or one shard) both are exactly
-  zero — the halo machinery must be completely inert.  Payload bytes
-  are counted coordinator-side, so for a fixed (shard count, halo)
-  cell they must agree bit-exactly across backends.
+- **halo_updates / halo_bytes**: at multiple shards, every snapshot
+  whose partition cuts a ``Gu`` edge consumes exactly one boundary-row
+  exchange per sweep, and its payload (delivered ghost slices +
+  returned boundary rows, float64 ``O(cut-edge boundary rows × k)``)
+  is strictly positive and 8-byte-granular; at one shard both are
+  exactly zero — the halo machinery must be completely inert.  Payload
+  bytes are counted coordinator-side, so for a fixed shard count they
+  must agree bit-exactly across backends.
 
 Usage::
 
@@ -43,8 +43,7 @@ def check(payload: dict) -> int:
     halo_bytes_by_cell: dict = {}
     for run in payload["runs"]:
         telemetry = run.get("telemetry")
-        halo = run.get("halo", "off")
-        cell = f"{run['backend']} x {run['n_shards']} shard(s), halo {halo}"
+        cell = f"{run['backend']} x {run['n_shards']} shard(s)"
         if not telemetry:
             # The only cell allowed to run without a pool is the plain
             # thread 1-shard baseline.
@@ -73,7 +72,7 @@ def check(payload: dict) -> int:
             )
         halo_updates = telemetry.get("halo_updates", 0)
         halo_bytes = telemetry.get("halo_bytes", 0)
-        if halo == "on" and run["n_shards"] > 1:
+        if run["n_shards"] > 1:
             # Per solve the halo is all-or-nothing: a snapshot whose
             # partition cuts at least one Gu edge consumes exactly one
             # boundary exchange per sweep; a cut-free snapshot runs

@@ -5,7 +5,10 @@ Solves Eq. (1) by cyclic multiplicative updates in the paper's order
 sweep itself is the shared solve loop of :mod:`repro.core.sweep`.
 Sharding is a constructor setting: by default each fit is one shard
 (the whole graph, solved inline); ``n_shards`` > 1 or an out-of-process
-``backend`` partitions the users onto a worker pool.
+``backend`` partitions the users onto a worker pool.  A partitioned
+solve keeps every cut ``Gu`` edge as a halo block and exchanges the
+shards' boundary ``Su`` rows each sweep, so the graph regularizer of
+Eq. (1) covers the whole user graph at any shard count.
 :class:`~repro.core.sharded.ShardedTriClustering` is an alias of this
 class.  The result object exposes hard/soft sentiment readouts for
 tweets, users and features.
@@ -120,10 +123,6 @@ class OfflineTriClustering:
     workers:
         ``backend="socket"`` only: ``["host:port", ...]`` addresses of
         running ``python -m repro worker`` servers.
-    halo:
-        ``"on"`` (default) exchanges boundary ``Su`` rows per sweep so
-        the graph regularizer sees the full ``Gu``; ``"off"`` drops
-        cut edges (the legacy block-diagonal approximation).
     """
 
     #: Section 7 regularizer stack folded into the solve (see
@@ -148,7 +147,6 @@ class OfflineTriClustering:
         max_workers: int | None = None,
         backend: str = "thread",
         workers=None,
-        halo: str = "on",
     ) -> None:
         if num_classes < 2:
             raise ValueError(f"num_classes must be >= 2, got {num_classes}")
@@ -169,12 +167,11 @@ class OfflineTriClustering:
         self.spmm = spmm
         self.spmm_threads = spmm_threads
         self.workers = validate_sharding(
-            n_shards, max_workers, backend, workers, halo
+            n_shards, max_workers, backend, workers
         )
         self.n_shards = n_shards
         self.max_workers = max_workers
         self.backend = backend
-        self.halo = halo
         #: Optional externally-owned pool (e.g. the serving engine's).
         #: When set, partitioned solves run on it and never shut it
         #: down, re-scattering their shard blocks under a fresh epoch

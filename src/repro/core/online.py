@@ -23,10 +23,12 @@ The solver is matrix-level: callers hand it one
 against a **shared vocabulary** so that feature rows align across time.
 Each snapshot's inner loop (Algorithm 2 order: Sf, Sp, Hp, Hu, Su) is
 the shared solve loop of :mod:`repro.core.sweep`.  Sharding is a
-constructor setting, the same five as the offline solver's: by default
+constructor setting, the same four as the offline solver's: by default
 each snapshot is one shard solved inline, and ``n_shards`` > 1 or an
-out-of-process ``backend`` partitions its users onto a worker pool.
-The temporal state is the same either way.
+out-of-process ``backend`` partitions its users onto a worker pool,
+keeping every cut ``Gu`` edge as a halo block so the graph
+regularizer covers the whole user graph.  The temporal state is the
+same either way.
 :class:`~repro.core.sharded.ShardedOnlineTriClustering` is an alias of
 this class.
 """
@@ -115,7 +117,7 @@ class OnlineTriClustering:
         Sparse·dense product engine and its thread budget; see
         :class:`~repro.core.offline.OfflineTriClustering` and
         :mod:`repro.core.spmm` (float64 bit-identical, speed-only).
-    n_shards / max_workers / backend / workers / halo:
+    n_shards / max_workers / backend / workers:
         Sharding settings; see
         :class:`~repro.core.offline.OfflineTriClustering`.  On the
         process and socket backends a borrowed :attr:`pool` keeps its
@@ -145,7 +147,6 @@ class OnlineTriClustering:
         max_workers: int | None = None,
         backend: str = "thread",
         workers=None,
-        halo: str = "on",
     ) -> None:
         if num_classes < 2:
             raise ValueError(f"num_classes must be >= 2, got {num_classes}")
@@ -176,12 +177,11 @@ class OnlineTriClustering:
         self.spmm = spmm
         self.spmm_threads = spmm_threads
         self.workers = validate_sharding(
-            n_shards, max_workers, backend, workers, halo
+            n_shards, max_workers, backend, workers
         )
         self.n_shards = n_shards
         self.max_workers = max_workers
         self.backend = backend
-        self.halo = halo
         #: Optional externally-owned pool; see
         #: :attr:`~repro.core.offline.OfflineTriClustering.pool`.
         self.pool: WorkerPool | None = None

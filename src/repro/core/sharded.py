@@ -3,7 +3,7 @@
 Sharding is a constructor setting of
 :class:`~repro.core.offline.OfflineTriClustering` and
 :class:`~repro.core.online.OnlineTriClustering` (``n_shards``,
-``max_workers``, ``backend``, ``workers``, ``halo``), not a solver type:
+``max_workers``, ``backend``, ``workers``), not a solver type:
 each solve hash-partitions the snapshot's users by id (tweets follow
 their author) into ``n_shards`` blocks and runs them on a
 :class:`~repro.utils.executor.WorkerPool` of the chosen backend, and

@@ -10,7 +10,7 @@ piece to the global ``Sf`` update, which is reduced and applied once
 per sweep.  Every solver runs this loop.  Sharding is a constructor
 setting of :class:`~repro.core.offline.OfflineTriClustering` and
 :class:`~repro.core.online.OnlineTriClustering` (``n_shards``,
-``max_workers``, ``backend``, ``workers``, ``halo``), and
+``max_workers``, ``backend``, ``workers``), and
 :meth:`SweepPlan.for_solver` plans each solve from it: one in-process
 shard is a single block that reuses the graph's own matrices, solved
 inline; more shards hash-partition the users onto a pool of the chosen
@@ -23,20 +23,17 @@ step, and its value joins the shard objective, all in stack order.
 
 Model semantics at more than one shard:
 
-- With ``halo="on"`` (the sharded default) the graph regularizer sees
-  the **full** ``Gu``: cross-shard edges are retained as per-shard halo
-  blocks and each sweep's fused exchange carries the boundary ``Su``
-  rows both ways (workers publish their post-pass boundary rows with
-  the reply, the coordinator gathers the global boundary stack in fixed
-  shard-rank order and hands each shard its ghost-row slice with the
-  next command) — O(cut-edges × k) payload, zero extra rounds.  What
-  remains approximate is block-diagonal ``Hp``/``Hu``/projectors and
-  dropped ``Xr`` cut entries.  ``halo="off"`` restores the legacy
-  block-diagonal approximation (cut ``Gu`` edges dropped too, tallied
-  in :class:`~repro.graph.partition.ShardedGraph`).  Either way runs
-  are seed-deterministic for a fixed ``(seed, n_shards)`` — users are
-  hash-partitioned by id, initialization is global-then-scattered and
-  reductions are ordered.
+- The graph regularizer sees the **full** ``Gu``: cross-shard edges
+  are retained as per-shard halo blocks and each sweep's fused exchange
+  carries the boundary ``Su`` rows both ways (workers publish their
+  post-pass boundary rows with the reply, the coordinator gathers the
+  global boundary stack in fixed shard-rank order and hands each shard
+  its ghost-row slice with the next command) — O(cut-edges × k)
+  payload, zero extra rounds.  What remains approximate is
+  block-diagonal ``Hp``/``Hu``/projectors and dropped ``Xr`` cut
+  entries.  Runs are seed-deterministic for a fixed ``(seed,
+  n_shards)`` — users are hash-partitioned by id, initialization is
+  global-then-scattered and reductions are ordered.
 - After the last sweep, per-shard ``Hp``/``Hu`` are distilled into one
   global pair by :data:`CONSENSUS_ITERATIONS` steps of the *global*
   Eq. (12)/(13) updates on the reduced numerators
@@ -98,7 +95,6 @@ from repro.graph.partition import (
     UserPartition,
     extract_shard_blocks,
     hash_partition,
-    validate_halo,
 )
 from repro.graph.tripartite import TripartiteGraph
 from repro.utils.executor import (
@@ -374,7 +370,7 @@ def _shared_sf_step(
 
 
 def _shard_boundary(state: _ShardState) -> np.ndarray | None:
-    """The shard's published boundary ``Su`` rows (``None`` halo-off).
+    """The shard's published boundary ``Su`` rows (``None`` without a halo).
 
     A fancy-indexed copy, so the reply never aliases the live factor
     the next pass replaces.
@@ -582,8 +578,8 @@ class ShardedSolver:
         # gather index maps its ghost columns into that stack — fixed at
         # construction, so redistribution is deterministic fancy
         # indexing at any backend or thread count.  A partition with no
-        # cut edges (or extracted halo-off) degenerates to the legacy
-        # no-halo exchange.
+        # cut edges (one shard, or a cut-free split) runs the no-halo
+        # exchange.
         self._halo = any(
             block.gu_halo is not None and block.gu_halo.nnz
             for block in sharded.blocks
@@ -675,7 +671,7 @@ class ShardedSolver:
         ]
 
     def _halo_args(self) -> list:
-        """Per-shard ghost-row slices for one exchange (halo-off: Nones).
+        """Per-shard ghost-row slices for one exchange (no halo: Nones).
 
         Slices are gathered from the current boundary stack in fixed
         shard-rank order and ride the exchange as command arguments —
@@ -1022,14 +1018,13 @@ def validate_sharding(
     max_workers: int | None,
     backend: str,
     workers=None,
-    halo: str = "on",
 ) -> tuple[str, ...] | None:
     """Check one set of sharding settings; return ``workers`` normalized.
 
     The one check behind both solvers' constructors and
     :class:`~repro.engine.config.ShardingConfig`: ``n_shards`` is an int
     >= 1 or ``"auto"``, ``max_workers`` an int >= 1 or ``None``,
-    ``backend`` and ``halo`` name known modes, and ``workers`` is given
+    ``backend`` names a known backend, and ``workers`` is given
     exactly when ``backend="socket"`` (returned as a tuple, else
     ``None``).
     """
@@ -1041,7 +1036,6 @@ def validate_sharding(
         raise ValueError(
             f"max_workers must be an int >= 1 or None, got {max_workers!r}"
         )
-    validate_halo(halo)
     validate_backend(backend)
     # repro-lint: disable=REP006 -- workers= applicability check immediately
     # after validate_backend; the registry owns the name, not this branch.
@@ -1112,7 +1106,7 @@ class SweepPlan:
         """Plan one solve of ``graph`` from ``solver``'s sharding settings.
 
         ``solver`` carries ``n_shards``, ``max_workers``, ``backend``,
-        ``workers``, ``halo``, an optional borrowed ``pool`` and the
+        ``workers``, an optional borrowed ``pool`` and the
         ``last_plan`` this records.  ``n_shards=1`` on an in-process
         backend is the whole graph as one block (the graph's own
         matrices, no hashing), solved inline on a one-worker pool, with
@@ -1135,9 +1129,7 @@ class SweepPlan:
             solver.n_shards, graph.num_users, solver.max_workers
         )
         sharded = extract_shard_blocks(
-            graph,
-            hash_partition(graph.corpus.user_ids, n_shards),
-            halo=solver.halo == "on",
+            graph, hash_partition(graph.corpus.user_ids, n_shards)
         )
         solver.last_plan = sharded
         if solver.pool is not None:

@@ -9,7 +9,7 @@ with a frozen dataclass hierarchy:
 - :class:`SolverConfig` — the online solver's hyperparameters
   (Algorithm 2 weights, convergence policy, warm-start smoothing);
 - :class:`ShardingConfig` — how the solve is partitioned and executed
-  (shard count, execution backend, worker bound, halo exchange);
+  (shard count, execution backend, worker bound, socket workers);
 - :class:`ServingConfig` — the classify path (fold-in iterations,
   micro-batch width, LRU size);
 - :class:`IngestConfig` — the async ingestion pipeline (queue bound,
@@ -62,6 +62,7 @@ _REMOVED_FIELDS: dict[str, dict[str, tuple[tuple, str]]] = {
         "consensus_iterations": (
             (25,), "the merge runs a fixed 25 consensus steps"
         ),
+        "halo": (("on",), "cross-shard Gu edges are always kept as halo blocks"),
     },
     "ingest": {
         "async_ingest": ((True, False), "ingest always runs on the queue"),
@@ -219,12 +220,6 @@ class ShardingConfig:
     backend: str = "thread"
     max_workers: int | None = None
     workers: tuple[str, ...] | None = None
-    #: Cut-edge halo exchange: ``"on"`` evaluates the graph regularizer
-    #: on the full ``Gu`` via per-sweep boundary-row exchanges;
-    #: ``"off"`` drops cross-shard edges (legacy block-diagonal model).
-    #: Checkpoints saved before this knob existed restore as ``"off"``
-    #: (they were solved block-diagonal; restoring preserves that).
-    halo: str = "on"
 
     def __post_init__(self) -> None:
         # The solvers' own check, so config and solver accept the same
@@ -237,7 +232,6 @@ class ShardingConfig:
                 self.max_workers,
                 self.backend,
                 self.workers,
-                self.halo,
             ),
         )
 

@@ -19,9 +19,10 @@ Format version 2 persists the engine's configuration as one
 :meth:`~repro.engine.config.EngineConfig.to_dict` blob (the solver's
 hyperparameters captured live via ``effective_config``, so engines
 built around a hand-constructed solver instance checkpoint faithfully
-too), instead of version 1's loose field-by-field dump.  Version-1
-checkpoints still load: their flat fields are mapped onto an
-``EngineConfig`` on the way in.
+too).  It is the only format ``load`` reads: version-1 checkpoints
+(a loose field-by-field dump, solved without the cut-edge halo) are
+refused with a ``ValueError`` naming the version, and so is a
+checkpoint missing any array the format requires.
 
 Checkpoint compaction: with ``EngineConfig.max_profile_age`` set,
 ``save`` first ages out builder bookkeeping (user profiles and
@@ -36,7 +37,7 @@ memo, telemetry reports, and the classify LRU (recomputed on demand).
 Custom vectorizer analyzers cannot be serialized; engines using them
 are rejected with a clear error.
 
-Both versions load through :meth:`~repro.engine.config.EngineConfig.
+The config loads through :meth:`~repro.engine.config.EngineConfig.
 from_dict`, so a checkpoint that records a removed option loads only
 at the value every solve now runs and is refused otherwise.
 """
@@ -65,31 +66,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 logger = get_logger("engine.persistence")
 
 FORMAT_VERSION = 2
-SUPPORTED_VERSIONS = (1, 2)
+SUPPORTED_VERSIONS = (2,)
 ARRAYS_FILE = "arrays.npz"
 STATE_FILE = "state.json"
 
 _FACTOR_NAMES = ("sf", "sp", "su", "hp", "hu")
-
-#: SolverConfig fields, as they appear in both v1 solver params and v2
-#: config dumps (everything the online solver takes beyond num_classes).
-#: ``update_style`` is a removed option that old checkpoints record;
-#: EngineConfig accepts its surviving value and rejects the others.
-_SOLVER_FIELDS = (
-    "alpha",
-    "beta",
-    "gamma",
-    "tau",
-    "window",
-    "max_iterations",
-    "tolerance",
-    "patience",
-    "update_style",
-    "state_smoothing",
-    "track_history",
-    "kernel",
-    "dtype",
-)
 
 
 def _sentiment_to_json(value: Sentiment | None) -> str | None:
@@ -268,47 +249,19 @@ def save_engine(engine: "StreamingSentimentEngine", path: str | Path) -> Path:
     return path
 
 
-def _config_from_v1(state: dict) -> tuple[EngineConfig, int]:
-    """Map a version-1 checkpoint's loose fields onto an EngineConfig."""
-    engine_state = state["engine"]
-    params = dict(state["solver"]["params"])
-    solver_config = {
-        name: params[name] for name in _SOLVER_FIELDS if name in params
-    }
-    # A sharded solver may have pinned its own worker count; prefer it
-    # over the engine-level bound so the restored pool matches the old
-    # _rebuild_solver path.
-    max_workers = params.get("max_workers")
-    if max_workers is None:
-        max_workers = engine_state.get("max_workers")
-    sharding_config = {
-        "n_shards": params.get("n_shards", 1),
-        "partitioner": params.get(
-            "partitioner", engine_state.get("partitioner", "hash")
-        ),
-        "backend": params.get("backend", engine_state.get("backend", "thread")),
-        "max_workers": max_workers,
-        "consensus_iterations": params.get("consensus_iterations", 25),
-        # Version-1 checkpoints predate the cut-edge halo exchange:
-        # restore the block-diagonal solver they were saved with.
-        # (Version-2 dumps carry sharding.halo in the config blob.)
-        "halo": params.get("halo", "off"),
-    }
-    serving_config = {
-        "classify_iterations": engine_state["classify_iterations"],
-        "classify_batch_size": engine_state["classify_batch_size"],
-        "cache_size": engine_state["cache_size"],
-    }
-    classify_seed = int(engine_state["classify_seed"])
-    config = EngineConfig.from_dict({
-        "num_classes": engine_state["num_classes"],
-        "seed": classify_seed,
-        "cross_snapshot_edges": engine_state["cross_snapshot_edges"],
-        "solver": solver_config,
-        "sharding": sharding_config,
-        "serving": serving_config,
-    })
-    return config, classify_seed
+def _required_arrays(state: dict) -> list[str]:
+    """Every ``arrays.npz`` entry the checkpoint described by ``state`` holds."""
+    names = [f"factors_{name}" for name in _FACTOR_NAMES]
+    names += [
+        "alignment",
+        "user_state_uids", "user_state_rows",
+        "author_tweet_ids", "author_user_ids",
+        "last_seen_uids", "last_seen_values",
+    ]
+    names += [f"sf_history_{lag}" for lag in range(int(state["sf_history_len"]))]
+    for lag in range(int(state["su_history_len"])):
+        names += [f"su_history_{lag}_uids", f"su_history_{lag}_rows"]
+    return names
 
 
 def _user_rows(
@@ -346,7 +299,7 @@ def _user_rows(
 
 
 def load_engine(path: str | Path) -> "StreamingSentimentEngine":
-    """Rebuild an engine saved by :func:`save_engine` (format 1 or 2)."""
+    """Rebuild an engine saved by :func:`save_engine` (format 2)."""
     from repro.engine.streaming import StreamingSentimentEngine
 
     path = Path(path)
@@ -354,11 +307,14 @@ def load_engine(path: str | Path) -> "StreamingSentimentEngine":
     version = state.get("version")
     if version not in SUPPORTED_VERSIONS:
         raise ValueError(
-            f"unsupported checkpoint version {version!r} "
-            f"(expected one of {SUPPORTED_VERSIONS})"
+            f"unsupported checkpoint format version {version!r} "
+            f"(this release reads version {FORMAT_VERSION})"
         )
     with np.load(path / ARRAYS_FILE) as handle:
         arrays = {key: handle[key] for key in handle.files}
+    for name in _required_arrays(state):
+        if name not in arrays:
+            raise ValueError(f"malformed checkpoint: missing array {name!r}")
 
     vocabulary = Vocabulary.from_state(state["vocabulary"])
     vectorizer = _rebuild_vectorizer(state["vectorizer"], vocabulary)
@@ -371,11 +327,8 @@ def load_engine(path: str | Path) -> "StreamingSentimentEngine":
             negative=lexicon_state["negative"],
         )
     )
-    if version == 1:
-        config, classify_seed = _config_from_v1(state)
-    else:
-        config = EngineConfig.from_dict(state["engine"]["config"])
-        classify_seed = int(state["engine"]["classify_seed"])
+    config = EngineConfig.from_dict(state["engine"]["config"])
+    classify_seed = int(state["engine"]["classify_seed"])
 
     # The engine rebuilds its solver from the config; the checkpoint
     # then restores the solver's temporal position on top of it.
@@ -421,19 +374,12 @@ def load_engine(path: str | Path) -> "StreamingSentimentEngine":
         for p in (_profile_from_json(r) for r in state["builder"]["profiles"])
     }
     builder._snapshots_built = int(state["builder"]["snapshots_built"])
-    if "last_seen_uids" in arrays:
-        builder._last_seen = dict(
-            zip(
-                arrays["last_seen_uids"].tolist(),
-                arrays["last_seen_values"].tolist(),
-            )
+    builder._last_seen = dict(
+        zip(
+            arrays["last_seen_uids"].tolist(),
+            arrays["last_seen_values"].tolist(),
         )
-    else:
-        # v1 checkpoints carry no activity recency; treat every known
-        # profile as fresh at restore so compaction never mistakes
-        # pre-upgrade users for long-inactive ones.
-        latest = builder._snapshots_built - 1
-        builder._last_seen = dict.fromkeys(builder._profiles, latest)
+    )
 
     # --- serving state ---
     factors = FactorSet(

@@ -127,7 +127,7 @@ class StreamingSentimentEngine:
         (its sharding settings included); when ``None`` one is built
         from the config.  Mutually exclusive with non-default
         ``config.solver`` and with ``config.sharding``'s
-        shard/backend/halo fields — configure sharding on the solver
+        shard/backend fields — configure sharding on the solver
         instance instead (the engine adopts its settings).
 
     The engine owns a worker pool sized by ``config.sharding.
@@ -178,7 +178,7 @@ class StreamingSentimentEngine:
         if solver is not None:
             # max_workers stays settable: it also sizes the classify pool.
             conflicts = [
-                name for name in ("n_shards", "backend", "halo")
+                name for name in ("n_shards", "backend")
                 if getattr(sharding, name) != getattr(ShardingConfig, name)
             ]
             if config.solver != SolverConfig():
@@ -580,7 +580,6 @@ class StreamingSentimentEngine:
                 else self.max_workers
             ),
             workers=solver.workers,
-            halo=solver.halo,
         )
         return self.config.replace(
             num_classes=solver.num_classes,

@@ -15,15 +15,13 @@ TripartiteGraph` into :class:`ShardBlock` views.  Cut-edge handling:
 ``Xr`` entries joining two shards cannot appear in any block-diagonal
 slice, so they are dropped from the shard-local model and accounted in
 :class:`ShardedGraph`'s cut statistics.  Cross-shard ``Gu`` entries
-are, with ``halo=True``, *retained* as per-shard halo structures — a
-``gu_halo`` CSR block over compacted ghost columns plus
-``halo_owner``/``halo_source`` maps identifying each ghost column's
-(owner shard, published boundary row) — so the sharded solver can
-exchange read-only boundary ``Su`` rows per sweep and evaluate the
-graph-smoothness term on the *full* ``Gu``.  With ``halo=False`` they
-are dropped (the legacy block-diagonal approximation).  Either way a
-1-shard partition cuts nothing: its one block shares the original
-model's matrices.
+are *retained* as per-shard halo structures — a ``gu_halo`` CSR block
+over compacted ghost columns plus ``halo_owner``/``halo_source`` maps
+identifying each ghost column's (owner shard, published boundary row)
+— so the sharded solver can exchange read-only boundary ``Su`` rows
+per sweep and evaluate the graph-smoothness term on the *full* ``Gu``.
+A 1-shard partition cuts nothing: its one block shares the original
+model's matrices and carries no halo.
 ``Xu`` rows are taken whole — a user's word aggregate keeps evidence
 from retweets of other shards' tweets, which costs nothing and loses
 nothing.
@@ -40,22 +38,6 @@ import scipy.sparse as sp
 from repro.core.objective import ObjectiveStatics
 from repro.graph.tripartite import TripartiteGraph
 from repro.graph.usergraph import UserGraph
-
-#: Valid settings for the cut-edge halo exchange knob.
-HALO_MODES = ("on", "off")
-
-
-def validate_halo(halo: str) -> str:
-    """Return ``halo`` if it names a valid halo mode.
-
-    The single eager check for ``halo=`` arguments, reached through
-    :func:`repro.core.sweep.validate_sharding` by the solvers and the
-    engine config.
-    """
-    if halo not in HALO_MODES:
-        raise ValueError(f"halo must be one of {HALO_MODES}, got {halo!r}")
-    return halo
-
 
 @dataclass(frozen=True)
 class UserPartition:
@@ -164,7 +146,7 @@ def _block_from_parts(
     block alone would silently re-weight the regularizer for boundary
     users even on the edges that were kept; the additive form keeps the
     local graph term diagonally dominant (PSD) and is bit-identical to
-    the legacy path wherever the halo contribution is zero.
+    the block's own degrees wherever the halo contribution is zero.
     """
     block_graph = UserGraph(adjacency=gu)
     du = block_graph.degree_matrix
@@ -202,11 +184,12 @@ class ShardBlock:
     ``user_rows``/``tweet_rows`` are sorted global row indices, so
     per-shard factors keep the global relative order and scatter back
     with plain fancy indexing.  ``gu`` is the *block-diagonal* user
-    graph slice; without a halo, ``du``/``laplacian`` drop cut edges
-    and recompute degrees from the block so the Laplacian stays PSD.
+    graph slice; without a halo (one shard), ``du``/``laplacian`` are
+    the block's own.
 
-    Halo members (``None`` when extracted with ``halo=False`` or when
-    the shard has no cut edges): ``boundary_local`` lists the sorted
+    Halo members (``None`` for the block of a one-shard partition; a
+    shard of a larger partition always has them, empty when it has no
+    cut edges): ``boundary_local`` lists the sorted
     local rows with at least one cross-shard ``Gu`` edge — the rows
     this shard *publishes* after each sweep; ``gu_halo`` is the
     ``num_users × num_halo`` CSR block of cut-edge weights over
@@ -262,8 +245,7 @@ class ShardBlock:
         boundary.  Shard blocks cross that boundary **once per
         scatter** — sweeps exchange only factor-sized arrays.  Halo
         members ship only when present (CSR payload form for
-        ``gu_halo``), so halo-off payloads are byte-identical to the
-        legacy format.
+        ``gu_halo``).
         """
         payload = {
             "index": self.index,
@@ -311,12 +293,9 @@ class ShardedGraph:
     """A partitioned graph: blocks plus what the partition cut.
 
     ``gu_cut_weight`` / ``xr_cut_nnz`` quantify what the partition
-    severs; both are exactly zero for one shard.  Of the cut ``Gu``
-    weight, ``gu_recovered_weight`` is retained in halo blocks (the
-    per-sweep boundary-row exchange evaluates it exactly) and
-    ``gu_dropped_weight`` is what the model actually loses — all of
-    the cut weight when extracted with ``halo=False``, none of it with
-    ``halo=True``.  ``Xr`` cut entries are always dropped.
+    severs; both are exactly zero for one shard.  The cut ``Gu`` weight
+    is retained in the blocks' halos (the per-sweep boundary-row
+    exchange evaluates it exactly); cut ``Xr`` entries are dropped.
     """
 
     graph: TripartiteGraph
@@ -326,7 +305,6 @@ class ShardedGraph:
     gu_total_weight: float
     xr_cut_nnz: int
     xr_total_nnz: int
-    gu_recovered_weight: float = 0.0
 
     @property
     def n_shards(self) -> int:
@@ -338,18 +316,6 @@ class ShardedGraph:
         if self.gu_total_weight <= 0:
             return 0.0
         return self.gu_cut_weight / self.gu_total_weight
-
-    @property
-    def gu_dropped_weight(self) -> float:
-        """Cut ``Gu`` weight the model loses (cut minus halo-recovered)."""
-        return self.gu_cut_weight - self.gu_recovered_weight
-
-    @property
-    def gu_recovered_fraction(self) -> float:
-        """Fraction of the *cut* ``Gu`` weight retained in halo blocks."""
-        if self.gu_cut_weight <= 0:
-            return 0.0
-        return self.gu_recovered_weight / self.gu_cut_weight
 
     @property
     def xr_cut_fraction(self) -> float:
@@ -393,17 +359,14 @@ def _halo_parts(
 def extract_shard_blocks(
     graph: TripartiteGraph,
     partition: UserPartition,
-    halo: bool = False,
 ) -> ShardedGraph:
     """Slice ``graph`` into per-shard blocks along ``partition``.
 
     Tweets follow their author's shard.  Cross-shard ``Xr`` entries are
     dropped from the blocks and tallied; ``Xu`` rows are sliced whole
-    (see module docstring).  Cross-shard ``Gu`` entries are dropped
-    with ``halo=False`` and retained as per-shard halo structures with
-    ``halo=True`` — the cut statistics record both what was cut and
-    what the halo recovered.  A one-shard partition cuts nothing, so
-    its block shares the graph's matrices and carries no halo.
+    (see module docstring).  Cross-shard ``Gu`` entries are retained
+    as per-shard halo structures.  A one-shard partition cuts nothing,
+    so its block shares the graph's matrices and carries no halo.
     """
     if partition.num_users != graph.num_users:
         raise ValueError(
@@ -448,19 +411,21 @@ def extract_shard_blocks(
         else np.empty(0, np.int64)
     )
 
-    # Pass 1: slice the block-diagonal parts (and, with halo on, each
-    # shard's cut entries).  Block assembly waits for pass 2 because a
+    # Pass 1: slice the block-diagonal parts and each shard's cut
+    # entries.  Block assembly waits for pass 2 because a
     # ghost column's (owner, source-row) map needs every shard's
     # published boundary list first.
     parts: list[dict] = []
     kept_xr_nnz = 0
     kept_gu_weight = 0.0
-    recovered_gu_weight = 0.0
     for shard in range(partition.n_shards):
         user_rows = partition.rows_of(shard)
         tweet_rows = np.flatnonzero(tweet_assignments == shard)
         adjacency_rows = graph.user_graph.adjacency[user_rows].tocsr()
         gu_block = adjacency_rows[:, user_rows].tocsr()
+        boundary_local, gu_halo, needed_global = _halo_parts(
+            adjacency_rows, partition.assignments, shard
+        )
         part = dict(
             index=shard,
             user_rows=user_rows,
@@ -469,44 +434,34 @@ def extract_shard_blocks(
             xu=graph.xu[user_rows],
             xr=graph.xr[user_rows][:, tweet_rows].tocsr(),
             gu=gu_block,
+            boundary_local=boundary_local,
+            gu_halo=gu_halo,
+            needed_global=needed_global,
         )
-        if halo:
-            boundary_local, gu_halo, needed_global = _halo_parts(
-                adjacency_rows, partition.assignments, shard
-            )
-            part.update(
-                boundary_local=boundary_local,
-                gu_halo=gu_halo,
-                needed_global=needed_global,
-            )
-            recovered_gu_weight += float(gu_halo.sum())
         parts.append(part)
         kept_xr_nnz += part["xr"].nnz
         kept_gu_weight += float(gu_block.sum())
 
-    blocks: list[ShardBlock] = []
-    if halo:
-        # Pass 2: resolve each ghost column against its owner's
-        # published boundary block.  ``Gu`` symmetry guarantees every
-        # needed ghost row appears in its owner's boundary list, so the
-        # searchsorted positions are exact matches.
-        boundary_global = [
-            part["user_rows"][part["boundary_local"]] for part in parts
-        ]
-        for part in parts:
-            needed = part.pop("needed_global")
-            halo_owner = partition.assignments[needed]
-            halo_source = np.empty(needed.shape[0], dtype=np.int64)
-            for owner in range(partition.n_shards):
-                owned = halo_owner == owner
-                if owned.any():
-                    halo_source[owned] = np.searchsorted(
-                        boundary_global[owner], needed[owned]
-                    )
-            part["halo_owner"] = halo_owner
-            part["halo_source"] = halo_source
+    # Pass 2: resolve each ghost column against its owner's published
+    # boundary block.  ``Gu`` symmetry guarantees every needed ghost row
+    # appears in its owner's boundary list, so the searchsorted
+    # positions are exact matches.
+    boundary_global = [
+        part["user_rows"][part["boundary_local"]] for part in parts
+    ]
     for part in parts:
-        blocks.append(_block_from_parts(**part))
+        needed = part.pop("needed_global")
+        halo_owner = partition.assignments[needed]
+        halo_source = np.empty(needed.shape[0], dtype=np.int64)
+        for owner in range(partition.n_shards):
+            owned = halo_owner == owner
+            if owned.any():
+                halo_source[owned] = np.searchsorted(
+                    boundary_global[owner], needed[owned]
+                )
+        part["halo_owner"] = halo_owner
+        part["halo_source"] = halo_source
+    blocks = [_block_from_parts(**part) for part in parts]
 
     gu_total = float(graph.user_graph.adjacency.sum())
     return ShardedGraph(
@@ -518,5 +473,4 @@ def extract_shard_blocks(
         gu_total_weight=gu_total / 2.0,
         xr_cut_nnz=int(graph.xr.nnz - kept_xr_nnz),
         xr_total_nnz=int(graph.xr.nnz),
-        gu_recovered_weight=recovered_gu_weight / 2.0,
     )

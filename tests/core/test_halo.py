@@ -2,18 +2,17 @@
 
 The halo's contract has four independently checkable layers:
 
-1. **Extraction** — ``extract_shard_blocks(halo=True)`` retains every
+1. **Extraction** — ``extract_shard_blocks`` retains every
    cut ``Gu`` entry in per-shard halo structures whose ghost columns
    resolve, through ``(halo_owner, halo_source)``, to exactly the
    owner's published boundary rows, and boundary users keep their
    *full-graph* degrees (the regularizer is re-weighted otherwise).
 2. **Exactness** — on identical factors, the shard-summed objective
    with the halo reproduces the full-graph ``tr(Su^T L Su)`` to float
-   round-off, while the legacy block-diagonal sum strictly undercounts.
+   round-off.
 3. **Drift parity** — on a heavy-cut, graph-dominated solve the
-   4-shard halo run tracks the unsharded optimum where the legacy
-   block-diagonal model visibly diverges, bit-identically on every
-   execution backend, and convergence rollback keeps the received
+   4-shard halo run tracks the unsharded optimum, bit-identically on
+   every execution backend, and convergence rollback keeps the received
    boundary rows consistent with the rolled-back factors.
 4. **Faults** — a worker killed mid-halo-exchange surfaces as
    ``WorkerLost`` promptly; the exchange never hangs on a dead peer.
@@ -36,10 +35,10 @@ from repro.utils.transport import LocalWorkerFleet, WorkerLost
 #: Fault paths must raise well within this, never hang.
 PROMPT_SECONDS = 10.0
 
-#: Graph-dominated regime for the drift-parity suite: with the
-#: smoothness term carrying the objective, dropping 74% of the edge
-#: weight (the 4-shard hash cut of the test graph) visibly bends the
-#: solve — exactly the failure mode the halo exists to remove.
+#: Graph-dominated regime for the drift-parity suite: the smoothness
+#: term carries the objective, and 74% of its edge weight crosses the
+#: 4-shard hash cut of the test graph, so every cut edge the halo
+#: carries shows in the drift.
 HEAVY_BETA = 8.0
 
 FACTOR_NAMES = ("sf", "sp", "su", "hp", "hu")
@@ -59,29 +58,19 @@ def _ghost_global_ids(sharded, block):
 class TestHaloExtraction:
     def test_recovers_all_cut_weight(self, graph):
         sharded = extract_shard_blocks(
-            graph, hash_partition(graph.corpus.user_ids, 4), halo=True
+            graph, hash_partition(graph.corpus.user_ids, 4)
         )
         assert sharded.gu_cut_weight > 0
-        assert np.isclose(sharded.gu_recovered_weight, sharded.gu_cut_weight)
-        assert sharded.gu_recovered_fraction == pytest.approx(1.0)
-        assert sharded.gu_dropped_weight == pytest.approx(0.0, abs=1e-9)
-
-    def test_halo_off_drops_everything(self, graph):
-        sharded = extract_shard_blocks(
-            graph, hash_partition(graph.corpus.user_ids, 4), halo=False
-        )
-        assert sharded.gu_recovered_weight == 0.0
-        assert sharded.gu_dropped_weight == sharded.gu_cut_weight
-        for block in sharded.blocks:
-            assert block.gu_halo is None
-            assert block.boundary_local is None
+        # Each cut edge sits in the halo of both its endpoints' shards.
+        halo_weight = sum(float(b.gu_halo.sum()) for b in sharded.blocks)
+        assert np.isclose(halo_weight / 2.0, sharded.gu_cut_weight)
 
     def test_halo_entries_match_full_graph(self, graph):
         """Every ghost column resolves to the right global user and the
         halo CSR carries exactly the full graph's cut entries."""
         adjacency = graph.user_graph.adjacency
         sharded = extract_shard_blocks(
-            graph, hash_partition(graph.corpus.user_ids, 4), halo=True
+            graph, hash_partition(graph.corpus.user_ids, 4)
         )
         for block in sharded.blocks:
             ghost_ids = _ghost_global_ids(sharded, block)
@@ -91,7 +80,7 @@ class TestHaloExtraction:
     def test_boundary_rows_are_exactly_the_cut_rows(self, graph):
         adjacency = graph.user_graph.adjacency
         partition = hash_partition(graph.corpus.user_ids, 4)
-        sharded = extract_shard_blocks(graph, partition, halo=True)
+        sharded = extract_shard_blocks(graph, partition)
         for block in sharded.blocks:
             remote = np.setdiff1d(
                 np.arange(graph.num_users), block.user_rows
@@ -108,7 +97,7 @@ class TestHaloExtraction:
             graph.user_graph.adjacency.sum(axis=1)
         ).ravel()
         sharded = extract_shard_blocks(
-            graph, hash_partition(graph.corpus.user_ids, 4), halo=True
+            graph, hash_partition(graph.corpus.user_ids, 4)
         )
         for block in sharded.blocks:
             np.testing.assert_allclose(
@@ -124,15 +113,15 @@ class TestHaloExtraction:
 
     def test_one_shard_has_no_halo(self, graph):
         sharded = extract_shard_blocks(
-            graph, hash_partition(graph.corpus.user_ids, 1), halo=True
+            graph, hash_partition(graph.corpus.user_ids, 1)
         )
         (block,) = sharded.blocks
         assert sharded.gu_cut_weight == 0.0
-        assert block.gu_halo is None or block.gu_halo.nnz == 0
+        assert block.gu_halo is None
 
 
 class TestHaloObjectiveExactness:
-    def _shard_objective(self, graph, halo):
+    def _shard_objective(self, graph):
         factors = lexicon_seeded_factors(
             graph.num_tweets, graph.num_users, graph.sf0, seed=11
         )
@@ -147,7 +136,7 @@ class TestHaloObjectiveExactness:
             sf_prior=graph.sf0,
         )
         sharded = extract_shard_blocks(
-            graph, hash_partition(graph.corpus.user_ids, 4), halo=halo
+            graph, hash_partition(graph.corpus.user_ids, 4)
         )
         with open_solver_pool(None, "serial", 4) as pool:
             solver = ShardedSolver(sharded, factors, pool)
@@ -161,20 +150,13 @@ class TestHaloObjectiveExactness:
         (The total still differs: the retweet loss's tr(Su^T Su Sp^T Sp)
         gram term is evaluated block-locally by design — that is the
         documented residual approximation, not the graph term's.)"""
-        full, part = self._shard_objective(graph, halo=True)
+        full, part = self._shard_objective(graph)
         np.testing.assert_allclose(
             part.graph_loss, full.graph_loss, rtol=1e-12
         )
         np.testing.assert_allclose(
             part.lexicon_loss, full.lexicon_loss, rtol=1e-12
         )
-
-    def test_block_diagonal_strictly_undercounts(self, graph):
-        """Without the halo the dropped cut terms are all nonnegative
-        contributions to the Laplacian quadratic form — the legacy
-        shard sum sits strictly below the full graph penalty."""
-        full, part = self._shard_objective(graph, halo=False)
-        assert part.graph_loss < full.graph_loss
 
 
 class TestHaloRollback:
@@ -187,7 +169,7 @@ class TestHaloRollback:
         )
         weights = ObjectiveWeights(alpha=0.05, beta=0.8, gamma=0.0)
         sharded = extract_shard_blocks(
-            graph, hash_partition(graph.corpus.user_ids, 4), halo=True
+            graph, hash_partition(graph.corpus.user_ids, 4)
         )
         with open_solver_pool(None, "serial", 4) as pool:
             solver = ShardedSolver(sharded, factors, pool)
@@ -224,13 +206,12 @@ def heavy_plain(graph):
     return solver.weights, objective
 
 
-def _heavy_sharded(graph, halo, **kwargs):
+def _heavy_sharded(graph, **kwargs):
     return ShardedTriClustering(
         seed=7,
         beta=HEAVY_BETA,
         max_iterations=40,
         n_shards=4,
-        halo=halo,
         **kwargs,
     ).fit(graph)
 
@@ -261,7 +242,7 @@ class TestHaloDriftParity:
 
     @pytest.fixture(scope="class")
     def serial_reference(self, graph):
-        return _heavy_sharded(graph, "on", backend="serial")
+        return _heavy_sharded(graph, backend="serial")
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_four_shard_halo_tracks_unsharded(
@@ -275,7 +256,7 @@ class TestHaloDriftParity:
             }
         else:
             kwargs = {"backend": backend, "max_workers": 2}
-        run = _heavy_sharded(graph, "on", **kwargs)
+        run = _heavy_sharded(graph, **kwargs)
         total, graph_part = _drifts(graph, weights, reference, run)
         assert abs(total) < 0.02, f"{backend}: total drift {total:+.3%}"
         assert abs(graph_part) < 0.01, (
@@ -290,25 +271,6 @@ class TestHaloDriftParity:
                 err_msg=f"{backend}: {name}",
             )
 
-    def test_halo_beats_block_diagonal(
-        self, graph, heavy_plain, serial_reference
-    ):
-        """The before/after of the bugfix: the legacy block-diagonal
-        solve diverges through its mutilated graph term; the halo solve
-        must sit strictly closer on both readouts."""
-        weights, reference = heavy_plain
-        legacy = _heavy_sharded(graph, "off", backend="serial")
-        on_total, on_graph = _drifts(
-            graph, weights, reference, serial_reference
-        )
-        off_total, off_graph = _drifts(graph, weights, reference, legacy)
-        assert abs(on_total) < abs(off_total)
-        assert abs(on_graph) < abs(off_graph)
-        assert off_graph > 0.03, (
-            f"fixture regression: legacy graph drift {off_graph:+.3%} is "
-            "too small for the parity contrast to mean anything"
-        )
-
 
 class TestHaloFaultInjection:
     def test_worker_killed_mid_halo_exchange_raises_promptly(self, graph):
@@ -322,7 +284,6 @@ class TestHaloFaultInjection:
                 tolerance=0.0,
                 track_history=False,
                 n_shards=4,
-                halo="on",
                 backend="socket",
                 workers=fleet.addresses,
             )

@@ -90,11 +90,6 @@ class TestValidation:
         with pytest.raises(ValueError, match=field):
             EngineConfig(**kwargs)
 
-    def test_halo_defaults_on_and_round_trips(self):
-        assert EngineConfig().sharding.halo == "on"
-        config = EngineConfig(sharding={"halo": "off"})
-        assert EngineConfig.from_dict(config.to_dict()).sharding.halo == "off"
-
     def test_unknown_section_field_rejected(self):
         with pytest.raises(TypeError):
             EngineConfig(solver={"iterations": 3})
@@ -147,7 +142,7 @@ class TestRoundTrip:
             seed=11,
             max_profile_age=3,
             solver={"max_iterations": 12, "tau": 0.5},
-            sharding={"n_shards": "auto", "halo": "off"},
+            sharding={"n_shards": "auto"},
             serving={"classify_batch_size": 32},
             ingest={"overflow": "drop", "max_queued_batches": 8},
         )
@@ -185,6 +180,7 @@ class TestRemovedOptions:
         ("solver", "objective_every", 1, 3),
         ("sharding", "partitioner", "hash", "greedy"),
         ("sharding", "consensus_iterations", 25, 10),
+        ("sharding", "halo", "on", "off"),
         ("ingest", "async_ingest", True, "off"),
     ]
 
@@ -220,6 +216,15 @@ class TestRemovedOptions:
             EngineConfig(solver={"objective_every": True})
         with pytest.raises(ValueError, match="cross_snapshot_edges"):
             EngineConfig.from_dict({"cross_snapshot_edges": 0})
+
+    @pytest.mark.parametrize("value", ["on", "off"])
+    def test_solvers_take_no_halo_argument(self, value):
+        from repro.core.offline import OfflineTriClustering
+        from repro.core.online import OnlineTriClustering
+
+        for solver in (OfflineTriClustering, OnlineTriClustering):
+            with pytest.raises(TypeError, match="halo"):
+                solver(halo=value)
 
     def test_to_dict_omits_removed_options(self):
         payload = EngineConfig().to_dict()

@@ -41,54 +41,6 @@ def fed_engine(corpus, lexicon, batches):
     )
 
 
-def _downgrade_to_v1(path) -> None:
-    """Rewrite a v2 checkpoint into the version-1 loose-fields layout.
-
-    Mirrors what PR-2-era engines actually wrote, so the v1 loader is
-    exercised against the real old shape (engine fields flat, solver
-    hyperparameters duplicated under ``solver.params``).
-    """
-    state_path = path / "state.json"
-    state = json.loads(state_path.read_text())
-    assert state["version"] == 2
-    c = state["engine"]["config"]
-    sharded = not (
-        c["sharding"]["n_shards"] == 1 and c["sharding"]["backend"] == "thread"
-    )
-    params = {"num_classes": c["num_classes"], **c["solver"]}
-    # Version-1 engines recorded options that were removed since; they
-    # always held the defaults every solve now runs.
-    if sharded:
-        params.update(
-            n_shards=c["sharding"]["n_shards"],
-            partitioner="hash",
-            max_workers=c["sharding"]["max_workers"],
-            backend=c["sharding"]["backend"],
-            consensus_iterations=25,
-        )
-    state["version"] = 1
-    state["engine"] = {
-        "num_classes": c["num_classes"],
-        "classify_iterations": c["serving"]["classify_iterations"],
-        "classify_batch_size": c["serving"]["classify_batch_size"],
-        "cache_size": c["serving"]["cache_size"],
-        "cross_snapshot_edges": False,
-        "classify_seed": state["engine"]["classify_seed"],
-        "n_shards": c["sharding"]["n_shards"],
-        "max_workers": c["sharding"]["max_workers"],
-        "partitioner": "hash",
-        "backend": c["sharding"]["backend"],
-    }
-    state["solver"] = {
-        "kind": "sharded" if sharded else "online",
-        "params": params,
-        "steps": state["solver"]["steps"],
-        "seen_users": state["solver"]["seen_users"],
-        "rng": state["solver"]["rng"],
-    }
-    state_path.write_text(json.dumps(state))
-
-
 class TestRoundTrip:
     def test_save_load_serves_identically(
         self, fed_engine, corpus, tmp_path
@@ -221,49 +173,20 @@ class TestRoundTrip:
 
 
 class TestLegacyFormat:
-    def test_v1_checkpoint_loads_and_continues_bitwise(
-        self, fed_engine, corpus, batches, tmp_path
-    ):
-        """Old field-based checkpoints keep loading: a v1 state.json maps
-        onto an EngineConfig on the way in, and the restored engine
-        continues the stream bit-for-bit like a v2 restore."""
-        fed_engine.save(tmp_path / "ckpt")
-        _downgrade_to_v1(tmp_path / "ckpt")
-        loaded = StreamingSentimentEngine.load(tmp_path / "ckpt")
-        assert loaded.config.solver.max_iterations == 10
-        texts = [t.text for t in corpus.tweets[:24]]
-        np.testing.assert_array_equal(
-            loaded.classify(texts), fed_engine.classify(texts)
-        )
-        feed(fed_engine, corpus, batches[2:3])
-        feed(loaded, corpus, batches[2:3])
-        for name in ("sf", "sp", "su", "hp", "hu"):
-            np.testing.assert_array_equal(
-                getattr(fed_engine.factors, name),
-                getattr(loaded.factors, name),
-                err_msg=name,
-            )
-
     @staticmethod
-    def _record_update_style(path, style: str, version: int) -> None:
+    def _record_update_style(path, style: str) -> None:
         """Write the removed ``update_style`` option into a checkpoint,
         the way engines saved before its removal recorded it."""
-        if version == 1:
-            _downgrade_to_v1(path)
         state_path = path / "state.json"
         state = json.loads(state_path.read_text())
-        if version == 1:
-            state["solver"]["params"]["update_style"] = style
-        else:
-            state["engine"]["config"]["solver"]["update_style"] = style
+        state["engine"]["config"]["solver"]["update_style"] = style
         state_path.write_text(json.dumps(state))
 
-    @pytest.mark.parametrize("version", [1, 2])
     def test_recorded_projector_style_loads_and_continues_bitwise(
-        self, fed_engine, corpus, batches, tmp_path, version
+        self, fed_engine, corpus, batches, tmp_path
     ):
         fed_engine.save(tmp_path / "ckpt")
-        self._record_update_style(tmp_path / "ckpt", "projector", version)
+        self._record_update_style(tmp_path / "ckpt", "projector")
         loaded = StreamingSentimentEngine.load(tmp_path / "ckpt")
         feed(fed_engine, corpus, batches[2:3])
         feed(loaded, corpus, batches[2:3])
@@ -274,12 +197,9 @@ class TestLegacyFormat:
                 err_msg=name,
             )
 
-    @pytest.mark.parametrize("version", [1, 2])
-    def test_recorded_lagrangian_style_is_refused(
-        self, fed_engine, tmp_path, version
-    ):
+    def test_recorded_lagrangian_style_is_refused(self, fed_engine, tmp_path):
         fed_engine.save(tmp_path / "ckpt")
-        self._record_update_style(tmp_path / "ckpt", "lagrangian", version)
+        self._record_update_style(tmp_path / "ckpt", "lagrangian")
         with pytest.raises(ValueError, match="update_style.*removed"):
             StreamingSentimentEngine.load(tmp_path / "ckpt")
 
@@ -315,26 +235,6 @@ class TestLegacyFormat:
                 lexicon=lexicon,
             )
 
-    def test_v1_sharded_checkpoint_restores_sharding(
-        self, corpus, lexicon, batches, tmp_path
-    ):
-        engine = feed(
-            StreamingSentimentEngine(
-                config(6, sharding={"n_shards": 2}), lexicon=lexicon
-            ),
-            corpus,
-            batches[:1],
-        )
-        engine.save(tmp_path / "ckpt")
-        _downgrade_to_v1(tmp_path / "ckpt")
-        loaded = StreamingSentimentEngine.load(tmp_path / "ckpt")
-        assert loaded.n_shards == 2
-        assert loaded.config.sharding.n_shards == 2
-        # v1 checkpoints predate the cut-edge halo: they were solved
-        # block-diagonal, and restoring must preserve that.
-        assert loaded.config.sharding.halo == "off"
-
-
     #: Removed options as old v2 ``state.json`` files recorded them at
     #: their defaults: (config section or ``""`` for the top level,
     #: option, recorded value).
@@ -343,6 +243,7 @@ class TestLegacyFormat:
         ("solver", "objective_every", 1),
         ("sharding", "partitioner", "hash"),
         ("sharding", "consensus_iterations", 25),
+        ("sharding", "halo", "on"),
         ("ingest", "async_ingest", True),
     ]
 
@@ -369,33 +270,16 @@ class TestLegacyFormat:
                 err_msg=name,
             )
 
-    @pytest.mark.parametrize(
-        "where, option, value",
-        [
-            ("params", "partitioner", "greedy"),
-            ("engine", "cross_snapshot_edges", True),
-        ],
-    )
-    def test_v1_removed_option_at_other_value_refused(
-        self, corpus, lexicon, batches, tmp_path, where, option, value
-    ):
-        engine = feed(
-            StreamingSentimentEngine(
-                config(6, sharding={"n_shards": 2}), lexicon=lexicon
-            ),
-            corpus,
-            batches[:1],
-        )
-        engine.save(tmp_path / "ckpt")
-        _downgrade_to_v1(tmp_path / "ckpt")
+    def test_recorded_halo_off_refused(self, fed_engine, tmp_path):
+        """A checkpoint recording ``sharding.halo="off"`` is refused by
+        name, though the engine that wrote it ran one shard."""
+        assert fed_engine.n_shards == 1
+        fed_engine.save(tmp_path / "ckpt")
         state_path = tmp_path / "ckpt" / "state.json"
         state = json.loads(state_path.read_text())
-        recorded = (
-            state["solver"]["params"] if where == "params" else state["engine"]
-        )
-        recorded[option] = value
+        state["engine"]["config"]["sharding"]["halo"] = "off"
         state_path.write_text(json.dumps(state))
-        with pytest.raises(ValueError, match=f"{option}.*removed"):
+        with pytest.raises(ValueError, match="halo='off' was removed"):
             StreamingSentimentEngine.load(tmp_path / "ckpt")
 
     def test_malformed_config_value_refused_on_load(self, fed_engine, tmp_path):
@@ -511,6 +395,17 @@ class TestGuards:
         state["version"] = 999
         state_file.write_text(json.dumps(state))
         with pytest.raises(ValueError, match="version"):
+            StreamingSentimentEngine.load(path)
+
+    def test_v1_checkpoint_refused_naming_the_version(
+        self, fed_engine, tmp_path
+    ):
+        path = fed_engine.save(tmp_path / "ckpt")
+        state_file = path / "state.json"
+        state = json.loads(state_file.read_text())
+        state["version"] = 1
+        state_file.write_text(json.dumps(state))
+        with pytest.raises(ValueError, match="format version 1 "):
             StreamingSentimentEngine.load(path)
 
     def test_custom_solver_type_rejected(self, corpus, lexicon, batches, tmp_path):
@@ -670,6 +565,18 @@ class TestMalformedCheckpoints:
         path = fed_engine.save(tmp_path / "ckpt")
         _edit_arrays(path, edit)
         with pytest.raises(ValueError, match=match):
+            StreamingSentimentEngine.load(path)
+
+    @pytest.mark.parametrize(
+        "name",
+        ["factors_sf", "alignment", "last_seen_uids", "author_tweet_ids"],
+    )
+    def test_missing_array_rejected_by_name(self, fed_engine, tmp_path, name):
+        path = fed_engine.save(tmp_path / "ckpt")
+        _edit_arrays(path, lambda arrays: arrays.pop(name))
+        with pytest.raises(
+            ValueError, match=f"malformed checkpoint: missing array '{name}'"
+        ):
             StreamingSentimentEngine.load(path)
 
     def test_seen_users_disagreeing_with_state_rejected(

@@ -103,9 +103,13 @@ class TestExtractShardBlocks:
         for block in sharded.blocks:
             if block.num_users == 0:
                 continue
-            # Degrees recomputed from the block: rows of Lu sum to 0.
+            # Full-graph degrees over the block's own edges: each row of
+            # Lu sums to that user's cut-edge degree, so Lu stays
+            # diagonally dominant (PSD).
             row_sums = np.asarray(block.laplacian.sum(axis=1)).ravel()
-            np.testing.assert_allclose(row_sums, 0.0, atol=1e-12)
+            cut_degrees = np.asarray(block.gu_halo.sum(axis=1)).ravel()
+            np.testing.assert_allclose(row_sums, cut_degrees, atol=1e-12)
+            assert np.all(row_sums >= -1e-12)
 
     def test_empty_shards_allowed(self, graph):
         many = extract_shard_blocks(
@@ -153,7 +157,8 @@ class TestShardBlockPayload:
         sharded = extract_shard_blocks(graph, partition_of(graph, 2))
         payload = sharded.blocks[0].to_payload()
         assert set(payload) == {
-            "index", "user_rows", "tweet_rows", "xp", "xu", "xr", "gu"
+            "index", "user_rows", "tweet_rows", "xp", "xu", "xr", "gu",
+            "boundary_local", "gu_halo", "halo_owner", "halo_source",
         }
 
     def test_payload_survives_pickle(self, graph):
