@@ -139,8 +139,6 @@ BACKEND_SHARDS = (
     ("serial", 1),
     ("thread", 2),
     ("thread", 4),
-    ("process", 2),
-    ("process", 4),
 )
 
 #: Best-of repetitions for the tail microbenchmark.

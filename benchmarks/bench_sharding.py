@@ -2,8 +2,12 @@
 
 Runs the identical streaming workload (prop30, 7-day snapshots through
 the engine path) at several ``n_shards`` settings on each execution
-backend (``thread``, ``process`` and ``socket`` by default) and records
-per-snapshot solve wall times.  The thread backend at one shard is the
+backend (``thread`` and ``socket`` by default) and records per-snapshot
+solve wall times.  Each cell is ``SAMPLES`` engine passes, taken
+round-robin across the cells so host drift lands on every cell alike;
+the timing fields are the passes' median, with the quartiles beside
+them (``*_q1``/``*_q3``) — one pass alone swings ~1.5x between runs of
+identical arithmetic on a 2-core host.  The thread backend at one shard is the
 plain online solver — the baseline every other cell of the matrix is
 normalized against.  For the socket column the "remote" workers are two
 :class:`~repro.utils.transport.WorkerServer` processes spawned on
@@ -21,11 +25,10 @@ Two speedup readouts are reported:
 
 Backend trade-off being measured: threads overlap in the GIL-releasing
 scipy/numpy products but serialize the Python-level bookkeeping between
-them; processes own their shards outright (blocks pinned worker-resident,
-``Sf`` broadcast once as a versioned shared resident, then one fused
-exchange per sweep moving only ``l×k`` pieces) at the price of that
-per-sweep IPC; socket workers pay the same per-sweep exchange, in the
-same frames, over TCP instead of a socketpair.  The ``rounds/sweep`` and
+them; socket workers own their shards outright (blocks pinned
+worker-resident, ``Sf`` broadcast once as a versioned shared resident,
+then one fused exchange per sweep moving only ``l×k`` pieces) at the
+price of that per-sweep exchange over TCP.  The ``rounds/sweep`` and
 ``KiB/sweep`` columns surface the pool telemetry so the coordination
 cost is measured, not asserted (the thread 1-shard baseline is the
 plain solver and has no pool — those cells read ``-``).  Either way the
@@ -56,6 +59,8 @@ import json
 import os
 import time
 
+import numpy as np
+
 from repro.core.objective import compute_objective
 from repro.data.stream import iter_tweet_batches
 from repro.engine.config import EngineConfig
@@ -78,7 +83,11 @@ INTERVAL_DAYS = 7
 SHARD_COUNTS = (1, 2, 4)
 
 #: Execution backends to sweep (overridable via REPRO_SHARDING_BACKENDS).
-BACKENDS_DEFAULT = ("thread", "process", "socket")
+BACKENDS_DEFAULT = ("thread", "socket")
+
+#: Engine passes per cell, round-robin across the cells; timings report
+#: the median and the quartiles of the passes.
+SAMPLES = 5
 
 #: Localhost WorkerServer processes backing the socket column.
 SOCKET_WORKER_COUNT = 2
@@ -94,6 +103,12 @@ def bench_backends() -> tuple:
     if not raw:
         return BACKENDS_DEFAULT
     return tuple(name.strip() for name in raw.split(",") if name.strip())
+
+
+def _spread(samples) -> tuple[float, float, float]:
+    """``(median, q1, q3)`` of ``samples``."""
+    q1, median, q3 = np.percentile(samples, [25, 50, 75])
+    return float(median), float(q1), float(q3)
 
 
 def run_cell(bundle, config, backend: str, n_shards: int, workers=None) -> dict:
@@ -202,6 +217,25 @@ def run_cell(bundle, config, backend: str, n_shards: int, workers=None) -> dict:
     )
 
 
+def _median_run(samples: list[dict]) -> dict:
+    """One cell's record from its passes.
+
+    Sweeps, objectives, pool counters and per-snapshot rows come from
+    the first pass — every pass runs the same arithmetic, which is
+    checked here — and the timing fields are the median of all passes,
+    with the quartiles beside them.
+    """
+    run = dict(samples[0])
+    for other in samples[1:]:
+        assert (other["sweeps"], other["full_objective"]) == (
+            run["sweeps"], run["full_objective"]
+        ), f"passes of {run['backend']} x {run['n_shards']} disagree"
+    for key in ("solve_seconds", "wall_seconds", "seconds_per_sweep"):
+        median, q1, q3 = _spread([sample[key] for sample in samples])
+        run[key], run[f"{key}_q1"], run[f"{key}_q3"] = median, q1, q3
+    return run
+
+
 def run_sharding_comparison(config=None, backends=None) -> dict:
     if config is None:
         from repro.experiments.configs import bench_config
@@ -218,17 +252,19 @@ def run_sharding_comparison(config=None, backends=None) -> dict:
             from repro.utils.transport import LocalWorkerFleet
 
             fleet = LocalWorkerFleet(SOCKET_WORKER_COUNT)
-        runs = [
-            run_cell(
-                bundle, config, backend, n,
-                workers=fleet.addresses if fleet is not None else None,
-            )
-            for backend in backends
-            for n in SHARD_COUNTS
-        ]
+        workers = fleet.addresses if fleet is not None else None
+        passes: dict = {
+            (backend, n): [] for backend in backends for n in SHARD_COUNTS
+        }
+        for _ in range(SAMPLES):
+            for backend, n in passes:
+                passes[backend, n].append(
+                    run_cell(bundle, config, backend, n, workers=workers)
+                )
     finally:
         if fleet is not None:
             fleet.close()
+    runs = [_median_run(samples) for samples in passes.values()]
     baseline = runs[0]
     for run in runs:
         run["solve_speedup"] = baseline["solve_seconds"] / max(
@@ -250,6 +286,7 @@ def run_sharding_comparison(config=None, backends=None) -> dict:
     return dict(
         interval_days=INTERVAL_DAYS,
         scale=config.scale,
+        samples=SAMPLES,
         # Kept for readers of older result files; ``host`` is the real
         # provenance record (``default_worker_count`` is the *affinity*
         # count, which on containerized runners is neither the physical
@@ -323,6 +360,8 @@ def test_bench_sharding(benchmark):
             run["snapshots"],
             round(run["solve_seconds"] * 1000, 1),
             round(run["seconds_per_sweep"] * 1000, 2),
+            f"{run['seconds_per_sweep_q1'] * 1000:.2f}–"
+            f"{run['seconds_per_sweep_q3'] * 1000:.2f}",
             f"{run['solve_speedup']:.2f}x",
             f"{run['per_sweep_speedup']:.2f}x",
             (
@@ -352,6 +391,7 @@ def test_bench_sharding(benchmark):
             "Snapshots",
             "Solve ms",
             "ms/sweep",
+            "ms/sweep q1–q3",
             "Solve speedup",
             "Sweep speedup",
             "Rounds/sweep",
@@ -363,7 +403,8 @@ def test_bench_sharding(benchmark):
         rows,
         title=(
             f"Sharded streaming solve, {describe_host(outcome['host'])} "
-            f"(scale {outcome['scale']})"
+            f"(scale {outcome['scale']}, median of {outcome['samples']} "
+            "passes per cell)"
         ),
     )
     write_result("bench_sharding", text)

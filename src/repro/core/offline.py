@@ -4,8 +4,8 @@ Solves Eq. (1) by cyclic multiplicative updates in the paper's order
 (Sp, Hp, Su, Hu, Sf), tracking the component losses each sweep.  The
 sweep itself is the shared solve loop of :mod:`repro.core.sweep`.
 Sharding is a constructor setting: by default each fit is one shard
-(the whole graph, solved inline); ``n_shards`` > 1 or an out-of-process
-``backend`` partitions the users onto a worker pool.  A partitioned
+(the whole graph, solved inline); ``n_shards`` > 1 or
+``backend="socket"`` partitions the users onto a worker pool.  A partitioned
 solve keeps every cut ``Gu`` edge as a halo block and exchanges the
 shards' boundary ``Su`` rows each sweep, so the graph regularizer of
 Eq. (1) covers the whole user graph at any shard count.
@@ -101,8 +101,8 @@ class OfflineTriClustering:
         affects speed only.
     spmm_threads:
         Thread budget for the parallel spmm engines and the numba kernel
-        tails; ``None`` uses the process default (worker fair share or
-        the affinity core count — see
+        tails; ``None`` uses the process default (a socket worker's
+        budget, else the affinity core count — see
         :func:`repro.utils.threads.spmm_thread_default`).
     n_shards:
         User partitions; 1 (default) solves the whole graph as one
@@ -113,11 +113,10 @@ class OfflineTriClustering:
         :func:`repro.graph.partition.hash_partition`), so a user keeps
         their shard across snapshots.
     max_workers:
-        Worker bound for the shard fan-out (``None`` = CPU count,
-        capped at ``n_shards`` for the process backend).
+        Worker bound for the shard fan-out (``None`` = CPU count).
     backend:
-        ``"serial"``, ``"thread"`` (default), ``"process"`` or
-        ``"socket"`` — see :mod:`repro.utils.executor`.  Results are
+        ``"serial"``, ``"thread"`` (default) or ``"socket"`` — see
+        :mod:`repro.utils.executor`.  Results are
         bit-identical across backends.  ``n_shards=1`` on an
         in-process backend always runs inline.
     workers:

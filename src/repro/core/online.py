@@ -24,8 +24,8 @@ against a **shared vocabulary** so that feature rows align across time.
 Each snapshot's inner loop (Algorithm 2 order: Sf, Sp, Hp, Hu, Su) is
 the shared solve loop of :mod:`repro.core.sweep`.  Sharding is a
 constructor setting, the same four as the offline solver's: by default
-each snapshot is one shard solved inline, and ``n_shards`` > 1 or an
-out-of-process ``backend`` partitions its users onto a worker pool,
+each snapshot is one shard solved inline, and ``n_shards`` > 1 or
+``backend="socket"`` partitions its users onto a worker pool,
 keeping every cut ``Gu`` edge as a halo block so the graph
 regularizer covers the whole user graph.  The temporal state is the
 same either way.
@@ -120,9 +120,8 @@ class OnlineTriClustering:
     n_shards / max_workers / backend / workers:
         Sharding settings; see
         :class:`~repro.core.offline.OfflineTriClustering`.  On the
-        process and socket backends a borrowed :attr:`pool` keeps its
-        workers (local processes or remote connections) across
-        snapshots.
+        socket backend a borrowed :attr:`pool` keeps its worker
+        connections across snapshots.
     """
 
     def __init__(

@@ -13,8 +13,8 @@ one core.  This module makes that layer pluggable, mirroring the
   nanosecond.
 * :class:`NumbaSpmmEngine` — an ``@njit(parallel=True, cache=True)``
   ``prange`` row loop, compiled lazily when :mod:`numba` is importable.
-  One pass, no Python dispatch per block, and ``cache=True`` so forked
-  workers reuse the on-disk compilation instead of re-JITting.
+  One pass, no Python dispatch per block, and ``cache=True`` so worker
+  processes reuse the on-disk compilation instead of re-JITting.
 
 The removed ``"threads"`` name is refused with its reason; configs and
 checkpoints that record it load as ``"scipy"`` (the same bits).
@@ -44,10 +44,11 @@ solve; out-of-process shard payloads carry its concrete name
 implementation.
 
 Thread budgets come from :mod:`repro.utils.threads`: an explicit
-``spmm_threads=`` wins, else the process default installed by worker
-mains (their fair share ``affinity_cores // pool_width``), else the
-affinity core count — so W workers × T spmm threads never
-oversubscribes the machine.
+``spmm_threads=`` wins, else the process default installed by socket
+worker mains (1 unless ``REPRO_WORKER_SPMM_THREADS`` says otherwise),
+else the affinity core count; thread-backend shards split the cores
+between them (see :class:`~repro.core.sweep.ShardedSolver`) — so W
+workers × T spmm threads never oversubscribes the machine.
 """
 
 from __future__ import annotations

@@ -44,9 +44,8 @@ Model semantics at more than one shard:
 Execution backends: every shard interaction is expressed as a picklable
 module-level *command* run against shard state held by the
 :class:`~repro.utils.executor.WorkerPool` (``backend="serial"|"thread"|
-"process"|"socket"``).  States are scattered **once per solve**; the
-two out-of-process backends (forked workers over a socketpair, remote
-workers over TCP — one framing, one exchange) receive compact
+"socket"``).  States are scattered **once per solve**; socket workers
+(worker processes over TCP, local or remote) receive compact
 :meth:`~repro.graph.partition.ShardBlock.to_payload` CSR pieces plus
 *names* of the kernel and spmm engine (``"scipy"`` or ``"numba"``,
 pinned by the coordinator, so ``"auto"`` resolves once), while
@@ -117,7 +116,7 @@ class _ShardState:
     """One shard's live factors plus its sweep-local context.
 
     Lives wherever the pool's backend keeps resident state: the solver
-    process for serial/thread, the owning worker for process/socket.
+    process for serial/thread, the owning worker for socket.
     Mutated in place by the sweep commands below.
     """
 
@@ -510,8 +509,7 @@ class ShardedSolver:
     through the supplied :class:`~repro.utils.executor.WorkerPool` as
     module-level commands against states scattered at construction —
     the pool's backend decides whether those states live on this
-    process's heap (serial/thread), pinned inside worker processes, or
-    pinned inside remote socket workers.
+    process's heap (serial/thread) or pinned inside socket workers.
     Reductions run on the calling thread in shard order, so results are
     deterministic under any scheduling and identical across backends.
 
@@ -546,8 +544,8 @@ class ShardedSolver:
             # Thread-backend shards share this process: give each
             # concurrently running shard its fair share of the cores so
             # W shards × T spmm threads never oversubscribes.  (The
-            # serial backend keeps the full budget; process/socket
-            # workers install their own fair-share default at startup.)
+            # serial backend keeps the full budget; socket workers
+            # install their own default at startup.)
             concurrent = max(1, min(len(sharded.blocks), pool.max_workers))
             spmm_threads = max(1, affinity_core_count() // concurrent)
         resolved_kernel = resolve_kernel(kernel, threads=spmm_threads)
@@ -1058,26 +1056,18 @@ def open_solver_pool(
     """A pool sized for a partitioned solve.
 
     One shard on an in-process backend runs inline on a serial pool —
-    there is nothing to overlap.  With ``max_workers=None`` the process
-    backend is capped at the shard count — idle worker processes cost
-    real memory, idle threads don't.  ``n_shards`` is a hint (use the
+    there is nothing to overlap.  ``n_shards`` is a hint (use the
     worker default when the count is still ``"auto"``-unresolved).  The
-    socket backend's width is its ``workers=["host:port", ...]`` list
-    instead.  Shared by the per-solve pools of
-    :meth:`SweepPlan.for_solver` and the serving engine's long-lived
-    solver pool, so the cap policy lives in exactly one place.
+    socket backend's width is its ``workers=["host:port", ...]`` list.
     """
     # repro-lint: disable=REP006 -- pool sizing policy per validated
     # backend (one in-process shard needs no threads).
     if n_shards == 1 and backend in ("serial", "thread"):
         return WorkerPool(1, backend="serial")
     # repro-lint: disable=REP006 -- pool sizing policy per validated
-    # backend (socket width = workers list, process capped at shards).
+    # backend (socket width = workers list).
     if backend == "socket":
         return WorkerPool(backend="socket", workers=workers)
-    # repro-lint: disable=REP006 -- see above: sizing policy, not dispatch.
-    if max_workers is None and backend == "process":
-        max_workers = max(1, min(default_worker_count(), n_shards))
     return WorkerPool(max_workers, backend=backend)
 
 

@@ -116,10 +116,14 @@ def _without_removed_fields(
     A removed option recorded at a value that still loads is dropped;
     any other value raises ``ValueError`` naming the option.  Solver
     sections recording the removed ``"threads"`` spmm engine load as
-    ``"scipy"``: it computed scipy's bits.
+    ``"scipy"``, and sharding sections recording the removed
+    ``"process"`` backend load as ``"thread"``: each computed the bits
+    of its replacement.
     """
     if section == "solver" and payload.get("spmm") == "threads":
         payload = {**payload, "spmm": "scipy"}
+    if section == "sharding" and payload.get("backend") == "process":
+        payload = {**payload, "backend": "thread"}
     removed = _REMOVED_FIELDS.get(section, {})
     for name in removed.keys() & payload.keys():
         loadable, now = removed[name]
@@ -213,7 +217,9 @@ class ShardingConfig:
     (and normalized to a tuple) at construction, so a malformed address
     fails here rather than at the first connect.  The list round-trips
     through ``to_dict``/``from_dict`` like every other field, which is
-    how checkpoints remember where the solve's workers live.
+    how checkpoints remember where the solve's workers live.  The
+    removed ``"process"`` backend is refused here, while old configs
+    and checkpoints that record it load as ``"thread"`` (the same bits).
     """
 
     n_shards: int | str = 1

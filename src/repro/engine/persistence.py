@@ -330,25 +330,14 @@ def load_engine(path: str | Path) -> "StreamingSentimentEngine":
     config = EngineConfig.from_dict(state["engine"]["config"])
     classify_seed = int(state["engine"]["classify_seed"])
 
-    # The engine rebuilds its solver from the config; the checkpoint
-    # then restores the solver's temporal position on top of it.
-    engine = StreamingSentimentEngine(
-        config, lexicon=lexicon, vectorizer=vectorizer
-    )
-    engine._classify_seed = classify_seed
-
-    # --- solver temporal state ---
-    solver = engine.solver
-    solver._steps = int(state["solver"]["steps"])
-    solver._rng.bit_generator.state = state["solver"]["rng"]
-    for lag in range(int(state["sf_history_len"])):
-        solver._sf_history.append(arrays[f"sf_history_{lag}"])
-    for lag in range(int(state["su_history_len"])):
-        solver._su_history.append(
-            _user_rows(arrays, f"su_history_{lag}", solver.num_classes)
-        )
+    # Every array check runs before the engine exists: constructing it
+    # starts the ingest thread (and may connect socket workers).
+    su_history = [
+        _user_rows(arrays, f"su_history_{lag}", config.num_classes)
+        for lag in range(int(state["su_history_len"]))
+    ]
     state_uids, state_rows = _user_rows(
-        arrays, "user_state", solver.num_classes
+        arrays, "user_state", config.num_classes
     )
     # Seen users are the carried-state ids; the JSON copy must agree.
     if not np.array_equal(
@@ -358,34 +347,55 @@ def load_engine(path: str | Path) -> "StreamingSentimentEngine":
             "malformed checkpoint: solver.seen_users differs from "
             "user_state_uids"
         )
-    solver._user_state = (state_uids, state_rows)
-    solver._vocabulary_ref = vocabulary
 
-    # --- builder bookkeeping ---
-    builder = engine.builder
-    builder._author_of = dict(
-        zip(
-            arrays["author_tweet_ids"].tolist(),
-            arrays["author_user_ids"].tolist(),
-        )
+    # The engine rebuilds its solver from the config; the checkpoint
+    # then restores the solver's temporal position on top of it.
+    engine = StreamingSentimentEngine(
+        config, lexicon=lexicon, vectorizer=vectorizer
     )
-    builder._profiles = {
-        p.user_id: p
-        for p in (_profile_from_json(r) for r in state["builder"]["profiles"])
-    }
-    builder._snapshots_built = int(state["builder"]["snapshots_built"])
-    builder._last_seen = dict(
-        zip(
-            arrays["last_seen_uids"].tolist(),
-            arrays["last_seen_values"].tolist(),
-        )
-    )
+    # A checkpoint that fails below (a malformed RNG state or profile)
+    # must not leave the engine's threads running.
+    try:
+        engine._classify_seed = classify_seed
 
-    # --- serving state ---
-    factors = FactorSet(
-        **{name: arrays[f"factors_{name}"] for name in _FACTOR_NAMES}
-    )
-    engine._factors = factors
-    engine._alignment = arrays["alignment"]
-    engine._tweet_gram = factors.hp @ (factors.sf.T @ factors.sf) @ factors.hp.T
+        # --- solver temporal state ---
+        solver = engine.solver
+        solver._steps = int(state["solver"]["steps"])
+        solver._rng.bit_generator.state = state["solver"]["rng"]
+        for lag in range(int(state["sf_history_len"])):
+            solver._sf_history.append(arrays[f"sf_history_{lag}"])
+        solver._su_history.extend(su_history)
+        solver._user_state = (state_uids, state_rows)
+        solver._vocabulary_ref = vocabulary
+
+        # --- builder bookkeeping ---
+        builder = engine.builder
+        builder._author_of = dict(
+            zip(
+                arrays["author_tweet_ids"].tolist(),
+                arrays["author_user_ids"].tolist(),
+            )
+        )
+        builder._profiles = {
+            p.user_id: p
+            for p in (_profile_from_json(r) for r in state["builder"]["profiles"])
+        }
+        builder._snapshots_built = int(state["builder"]["snapshots_built"])
+        builder._last_seen = dict(
+            zip(
+                arrays["last_seen_uids"].tolist(),
+                arrays["last_seen_values"].tolist(),
+            )
+        )
+
+        # --- serving state ---
+        factors = FactorSet(
+            **{name: arrays[f"factors_{name}"] for name in _FACTOR_NAMES}
+        )
+        engine._factors = factors
+        engine._alignment = arrays["alignment"]
+        engine._tweet_gram = factors.hp @ (factors.sf.T @ factors.sf) @ factors.hp.T
+    except BaseException:
+        engine.close()
+        raise
     return engine

@@ -64,7 +64,6 @@ from repro.core.labeling import apply_alignment, lexicon_column_alignment
 from repro.core.online import OnlineStepResult, OnlineTriClustering
 from repro.core.spmm import resolve_spmm, resolve_spmm_name
 from repro.core.state import FactorSet
-from repro.core.sweep import open_solver_pool
 from repro.data.tweet import Tweet, UserProfile
 from repro.engine.cache import FoldInCache
 from repro.engine.config import EngineConfig, ShardingConfig, SolverConfig
@@ -73,7 +72,7 @@ from repro.graph.incremental import IncrementalTripartiteBuilder
 from repro.graph.tripartite import TripartiteGraph
 from repro.text.lexicon import SentimentLexicon
 from repro.text.vectorizer import CountVectorizer, TfidfVectorizer
-from repro.utils.executor import WorkerPool, default_worker_count
+from repro.utils.executor import WorkerPool
 from repro.utils.logging import get_logger
 
 logger = get_logger("engine.streaming")
@@ -132,14 +131,13 @@ class StreamingSentimentEngine:
 
     The engine owns a worker pool sized by ``config.sharding.
     max_workers``, shared by classify micro-batching and the
-    thread-backend sharded solve; under ``backend="process"`` (local
-    worker processes) or ``backend="socket"`` (remote ``python -m repro
-    worker`` servers named by ``config.sharding.workers``) the solve
-    instead gets a dedicated engine-owned pool whose workers — and
-    their resident shard blocks — persist across snapshots.
-    ``close()`` (or using the engine as a context manager) releases the
-    ingest worker, the threads and the worker processes; closing is
-    terminal.
+    thread-backend sharded solve; under ``backend="socket"`` (the
+    ``python -m repro worker`` servers named by
+    ``config.sharding.workers``) the solve instead gets a dedicated
+    engine-owned pool whose worker connections — and their resident
+    shard blocks — persist across snapshots.  ``close()`` (or using the
+    engine as a context manager) releases the ingest worker, the
+    threads and the worker connections; closing is terminal.
     """
 
     def __init__(
@@ -217,34 +215,22 @@ class StreamingSentimentEngine:
         # user-supplied one only when it didn't pin its own worker count
         # (respect explicit config — it then opens a pool of its
         # configured backend per partial_fit).  Thread solves share the
-        # classify pool (a one-shard solve still runs inline); a process
-        # or socket solve gets a dedicated pool so classify stays on
-        # threads while workers (local processes or remote connections,
-        # and their resident shard blocks) persist across snapshots.
+        # classify pool (a one-shard solve still runs inline); a socket
+        # solve gets a dedicated pool so classify stays on threads while
+        # the worker connections (and their resident shard blocks)
+        # persist across snapshots.
         if self.solver.pool is None and (
             solver is None or self.solver.max_workers is None
         ):
             # repro-lint: disable=REP006 -- pool-ownership dispatch on
-            # the validated backend (dedicated pool for out-of-process
-            # workers), not name resolution.
-            if self.backend in ("process", "socket"):
-                shards_hint = (
-                    self.n_shards
-                    if isinstance(self.n_shards, int)
-                    else default_worker_count()
+            # the validated backend (dedicated pool for socket workers),
+            # not name resolution.
+            if self.backend == "socket":
+                self._solver_pool = WorkerPool(
+                    backend="socket", workers=self.solver.workers
                 )
-                self._solver_pool = open_solver_pool(
-                    sharding.max_workers,
-                    self.backend,
-                    shards_hint,
-                    self.solver.workers,
-                )
-                # Materialize workers now, while the engine process is
-                # still single-threaded (classify threads and the ingest
-                # worker spin up after this point): process workers must
-                # never fork under live threads, and an unreachable
-                # socket worker should fail construction, not the first
-                # snapshot.
+                # Connect now: an unreachable worker should fail
+                # construction, not the first snapshot.
                 self._solver_pool.prestart()
                 self.solver.pool = self._solver_pool
             # repro-lint: disable=REP006 -- see the branch above.
@@ -271,9 +257,8 @@ class StreamingSentimentEngine:
         # model commits (advance_snapshot) and the vectorize/fold-in
         # section of classify — see the module docstring's thread model.
         self._serve_lock = threading.RLock()
-        # Created last: the pipeline starts the ingest worker thread,
-        # and the process-backend prestart above must fork before any
-        # thread exists.
+        # Created last: the pipeline starts the ingest worker thread, so
+        # a constructor that raises above leaves no thread behind.
         self._ingest = IngestPipeline(
             self._ingest_batch,
             max_queued_batches=config.ingest.max_queued_batches,
@@ -513,11 +498,12 @@ class StreamingSentimentEngine:
         """Release the ingest worker and pools (idempotent, terminal).
 
         Drains and stops the ingest pipeline, then shuts the worker
-        pools (threads and processes) down.  Closing is **terminal**:
-        the pipeline and pools refuse further work rather than silently
-        resurrecting threads or worker processes, so a closed engine no
-        longer ingests or serves.  Long-lived processes that retire an
-        engine should close it rather than hold idle workers.
+        pools (threads and worker connections) down.  Closing is
+        **terminal**: the pipeline and pools refuse further work rather
+        than silently resurrecting threads or reconnecting workers, so a
+        closed engine no longer ingests or serves.  Long-lived
+        processes that retire an engine should close it rather than
+        hold idle workers.
         """
         self._ingest.close()
         self._pool.shutdown()

@@ -13,7 +13,7 @@ validated before any data is read.
 Usage::
 
     python -m repro stream tweets.jsonl --snapshot-size 500 \
-        --n-shards 4 --backend process --checkpoint /var/lib/repro/engine
+        --n-shards 2 --checkpoint /var/lib/repro/engine
     python -m repro stream tweets.jsonl --n-shards 4 --backend socket \
         --workers 10.0.0.5:7500,10.0.0.6:7500
 """
@@ -71,13 +71,13 @@ def build_stream_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--backend",
-        choices=["serial", "thread", "process", "socket"],
+        choices=["serial", "thread", "socket"],
         default="thread",
         help=(
             "execution backend for the sharded solve (default thread; "
-            "'process' pins shard blocks in worker processes, 'socket' "
-            "in remote `python -m repro worker` servers named by "
-            "--workers — classify always stays on threads)"
+            "'socket' pins shard blocks in `python -m repro worker` "
+            "servers named by --workers — classify always stays on "
+            "threads)"
         ),
     )
     parser.add_argument(

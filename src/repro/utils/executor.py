@@ -4,7 +4,7 @@ The sharded solver and the serving layer fan identical work items
 (per-shard sweep passes, classify micro-batches) across a pool and need
 the results back *in input order* so that reductions stay deterministic
 no matter how the OS schedules the workers.  :class:`WorkerPool` wraps
-that ordered-map contract around four interchangeable backends:
+that ordered-map contract around three interchangeable backends:
 
 - ``"serial"`` — a plain loop on the calling thread.  Allocates
   nothing, so a 1-shard solver pays nothing for the abstraction.
@@ -15,27 +15,25 @@ that ordered-map contract around four interchangeable backends:
   while sharing the factor arrays zero-copy.  Both in-process backends
   are one :class:`ThreadBackend`: ``"serial"`` is its one-worker case,
   which never creates an executor.
-- ``"process"`` — a pool of long-lived forked worker *processes*, which
-  dodges the residual GIL cost of the Python-level bookkeeping between
-  BLAS calls entirely.  Because nothing is shared, the backend adds a
-  **worker-resident state** protocol on top of the stateless ``map``:
-  :meth:`WorkerPool.scatter` ships each work item's state to its worker
-  exactly once (keyed by a monotonically increasing *epoch*), and
-  :meth:`WorkerPool.run_resident` then runs picklable commands against
-  the pinned states, so per-call IPC is the command's arguments and
-  return value — for the sharded solver, the global ``Sf`` broadcast
-  down and an ``l×k`` contribution back — never the shard blocks.
-  Each worker talks over one end of an anonymous ``socketpair``.
-- ``"socket"`` — the same protocol over TCP to workers **on any host**:
+- ``"socket"`` — worker *processes* reached over TCP, **on any host**:
   ``WorkerPool(backend="socket", workers=["host:port", ...])`` talks to
   ``python -m repro worker --listen HOST:PORT`` servers, with connect
-  and exchange timeouts on top.
+  and exchange timeouts on top.  Because nothing is shared, the
+  backend adds a **worker-resident state** protocol on top of the
+  stateless ``map``: :meth:`WorkerPool.scatter` ships each work item's
+  state to its worker exactly once (keyed by a monotonically
+  increasing *epoch*), and :meth:`WorkerPool.run_resident` then runs
+  picklable commands against the pinned states, so per-call traffic is
+  the command's arguments and return value — for the sharded solver,
+  the global ``Sf`` step down and an ``l×k`` contribution back — never
+  the shard blocks.  A lost worker raises
+  :class:`~repro.utils.transport.WorkerLost`, never a hang.
 
-The two out-of-process backends share one framing
-(:class:`~repro.utils.transport.SocketConnection`), one worker loop and
-one one-in-flight exchange; they differ only in how workers start and
-stop (fork versus connect).  A lost worker raises
-:class:`~repro.utils.transport.WorkerLost` on either, never a hang.
+Worker processes on the same host are ``"socket"`` workers on
+localhost (:class:`~repro.utils.transport.LocalWorkerFleet` in tests
+and benches).  The removed forked-worker backend, ``"process"``, is
+refused by name; configs and checkpoints that record it load as
+``"thread"`` (the same bits).
 
 ``scatter``/``run_resident`` are implemented by every backend (the
 in-process ones simply keep the states in a list), so callers write one
@@ -55,22 +53,21 @@ rounds, commands, bytes up/down, serialize/wait time.
 All floating-point work is identical across backends: commands are the
 same functions either way, per-index results are collected into input
 order, and reductions run on the caller — so solver trajectories are
-bit-for-bit equal under ``"serial"``, ``"thread"``, ``"process"`` and
-``"socket"`` (regression-tested).
+bit-for-bit equal under ``"serial"``, ``"thread"`` and ``"socket"``
+(regression-tested).
 
 A pool that has been :meth:`shutdown` (or ``close``-d) is terminal:
 further ``map``/``scatter``/``run_resident`` calls raise
 :class:`RuntimeError` instead of silently resurrecting threads or
-processes behind a caller that believed the resources were released.
+reconnecting workers behind a caller that believed the resources were
+released.
 """
 
 from __future__ import annotations
 
 import math
-import multiprocessing as mp
 import os
 import selectors
-import socket
 import time
 import traceback
 from collections import deque
@@ -92,7 +89,7 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 #: Registry of named execution backends (``WorkerPool(backend=...)``).
-BACKENDS = ("serial", "thread", "process", "socket")
+BACKENDS = ("serial", "thread", "socket")
 
 
 def validate_backend(backend: str) -> str:
@@ -103,6 +100,12 @@ def validate_backend(backend: str) -> str:
     so a typo fails at configuration time with the valid choices listed
     instead of deep inside a solve.
     """
+    if backend == "process":
+        raise ValueError(
+            "backend='process' was removed: it was slower than 'thread' "
+            "and computed the same bits; use 'thread', or 'socket' for "
+            "worker processes"
+        )
     if backend not in BACKENDS:
         raise ValueError(
             f"unknown backend {backend!r}; valid choices: "
@@ -155,7 +158,7 @@ class PoolTelemetry:
     ``rounds``/``commands`` count exchanges uniformly across *all*
     backends (the in-process ones included), so expected-round
     assertions written against the thread backend hold verbatim for
-    process and socket pools; ``bytes_*``/``send_seconds`` are filled
+    socket pools; ``bytes_*``/``send_seconds`` are filled
     in by the boundary-crossing channels and stay zero in-process.
     """
 
@@ -205,8 +208,8 @@ class SharedRef:
     """Placeholder for a shared resident's value in command arguments.
 
     Crossing the boundary as a tiny token, it is resolved against the
-    receiving side's shared store (worker store for process/socket,
-    the pool's own mirror for serial/thread) just before the command
+    receiving side's shared store (worker store for socket, the pool's
+    own mirror for serial/thread) just before the command
     or update function runs — the mechanism that lets a converging
     sweep send a version-checked ``l×k`` contribution instead of
     re-broadcasting the full ``Sf`` every round.
@@ -257,23 +260,6 @@ def _apply_shared_op(shared: dict, op: tuple) -> None:
         )
     fn, args = op[3], op[4]
     shared[name] = (version, fn(current[1], *_resolve_shared_args(shared, args)))
-
-
-def _process_start_method() -> str:
-    """Start method for worker processes.
-
-    ``fork`` where the platform offers it: workers start in
-    milliseconds and inherit loaded modules.  Forking a *multithreaded*
-    parent is the classic hazard, so owners of long-lived pools should
-    :meth:`WorkerPool.prestart` workers before spinning up threads (the
-    streaming engine does, at construction time).
-    ``REPRO_PROCESS_START_METHOD`` overrides (``spawn``/``forkserver``)
-    for environments where forking is unacceptable.
-    """
-    override = os.environ.get("REPRO_PROCESS_START_METHOD")
-    if override:
-        return override
-    return "fork" if "fork" in mp.get_all_start_methods() else "spawn"
 
 
 # --------------------------------------------------------------------- #
@@ -341,40 +327,22 @@ class ThreadBackend:
 
 
 # --------------------------------------------------------------------- #
-# Process backend
+# Socket backend
 # --------------------------------------------------------------------- #
 
 
-def _process_worker_main(
-    conn,
-    blas_threads: int | None = None,
-    spmm_threads: int | None = None,
-) -> None:
+def _worker_loop(conn) -> None:
     """Worker loop: install resident states, run commands against them.
 
-    The connection is a strict request→response channel — every command
-    gets exactly one reply, so the parent can always re-associate
-    replies with commands by arrival order.  Resident states are keyed
-    by ``(epoch, index)``; an install under a new epoch drops every
-    older state, and a ``run`` against a stale epoch is an error (the
-    parent re-scatters instead of trusting leftovers).
-
-    ``blas_threads`` caps this worker's BLAS pool before any command
-    runs: forked workers inherit the parent's fully-sized OpenBLAS, and
-    W workers × per-core BLAS pools oversubscribe the machine into a
-    slowdown (see :mod:`repro.utils.threads`).  ``spmm_threads``
-    installs the same fair share as this worker's default spmm thread
-    budget, so parallel spmm engines resolved inside commands size
-    their pools to it instead of the full core count.
+    Serves one client session of a
+    :class:`~repro.utils.transport.WorkerServer`.  The connection is a
+    strict request→response channel — every command gets exactly one
+    reply, so the client can always re-associate replies with commands
+    by arrival order.  Resident states are keyed by ``(epoch, index)``;
+    an install under a new epoch drops every older state, and a ``run``
+    against a stale epoch is an error (the client re-scatters instead of
+    trusting leftovers).
     """
-    if blas_threads is not None:
-        from repro.utils.threads import cap_blas_threads
-
-        cap_blas_threads(blas_threads)
-    if spmm_threads is not None:
-        from repro.utils.threads import set_spmm_thread_default
-
-        set_spmm_thread_default(spmm_threads)
     resident: dict[int, Any] = {}
     shared: dict[str, tuple[int, Any]] = {}
     epoch: int | None = None
@@ -446,7 +414,7 @@ def _process_worker_main(
                 reply = ("ok", None)
             else:
                 raise RuntimeError(f"unknown worker command {kind!r}")
-        except BaseException as exc:  # noqa: BLE001 - forwarded to parent
+        except BaseException as exc:  # noqa: BLE001 - forwarded to client
             detail = traceback.format_exc()
             try:
                 reply = ("error", exc, detail)
@@ -464,30 +432,35 @@ def _process_worker_main(
         pass
 
 
-class _ExchangeBackend:
-    """Shared half of the out-of-process backends (process, socket).
+class SocketBackend:
+    """Worker processes over TCP with pinned per-item state.
 
-    Both talk to their workers through one
-    :class:`~repro.utils.transport.SocketConnection` each — a socketpair
-    to a forked child, or TCP to a remote server — so everything but
-    worker start (fork versus connect) and shutdown lives here: the
-    resident-state bookkeeping (round-robin placement keyed by the
-    scatter epoch), the readiness wait, the lost-worker errors, and the
-    **one-in-flight exchange**: each worker is sent its commands
-    strictly one at a time — the next command only after the previous
-    reply — while all workers are waited on concurrently.  One message
-    per direction per worker means the channel can never fill both
-    directions at once, so the exchange is deadlock-free for
+    One :class:`~repro.utils.transport.SocketConnection` per configured
+    ``host:port`` (a ``python -m repro worker`` server), connected on
+    first use and kept until ``shutdown``.  Everything the pool needs
+    lives here: the resident-state bookkeeping (round-robin placement
+    keyed by the scatter epoch), the readiness wait, the lost-worker
+    errors, and the **one-in-flight exchange**: each worker is sent its
+    commands strictly one at a time — the next command only after the
+    previous reply — while all workers are waited on concurrently.  One
+    message per direction per worker means the channel can never fill
+    both directions at once, so the exchange is deadlock-free for
     arbitrarily large payloads.
 
-    A worker that dies or breaks protocol raises
-    :class:`~repro.utils.transport.WorkerLost` (EOF from a dead peer
-    wakes the wait immediately); ``exchange_timeout`` (``None`` = no
-    deadline) bounds a silent hang too.  Either way the pool is
-    permanently broken — the lost worker's resident state is gone.
+    Failures surface eagerly instead of hanging:
 
-    Functions crossing the boundary (commands, ``from_payload``) must
-    be picklable, i.e. module-level.
+    - a worker that cannot be connected (or sends no valid hello)
+      raises :class:`~repro.utils.transport.WorkerConnectError` within
+      ``connect_timeout``;
+    - a worker that dies or breaks protocol raises
+      :class:`~repro.utils.transport.WorkerLost` (EOF from a killed
+      peer wakes the wait immediately), and ``exchange_timeout`` bounds
+      a silent hang.  Either way the pool is permanently broken — the
+      lost worker's resident state is gone.
+
+    The addresses and both timeouts arrive checked by
+    :class:`WorkerPool`.  Functions crossing the boundary (commands,
+    ``from_payload``) must be picklable, i.e. module-level.
 
     Shared-resident ops staged via :meth:`stage_shared_op` piggyback on
     the next ``run`` command each worker receives: a per-slot cursor
@@ -505,28 +478,24 @@ class _ExchangeBackend:
 
     def __init__(
         self,
-        max_workers: int,
-        exchange_timeout: float | None,
-        telemetry: PoolTelemetry | None = None,
+        workers: Sequence[str],
+        connect_timeout: float,
+        exchange_timeout: float,
+        telemetry: PoolTelemetry,
     ) -> None:
-        self.max_workers = max_workers
+        self.addresses = tuple(workers)
+        self.connect_timeout = connect_timeout
         self.exchange_timeout = exchange_timeout
         self._conns: list[SocketConnection] = []
-        #: Worker labels for error messages, parallel to ``_conns``.
-        self._names: list[str] = []
         self._selector: selectors.BaseSelector | None = None
         self._registered: set[SocketConnection] = set()
         self._placement: list[int] = []
         self._epoch: int | None = None
         self._broken = False
-        self._telemetry = telemetry if telemetry is not None else PoolTelemetry()
+        self._telemetry = telemetry
         self._shared_ops: list[tuple] = []
         self._op_cursor: dict[int, int] = {}
         self._op_base = 0
-
-    @property
-    def parallel(self) -> bool:
-        return self.max_workers > 1
 
     @property
     def active(self) -> bool:
@@ -571,9 +540,27 @@ class _ExchangeBackend:
 
     # -- transport ------------------------------------------------------ #
 
-    def _ensure_workers(self, needed: int) -> None:
-        """Start (fork or connect) workers; subclass responsibility."""
-        raise NotImplementedError
+    def _connect(self) -> None:
+        """Connect to every configured worker, once per backend."""
+        if self._conns:
+            return
+        from repro.utils.transport import connect_worker
+
+        conns = []
+        try:
+            for address in self.addresses:
+                conn = connect_worker(address, timeout=self.connect_timeout)
+                # Per-chunk receive deadline: _wait() covers the idle
+                # wait for a reply, this covers a peer that goes silent
+                # halfway through a frame.
+                conn.settimeout(self.exchange_timeout)
+                conn.telemetry = self._telemetry
+                conns.append(conn)
+        except BaseException:
+            for conn in conns:
+                conn.close()
+            raise
+        self._conns = conns
 
     def _wait(self, connections: list) -> list:
         """Connections with a readable reply, within the exchange deadline."""
@@ -594,7 +581,7 @@ class _ExchangeBackend:
         if not ready:
             self._broken = True
             pending = ", ".join(
-                self._names[self._conns.index(conn)] for conn in connections
+                self.addresses[self._conns.index(conn)] for conn in connections
             )
             raise WorkerLost(
                 f"no reply from worker(s) {pending} within "
@@ -607,7 +594,7 @@ class _ExchangeBackend:
         """Error for a worker lost around ``index`` (pool now broken)."""
         self._broken = True
         return WorkerLost(
-            f"worker {self._names[slot]} lost around item {index} "
+            f"worker {self.addresses[slot]} lost around item {index} "
             f"({exc!r}); the pool is now broken — create a new pool"
         )
 
@@ -707,7 +694,7 @@ class _ExchangeBackend:
     def map(self, fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
         if len(items) <= 1:
             return [fn(item) for item in items]
-        self._ensure_workers(len(items))
+        self._connect()
         workers = len(self._conns)
         return self._exchange(
             [
@@ -717,7 +704,7 @@ class _ExchangeBackend:
         )
 
     def scatter(self, items, to_payload, from_payload, epoch) -> None:
-        self._ensure_workers(len(items))
+        self._connect()
         workers = len(self._conns)
         self._placement = [index % workers for index in range(len(items))]
         self._epoch = epoch
@@ -770,7 +757,7 @@ class _ExchangeBackend:
         self._reset_shared_ops()
 
     def prestart(self) -> None:
-        self._ensure_workers(self.max_workers)
+        self._connect()
 
     def shutdown(self) -> None:
         if self._selector is not None:
@@ -785,143 +772,8 @@ class _ExchangeBackend:
         for conn in self._conns:
             conn.close()
         self._conns = []
-        self._names = []
         self._placement = []
         self._epoch = None
-
-
-class ProcessBackend(_ExchangeBackend):
-    """Forked worker processes with pinned per-item state.
-
-    Workers are started lazily (``fork`` where available) and live until
-    ``shutdown``, so consecutive scatters — e.g. one per streaming
-    snapshot — reuse the same processes.  Each worker gets one end of an
-    anonymous ``socket.socketpair()``: the same framing as the socket
-    backend, and no listening socket another local user could reach.
-    Items are placed round-robin (``index % workers``).  A dead worker
-    shows up as EOF on its socketpair, so there is no exchange deadline.
-    """
-
-    def __init__(
-        self, max_workers: int, telemetry: PoolTelemetry | None = None
-    ) -> None:
-        super().__init__(max_workers, None, telemetry)
-        self._ctx = mp.get_context(_process_start_method())
-        self._processes: list[Any] = []
-        self._driver_blas_snapshot: dict | None = None
-
-    def _ensure_workers(self, needed: int) -> None:
-        from repro.utils.threads import (
-            cap_blas_threads,
-            snapshot_blas_state,
-            worker_blas_limit,
-            worker_spmm_limit,
-        )
-
-        target = max(1, min(self.max_workers, needed))
-        # Each worker gets its fair share of the machine's BLAS threads
-        # (pool width = the bound, not `needed`: a later call may grow
-        # the pool to it, and already-started workers keep their cap).
-        blas_threads = worker_blas_limit(self.max_workers)
-        spmm_threads = worker_spmm_limit(self.max_workers)
-        # The driver is one more process competing with the workers: its
-        # reductions and Sf steps run interleaved with the shard passes,
-        # so an uncapped driver-side BLAS pool reintroduces exactly the
-        # oversubscription the worker caps prevent.  Cap it to the same
-        # fair share while a multi-worker pool is active; shutdown()
-        # restores the prior state from the snapshot.
-        if (
-            target > 1
-            and blas_threads is not None
-            and self._driver_blas_snapshot is None
-        ):
-            self._driver_blas_snapshot = snapshot_blas_state()
-            cap_blas_threads(blas_threads)
-        while len(self._conns) < target:
-            parent_sock, child_sock = socket.socketpair()
-            process = self._ctx.Process(
-                target=_process_worker_main,
-                args=(SocketConnection(child_sock), blas_threads, spmm_threads),
-                name=f"repro-shard-worker-{len(self._conns)}",
-                daemon=True,
-            )
-            process.start()
-            child_sock.close()
-            self._processes.append(process)
-            self._names.append(f"process {len(self._conns)} (pid {process.pid})")
-            self._conns.append(SocketConnection(parent_sock, self._telemetry))
-
-    def shutdown(self) -> None:
-        super().shutdown()
-        for process in self._processes:
-            process.join(timeout=5)
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=5)
-        self._processes = []
-        if self._driver_blas_snapshot is not None:
-            from repro.utils.threads import restore_blas_state
-
-            restore_blas_state(self._driver_blas_snapshot)
-            self._driver_blas_snapshot = None
-
-
-class SocketBackend(_ExchangeBackend):
-    """Remote workers over TCP with pinned per-item state.
-
-    One :class:`~repro.utils.transport.SocketConnection` per configured
-    ``host:port`` (a ``python -m repro worker`` server), shard payloads
-    installed once per epoch, commands exchanged one-in-flight.  Two
-    failure modes the in-machine backends don't have are surfaced
-    eagerly instead of hanging:
-
-    - a worker that cannot be connected (or sends no valid hello)
-      raises :class:`~repro.utils.transport.WorkerConnectError` within
-      ``connect_timeout``;
-    - a worker that stops replying mid-exchange raises
-      :class:`~repro.utils.transport.WorkerLost` within
-      ``exchange_timeout`` (EOF from a killed peer is detected
-      immediately; the timeout is the backstop for silent hangs).
-
-    Both timeouts arrive resolved and checked by :class:`WorkerPool`.
-    """
-
-    def __init__(
-        self,
-        workers: Sequence[str],
-        connect_timeout: float,
-        exchange_timeout: float,
-        telemetry: PoolTelemetry | None = None,
-    ) -> None:
-        from repro.utils.transport import validate_workers
-
-        addresses = validate_workers(workers)
-        super().__init__(len(addresses), exchange_timeout, telemetry)
-        self.addresses = addresses
-        self.connect_timeout = connect_timeout
-
-    def _ensure_workers(self, needed: int) -> None:
-        del needed  # every configured worker joins the placement ring
-        if self._conns:
-            return
-        from repro.utils.transport import connect_worker
-
-        conns = []
-        try:
-            for address in self.addresses:
-                conn = connect_worker(address, timeout=self.connect_timeout)
-                # Per-chunk receive deadline: _wait() covers the idle
-                # wait for a reply, this covers a peer that goes silent
-                # halfway through a frame.
-                conn.settimeout(self.exchange_timeout)
-                conn.telemetry = self._telemetry
-                conns.append(conn)
-        except BaseException:
-            for conn in conns:
-                conn.close()
-            raise
-        self._conns = conns
-        self._names = list(self.addresses)
 
 
 # --------------------------------------------------------------------- #
@@ -940,8 +792,8 @@ class WorkerPool:
         threads are created).  Values below 1 are rejected.  Ignored by
         the socket backend, whose width is ``len(workers)``.
     backend:
-        ``"serial"``, ``"thread"`` (default), ``"process"`` or
-        ``"socket"`` — see the module docstring for the trade-offs.
+        ``"serial"``, ``"thread"`` (default) or ``"socket"`` — see the
+        module docstring for the trade-offs.
         All backends produce bit-identical results for the same
         commands.
     workers:
@@ -996,9 +848,7 @@ class WorkerPool:
             self.max_workers = (
                 default_worker_count() if max_workers is None else max_workers
             )
-        self._impl: (
-            ThreadBackend | ProcessBackend | SocketBackend | None
-        ) = None
+        self._impl: ThreadBackend | SocketBackend | None = None
         self._closed = False
         self._epoch = 0
         #: Lifetime coordination counters (see :class:`PoolTelemetry`).
@@ -1020,7 +870,7 @@ class WorkerPool:
     def remote(self) -> bool:
         """Whether resident states live outside this process.
 
-        ``True`` for the process and socket backends, whose commands,
+        ``True`` for the socket backend, whose commands,
         states and shared-resident ops cross a pickle boundary (so they
         must carry names, not live objects); ``False`` in-process.
         """
@@ -1032,7 +882,7 @@ class WorkerPool:
 
     @property
     def active(self) -> bool:
-        """Whether backend resources (threads/processes) are live."""
+        """Whether backend resources (threads/connections) are live."""
         return self._impl is not None and self._impl.active
 
     @property
@@ -1050,9 +900,7 @@ class WorkerPool:
     def _backend_impl(self):
         self._require_open()
         if self._impl is None:
-            if self.backend == "process":
-                self._impl = ProcessBackend(self.max_workers, self.telemetry)
-            elif self.backend == "socket":
+            if self.backend == "socket":
                 self._impl = SocketBackend(
                     self.workers,
                     self.connect_timeout,
@@ -1079,7 +927,7 @@ class WorkerPool:
 
         A worker exception propagates to the caller (remaining items may
         or may not have run — the pool is not transactional).  Under the
-        process backend ``fn`` and the items must be picklable; a
+        socket backend ``fn`` and the items must be picklable; a
         single-item call runs inline on the caller either way.
         """
         self.telemetry.rounds += 1
@@ -1101,11 +949,11 @@ class WorkerPool:
     ) -> int:
         """Pin one state per item to the workers; returns the new epoch.
 
-        In-process backends keep ``items`` as-is.  The process and
-        socket backends ship ``to_payload(item)`` (default: the item
-        itself) across the boundary once and rebuild the resident state
-        there via ``from_payload`` — both must be picklable
-        module-level functions.  A new scatter replaces every state of
+        In-process backends keep ``items`` as-is.  The socket backend
+        ships ``to_payload(item)`` (default: the item itself) across the
+        boundary once and rebuilds the resident state there via
+        ``from_payload`` — both must be picklable module-level
+        functions.  A new scatter replaces every state of
         the previous epoch.
         """
         impl = self._backend_impl()
@@ -1126,8 +974,7 @@ class WorkerPool:
         """``fn(state, *per_state_args[i])`` per resident state, in order.
 
         The command runs where the state lives (caller's process for
-        serial/thread, the owning worker process or remote host
-        otherwise), so only the
+        serial/thread, the owning worker otherwise), so only the
         arguments and return values cross any boundary.  States are
         mutable: a command may update its state in place and the change
         persists for subsequent commands in the same epoch.
@@ -1231,9 +1078,6 @@ class WorkerPool:
     def prestart(self) -> None:
         """Materialize backend resources now instead of lazily.
 
-        For the process backend this forks the worker processes
-        immediately — call it before the owning application starts any
-        threads, so workers never fork from a multithreaded parent.
         For the socket backend it connects (and handshakes with) every
         configured worker, so an unreachable host fails here instead of
         inside the first solve.  No-op for in-process backends.
@@ -1259,7 +1103,7 @@ class WorkerPool:
 
         Closing is terminal: subsequent ``map``/``scatter``/
         ``run_resident`` calls raise :class:`RuntimeError` rather than
-        silently resurrecting threads or processes.
+        silently resurrecting threads or connections.
         """
         if self._impl is not None:
             self._impl.shutdown()

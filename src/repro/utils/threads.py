@@ -2,19 +2,18 @@
 
 At bench scale the sweeps spend their time in OpenBLAS GEMMs, and
 OpenBLAS defaults to one thread per logical core *per process*.  A
-sharded solve that fans out to W worker processes therefore launches
-W × cores BLAS threads that fight over the same cores — the classic
-oversubscription collapse where adding workers makes the wall clock
-*worse*.  The fix is to cap each worker's BLAS pool to its fair share
-of the machine (usually 1), which is what :func:`cap_blas_threads`
-does inside the process/socket worker mains.
+sharded solve that fans out to W socket workers on one host therefore
+launches W × cores BLAS threads that fight over the same cores — the
+classic oversubscription collapse where adding workers makes the wall
+clock *worse*.  The fix is to cap each worker's BLAS pool (to 1 by
+default), which is what :func:`cap_blas_threads` does inside the
+socket worker mains (:mod:`repro.utils.transport`).
 
 ``threadpoolctl`` is the canonical tool for this but is not a
 dependency of this repo, so the cap is implemented directly:
 
 - environment variables (``OPENBLAS_NUM_THREADS`` etc.) cover any BLAS
-  loaded *after* the cap — they are inherited by children, which is how
-  spawned worker processes get capped before numpy even imports;
+  loaded *after* the cap, and are inherited by child processes;
 - for the already-loaded case, the vendored OpenBLAS shared objects
   inside ``numpy.libs``/``scipy.libs`` are located by glob and their
   ``openblas_set_num_threads`` entry points called through ``ctypes``.
@@ -56,8 +55,8 @@ _GET_SYMBOLS = (
     "openblas_get_num_threads",
 )
 
-#: Workers read this to override their computed BLAS cap; ``0`` means
-#: "leave the BLAS pool alone".
+#: Socket workers read this to override their default BLAS cap of 1;
+#: ``0`` means "leave the BLAS pool alone".
 WORKER_BLAS_ENV = "REPRO_WORKER_BLAS_THREADS"
 
 #: Overrides the process-wide default spmm thread budget (see
@@ -65,8 +64,8 @@ WORKER_BLAS_ENV = "REPRO_WORKER_BLAS_THREADS"
 #: count (or whatever a worker main installed)".
 SPMM_THREADS_ENV = "REPRO_SPMM_THREADS"
 
-#: Workers read this to override their computed spmm fair share; ``0``
-#: means "leave the process default alone".
+#: Socket workers read this to override their default spmm budget of
+#: 1; ``0`` means "leave the process default alone".
 WORKER_SPMM_ENV = "REPRO_WORKER_SPMM_THREADS"
 
 
@@ -226,70 +225,13 @@ def cap_blas_threads(limit: int) -> list[str]:
     return capped
 
 
-def snapshot_blas_state() -> dict:
-    """Capture the BLAS sizing env vars and live pool sizes.
-
-    Taken by the driver before it caps its own BLAS pool alongside a
-    multi-worker process pool, so :func:`restore_blas_state` can put
-    things back when the pool shuts down.  Never raises.
-    """
-    return {
-        "env": {name: os.environ.get(name) for name in BLAS_ENV_VARS},
-        "threads": blas_thread_info(),
-    }
-
-
-def restore_blas_state(snapshot: dict) -> None:
-    """Undo a :func:`cap_blas_threads` using a prior snapshot.
-
-    Env vars are restored exactly (including unsetting ones that were
-    absent); live pools are resized back per library.  Never raises.
-    """
-    for name, value in snapshot.get("env", {}).items():
-        if value is None:
-            os.environ.pop(name, None)
-        else:
-            os.environ[name] = value
-    saved = snapshot.get("threads", {})
-    for name, dll in _openblas_handles():
-        if name not in saved:
-            continue
-        setter = _find_symbol(dll, _SET_SYMBOLS)
-        if setter is None:
-            continue
-        try:
-            setter.restype = None
-            setter.argtypes = [ctypes.c_int]
-            setter(int(saved[name]))
-        except (ctypes.ArgumentError, OSError, ValueError):
-            continue
-
-
-def worker_blas_limit(pool_width: int) -> int | None:
-    """The BLAS cap one worker in a ``pool_width``-wide pool should use.
-
-    ``REPRO_WORKER_BLAS_THREADS`` overrides (``0`` → ``None``, meaning
-    "don't touch the pool"); otherwise each worker gets its fair share
-    ``affinity_cores // pool_width`` of the machine, floored at 1 —
-    the allocation under which W workers never oversubscribe.
-    """
-    override = os.environ.get(WORKER_BLAS_ENV)
-    if override is not None:
-        try:
-            value = int(override)
-        except ValueError:
-            value = 1
-        return None if value <= 0 else value
-    return max(1, affinity_core_count() // max(1, int(pool_width)))
-
-
 # --------------------------------------------------------------------- #
 # spmm thread budget
 #
 # The compiled sparse·dense engine in :mod:`repro.core.spmm`
 # (and the prange kernel tails in :mod:`repro.core.kernels`) size their
 # thread pools from this budget rather than from the raw core count, so
-# worker mains can install a fair share once and every engine resolved
+# worker mains can install a budget once and every engine resolved
 # afterwards inherits it — the same oversubscription guard the BLAS cap
 # provides, for the non-BLAS compute layer.
 # --------------------------------------------------------------------- #
@@ -301,8 +243,8 @@ _spmm_default: int | None = None
 def set_spmm_thread_default(limit: int | None) -> None:
     """Install the process-wide default spmm thread budget.
 
-    Called by worker mains with their fair share (see
-    :func:`worker_spmm_limit`); ``None`` reverts to the affinity core
+    Called by socket worker mains with their budget (see
+    :data:`WORKER_SPMM_ENV`); ``None`` reverts to the affinity core
     count.  Explicit ``spmm_threads=`` arguments always win over this.
     """
     global _spmm_default
@@ -325,22 +267,3 @@ def spmm_thread_default() -> int:
     if _spmm_default is not None:
         return _spmm_default
     return affinity_core_count()
-
-
-def worker_spmm_limit(pool_width: int) -> int | None:
-    """The spmm fair share one worker in a ``pool_width``-wide pool gets.
-
-    Mirrors :func:`worker_blas_limit`: ``REPRO_WORKER_SPMM_THREADS``
-    overrides (``0`` → ``None``, leave the process default alone),
-    otherwise ``affinity_cores // pool_width`` floored at 1 — so
-    W workers × T spmm threads never oversubscribes the machine even
-    before the BLAS cap is counted.
-    """
-    override = os.environ.get(WORKER_SPMM_ENV)
-    if override is not None:
-        try:
-            value = int(override)
-        except ValueError:
-            value = 1
-        return None if value <= 0 else value
-    return max(1, affinity_core_count() // max(1, int(pool_width)))

@@ -3,9 +3,8 @@
 The pool's command protocol is already the shape an RPC needs:
 picklable commands down, factor-sized replies up, resident shard state
 keyed by an epoch, and **at most one in-flight message per direction
-per worker**.  This module carries that exact protocol over a stream
-socket — an anonymous ``socketpair`` to each forked worker of the
-process backend, TCP to workers on any host:
+per worker**.  This module carries that exact protocol over TCP to
+worker processes on any host:
 
 - a tiny **framing layer** — each message is ``MAGIC ++ u32 segment
   count ++ u64 lengths ++ segments`` (:func:`send_frame` /
@@ -17,27 +16,26 @@ process backend, TCP to workers on any host:
   that does not parse, so a corrupted or hostile stream fails loudly
   instead of desynchronizing the exchange;
 - :class:`SocketConnection` — whole pickled messages over one socket
-  (``send``/``recv`` plus ``fileno``/``close``); the **one worker
-  loop** (:func:`repro.utils.executor._process_worker_main`) serves a
-  forked worker's socketpair and a remote client's TCP session alike;
+  (``send``/``recv`` plus ``fileno``/``close``);
 - :class:`WorkerServer` — ``python -m repro worker --listen HOST:PORT``:
   accepts any number of pool clients (one thread per connection, each
-  with its own resident states) and runs the worker loop against each;
+  with its own resident states) and runs the worker loop
+  (:func:`repro.utils.executor._worker_loop`) against each;
 - :class:`LocalWorkerFleet` — N localhost worker *processes* for
   benchmarks, CI smoke jobs and fault-injection tests (it can ``kill``
   a worker mid-solve).
 
-The client half is :class:`repro.utils.executor.ProcessBackend` (forked
-workers) and :class:`repro.utils.executor.SocketBackend`
-(``WorkerPool(backend="socket", workers=["host:port", ...])``), which
-share one one-in-flight exchange; a lost peer surfaces as
-:class:`WorkerLost` instead of a hang.
+The client half is :class:`repro.utils.executor.SocketBackend`
+(``WorkerPool(backend="socket", workers=["host:port", ...])``) and its
+one-in-flight exchange; a lost peer surfaces as :class:`WorkerLost`
+instead of a hang.
 
 **Security**: frames are pickles, and unpickling executes code.  The
-protocol authenticates nothing and encrypts nothing — run TCP workers
-only on trusted networks (localhost, a private cluster fabric, an SSH
-tunnel).  A process-backend worker listens on nothing: its socketpair
-is reachable only by the parent that created it.
+protocol authenticates nothing and encrypts nothing — run workers only
+on trusted networks (localhost, a private cluster fabric, an SSH
+tunnel).  Every worker listens on TCP, so on a host shared with
+untrusted users bind it to ``127.0.0.1`` (the default) and keep in
+mind that any local user can still reach a loopback port.
 """
 
 from __future__ import annotations
@@ -398,7 +396,7 @@ def recv_frame(sock: socket.socket):
 class SocketConnection:
     """A framed stream socket carrying whole pickled messages.
 
-    What :func:`repro.utils.executor._process_worker_main` and the
+    What :func:`repro.utils.executor._worker_loop` and the
     one-in-flight exchange need: blocking ``send(obj)`` / ``recv()`` of
     whole messages, ``fileno()`` for readiness waits, and ``close()``.
     Works over TCP and over an ``AF_UNIX`` socketpair alike.  A receive
@@ -499,8 +497,8 @@ class WorkerServer:
     Binds at construction (``port=0`` picks a free port — read
     ``address`` for the bound one) and serves on :meth:`serve_forever`:
     each accepted client gets a dedicated daemon thread running the
-    *same* command loop as a process-backend worker, with its own
-    resident states — concurrent pools sharing one worker host cannot
+    worker loop (:func:`repro.utils.executor._worker_loop`) with its
+    own resident states — concurrent pools sharing one worker host cannot
     see each other's shard blocks.  A client's ``shutdown`` command (or
     disconnect) ends that session only; :meth:`close` stops the server.
 
@@ -539,7 +537,7 @@ class WorkerServer:
     )
 
     def _serve_client(self, sock: socket.socket) -> None:
-        from repro.utils.executor import _process_worker_main
+        from repro.utils.executor import _worker_loop
 
         sock.setsockopt(socket.SOL_SOCKET, socket.SO_KEEPALIVE, 1)
         for name, value in self._KEEPALIVE:
@@ -553,10 +551,10 @@ class WorkerServer:
         except OSError:
             conn.close()
             return
-        # The process-backend worker loop, verbatim: install/run/map/
-        # discard against per-session resident state, errors forwarded,
-        # EOF/OSError (FrameError included) ends the session.
-        _process_worker_main(conn)
+        # install/run/map/discard against per-session resident state,
+        # errors forwarded, EOF/OSError (FrameError included) ends the
+        # session.
+        _worker_loop(conn)
 
     def serve_forever(self) -> None:
         """Accept and serve clients until :meth:`close` (thread-safe)."""
@@ -673,8 +671,10 @@ def _default_worker_blas_threads() -> int:
     default is 1 thread; ``REPRO_WORKER_BLAS_THREADS`` overrides it
     (``0`` = leave the BLAS pool at its library default).
     """
+    from repro.utils.threads import WORKER_BLAS_ENV
+
     try:
-        return int(os.environ.get("REPRO_WORKER_BLAS_THREADS", "1"))
+        return int(os.environ.get(WORKER_BLAS_ENV, "1"))
     except ValueError:
         return 1
 
@@ -694,8 +694,10 @@ def _default_worker_spmm_threads() -> int:
     thread.  ``REPRO_WORKER_SPMM_THREADS`` overrides (``0`` = leave the
     process default alone, i.e. the affinity core count).
     """
+    from repro.utils.threads import WORKER_SPMM_ENV
+
     try:
-        return int(os.environ.get("REPRO_WORKER_SPMM_THREADS", "1"))
+        return int(os.environ.get(WORKER_SPMM_ENV, "1"))
     except ValueError:
         return 1
 

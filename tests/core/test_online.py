@@ -311,7 +311,7 @@ class TestArrayStateParity:
     shards over each execution backend.
     """
 
-    SOLVERS = ["plain", "thread", "process", "socket"]
+    SOLVERS = ["plain", "thread", "socket"]
 
     @pytest.fixture(scope="class")
     def stream(self):

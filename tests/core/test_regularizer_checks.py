@@ -95,16 +95,24 @@ class TestSolveLoopScope:
     """The stack indexes global rows, so it runs on one in-process shard."""
 
     @pytest.mark.parametrize(
-        ("n_shards", "backend"), [(2, "thread"), (1, "process")]
+        ("n_shards", "backend"), [(2, "thread"), (1, "socket")]
     )
-    def test_stack_needs_one_in_process_shard(self, graph, n_shards, backend):
+    def test_stack_needs_one_in_process_shard(
+        self, graph, n_shards, backend, request
+    ):
         from repro.core.sharded import ShardedTriClustering
 
         class RegularizedSharded(ShardedTriClustering):
             regularizers = (Sparsity("sp", 0.1),)
 
+        workers = (
+            request.getfixturevalue("socket_workers")
+            if backend == "socket"
+            else None
+        )
         solver = RegularizedSharded(
-            n_shards=n_shards, backend=backend, max_iterations=1
+            n_shards=n_shards, backend=backend, workers=workers,
+            max_iterations=1,
         )
         with pytest.raises(ValueError, match="one-shard in-process"):
             solver.fit(graph)

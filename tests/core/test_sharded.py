@@ -160,15 +160,14 @@ def _backend_kwargs(request, backend: str) -> dict:
 class TestBackendDeterminism:
     """Same seed ⇒ bit-identical factors on every execution backend.
 
-    The process backend ships shard blocks once, runs the sweep
-    commands in worker processes and returns only ``l×k`` pieces; the
-    socket backend carries the same protocol over TCP to workers that
-    may live on other hosts — none of which may change a single
+    The socket backend ships shard blocks once, runs the sweep
+    commands in worker processes (over TCP, possibly on other hosts)
+    and returns only ``l×k`` pieces — none of which may change a single
     floating-point value (factors *or* objective traces) relative to
     the in-process backends.
     """
 
-    BACKENDS = ["serial", "thread", "process", "socket"]
+    BACKENDS = ["serial", "thread", "socket"]
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("n_shards", [1, 2, 4])
@@ -270,6 +269,13 @@ class TestBackendDeterminism:
         with pytest.raises(ValueError, match="backend"):
             ShardedOnlineTriClustering(backend="gpu")
 
+    @pytest.mark.parametrize(
+        "solver_class", [OfflineTriClustering, OnlineTriClustering]
+    )
+    def test_rejects_removed_process_backend_by_name(self, solver_class):
+        with pytest.raises(ValueError, match="backend='process' was removed"):
+            solver_class(n_shards=2, backend="process")
+
     @pytest.mark.parametrize("max_workers", [0, -1, 2.5, "2", True])
     @pytest.mark.parametrize(
         "solver_class", [OfflineTriClustering, OnlineTriClustering]
@@ -287,23 +293,27 @@ class TestConvergenceParity:
     must roll it back; the online loop must stop without one.  Both
     must replay the plain solver's trajectory bit for bit."""
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
-    def test_offline_converging_matches_plain_bitwise(self, graph, backend):
+    @pytest.mark.parametrize("backend", ["serial", "thread", "socket"])
+    def test_offline_converging_matches_plain_bitwise(
+        self, graph, backend, request
+    ):
         plain = ReferenceOfflineTriClustering(
             seed=7, max_iterations=60, tolerance=1e-3, patience=2
         ).fit(graph)
         assert plain.converged  # the rollback path is actually exercised
         run = ShardedTriClustering(
             seed=7, max_iterations=60, tolerance=1e-3, patience=2,
-            n_shards=1, backend=backend, max_workers=2,
+            n_shards=1, **_backend_kwargs(request, backend),
         ).fit(graph)
         assert_factors_equal(plain.factors, run.factors)
         assert plain.history.totals == run.history.totals
         assert run.converged
         assert plain.iterations == run.iterations
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
-    def test_online_converging_matches_plain_bitwise(self, graph, backend):
+    @pytest.mark.parametrize("backend", ["serial", "thread", "socket"])
+    def test_online_converging_matches_plain_bitwise(
+        self, graph, backend, request
+    ):
         plain = ReferenceOnlineTriClustering(
             seed=7, max_iterations=60, tolerance=1e-3, patience=2,
             track_history=True,
@@ -311,7 +321,8 @@ class TestConvergenceParity:
         assert plain.converged
         run = ShardedOnlineTriClustering(
             seed=7, max_iterations=60, tolerance=1e-3, patience=2,
-            track_history=True, n_shards=1, backend=backend, max_workers=2,
+            track_history=True, n_shards=1,
+            **_backend_kwargs(request, backend),
         ).partial_fit(graph)
         assert_factors_equal(plain.factors, run.factors)
         assert list(plain.history.totals) == list(run.history.totals)
@@ -369,13 +380,15 @@ class TestPoolTelemetry:
         assert telemetry["shared_sets"] == 2
         assert telemetry["shared_updates"] == 4
 
-    def test_process_backend_moves_fewer_bytes_than_resending_sf(self, graph):
-        """On an exchange backend the per-sweep downlink is the l×k
+    def test_socket_backend_moves_fewer_bytes_than_resending_sf(
+        self, graph, socket_workers
+    ):
+        """On the socket backend the per-sweep downlink is the l×k
         update op, not a full Sf broadcast per command — so total bytes
         sent must stay well under the resend-everything regime."""
         solver = ShardedTriClustering(
             seed=7, max_iterations=6, tolerance=0.0, n_shards=2,
-            backend="process", max_workers=2,
+            backend="socket", workers=socket_workers,
         )
         solver.fit(graph)
         telemetry = solver.last_telemetry

@@ -11,7 +11,7 @@ them:
    reference at any thread budget, including every guarded fallback
    (non-CSR, dense, 1-d operand, small row counts).
 3. Solver-level float64 factors are one model across engines and thread
-   budgets — offline, online, and sharded across serial/thread/process
+   budgets — offline, online, and sharded across serial/thread/socket
    backends and shard counts — because the engine knob is speed-only.
 4. ``SolverConfig`` carries the knobs (names only) and round-trips them.
 
@@ -226,13 +226,22 @@ class TestSolverLevelDeterminism:
                 break
         assert snapshots >= 2
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "thread", "socket"])
     @pytest.mark.parametrize("n_shards", [1, 2, 4])
-    def test_sharded_threads_equals_scipy(self, graph, backend, n_shards):
+    def test_sharded_threads_equals_scipy(
+        self, graph, backend, n_shards, request
+    ):
+        workers = (
+            request.getfixturevalue("socket_workers")
+            if backend == "socket"
+            else None
+        )
+
         def factors(spmm, **extra):
             return ShardedTriClustering(
                 n_shards=n_shards,
                 backend=backend,
+                workers=workers,
                 seed=7,
                 max_iterations=5,
                 tolerance=0.0,

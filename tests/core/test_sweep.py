@@ -111,21 +111,13 @@ class TestCustomEngines:
                 err_msg=name,
             )
 
-    @pytest.mark.parametrize("backend", ["process", "socket"])
-    def test_remote_backends_pin_registered_names(
-        self, graph, backend, request
-    ):
+    def test_socket_workers_pin_registered_names(self, graph, socket_workers):
         """Workers rebuild the pinned reference implementations; the
         coordinator's counting instances see no shard work."""
         spmm, kernel = CountingSpmm(), CountingKernel()
-        placement = (
-            {"workers": request.getfixturevalue("socket_workers")}
-            if backend == "socket"
-            else {"max_workers": 2}
-        )
         result = _solve(
-            "online", graph, n_shards=2, backend=backend, spmm=spmm,
-            kernel=kernel, **placement,
+            "online", graph, n_shards=2, backend="socket", spmm=spmm,
+            kernel=kernel, workers=socket_workers,
         )
         assert spmm.calls == 0
         assert kernel.calls == 0
@@ -138,7 +130,7 @@ class TestCustomEngines:
             )
 
     def test_remote_payload_carries_names(self, graph):
-        """The process/socket shipping form pins names, never instances."""
+        """The socket shipping form pins names, never instances."""
         from repro.core.sweep import SweepPlan
 
         plan = SweepPlan.for_solver(OfflineTriClustering(), graph)

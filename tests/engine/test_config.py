@@ -26,7 +26,7 @@ class TestValidation:
     def test_nested_dicts_coerce(self):
         config = EngineConfig(
             solver={"max_iterations": 20},
-            sharding={"n_shards": 4, "backend": "process"},
+            sharding={"n_shards": 4, "backend": "serial"},
             serving={"cache_size": 0},
             ingest={"overflow": "drop"},
         )
@@ -37,7 +37,7 @@ class TestValidation:
         assert config.ingest.overflow == "drop"
 
     def test_bad_backend_rejected_eagerly_with_choices(self):
-        with pytest.raises(ValueError, match="serial.*thread.*process"):
+        with pytest.raises(ValueError, match="serial.*thread.*socket"):
             EngineConfig(sharding={"backend": "cluster"})
 
     def test_bad_scalars_rejected(self):
@@ -128,6 +128,25 @@ class TestValidation:
         for solver in (OfflineTriClustering, OnlineTriClustering):
             with pytest.raises(ValueError, match="'threads' was removed"):
                 solver(spmm="threads")
+
+    def test_removed_process_backend_loads_as_thread(self):
+        """Dumps that record the removed ``"process"`` backend load as
+        ``"thread"`` (the same bits); other sharding fields survive."""
+        payload = EngineConfig(
+            sharding={"n_shards": 2, "max_workers": 2}
+        ).to_dict()
+        payload["sharding"]["backend"] = "process"
+        restored = EngineConfig.from_dict(payload)
+        assert restored.sharding == ShardingConfig(n_shards=2, max_workers=2)
+        assert EngineConfig(
+            sharding={"backend": "process"}
+        ).sharding.backend == "thread"
+
+    def test_removed_process_backend_refused_when_passed_directly(self):
+        with pytest.raises(ValueError, match="'process' was removed"):
+            ShardingConfig(backend="process")
+        with pytest.raises(ValueError, match="'process' was removed"):
+            EngineConfig(sharding=ShardingConfig(backend="process"))
 
     def test_frozen(self):
         config = EngineConfig()

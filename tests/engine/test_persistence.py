@@ -1,6 +1,7 @@
 """Engine save/load: round trip, warm-restart continuation, guards."""
 
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -227,6 +228,43 @@ class TestLegacyFormat:
         loaded.save(tmp_path / "again")
         resaved = json.loads((tmp_path / "again" / "state.json").read_text())
         assert resaved["engine"]["config"]["solver"]["spmm"] == "scipy"
+
+    @pytest.mark.parametrize("n_shards", [1, 2])
+    def test_recorded_process_backend_loads_as_thread_and_continues_bitwise(
+        self, corpus, lexicon, batches, tmp_path, n_shards
+    ):
+        """The removed ``"process"`` backend computed the thread
+        backend's bits: a checkpoint recording it (as engines saved
+        before its removal did) loads on ``"thread"``, continues two
+        snapshots bit-for-bit, and re-saves without the removed name."""
+        sharding = {"n_shards": n_shards, "max_workers": 2}
+        with StreamingSentimentEngine(
+            config(6, sharding=sharding), lexicon=lexicon
+        ) as engine:
+            feed(engine, corpus, batches[:2])
+            path = engine.save(tmp_path / "ckpt")
+            state_path = path / "state.json"
+            state = json.loads(state_path.read_text())
+            state["engine"]["config"]["sharding"]["backend"] = "process"
+            state["solver"]["kind"] = "sharded"
+            state_path.write_text(json.dumps(state))
+            with StreamingSentimentEngine.load(path) as loaded:
+                assert loaded.config.sharding.backend == "thread"
+                assert loaded.solver.backend == "thread"
+                assert loaded._solver_pool is None
+                feed(engine, corpus, batches[2:4])
+                feed(loaded, corpus, batches[2:4])
+                for name in ("sf", "sp", "su", "hp", "hu"):
+                    np.testing.assert_array_equal(
+                        getattr(engine.factors, name),
+                        getattr(loaded.factors, name),
+                        err_msg=name,
+                    )
+                assert engine.user_sentiments() == loaded.user_sentiments()
+                resaved = json.loads(
+                    (loaded.save(tmp_path / "again") / "state.json").read_text()
+                )
+        assert resaved["engine"]["config"]["sharding"]["backend"] == "thread"
 
     def test_threads_spmm_engine_config_is_refused(self, lexicon):
         with pytest.raises(ValueError, match="'threads' was removed"):
@@ -498,6 +536,14 @@ def _edit_arrays(path, edit) -> None:
     np.savez_compressed(path / "arrays.npz", **arrays)
 
 
+def _edit_state(path, edit) -> None:
+    """Rewrite a checkpoint's ``state.json`` through ``edit(state)``."""
+    state_path = path / "state.json"
+    state = json.loads(state_path.read_text())
+    edit(state)
+    state_path.write_text(json.dumps(state))
+
+
 def _swap_first_two(arrays, prefix):
     for suffix in ("uids", "rows"):
         key = f"{prefix}_{suffix}"
@@ -578,6 +624,33 @@ class TestMalformedCheckpoints:
             ValueError, match=f"malformed checkpoint: missing array '{name}'"
         ):
             StreamingSentimentEngine.load(path)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda path: _edit_arrays(
+                path, lambda a: _swap_first_two(a, "user_state")
+            ),
+            lambda path: _edit_arrays(
+                path, lambda a: _duplicate_first(a, "su_history_0")
+            ),
+            lambda path: _edit_state(
+                path, lambda s: s["solver"].update(rng={"state": "garbage"})
+            ),
+        ],
+        ids=["unsorted-state", "duplicate-history", "bad-rng-state"],
+    )
+    def test_failed_loads_leave_no_threads(self, fed_engine, tmp_path, corrupt):
+        """Arrays are checked before the engine (and its ingest thread)
+        exists, and an engine whose restore fails later is closed, so a
+        refused checkpoint leaves nothing running."""
+        path = fed_engine.save(tmp_path / "ckpt")
+        corrupt(path)
+        before = threading.active_count()
+        for _ in range(3):
+            with pytest.raises((ValueError, TypeError, KeyError)):
+                StreamingSentimentEngine.load(path)
+        assert threading.active_count() == before
 
     def test_seen_users_disagreeing_with_state_rejected(
         self, fed_engine, tmp_path
@@ -741,98 +814,6 @@ class TestSocketBackendCheckpoints:
         state = json.loads(state_path.read_text())
         state["engine"]["config"]["sharding"]["backend"] = "thread"
         state["engine"]["config"]["sharding"]["workers"] = None
-        state_path.write_text(json.dumps(state))
-        loaded = StreamingSentimentEngine.load(tmp_path / "ckpt")
-        assert loaded.backend == "thread"
-        feed(engine, corpus, batches[2:3])
-        feed(loaded, corpus, batches[2:3])
-        for name in ("sf", "sp", "su", "hp", "hu"):
-            np.testing.assert_array_equal(
-                getattr(engine.factors, name),
-                getattr(loaded.factors, name),
-                err_msg=name,
-            )
-        engine.close()
-        loaded.close()
-
-
-class TestProcessBackendCheckpoints:
-    def test_process_backend_round_trips_and_continues_bitwise(
-        self, corpus, lexicon, batches, tmp_path
-    ):
-        """Stress: checkpoint under backend="process" (worker-resident
-        shard state), reload, and continue — the restored engine must
-        rebuild its process pool from the checkpoint and replay the
-        stream bit-for-bit, including across a second save/load cycle."""
-        engine = feed(
-            StreamingSentimentEngine(
-                config(8, sharding={"n_shards": 2, "backend": "process"}),
-                lexicon=lexicon,
-            ),
-            corpus,
-            batches[:2],
-        )
-        engine.save(tmp_path / "ckpt")
-        loaded = StreamingSentimentEngine.load(tmp_path / "ckpt")
-        assert loaded.backend == "process"
-        assert loaded.solver.backend == "process"
-        assert loaded._solver_pool is not None
-        assert loaded._solver_pool.backend == "process"
-
-        # Serve identically right after the reload...
-        texts = [t.text for t in corpus.tweets[:32]]
-        np.testing.assert_array_equal(
-            loaded.classify_memberships(texts),
-            engine.classify_memberships(texts),
-        )
-        # ...then continue the stream on both and stay bitwise equal.
-        feed(engine, corpus, batches[2:3])
-        feed(loaded, corpus, batches[2:3])
-        for name in ("sf", "sp", "su", "hp", "hu"):
-            np.testing.assert_array_equal(
-                getattr(engine.factors, name),
-                getattr(loaded.factors, name),
-                err_msg=name,
-            )
-        assert engine.user_sentiments() == loaded.user_sentiments()
-
-        # Second cycle: a checkpoint written by a restored engine is as
-        # good as one written by the original.
-        loaded.save(tmp_path / "ckpt2")
-        second = StreamingSentimentEngine.load(tmp_path / "ckpt2")
-        feed(second, corpus, batches[3:4])
-        feed(engine, corpus, batches[3:4])
-        for name in ("sf", "sp", "su", "hp", "hu"):
-            np.testing.assert_array_equal(
-                getattr(engine.factors, name),
-                getattr(second.factors, name),
-                err_msg=name,
-            )
-        engine.close()
-        loaded.close()
-        second.close()
-
-    def test_checkpoint_from_process_engine_loads_on_thread_solver(
-        self, corpus, lexicon, batches, tmp_path
-    ):
-        """Backends are execution detail: editing the checkpoint's solver
-        backend (ops move a stream between hosts) changes nothing in the
-        served numbers."""
-        engine = feed(
-            StreamingSentimentEngine(
-                config(6, sharding={"n_shards": 2, "backend": "process"}),
-                lexicon=lexicon,
-            ),
-            corpus,
-            batches[:2],
-        )
-        engine.save(tmp_path / "ckpt")
-        state_path = tmp_path / "ckpt" / "state.json"
-        state = json.loads(state_path.read_text())
-        assert (
-            state["engine"]["config"]["sharding"]["backend"] == "process"
-        )
-        state["engine"]["config"]["sharding"]["backend"] = "thread"
         state_path.write_text(json.dumps(state))
         loaded = StreamingSentimentEngine.load(tmp_path / "ckpt")
         assert loaded.backend == "thread"

@@ -93,7 +93,7 @@ class TestShardedEngine:
             StreamingSentimentEngine(config(backend="cluster"))
         with pytest.raises(ValueError, match="backend"):
             StreamingSentimentEngine(
-                EngineConfig(sharding={"backend": "process"}),
+                EngineConfig(sharding={"backend": "serial"}),
                 lexicon=lexicon,
                 solver=OnlineTriClustering(),
             )
@@ -201,90 +201,6 @@ class TestShardedEngine:
         assert np.all(np.isfinite(memberships))
 
 
-class TestProcessBackendEngine:
-    """backend="process": worker-resident shard solve behind the same API."""
-
-    def test_process_engine_builds_dedicated_solver_pool(self, lexicon):
-        with StreamingSentimentEngine(
-            config(n_shards=2, backend="process"), lexicon=lexicon
-        ) as engine:
-            assert isinstance(engine.solver, ShardedOnlineTriClustering)
-            assert engine.backend == "process"
-            assert engine.solver.backend == "process"
-            # Classify stays on the thread pool; the solve gets its own
-            # process pool whose workers persist across snapshots.
-            assert engine._solver_pool is not None
-            assert engine._solver_pool.backend == "process"
-            assert engine.solver.pool is engine._solver_pool
-            assert engine._pool.backend == "thread"
-            assert engine._pool is not engine._solver_pool
-
-    def test_process_backend_with_one_shard_routes_sharded(self, lexicon):
-        with StreamingSentimentEngine(
-            config(backend="process"), lexicon=lexicon
-        ) as engine:
-            assert isinstance(engine.solver, ShardedOnlineTriClustering)
-            assert engine.solver.n_shards == 1
-
-    def test_one_shard_process_engine_solves_on_its_process_pool(
-        self, corpus, lexicon, batches
-    ):
-        """One shard is inline only on an in-process backend: a
-        one-shard process engine still partitions (trivially) and
-        solves on its dedicated process pool."""
-        with StreamingSentimentEngine(
-            config(4, backend="process"), lexicon=lexicon
-        ) as engine:
-            assert engine._solver_pool is not None
-            assert engine._solver_pool.backend == "process"
-            assert engine.solver.pool is engine._solver_pool
-            feed(engine, corpus, batches[:1])
-            plan = engine.solver.last_plan
-            assert plan is not None and plan.n_shards == 1
-            assert engine._solver_pool.epoch >= 1
-            assert engine.reports[-1].pool_telemetry["rounds"] > 0
-
-    def test_process_engine_matches_thread_engine_bitwise(
-        self, corpus, lexicon, batches
-    ):
-        texts = [t.text for t in corpus.tweets[:32]]
-        with StreamingSentimentEngine(
-            config(8, n_shards=2), lexicon=lexicon
-        ) as thread_engine, StreamingSentimentEngine(
-            config(8, n_shards=2, backend="process", max_workers=2),
-            lexicon=lexicon,
-        ) as process_engine:
-            feed(thread_engine, corpus, batches[:3])
-            feed(process_engine, corpus, batches[:3])
-            for name in ("sf", "sp", "su", "hp", "hu"):
-                np.testing.assert_array_equal(
-                    getattr(thread_engine.factors, name),
-                    getattr(process_engine.factors, name),
-                    err_msg=name,
-                )
-            np.testing.assert_array_equal(
-                thread_engine.classify(texts), process_engine.classify(texts)
-            )
-            assert (
-                thread_engine.user_sentiments()
-                == process_engine.user_sentiments()
-            )
-            # Worker processes persisted across snapshots (one pool).
-            assert process_engine._solver_pool.epoch >= 3
-
-    def test_close_shuts_down_worker_processes(self, corpus, lexicon, batches):
-        engine = StreamingSentimentEngine(
-            config(5, n_shards=2, backend="process", max_workers=2),
-            lexicon=lexicon,
-        )
-        feed(engine, corpus, batches[:1])
-        backend = engine._solver_pool._impl
-        processes = list(backend._processes)
-        assert processes and all(p.is_alive() for p in processes)
-        engine.close()
-        assert all(not p.is_alive() for p in processes)
-
-
 class TestSocketBackendEngine:
     """backend="socket": remote-worker shard solve behind the same API."""
 
@@ -305,6 +221,49 @@ class TestSocketBackendEngine:
             assert engine._solver_pool.active  # connected eagerly
             assert engine.solver.pool is engine._solver_pool
             assert engine._pool.backend == "thread"
+
+    def test_socket_backend_with_one_shard_routes_sharded(
+        self, lexicon, socket_workers
+    ):
+        with StreamingSentimentEngine(
+            config(backend="socket", workers=socket_workers), lexicon=lexicon
+        ) as engine:
+            assert isinstance(engine.solver, ShardedOnlineTriClustering)
+            assert engine.solver.n_shards == 1
+
+    def test_one_shard_socket_engine_solves_on_its_socket_pool(
+        self, corpus, lexicon, batches, socket_workers
+    ):
+        """One shard is inline only on an in-process backend: a
+        one-shard socket engine still partitions (trivially) and
+        solves on its dedicated socket pool."""
+        with StreamingSentimentEngine(
+            config(4, backend="socket", workers=socket_workers),
+            lexicon=lexicon,
+        ) as engine:
+            assert engine._solver_pool is not None
+            assert engine._solver_pool.backend == "socket"
+            assert engine.solver.pool is engine._solver_pool
+            feed(engine, corpus, batches[:1])
+            plan = engine.solver.last_plan
+            assert plan is not None and plan.n_shards == 1
+            assert engine._solver_pool.epoch >= 1
+            assert engine.reports[-1].pool_telemetry["rounds"] > 0
+
+    def test_close_disconnects_workers(
+        self, corpus, lexicon, batches, socket_workers
+    ):
+        engine = StreamingSentimentEngine(
+            config(5, n_shards=2, backend="socket", workers=socket_workers),
+            lexicon=lexicon,
+        )
+        feed(engine, corpus, batches[:1])
+        backend = engine._solver_pool._impl
+        conns = list(backend._conns)
+        assert len(conns) == 2
+        engine.close()
+        assert engine._solver_pool.closed
+        assert all(conn.fileno() == -1 for conn in conns)
 
     def test_unreachable_worker_fails_at_construction(self, lexicon):
         import socket as socket_module

@@ -46,11 +46,18 @@ class TestParser:
         assert args.checkpoint == "ckpt"
         assert args.backend == "thread"  # default
 
+    def test_removed_process_backend_refused(self, capsys):
+        with pytest.raises(SystemExit):
+            build_stream_parser().parse_args(
+                ["tweets.jsonl", "--backend", "process"]
+            )
+        assert "invalid choice: 'process'" in capsys.readouterr().err
+
     def test_backend_and_auto_shard_flags(self):
         args = build_stream_parser().parse_args(
-            ["tweets.jsonl", "--backend", "process", "--n-shards", "auto"]
+            ["tweets.jsonl", "--backend", "serial", "--n-shards", "auto"]
         )
-        assert args.backend == "process"
+        assert args.backend == "serial"
         assert args.n_shards == "auto"
         with pytest.raises(SystemExit):
             build_stream_parser().parse_args(
@@ -119,26 +126,6 @@ class TestExecution:
                     "--n-shards", "2",
                     "--lexicon", str(lexicon_file),
                     "--max-iterations", "5",
-                ]
-            )
-            == 0
-        )
-        assert "snapshot 0:" in capsys.readouterr().out
-
-    def test_process_backend_run_through_main(
-        self, corpus_file, lexicon_file, capsys
-    ):
-        assert (
-            main(
-                [
-                    "stream",
-                    str(corpus_file),
-                    "--snapshot-size", "400",
-                    "--n-shards", "2",
-                    "--backend", "process",
-                    "--max-workers", "2",
-                    "--lexicon", str(lexicon_file),
-                    "--max-iterations", "4",
                 ]
             )
             == 0

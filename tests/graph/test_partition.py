@@ -132,7 +132,7 @@ class TestExtractShardBlocks:
 
 
 class TestShardBlockPayload:
-    """Compact serialization for the process backend's one-time shipping."""
+    """Compact serialization for the socket backend's one-time shipping."""
 
     def test_round_trip_is_bit_identical(self, graph):
         sharded = extract_shard_blocks(graph, partition_of(graph, 3))

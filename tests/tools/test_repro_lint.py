@@ -429,7 +429,7 @@ class TestKnobLiteralDispatch:
     def test_flags_membership_test(self):
         src = """
             def choose(self):
-                return self.backend in ("process", "socket")
+                return self.backend in ("serial", "thread")
         """
         assert codes(ENGINE_PATH, src) == ["REP006"]
 
@@ -446,7 +446,7 @@ class TestKnobLiteralDispatch:
         src = """
             def layout(x, mode):
                 a = x.format != "csr"
-                b = mode == "process"
+                b = mode == "socket"
                 return a, b
         """
         assert codes(CORE_PATH, src) == []

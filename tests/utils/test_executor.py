@@ -9,12 +9,13 @@ import pytest
 
 from repro.utils.executor import (
     BACKENDS,
-    ProcessBackend,
+    SocketBackend,
     ThreadBackend,
     WorkerPool,
     default_worker_count,
+    validate_backend,
 )
-from repro.utils.transport import WorkerLost
+from repro.utils.transport import LocalWorkerFleet
 
 
 class TestWorkerPoolThread:
@@ -135,7 +136,14 @@ class TestWorkerPoolThread:
         assert WorkerPool().max_workers == default_worker_count()
 
     def test_backend_registry(self):
-        assert BACKENDS == ("serial", "thread", "process", "socket")
+        assert BACKENDS == ("serial", "thread", "socket")
+
+    def test_removed_process_backend_refused_by_name(self):
+        for check in (validate_backend, lambda b: WorkerPool(backend=b)):
+            with pytest.raises(
+                ValueError, match="backend='process' was removed.*'thread'"
+            ):
+                check("process")
 
 
 @pytest.fixture(scope="module")
@@ -157,7 +165,7 @@ def worker_addresses():
         thread.join(timeout=5)
 
 
-@pytest.mark.parametrize("backend", ["serial", "thread", "process", "socket"])
+@pytest.mark.parametrize("backend", ["serial", "thread", "socket"])
 class TestResidentState:
     """The scatter/run_resident contract must hold on every backend.
 
@@ -193,7 +201,7 @@ class TestResidentState:
         with self.make_pool(backend) as pool:
             pool.scatter([(1,), (2,)], to_payload=tuple, from_payload=list)
             states = pool.run_resident(copy.copy, [(), ()])
-            if backend in ("process", "socket"):
+            if backend == "socket":
                 # Rebuilt worker-side via from_payload.
                 assert states == [[1], [2]]
             else:
@@ -214,7 +222,7 @@ class TestResidentState:
         for the next exchange to mis-associate."""
         with self.make_pool(backend) as pool:
             pool.scatter([[1], [2]])
-            if backend in ("process", "socket"):
+            if backend == "socket":
                 # noqa'd: the failure type legitimately differs per
                 # backend (pickling error vs transport error).
                 with pytest.raises(Exception) as excinfo:  # noqa: B017
@@ -244,26 +252,32 @@ class TestResidentState:
                 pool.run_resident(copy.copy, [()])
 
 
-class TestProcessBackend:
+class TestSocketBackend:
+    """Behaviour only the out-of-process backend has."""
+
     def test_map_runs_in_worker_processes(self):
         import os
 
-        with WorkerPool(max_workers=2, backend="process") as pool:
-            pids = pool.map(_worker_pid_probe, [0, 1, 2, 3])
+        with LocalWorkerFleet(2) as fleet:
+            with WorkerPool(backend="socket", workers=fleet.addresses) as pool:
+                pids = pool.map(_worker_pid_probe, [0, 1, 2, 3])
         assert len(pids) == 4
         assert os.getpid() not in pids
 
-    def test_map_ordered_and_picklable(self):
-        with WorkerPool(max_workers=3, backend="process") as pool:
+    def test_map_ordered_and_picklable(self, worker_addresses):
+        with WorkerPool(backend="socket", workers=worker_addresses) as pool:
             assert pool.map(abs, [-3, 1, -2, 0, 5]) == [3, 1, 2, 0, 5]
 
-    def test_worker_exception_propagates_with_traceback_context(self):
-        with WorkerPool(max_workers=2, backend="process") as pool:
-            with pytest.raises(ZeroDivisionError):
+    def test_worker_exception_propagates_with_traceback_context(
+        self, worker_addresses
+    ):
+        with WorkerPool(backend="socket", workers=worker_addresses) as pool:
+            with pytest.raises(ZeroDivisionError) as excinfo:
                 pool.map(partial(truediv, 1), [1, 0])
+        assert "worker traceback" in str(excinfo.value.__cause__)
 
-    def test_resident_error_keeps_pool_usable(self):
-        with WorkerPool(max_workers=2, backend="process") as pool:
+    def test_resident_error_keeps_pool_usable(self, worker_addresses):
+        with WorkerPool(backend="socket", workers=worker_addresses) as pool:
             pool.scatter([[1], [2]])
             with pytest.raises(TypeError):
                 # list.append with no argument is a TypeError in-worker.
@@ -272,20 +286,21 @@ class TestProcessBackend:
             # is still in sync for further commands.
             assert pool.run_resident(copy.copy, [(), ()]) == [[1], [2]]
 
-    def test_shutdown_terminates_workers(self):
-        pool = WorkerPool(max_workers=2, backend="process")
+    def test_shutdown_closes_connections(self, worker_addresses):
+        pool = WorkerPool(backend="socket", workers=worker_addresses)
         pool.scatter([[1], [2]])
         backend = pool._impl
-        assert isinstance(backend, ProcessBackend)
-        processes = list(backend._processes)
-        assert processes and all(p.is_alive() for p in processes)
+        assert isinstance(backend, SocketBackend)
+        conns = list(backend._conns)
+        assert len(conns) == 2 and pool.active
         pool.shutdown()
-        assert all(not p.is_alive() for p in processes)
+        assert not backend.active
+        assert all(conn.fileno() == -1 for conn in conns)
         with pytest.raises(RuntimeError, match="closed"):
             pool.map(abs, [1, 2])
 
-    def test_single_worker_still_process_resident(self):
-        with WorkerPool(max_workers=1, backend="process") as pool:
+    def test_single_worker_still_resident(self, worker_addresses):
+        with WorkerPool(backend="socket", workers=worker_addresses[:1]) as pool:
             pool.scatter([[5]])
             pool.run_resident(list.append, [(6,)])
             assert pool.run_resident(copy.copy, [()]) == [[5, 6]]
@@ -330,7 +345,7 @@ def _worker_pid_probe(_item):
 
 
 class TestLifecycleHardening:
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process", "socket"])
+    @pytest.mark.parametrize("backend", ["serial", "thread", "socket"])
     def test_discard_resident_releases_states(
         self, backend, request
     ):
@@ -355,8 +370,8 @@ class TestLifecycleHardening:
         pool.shutdown()
         pool.discard_resident()  # closed: no-op, no raise
 
-    def test_scatter_shrink_discards_uncovered_workers(self):
-        with WorkerPool(max_workers=2, backend="process") as pool:
+    def test_scatter_shrink_discards_uncovered_workers(self, worker_addresses):
+        with WorkerPool(backend="socket", workers=worker_addresses) as pool:
             pool.scatter([[1], [2], [3], [4]])  # both workers hold states
             pool.scatter([[7]])  # only worker 0 covered now
             backend = pool._impl
@@ -364,70 +379,15 @@ class TestLifecycleHardening:
             # direct probe command against it would now be stale.
             assert backend._placement == [0]
             assert pool.run_resident(copy.copy, [()]) == [[7]]
+            stale = ("run", 1, 1, copy.copy, ())
+            with pytest.raises(RuntimeError, match="stale resident state"):
+                backend._exchange([(0, 1, stale)])
 
-    def test_prestart_forks_workers_eagerly(self):
-        with WorkerPool(max_workers=2, backend="process") as pool:
+    def test_prestart_connects_workers_eagerly(self, worker_addresses):
+        with WorkerPool(backend="socket", workers=worker_addresses) as pool:
             assert not pool.active
             pool.prestart()
             assert pool.active
-            assert len(pool._impl._processes) == 2
-            # And the pre-forked workers serve as usual.
+            assert len(pool._impl._conns) == 2
+            # And the connected workers serve as usual.
             assert pool.map(abs, [-1, -2, -3]) == [1, 2, 3]
-
-    def test_dead_worker_breaks_pool_instead_of_desyncing(self):
-        pool = WorkerPool(max_workers=2, backend="process")
-        pool.scatter([[1], [2]])
-        process = pool._impl._processes[1]
-        process.terminate()
-        process.join(timeout=5)
-        with pytest.raises(WorkerLost, match="lost"):
-            pool.run_resident(copy.copy, [(), ()])
-        # The channel cannot be trusted any more: further use fails
-        # loudly rather than mis-associating stale replies.
-        with pytest.raises(WorkerLost, match="broken"):
-            pool.run_resident(copy.copy, [(), ()])
-        with pytest.raises(WorkerLost, match="broken"):
-            pool.map(abs, [1, 2])
-        pool.shutdown()  # still cleans up
-
-
-class TestDriverBlasCap:
-    """A multi-worker process pool caps the *driver's* BLAS pool too.
-
-    The driver is one more process competing with its workers for the
-    same cores; while the pool is active it runs under the same
-    fair-share cap the workers get, and shutdown restores the prior
-    state exactly (env vars and live pool sizes).
-    """
-
-    def test_cap_applied_and_restored(self):
-        import os
-
-        from repro.utils.threads import BLAS_ENV_VARS, worker_blas_limit
-
-        probe = BLAS_ENV_VARS[0]
-        before = os.environ.get(probe)
-        pool = WorkerPool(max_workers=2, backend="process")
-        try:
-            pool.map(abs, [-1, 2, -3])
-            backend = pool._impl
-            assert isinstance(backend, ProcessBackend)
-            expected = worker_blas_limit(2)
-            if expected is not None:
-                assert backend._driver_blas_snapshot is not None
-                assert os.environ[probe] == str(expected)
-        finally:
-            pool.shutdown()
-        assert os.environ.get(probe) == before
-        assert backend._driver_blas_snapshot is None
-
-    def test_single_worker_pool_leaves_driver_alone(self):
-        pool = WorkerPool(max_workers=1, backend="process")
-        try:
-            pool.scatter([[5]])
-            backend = pool._impl
-            assert isinstance(backend, ProcessBackend)
-            assert backend.active
-            assert backend._driver_blas_snapshot is None
-        finally:
-            pool.shutdown()

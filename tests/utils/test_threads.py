@@ -6,14 +6,12 @@ import pytest
 
 from repro.utils.threads import (
     BLAS_ENV_VARS,
-    WORKER_BLAS_ENV,
     affinity_core_count,
     blas_thread_info,
     cap_blas_threads,
     host_info,
     logical_core_count,
     physical_core_count,
-    worker_blas_limit,
 )
 
 
@@ -73,49 +71,6 @@ class TestCapBlasThreads:
             assert os.environ[name] == "1"
 
 
-class TestWorkerBlasLimit:
-    def test_fair_share(self, monkeypatch):
-        monkeypatch.delenv(WORKER_BLAS_ENV, raising=False)
-        cores = affinity_core_count()
-        assert worker_blas_limit(1) == cores
-        assert worker_blas_limit(cores) == 1
-        assert worker_blas_limit(cores * 10) == 1  # floored, never 0
-
-    def test_zero_override_means_leave_alone(self, monkeypatch):
-        monkeypatch.setenv(WORKER_BLAS_ENV, "0")
-        assert worker_blas_limit(4) is None
-
-    def test_explicit_override(self, monkeypatch):
-        monkeypatch.setenv(WORKER_BLAS_ENV, "3")
-        assert worker_blas_limit(8) == 3
-
-    def test_garbage_override_degrades_to_one(self, monkeypatch):
-        monkeypatch.setenv(WORKER_BLAS_ENV, "lots")
-        assert worker_blas_limit(4) == 1
-
-
-class TestBlasStateSnapshot:
-    def test_round_trip_restores_env_exactly(self, preserved_blas_env):
-        from repro.utils.threads import restore_blas_state, snapshot_blas_state
-
-        probe = BLAS_ENV_VARS[0]
-        os.environ.pop(probe, None)
-        before = snapshot_blas_state()
-        assert set(before) == {"env", "threads"}
-
-        cap_blas_threads(1)
-        assert os.environ[probe] == "1"
-        restore_blas_state(before)
-        # The variable that was unset is unset again, not left at "1".
-        assert probe not in os.environ
-        assert blas_thread_info() == before["threads"]
-
-    def test_restore_tolerates_empty_snapshot(self):
-        from repro.utils.threads import restore_blas_state
-
-        restore_blas_state({})  # never raises
-
-
 class TestSpmmThreadBudget:
     @pytest.fixture(autouse=True)
     def clean_budget(self, monkeypatch):
@@ -151,21 +106,3 @@ class TestSpmmThreadBudget:
         assert threads.spmm_thread_default() == 5
         monkeypatch.setenv(threads.SPMM_THREADS_ENV, "junk")
         assert threads.spmm_thread_default() == 1
-
-    def test_worker_fair_share(self):
-        from repro.utils.threads import worker_spmm_limit
-
-        cores = affinity_core_count()
-        assert worker_spmm_limit(1) == cores
-        assert worker_spmm_limit(cores) == 1
-        assert worker_spmm_limit(cores * 10) == 1  # floored, never 0
-
-    def test_worker_overrides(self, monkeypatch):
-        from repro.utils import threads
-
-        monkeypatch.setenv(threads.WORKER_SPMM_ENV, "0")
-        assert threads.worker_spmm_limit(4) is None
-        monkeypatch.setenv(threads.WORKER_SPMM_ENV, "3")
-        assert threads.worker_spmm_limit(8) == 3
-        monkeypatch.setenv(threads.WORKER_SPMM_ENV, "lots")
-        assert threads.worker_spmm_limit(4) == 1

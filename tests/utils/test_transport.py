@@ -25,6 +25,8 @@ from repro.utils.transport import (
     WorkerConnectError,
     WorkerLost,
     WorkerServer,
+    _default_worker_blas_threads,
+    _default_worker_spmm_threads,
     connect_worker,
     parse_address,
     recv_frame,
@@ -109,6 +111,27 @@ class TestAddresses:
     def test_validate_workers_rejects(self, bad):
         with pytest.raises(ValueError):
             validate_workers(bad)
+
+
+class TestWorkerThreadDefaults:
+    """A socket worker caps BLAS and spmm to 1 thread unless told otherwise."""
+
+    @pytest.mark.parametrize(
+        ("env", "default"),
+        [
+            ("REPRO_WORKER_BLAS_THREADS", _default_worker_blas_threads),
+            ("REPRO_WORKER_SPMM_THREADS", _default_worker_spmm_threads),
+        ],
+    )
+    def test_env_overrides(self, monkeypatch, env, default):
+        monkeypatch.delenv(env, raising=False)
+        assert default() == 1
+        monkeypatch.setenv(env, "3")
+        assert default() == 3
+        monkeypatch.setenv(env, "0")  # leave the library default alone
+        assert default() == 0
+        monkeypatch.setenv(env, "lots")  # garbage degrades to one
+        assert default() == 1
 
 
 class TestFraming:
@@ -490,31 +513,6 @@ class _KilledWorkerCases:
             finally:
                 killer.cancel()
             assert time.perf_counter() - started < PROMPT_SECONDS
-
-
-class TestKilledProcessWorker(_KilledWorkerCases):
-    """``backend="process"``: kill the pool's own forked worker."""
-
-    @contextlib.contextmanager
-    def killable_pool(self):
-        with WorkerPool(max_workers=2, backend="process") as pool:
-
-            def kill(index):
-                process = pool._impl._processes[index]
-                process.terminate()
-                process.join(timeout=10)
-
-            yield pool, kill
-
-    def test_fresh_pool_recovers(self):
-        with self.killable_pool() as (pool, kill):
-            pool.scatter([[1], [2]])
-            kill(0)
-            with pytest.raises(WorkerLost):
-                pool.run_resident(copy.copy, [(), ()])
-        with self.killable_pool() as (fresh, _):
-            fresh.scatter([[5], [6]])
-            assert fresh.run_resident(copy.copy, [(), ()]) == [[5], [6]]
 
 
 class TestKilledWorker(_KilledWorkerCases):

@@ -733,7 +733,6 @@ KNOB_LITERALS = frozenset(
         # utils/executor.BACKENDS
         "serial",
         "thread",
-        "process",
         "socket",
         # core/kernels.KERNELS
         "numpy",
@@ -746,7 +745,7 @@ KNOB_LITERALS = frozenset(
 )
 
 #: A comparison only counts when the non-literal side *names* a knob —
-#: this is what keeps ``x.format != "csr"`` or ``mode == "process"`` on
+#: this is what keeps ``x.format != "csr"`` or ``mode == "socket"`` on
 #: an unrelated variable out of scope.
 KNOB_NAME_HINTS = ("backend", "kernel", "spmm")
 
