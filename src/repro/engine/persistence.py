@@ -13,7 +13,8 @@ continues the stream *bit-for-bit* where the saved one stopped
 per-user state is written and restored as the arrays it lives in —
 sorted ``int64`` ids beside their rows — and ``load`` refuses user
 arrays that are unsorted, duplicated, miscounted, of the wrong width
-or inconsistent with the recorded ``seen_users`` (``ValueError``).
+or inconsistent with the recorded ``seen_users``, and an RNG state the
+solver's bit generator cannot take (``ValueError``).
 
 Format version 2 persists the engine's configuration as one
 :meth:`~repro.engine.config.EngineConfig.to_dict` blob (the solver's
@@ -59,6 +60,7 @@ from repro.text.tokenizer import TweetTokenizer
 from repro.text.vectorizer import CountVectorizer, TfidfVectorizer
 from repro.text.vocabulary import Vocabulary
 from repro.utils.logging import get_logger
+from repro.utils.rng import spawn_rng
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.engine.streaming import StreamingSentimentEngine
@@ -298,6 +300,25 @@ def _user_rows(
     return uids.astype(np.int64, copy=False), rows
 
 
+def _rng_state(record: object) -> dict:
+    """The solver RNG state ``record`` holds, rejecting malformed ones.
+
+    The solver draws from numpy's default bit generator; ``record`` is
+    applied to a throwaway one first, so a state numpy cannot take
+    fails as a ``ValueError`` naming the field, before the engine
+    exists.
+    """
+    probe = spawn_rng(0).bit_generator
+    try:
+        probe.state = record
+    except (TypeError, KeyError, ValueError, OverflowError) as exc:
+        raise ValueError(
+            "malformed checkpoint: solver.rng is not a "
+            f"{type(probe).__name__} state ({type(exc).__name__}: {exc})"
+        ) from exc
+    return probe.state
+
+
 def load_engine(path: str | Path) -> "StreamingSentimentEngine":
     """Rebuild an engine saved by :func:`save_engine` (format 2)."""
     from repro.engine.streaming import StreamingSentimentEngine
@@ -339,6 +360,7 @@ def load_engine(path: str | Path) -> "StreamingSentimentEngine":
     state_uids, state_rows = _user_rows(
         arrays, "user_state", config.num_classes
     )
+    rng_state = _rng_state(state["solver"]["rng"])
     # Seen users are the carried-state ids; the JSON copy must agree.
     if not np.array_equal(
         np.asarray(state["solver"]["seen_users"], dtype=np.int64), state_uids
@@ -353,15 +375,15 @@ def load_engine(path: str | Path) -> "StreamingSentimentEngine":
     engine = StreamingSentimentEngine(
         config, lexicon=lexicon, vectorizer=vectorizer
     )
-    # A checkpoint that fails below (a malformed RNG state or profile)
-    # must not leave the engine's threads running.
+    # A checkpoint that fails below (a malformed profile) must not
+    # leave the engine's threads running.
     try:
         engine._classify_seed = classify_seed
 
         # --- solver temporal state ---
         solver = engine.solver
         solver._steps = int(state["solver"]["steps"])
-        solver._rng.bit_generator.state = state["solver"]["rng"]
+        solver._rng.bit_generator.state = rng_state
         for lag in range(int(state["sf_history_len"])):
             solver._sf_history.append(arrays[f"sf_history_{lag}"])
         solver._su_history.extend(su_history)

@@ -380,33 +380,62 @@ class TestPoolTelemetry:
         assert telemetry["shared_sets"] == 2
         assert telemetry["shared_updates"] == 4
 
+    @staticmethod
+    def _socket_downlink(solver_class, graph, workers, sweeps):
+        solver = solver_class(
+            seed=7, max_iterations=sweeps, tolerance=0.0, n_shards=2,
+            backend="socket", workers=workers,
+        )
+        if solver_class is ShardedTriClustering:
+            solver.fit(graph)
+        else:
+            solver.partial_fit(graph)
+        telemetry = solver.last_telemetry
+        assert telemetry["bytes_received"] > 0
+        assert telemetry["shared_sets"] == 2
+        assert telemetry["shared_updates"] == sweeps
+        return telemetry["bytes_sent"]
+
+    def _assert_one_update_per_sweep(self, solver_class, graph, workers):
+        """Per-sweep downlink, read as the byte difference between a
+        2- and a 6-sweep solve, is one ``l×k`` update per worker: under
+        the two full-``Sf`` sends per shard per sweep (pass + objective
+        command) of the resend-everything regime, and equal on every
+        sweep."""
+        sf_bytes = graph.num_features * 3 * 8
+        sent = {
+            sweeps: self._socket_downlink(solver_class, graph, workers, sweeps)
+            for sweeps in (2, 6, 10)
+        }
+        per_sweep = (sent[6] - sent[2]) / 4
+        assert sent[10] - sent[6] == sent[6] - sent[2]
+        n_workers = 2
+        assert n_workers * sf_bytes <= per_sweep < 1.5 * n_workers * sf_bytes
+
     def test_socket_backend_moves_fewer_bytes_than_resending_sf(
         self, graph, socket_workers
     ):
         """On the socket backend the per-sweep downlink is the l×k
-        update op, not a full Sf broadcast per command — so total bytes
-        sent must stay well under the resend-everything regime."""
+        update op, not a full Sf broadcast per command."""
+        self._assert_one_update_per_sweep(
+            ShardedTriClustering, graph, socket_workers
+        )
         solver = ShardedTriClustering(
             seed=7, max_iterations=6, tolerance=0.0, n_shards=2,
             backend="socket", workers=socket_workers,
         )
         solver.fit(graph)
         telemetry = solver.last_telemetry
-        assert telemetry["bytes_sent"] > 0
-        assert telemetry["bytes_received"] > 0
-        sf_bytes = graph.num_features * 3 * 8
-        sweeps = 6
-        # Old regime: >= 2 full Sf broadcasts per sweep per shard (pass
-        # + objective commands).  New regime must beat even one-per-
-        # sweep-per-shard on the post-scatter traffic.
-        scatter_free = telemetry["bytes_sent"]  # includes scatter
-        assert scatter_free > 0  # sanity; the real bound is in the bench
-        # Per-sweep downlink: one l×k op shared across shards (counted
-        # once per worker send) — assert the telemetry exposes enough
-        # to measure it.
-        assert telemetry["rounds"] == 1 + sweeps + 1 + 1
+        assert telemetry["rounds"] == 1 + 6 + 1 + 1
         assert telemetry["send_seconds"] >= 0.0
         assert telemetry["wait_seconds"] >= 0.0
+
+    def test_socket_backend_online_moves_one_update_per_sweep(
+        self, graph, socket_workers
+    ):
+        self._assert_one_update_per_sweep(
+            ShardedOnlineTriClustering, graph, socket_workers
+        )
 
     def test_engine_snapshot_report_carries_telemetry(self, corpus, lexicon):
         from repro.data.stream import iter_tweet_batches

@@ -648,8 +648,43 @@ class TestMalformedCheckpoints:
         corrupt(path)
         before = threading.active_count()
         for _ in range(3):
-            with pytest.raises((ValueError, TypeError, KeyError)):
+            with pytest.raises(ValueError, match="malformed checkpoint"):
                 StreamingSentimentEngine.load(path)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda solver: solver.update(rng=[1, 2]),
+            lambda solver: solver.update(rng="PCG64"),
+            lambda solver: solver.update(rng=None),
+            lambda solver: solver["rng"].update(state="garbage"),
+            lambda solver: solver["rng"].update(bit_generator="MT19937"),
+            lambda solver: solver["rng"].pop("bit_generator"),
+            lambda solver: solver["rng"].pop("state"),
+            lambda solver: solver["rng"].pop("has_uint32"),
+            lambda solver: solver["rng"]["state"].pop("inc"),
+            lambda solver: solver["rng"]["state"].update(state=-1),
+            lambda solver: solver["rng"]["state"].update(state="12"),
+        ],
+        ids=[
+            "list", "string", "null", "state-not-a-dict", "other-generator",
+            "no-generator-name", "no-state", "no-uint32-flag", "no-increment",
+            "negative-counter", "string-counter",
+        ],
+    )
+    def test_malformed_rng_state_rejected_by_name(
+        self, fed_engine, tmp_path, edit
+    ):
+        """A solver RNG state numpy cannot take is a ``ValueError``
+        naming ``solver.rng``, raised before the engine exists."""
+        path = fed_engine.save(tmp_path / "ckpt")
+        _edit_state(path, lambda state: edit(state["solver"]))
+        before = threading.active_count()
+        with pytest.raises(
+            ValueError, match="malformed checkpoint: solver.rng is not a PCG64"
+        ):
+            StreamingSentimentEngine.load(path)
         assert threading.active_count() == before
 
     def test_seen_users_disagreeing_with_state_rejected(
