@@ -38,12 +38,12 @@ Two speedup readouts per cell, deliberately separated:
 
 - ``seconds_per_sweep`` — *marginal* wall-clock per sweep, measured as
   ``(t(BASE_SWEEPS + SWEEPS) − t(BASE_SWEEPS)) / SWEEPS`` so per-solve
-  fixed costs (initialization, objective statics, the single objective
-  evaluation) cannot dilute or inflate the ratio.  Each cell takes
-  ``SAMPLES`` such ``(lo, hi)`` fit pairs, round-robin across the
-  phase's cells so host drift lands on every cell alike, and reports
-  their median (``_q1``/``_q3`` hold the quartiles); one pair alone
-  swings up to ~2x between back-to-back runs on a 2-core host.  This
+  fixed costs (initialization, the data-matrix norms and transposes,
+  the single objective evaluation) cannot dilute or inflate the ratio.
+  Each cell takes ``SAMPLES`` such ``(lo, hi)`` fit pairs, round-robin
+  across the phase's cells so host drift lands on every cell alike, and
+  reports their median (``_q1``/``_q3`` hold the quartiles); one pair
+  alone swings up to ~2x between back-to-back runs on a 2-core host.  This
   is the honest end-to-end number — and it is Amdahl-limited: scipy's
   sparse·dense products are an instruction-bound scalar loop whose
   cost is nearly dtype-independent, and they dominate the sweep at
@@ -64,7 +64,9 @@ transpose.  Each row records which form the cache's working-set policy
 shape, so the table shows whether the policy pays at each scale.  One
 more table runs the same three products at the shape of one shard of
 the ``solve-sharded`` perfbench workload (a 2-shard split of a
-20k-user snapshot).
+20k-user snapshot), and a last one times that shard's online pass
+against the per-sweep objective evaluated on the state it left, with
+the spmm products each runs (:func:`_objective_cells`).
 
 The sharded phase re-runs the fused solver through
 ``backend × n_shards`` (``SAMPLES`` fits per cell, round-robin, median
@@ -101,8 +103,10 @@ import pytest
 import scipy.sparse as sp
 
 from repro.core.kernels import NumpyKernel, get_kernel, numba_available
+from repro.core.objective import ObjectiveWeights
 from repro.core.offline import OfflineTriClustering
-from repro.core.spmm import resolve_spmm
+from repro.core.spmm import SpmmEngine, resolve_spmm
+from repro.core.sweep import _shard_objective, _shard_online_pass, _ShardState
 from repro.core.sweepcache import TRANSPOSE_OPERAND_BUDGET, SweepCache
 from repro.data.synthetic import SyntheticCorpus, synthesize_graph
 from repro.experiments.reporting import (
@@ -198,7 +202,6 @@ def _legacy_transposes():
     With ``xr_T``/``xp_T``/``xu_T`` returning ``None`` every update
     falls back to the lazy ``.T`` (CSC) views, exactly the pre-PR
     product path regardless of what the working-set policy would choose.
-    Method-level patch so injected statics transposes are bypassed too.
     (Bitwise-neutral either way — this only keeps the baseline's
     *timing* faithful.)
     """
@@ -539,6 +542,82 @@ def _solve_sharded_shard(num_users: int):
     return extract_shard_blocks(snapshot, partition).blocks[0]
 
 
+class _CountingSpmm(SpmmEngine):
+    """The scipy engine, counting its products."""
+
+    def __init__(self) -> None:
+        self.calls = 0
+
+    def matmul(self, x, dense):
+        self.calls += 1
+        return super().matmul(x, dense)
+
+
+def _objective_cells(block) -> dict:
+    """One shard's online pass against its per-sweep objective.
+
+    ``block`` is a :class:`~repro.graph.partition.ShardBlock` (the
+    ``solve-sharded`` shard of :func:`_solve_sharded_shard`).  Its state
+    runs the shard commands of :mod:`repro.core.sweep` on random
+    ``k=3`` factors and random halo rows: a warm-up sweep builds the
+    per-solve transposes and norms, then each of ``SAMPLES`` sweeps —
+    under a fresh ``Sf`` array, as after the solve's ``Sf`` step — times
+    the Algorithm 2 pass (with the shard's ``Sf`` contribution) and then
+    the objective on the state that pass left.  The lexicon and
+    temporal terms are off (``l×k`` and evolving-row work only).  Rows
+    read the median and quartiles, the objective's share of the pair,
+    and the spmm products each half runs per sweep.
+    """
+    rng = spawn_rng(SEED)
+    k = 3
+    engine = _CountingSpmm()
+    state = _ShardState(
+        block=block,
+        sp=rng.random((block.num_tweets, k)),
+        su=rng.random((block.num_users, k)),
+        hp=rng.random((k, k)),
+        hu=rng.random((k, k)),
+        cache=SweepCache(block.xp, block.xu, block.xr, spmm=engine),
+        kernel=get_kernel("numpy"),
+        su_halo=rng.random((block.gu_halo.shape[1], k)),
+    )
+    weights = ObjectiveWeights()
+    sf = rng.random((block.xp.shape[1], k))
+    _shard_online_pass(state, sf, weights)
+    _shard_objective(state, sf, weights, None, False)
+    passes, objectives, calls = [], [], []
+    for _ in range(SAMPLES):
+        sf = sf.copy()
+        engine.calls = 0
+        started = time.perf_counter()
+        _shard_online_pass(state, sf, weights)
+        passed = time.perf_counter()
+        pass_calls = engine.calls
+        _shard_objective(state, sf, weights, None, False)
+        ended = time.perf_counter()
+        passes.append(passed - started)
+        objectives.append(ended - passed)
+        calls.append((pass_calls, engine.calls - pass_calls))
+    assert len(set(calls)) == 1, f"spmm calls vary between sweeps: {calls}"
+    (pass_calls, objective_calls), = set(calls)
+    pass_ms, pass_q1, pass_q3 = (v * 1000 for v in _spread(passes))
+    objective_ms, objective_q1, objective_q3 = (
+        v * 1000 for v in _spread(objectives)
+    )
+    return dict(
+        pass_ms=pass_ms,
+        pass_ms_q1=pass_q1,
+        pass_ms_q3=pass_q3,
+        objective_ms=objective_ms,
+        objective_ms_q1=objective_q1,
+        objective_ms_q3=objective_q3,
+        objective_share=objective_ms / (pass_ms + objective_ms),
+        pass_spmm_calls=pass_calls,
+        objective_spmm_calls=objective_calls,
+        spmm_calls_per_sweep=pass_calls + objective_calls,
+    )
+
+
 def _spmm_sweep_cells(graph) -> list[dict]:
     """Whole-sweep marginal per spmm engine (kernel=auto, float64).
 
@@ -680,6 +759,13 @@ def run_kernel_benchmark(scales=None, shard_users=SOLVE_SHARDED_USERS) -> dict:
             shard_tweets=shard.num_tweets,
             rows=_transpose_cells(shard),
         ),
+        sharded_snapshot_objective=dict(
+            snapshot_users=shard_users,
+            shard_users=shard.num_users,
+            shard_tweets=shard.num_tweets,
+            halo_columns=int(shard.gu_halo.shape[1]),
+            **_objective_cells(shard),
+        ),
     )
 
 
@@ -819,6 +905,35 @@ def _render(outcome: dict) -> str:
             f"tweets), {describe_host(outcome['host'])}",
         )
     )
+    objective = outcome["sharded_snapshot_objective"]
+    lines.append(
+        format_table(
+            ["Step", "ms (median of 5)", "Quartiles ms", "Share",
+             "spmm calls"],
+            [
+                [
+                    label,
+                    round(objective[f"{key}_ms"], 2),
+                    f"{objective[f'{key}_ms_q1']:.2f}–"
+                    f"{objective[f'{key}_ms_q3']:.2f}",
+                    f"{share:.0%}",
+                    objective[f"{key}_spmm_calls"],
+                ]
+                for label, key, share in (
+                    ("online pass + Sf contribution", "pass",
+                     1.0 - objective["objective_share"]),
+                    ("objective on that pass's state", "objective",
+                     objective["objective_share"]),
+                )
+            ],
+            title=(
+                f"Per-sweep objective against the pass — the same shard "
+                f"({objective['halo_columns']} halo columns; "
+                f"{objective['spmm_calls_per_sweep']} spmm calls per "
+                f"sweep), {describe_host(outcome['host'])}"
+            ),
+        )
+    )
     lines.append(
         "crossover scale (first multi-shard wall-clock win): "
         f"{outcome['crossover_scale']}"
@@ -869,6 +984,13 @@ def test_kernel_smoke():
     assert [row["product"] for row in transposes] == products
     shard_rows = outcome["sharded_snapshot_transposes"]["rows"]
     assert [row["product"] for row in shard_rows] == products
+    # The objective reads the pass's Xpᵀ·Sp, Xuᵀ·Su and Xr·Sp: its only
+    # sparse products are Lu·Su and, on a shard with cut edges, the halo
+    # cross term.
+    objective = outcome["sharded_snapshot_objective"]
+    halo = 1 if objective["halo_columns"] else 0
+    assert objective["objective_spmm_calls"] == 1 + halo
+    assert objective["pass_spmm_calls"] == 8 + halo
 
     if not numba_available():
         with pytest.raises(RuntimeError, match="numba"):

@@ -2,8 +2,16 @@
 
 Loss components are evaluated without densifying the sparse data
 matrices, using the trace expansion
-``||X − A·H·Bᵀ||² = ||X||² − 2·tr(Xᵀ·A·H·Bᵀ) + tr(Bᵀ·B·Hᵀ·Aᵀ·A·H)``
-so the cost stays ``O(nnz·k + (n+m+l)·k²)`` per evaluation.
+``||X − A·H·Bᵀ||² = ||X||² − 2·⟨(Xᵀ·A)·H, B⟩ + tr(Bᵀ·B·Hᵀ·Aᵀ·A·H)``
+so the cost stays ``O(nnz·k + (n+m+l)·k²)`` per evaluation.  The cross
+term reads the ``l×k`` product ``Xᵀ·A`` — for the tweet and user losses
+``Xpᵀ·Sp`` and ``Xuᵀ·Su``, the very products the same sweep's ``Sf``
+contribution forms — and the retweet loss reads ``Xr·Sp``, which the
+``Su`` update forms.  Given the solve's
+:class:`~repro.core.sweepcache.SweepCache`, an evaluation takes all
+three (and the three ``‖X‖²``) from its memo, so the only sparse
+product it adds to a sweep is the graph term's ``Lu·Su``.  Without a
+cache it computes them itself; the formula is the same either way.
 """
 
 from __future__ import annotations
@@ -72,37 +80,6 @@ class ObjectiveValue:
         return total
 
 
-@dataclass(frozen=True)
-class ObjectiveStatics:
-    """Per-matrix constants reused across objective evaluations.
-
-    ``||X||²`` and the CSR-materialized transposes depend only on the
-    data matrices, which are fixed for a whole fit — but the objective
-    is evaluated every sweep, and recomputing them dominates the
-    evaluation cost on small shard blocks.  CSR-transposing changes
-    neither values nor accumulation order, so evaluations through a
-    statics bundle are bit-identical to the lazy path (tested).
-    """
-
-    xp_sq: float
-    xu_sq: float
-    xr_sq: float
-    xp_T: MatrixLike
-    xu_T: MatrixLike
-
-    @classmethod
-    def from_matrices(
-        cls, xp: MatrixLike, xu: MatrixLike, xr: MatrixLike
-    ) -> "ObjectiveStatics":
-        return cls(
-            xp_sq=frobenius_sq(xp),
-            xu_sq=frobenius_sq(xu),
-            xr_sq=frobenius_sq(xr),
-            xp_T=xp.T.tocsr() if sp.issparse(xp) else np.asarray(xp).T,
-            xu_T=xu.T.tocsr() if sp.issparse(xu) else np.asarray(xu).T,
-        )
-
-
 def _dot(x: MatrixLike, dense: np.ndarray, spmm: object | None) -> np.ndarray:
     """``x @ dense`` through an optional spmm engine (bit-identical)."""
     if spmm is not None:
@@ -118,23 +95,22 @@ def trifactor_loss(
     h: np.ndarray,
     b: np.ndarray,
     x_sq: float | None = None,
-    x_T: MatrixLike | None = None,
     spmm: object | None = None,
     a_gram: np.ndarray | None = None,
     b_gram: np.ndarray | None = None,
+    xt_a: np.ndarray | None = None,
 ) -> float:
     """``||X − A·H·Bᵀ||²`` without densifying ``X``.
 
-    ``x_sq``/``x_T`` optionally supply the precomputed ``||X||²`` and
-    transpose (see :class:`ObjectiveStatics`); ``spmm`` an optional
-    :class:`~repro.core.spmm.SpmmEngine` for the sparse cross term;
-    ``a_gram``/``b_gram`` the grams ``AᵀA``/``BᵀB`` (the same products,
-    so the value is unchanged bitwise).
+    The cross term is ``⟨(XᵀA)·H, B⟩``.  ``x_sq`` optionally supplies
+    the precomputed ``||X||²``, ``xt_a`` the product ``XᵀA``; ``spmm``
+    an optional :class:`~repro.core.spmm.SpmmEngine` for ``XᵀA`` when
+    it is not supplied; ``a_gram``/``b_gram`` the grams ``AᵀA``/``BᵀB``
+    (the same products, so the value is unchanged bitwise).
     """
-    ah = a @ h
-    if x_T is None:
-        x_T = x.T if sp.issparse(x) else np.asarray(x).T
-    cross = float(np.sum(_dot(x_T, ah, spmm) * b))
+    if xt_a is None:
+        xt_a = _dot(x.T if sp.issparse(x) else np.asarray(x).T, a, spmm)
+    cross = float(np.sum((xt_a @ h) * b))
     if a_gram is None:
         a_gram = a.T @ a
     if b_gram is None:
@@ -153,10 +129,13 @@ def bifactor_loss(
     spmm: object | None = None,
     a_gram: np.ndarray | None = None,
     b_gram: np.ndarray | None = None,
+    x_b: np.ndarray | None = None,
 ) -> float:
     """``||X − A·Bᵀ||²`` without densifying ``X`` (grams as in
-    :func:`trifactor_loss`)."""
-    cross = float(np.sum(_dot(x, b, spmm) * a))
+    :func:`trifactor_loss`; ``x_b`` optionally supplies ``X·B``)."""
+    if x_b is None:
+        x_b = _dot(x, b, spmm)
+    cross = float(np.sum(x_b * a))
     if a_gram is None:
         a_gram = a.T @ a
     if b_gram is None:
@@ -192,7 +171,6 @@ def compute_objective(
     sf_prior: np.ndarray | None = None,
     su_prior: np.ndarray | None = None,
     su_prior_rows: np.ndarray | None = None,
-    statics: ObjectiveStatics | None = None,
     spmm: object | None = None,
     gu_halo: MatrixLike | None = None,
     su_halo: np.ndarray | None = None,
@@ -208,13 +186,10 @@ def compute_objective(
     su_prior / su_prior_rows:
         Online only: decayed user history ``Suw(t)`` and the row indices
         (evolving users) it constrains.  ``None`` drops the γ term.
-    statics:
-        Optional precomputed data-matrix constants; evaluations with and
-        without them are bit-identical (the sharded solver evaluates the
-        objective once per shard per sweep and amortizes these).
     spmm:
         Optional :class:`~repro.core.spmm.SpmmEngine` for the sparse
-        products (float64 bit-identical, speed-only).
+        products the evaluation forms itself (float64 bit-identical,
+        speed-only).
     gu_halo, su_halo:
         Sharded cut-edge remainder: the halo CSR block and the
         exchanged neighbour ``Su`` rows.  The graph term becomes
@@ -225,8 +200,9 @@ def compute_objective(
         is *not* clamped (it can exceed the local part transiently);
         only the shard sum is guaranteed non-negative.
     cache:
-        Optional :class:`~repro.core.sweepcache.SweepCache` of the
-        solve: the factor grams come from its memo, shared with the
+        Optional :class:`~repro.core.sweepcache.SweepCache` over these
+        ``xp``/``xu``/``xr``: the factor grams, ``Xpᵀ·Sp``, ``Xuᵀ·Su``,
+        ``Xr·Sp`` and the three ``‖X‖²`` come from it, shared with the
         update rules of the same iterate (bit-identical either way).
     """
     # Each factor's gram enters two loss terms; it is computed once.
@@ -234,34 +210,25 @@ def compute_objective(
     sf_gram = gram("sf", factors.sf)
     sp_gram = gram("sp", factors.sp)
     su_gram = gram("su", factors.su)
-    if statics is None:
-        tweet_loss = trifactor_loss(
-            xp, factors.sp, factors.hp, factors.sf, spmm=spmm,
-            a_gram=sp_gram, b_gram=sf_gram,
-        )
-        user_loss = trifactor_loss(
-            xu, factors.su, factors.hu, factors.sf, spmm=spmm,
-            a_gram=su_gram, b_gram=sf_gram,
-        )
-        retweet_loss = bifactor_loss(
-            xr, factors.su, factors.sp, spmm=spmm,
-            a_gram=su_gram, b_gram=sp_gram,
-        )
-    else:
-        tweet_loss = trifactor_loss(
-            xp, factors.sp, factors.hp, factors.sf,
-            x_sq=statics.xp_sq, x_T=statics.xp_T, spmm=spmm,
-            a_gram=sp_gram, b_gram=sf_gram,
-        )
-        user_loss = trifactor_loss(
-            xu, factors.su, factors.hu, factors.sf,
-            x_sq=statics.xu_sq, x_T=statics.xu_T, spmm=spmm,
-            a_gram=su_gram, b_gram=sf_gram,
-        )
-        retweet_loss = bifactor_loss(
-            xr, factors.su, factors.sp, x_sq=statics.xr_sq, spmm=spmm,
-            a_gram=su_gram, b_gram=sp_gram,
-        )
+    xp_sq = xu_sq = xr_sq = None
+    xp_T_sp = xu_T_su = xr_sp = None
+    if cache is not None:
+        xp_sq, xu_sq, xr_sq = map(cache.norm_sq, (xp, xu, xr))
+        xp_T_sp = cache.xp_T_sp(factors.sp)
+        xu_T_su = cache.xu_T_su(factors.su)
+        xr_sp = cache.xr_sp(xr, factors.sp)
+    tweet_loss = trifactor_loss(
+        xp, factors.sp, factors.hp, factors.sf, x_sq=xp_sq, spmm=spmm,
+        a_gram=sp_gram, b_gram=sf_gram, xt_a=xp_T_sp,
+    )
+    user_loss = trifactor_loss(
+        xu, factors.su, factors.hu, factors.sf, x_sq=xu_sq, spmm=spmm,
+        a_gram=su_gram, b_gram=sf_gram, xt_a=xu_T_su,
+    )
+    retweet_loss = bifactor_loss(
+        xr, factors.su, factors.sp, x_sq=xr_sq, spmm=spmm,
+        a_gram=su_gram, b_gram=sp_gram, x_b=xr_sp,
+    )
 
     lexicon_loss = 0.0
     if sf_prior is not None and weights.alpha > 0:

@@ -206,25 +206,19 @@ def _shard_state_from_payload(payload: tuple) -> _ShardState:
 
 
 def _shard_cache(block: ShardBlock, spmm: SpmmEngine) -> SweepCache:
-    """A shard's sweep cache, sharing the block's CSR transposes."""
-    return SweepCache(
-        block.xp, block.xu, block.xr, xp_T=block.xp_T, xu_T=block.xu_T,
-        spmm=spmm,
-    )
+    """A shard's sweep cache over the block's data matrices."""
+    return SweepCache(block.xp, block.xu, block.xr, spmm=spmm)
 
 
 def _shard_contribution(state: _ShardState) -> np.ndarray:
     """The shard's additive ``l×k`` piece of the ``Sf`` numerator.
 
-    The transposes go through the cache accessors rather than straight
-    off the block, so the working-set layout policy applies (large
-    blocks stream the lazy CSC view; either path is bitwise identical).
+    ``XuᵀSu``/``XpᵀSp`` go into the shard cache's memo, where the
+    objective of the same iterate reads them again.
     """
     return sf_sweep_contribution(
         state.sp, state.hp, state.su, state.hu,
-        state.block.xp, state.block.xu,
-        xp_T=state.cache.xp_T(), xu_T=state.cache.xu_T(),
-        spmm=state.cache.spmm,
+        state.block.xp, state.block.xu, cache=state.cache,
     )
 
 
@@ -332,7 +326,6 @@ def _shard_objective(
         sf_prior=sf_prior,
         su_prior=state.su_prior if su_prior_active else None,
         su_prior_rows=state.evolving_rows if su_prior_active else None,
-        statics=block.statics,
         spmm=state.cache.spmm,
         gu_halo=block.gu_halo,
         su_halo=state.su_halo,

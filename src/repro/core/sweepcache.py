@@ -15,17 +15,31 @@ hot-path win without changing a single floating-point operation: the
 cache returns the *same* array the uncached code path would have
 computed, so solver trajectories are bit-identical.
 
-Beyond the per-sweep memo, the cache also holds *per-solve* CSR
-materializations of the data-matrix transposes (``Xrᵀ``, ``Xpᵀ``,
-``Xuᵀ``).  The lazy ``.T`` view of a CSR matrix is CSC, and a
-CSC @ dense product scatters into its (potentially huge) output instead
-of streaming through it row by row; materializing the transpose as CSR
-once per solve makes every subsequent ``Xrᵀ·Su`` / ``Xpᵀ·Sp`` /
-``Xuᵀ·Su`` product a sequential-write CSR product.  CSR-materializing a
-transpose changes neither the values nor the per-row accumulation order
-of those products, so results stay bitwise identical (the same fact the
-sharded path and :class:`repro.core.objective.ObjectiveStatics` already
-rely on, and test).
+The same memo holds the products the per-sweep objective shares with
+the pass (see :mod:`repro.core.objective`):
+
+- ``Xpᵀ·Sp`` and ``Xuᵀ·Su`` — formed for the shard's ``Sf``
+  contribution, then read by the tweet and user losses as
+  ``⟨(XᵀA)·H, B⟩``;
+- ``Xr·Sp`` — formed by the ``Su`` update, then read by the retweet
+  loss;
+- the solve's three squared norms ``‖Xp‖²``, ``‖Xu‖²``, ``‖Xr‖²``,
+  computed on first use (inside the shard command, so a sharded solve
+  computes them in parallel on the workers).
+
+A memoized array is shared by every reader of the same iterate, so no
+caller may write into one (none is ever the accumulator of
+:meth:`~repro.core.kernels.Kernel.accumulate`).
+
+Beyond the memo, the cache holds *per-solve* CSR materializations of
+the data-matrix transposes (``Xrᵀ``, ``Xpᵀ``, ``Xuᵀ``), built on first
+use.  The lazy ``.T`` view of a CSR matrix is CSC, and a CSC @ dense
+product scatters into its (potentially huge) output instead of
+streaming through it row by row; materializing the transpose as CSR
+makes every subsequent ``Xrᵀ·Su`` / ``Xpᵀ·Sp`` / ``Xuᵀ·Su`` product a
+sequential-write CSR product.  CSR-materializing a transpose changes
+neither the values nor the per-row accumulation order of those
+products, so results stay bitwise identical (tested).
 
 Which layout is *faster* depends on scale, so the transpose accessors
 apply a working-set policy (see :data:`TRANSPOSE_OPERAND_BUDGET`): the
@@ -55,6 +69,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.core.spmm import SpmmEngine, default_spmm
+from repro.utils.matrices import frobenius_sq
 
 MatrixLike = np.ndarray | sp.spmatrix
 
@@ -70,6 +85,11 @@ MatrixLike = np.ndarray | sp.spmatrix
 TRANSPOSE_OPERAND_BUDGET = 256 * 1024
 
 
+def _or_view(materialized: MatrixLike | None, x: MatrixLike) -> MatrixLike:
+    """A transpose accessor's answer, or the lazy ``.T`` view of ``x``."""
+    return x.T if materialized is None else materialized
+
+
 class SweepCache:
     """Identity-memoized shared products for one solver run.
 
@@ -82,12 +102,6 @@ class SweepCache:
         materialized as CSR once per solve (see :meth:`xr_T`) so the
         per-sweep ``Xrᵀ·Su`` products stream instead of scatter.  The
         ``Xr·Sp`` product needs no help — ``Xr`` is already CSR.
-    xp_T, xu_T:
-        Optional pre-materialized CSR transposes of ``xp``/``xu``.
-        Solvers that already built an
-        :class:`~repro.core.objective.ObjectiveStatics` pass its
-        transposes in, so the arrays are shared rather than
-        re-materialized.
     spmm:
         Optional :class:`~repro.core.spmm.SpmmEngine` that evaluates the
         sparse·dense products routed through :meth:`dot` (``None`` uses
@@ -103,18 +117,15 @@ class SweepCache:
         xp: MatrixLike,
         xu: MatrixLike,
         xr: MatrixLike | None = None,
-        xp_T: MatrixLike | None = None,
-        xu_T: MatrixLike | None = None,
         spmm: SpmmEngine | None = None,
     ) -> None:
         self.xp = xp
         self.xu = xu
         self.xr = xr
         self.spmm = spmm if spmm is not None else default_spmm()
-        self._xp_T = xp_T
-        self._xu_T = xu_T
-        self._xr_T: MatrixLike | None = None
+        self._transposes: dict[str, MatrixLike] = {}
         self._memo: dict[str, tuple[tuple[np.ndarray, ...], np.ndarray]] = {}
+        self._norms: list[tuple[MatrixLike, float]] = []
         self._hits = 0
         self._misses = 0
 
@@ -171,6 +182,44 @@ class SweepCache:
         """``Xu·Sf`` — shared by the ``Su`` and ``Hu`` updates."""
         return self._get("xu_sf", (sf,), lambda: self.dot(self.xu, sf))
 
+    def xp_T_sp(self, sp_factor: np.ndarray) -> np.ndarray:
+        """``Xpᵀ·Sp`` — the ``Sf`` contribution's and the tweet loss's."""
+        return self._get(
+            "xp_T_sp", (sp_factor,),
+            lambda: self.dot(_or_view(self.xp_T(), self.xp), sp_factor),
+        )
+
+    def xu_T_su(self, su: np.ndarray) -> np.ndarray:
+        """``Xuᵀ·Su`` — the ``Sf`` contribution's and the user loss's."""
+        return self._get(
+            "xu_T_su", (su,),
+            lambda: self.dot(_or_view(self.xu_T(), self.xu), su),
+        )
+
+    def xr_sp(self, xr: MatrixLike, sp_factor: np.ndarray) -> np.ndarray:
+        """``Xr·Sp`` — the ``Su`` update's and the retweet loss's.
+
+        Keyed by ``xr`` as well: a cache built without ``xr`` still
+        serves callers that bring their own.
+        """
+        return self._get(
+            "xr_sp", (xr, sp_factor), lambda: self.dot(xr, sp_factor)
+        )
+
+    # ------------------------------------------------------------------ #
+    # Per-solve constants
+    # ------------------------------------------------------------------ #
+
+    def norm_sq(self, x: MatrixLike) -> float:
+        """``‖X‖²`` of one of the solve's data matrices, computed on
+        first use and kept for the solve (keyed by identity)."""
+        for matrix, value in self._norms:
+            if matrix is x:
+                return value
+        value = frobenius_sq(x)
+        self._norms.append((x, value))
+        return value
+
     # ------------------------------------------------------------------ #
     # Per-solve CSR transposes (bitwise-equal to the lazy ``.T`` views)
     # ------------------------------------------------------------------ #
@@ -188,57 +237,35 @@ class SweepCache:
             return True
         return operand_rows * itemsize <= TRANSPOSE_OPERAND_BUDGET
 
-    def xr_T(self) -> MatrixLike | None:
-        """CSR-materialized ``Xrᵀ``, or ``None`` to use the lazy view.
+    def _transpose(self, name: str) -> MatrixLike | None:
+        """CSR-materialized transpose of data matrix ``name``, or
+        ``None`` to use the lazy view.
 
-        ``None`` means either no ``xr`` was given or the dense operand
-        of the ``Xrᵀ·Su`` product (``Su``, one row per ``xr`` row) is
-        past :data:`TRANSPOSE_OPERAND_BUDGET`; callers fall back to the
-        lazy ``xr.T`` view.  The two are bitwise interchangeable, so the
-        choice is speed-only.
+        ``None`` means either the matrix is absent or the dense operand
+        of its transposed product (one row per matrix row) is past
+        :data:`TRANSPOSE_OPERAND_BUDGET`, where the lazy CSC view
+        streams it faster than the CSR gather; no copy is made then.
+        The two forms are bitwise interchangeable, so the choice is
+        speed-only.
         """
-        if self.xr is None:
+        x = getattr(self, name)
+        if x is None or not self._materialize_wins(x.shape[0], x.dtype.itemsize):
             return None
-        if not self._materialize_wins(
-            self.xr.shape[0], self.xr.dtype.itemsize
-        ):
-            return None
-        if self._xr_T is None:
-            self._xr_T = (
-                self.xr.T.tocsr() if sp.issparse(self.xr) else self.xr.T
-            )
-        return self._xr_T
+        if name not in self._transposes:
+            self._transposes[name] = x.T.tocsr() if sp.issparse(x) else x.T
+        return self._transposes[name]
+
+    def xr_T(self) -> MatrixLike | None:
+        """``Xrᵀ`` for the ``Xrᵀ·Su`` product (see :meth:`_transpose`)."""
+        return self._transpose("xr")
 
     def xp_T(self) -> MatrixLike | None:
-        """CSR-materialized ``Xpᵀ``, or ``None`` to use the lazy view.
-
-        The ``Xpᵀ·Sp`` operand is ``Sp`` (one row per ``xp`` row); past
-        the budget the lazy CSC view streams it faster than the CSR
-        gather, so ``None`` is returned even when a pre-materialized
-        transpose was injected (the injected array still serves the
-        objective statics it came from).
-        """
-        if not self._materialize_wins(
-            self.xp.shape[0], self.xp.dtype.itemsize
-        ):
-            return None
-        if self._xp_T is None:
-            self._xp_T = (
-                self.xp.T.tocsr() if sp.issparse(self.xp) else self.xp.T
-            )
-        return self._xp_T
+        """``Xpᵀ`` for the ``Xpᵀ·Sp`` product (see :meth:`_transpose`)."""
+        return self._transpose("xp")
 
     def xu_T(self) -> MatrixLike | None:
-        """CSR-materialized ``Xuᵀ``, or ``None`` to use the lazy view."""
-        if not self._materialize_wins(
-            self.xu.shape[0], self.xu.dtype.itemsize
-        ):
-            return None
-        if self._xu_T is None:
-            self._xu_T = (
-                self.xu.T.tocsr() if sp.issparse(self.xu) else self.xu.T
-            )
-        return self._xu_T
+        """``Xuᵀ`` for the ``Xuᵀ·Su`` product (see :meth:`_transpose`)."""
+        return self._transpose("xu")
 
     # ------------------------------------------------------------------ #
     # Dense grams

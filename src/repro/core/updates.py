@@ -27,6 +27,9 @@ instead of recomputed, and CSR-materialized data-matrix transposes
 replace the lazy ``.T`` views in the ``Xrᵀ·Su`` / ``Xpᵀ·Sp`` / ``Xuᵀ·Su``
 products whenever the cache's working-set policy says the CSR layout
 wins (see :data:`repro.core.sweepcache.TRANSPOSE_OPERAND_BUDGET`).  The
+products the per-sweep objective reads again — ``Xr·Sp`` from the ``Su``
+update, ``Xpᵀ·Sp`` and ``Xuᵀ·Su`` from the ``Sf`` contribution — go
+into the cache's memo, and no rule writes into a memoized array.  The
 cached path evaluates the exact same expressions (CSR materialization
 preserves per-row accumulation order), so results are bit-identical to
 the uncached path either way.
@@ -227,9 +230,12 @@ def update_su_online(
     """
     kernel = kernel if kernel is not None else default_kernel()
     xu_sf = cache.xu_sf(sf) if cache is not None else _dot(xu, sf)
-    factor_attraction = kernel.accumulate(             # XuSfHuᵀ + XrSp, m×k
-        xu_sf @ hu.T, _cache_dot(cache, xr, sp_factor)
-    )
+    if cache is not None:
+        xr_sp = cache.xr_sp(xr, sp_factor)
+    else:
+        xr_sp = _dot(xr, sp_factor)
+    factor_attraction = kernel.accumulate(xu_sf @ hu.T, xr_sp)  # XuSfHuᵀ + XrSp
+
     gu_su = _cache_dot(cache, gu, su)
     if gu_halo is not None and su_halo is not None and gu_halo.nnz:
         gu_su = gu_su + _cache_dot(cache, gu_halo, su_halo)
@@ -266,9 +272,7 @@ def sf_sweep_contribution(
     hu: np.ndarray,
     xp: MatrixLike,
     xu: MatrixLike,
-    xp_T: MatrixLike | None = None,
-    xu_T: MatrixLike | None = None,
-    spmm: object | None = None,
+    cache: SweepCache | None = None,
 ) -> np.ndarray:
     """One block's additive attraction to the ``Sf`` update (Eq. 7).
 
@@ -277,16 +281,18 @@ def sf_sweep_contribution(
     the ``l×k`` pieces — the separable half of the ``Sf`` sweep; a
     single block's contribution is the whole attraction.
 
-    ``xp_T``/``xu_T`` optionally supply CSR-materialized transposes
-    (the solve loop precomputes them per snapshot); sparse products
-    through them accumulate in the same order as through the lazy
-    ``.T`` views, so the result is unchanged bitwise.  ``spmm``
-    optionally supplies an :class:`~repro.core.spmm.SpmmEngine` for the
-    two transpose products (float64 bit-identical, speed-only).
+    With a ``cache``, ``XuᵀSu``/``XpᵀSp`` come from its memo (through
+    its transpose layout policy and spmm engine), where the objective
+    of the same iterate reads them again; sparse products through a
+    CSR-materialized transpose accumulate in the same order as through
+    the lazy ``.T`` view, so the result is unchanged bitwise.
     """
-    dot = _dot if spmm is None else spmm.matmul
-    attraction = dot(xu.T if xu_T is None else xu_T, su) @ hu      # l×k
-    attraction += dot(xp.T if xp_T is None else xp_T, sp_factor) @ hp
+    if cache is not None:
+        xu_su, xp_sp = cache.xu_T_su(su), cache.xp_T_sp(sp_factor)
+    else:
+        xu_su, xp_sp = _dot(xu.T, su), _dot(xp.T, sp_factor)
+    attraction = xu_su @ hu                                         # l×k
+    attraction += xp_sp @ hp
     return attraction
 
 
@@ -339,14 +345,6 @@ def update_sf(
     :func:`sf_sweep_contribution` and :func:`apply_sf_update`.
     """
     factor_attraction = sf_sweep_contribution(
-        sp_factor,
-        hp,
-        su,
-        hu,
-        xp,
-        xu,
-        xp_T=cache.xp_T() if cache is not None else None,
-        xu_T=cache.xu_T() if cache is not None else None,
-        spmm=cache.spmm if cache is not None else None,
+        sp_factor, hp, su, hu, xp, xu, cache=cache
     )
     return apply_sf_update(sf, factor_attraction, sf_prior, alpha, kernel)

@@ -35,7 +35,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from repro.core.objective import ObjectiveStatics
 from repro.graph.tripartite import TripartiteGraph
 from repro.graph.usergraph import UserGraph
 
@@ -134,11 +133,10 @@ def _block_from_parts(
 ) -> "ShardBlock":
     """Assemble a :class:`ShardBlock`, deriving the redundant members.
 
-    ``du``/``laplacian``/``statics`` (and the materialized transposes)
-    are pure functions of the shipped matrices, computed with the same
-    code whether the block is built in-process or rebuilt from a
-    payload on the far side of a process boundary — so the two paths
-    are bit-identical.
+    ``du``/``laplacian`` are pure functions of the shipped matrices,
+    computed with the same code whether the block is built in-process
+    or rebuilt from a payload on the far side of a process boundary —
+    so the two paths are bit-identical.
 
     With a halo block present, degrees are the *full-graph* degrees:
     the block-diagonal degree plus each boundary user's cut-edge
@@ -156,7 +154,6 @@ def _block_from_parts(
         du = (du + sp.diags(halo_degrees, 0, shape=du.shape, format="csr"))
         du = du.tocsr()
         laplacian = (du - gu).tocsr()
-    statics = ObjectiveStatics.from_matrices(xp, xu, xr)
     return ShardBlock(
         index=index,
         user_rows=user_rows,
@@ -167,9 +164,6 @@ def _block_from_parts(
         gu=gu,
         du=du,
         laplacian=laplacian,
-        xp_T=statics.xp_T,
-        xu_T=statics.xu_T,
-        statics=statics,
         boundary_local=boundary_local,
         gu_halo=gu_halo,
         halo_owner=halo_owner,
@@ -198,9 +192,10 @@ class ShardBlock:
     published boundary block).  With a halo, ``du``/``laplacian`` carry
     *full-graph* degrees (see :func:`_block_from_parts`).
 
-    ``xp_T``/``xu_T`` and ``statics`` precompute the transposes and
-    norms every sweep needs, once per snapshot instead of once per
-    iteration.
+    A block holds matrices only.  The transposes and norms a solve
+    needs are built by the shard's
+    :class:`~repro.core.sweepcache.SweepCache` on first use, where the
+    block lives (on a socket worker: after shipping, in parallel).
     """
 
     index: int
@@ -212,9 +207,6 @@ class ShardBlock:
     gu: sp.csr_matrix
     du: sp.csr_matrix
     laplacian: sp.csr_matrix
-    xp_T: sp.csr_matrix
-    xu_T: sp.csr_matrix
-    statics: ObjectiveStatics
     boundary_local: np.ndarray | None = None
     gu_halo: sp.csr_matrix | None = None
     halo_owner: np.ndarray | None = None
@@ -239,13 +231,11 @@ class ShardBlock:
     def to_payload(self) -> dict:
         """Minimal picklable form: row indices + the four CSR pieces.
 
-        Everything derivable (``du``, ``laplacian``, the transposes and
-        the ``statics`` norms) is dropped and recomputed on
-        :meth:`from_payload`, roughly halving what crosses a process
-        boundary.  Shard blocks cross that boundary **once per
-        scatter** — sweeps exchange only factor-sized arrays.  Halo
-        members ship only when present (CSR payload form for
-        ``gu_halo``).
+        Everything derivable (``du``, ``laplacian``) is dropped and
+        recomputed on :meth:`from_payload`.  Shard blocks cross that
+        boundary **once per scatter** — sweeps exchange only
+        factor-sized arrays.  Halo members ship only when present (CSR
+        payload form for ``gu_halo``).
         """
         payload = {
             "index": self.index,

@@ -81,10 +81,20 @@ def nonneg_split(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def frobenius_sq(matrix: MatrixLike) -> float:
-    """Squared Frobenius norm ``||M||_F^2`` for dense or sparse input."""
+    """Squared Frobenius norm ``||M||_F^2`` for dense or sparse input.
+
+    A sparse matrix is read through its data array; a non-canonical one
+    (duplicate or unsorted entries, or a format without a plain data
+    array) first becomes canonical CSR on a copy, so duplicates are
+    summed before squaring.
+    """
     if sp.issparse(matrix):
-        return float(matrix.multiply(matrix).sum())
-    arr = np.asarray(matrix)
+        if matrix.format not in ("csr", "csc") or not matrix.has_canonical_format:
+            matrix = matrix.tocsr(copy=True)
+            matrix.sum_duplicates()
+        arr = matrix.data
+    else:
+        arr = np.asarray(matrix)
     return float(np.sum(arr * arr))
 
 

@@ -18,6 +18,15 @@ it was first written as, for parity with the array-native state.
 unified solver's own sweep loop (its regularizer folding, objective,
 initialization and convergence test), as it ran before the solver
 moved onto the shared solve loop.
+
+:func:`reference_objective` is the fourth: Eq. (1)/(19) with the cross
+terms written as ``⟨X, A·H·Bᵀ⟩ = Σ (Xᵀ·(A·H)) ∘ B`` over an explicit
+CSR transpose, as the solvers evaluated it before their objective read
+``XᵀA`` back from the sweep's own products.  The two expansions agree
+to round-off (:data:`OBJECTIVE_RTOL`), so the oracle loops above, which
+evaluate it with norms and transposes they build themselves, replay the
+solvers' factors and iteration counts bit for bit and their objective
+traces to that tolerance.
 """
 
 from __future__ import annotations
@@ -26,6 +35,7 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.core.convergence import ConvergenceHistory
 from repro.core.kernels import resolve_kernel
@@ -35,10 +45,9 @@ from repro.core.initialization import (
     warm_started_factors,
 )
 from repro.core.objective import (
-    ObjectiveStatics,
+    ObjectiveValue,
     bifactor_loss,
-    compute_objective,
-    trifactor_loss,
+    graph_penalty,
 )
 from repro.core.offline import OfflineTriClustering, TriClusteringResult
 from repro.core.online import OnlineStepResult, OnlineTriClustering
@@ -56,8 +65,147 @@ from repro.core.updates import (
     update_su_online,
 )
 from repro.graph.tripartite import TripartiteGraph
-from repro.utils.matrices import hard_assignments
+from repro.utils.matrices import frobenius_sq, hard_assignments
 from repro.utils.rng import spawn_rng
+
+#: Largest relative gap allowed between an objective term of the solvers
+#: and the same term of :func:`reference_objective`, per dtype.  The
+#: tweet and user losses differ by where the rounding of the cross term
+#: falls (``(XᵀA)·H`` against ``Xᵀ(A·H)``); every other term is bitwise
+#: equal.  The gap is measured against the total objective, because a
+#: loss of ``‖X‖² − 2·cross + gram`` inherits the rounding of its
+#: largest part, not of its (much smaller) value.  On the test corpus
+#: (offline and online, 1/2/4 shards, up to 60 sweeps) the largest gap
+#: is 3.9e-16 in float64 and 1.3e-7 in float32.
+OBJECTIVE_RTOL = {np.dtype(np.float64): 1e-12, np.dtype(np.float32): 1e-6}
+
+
+def _transpose(x):
+    return x.T.tocsr() if sp.issparse(x) else np.asarray(x).T
+
+
+def _product(x, dense, spmm):
+    return spmm.matmul(x, dense) if spmm is not None else np.asarray(x @ dense)
+
+
+def _reference_trifactor(x, a, h, b, x_sq=None, x_T=None, spmm=None):
+    """``||X − A·H·Bᵀ||²`` with the cross term ``Σ (Xᵀ·(A·H)) ∘ B``."""
+    ah = a @ h
+    if x_T is None:
+        x_T = _transpose(x)
+    cross = float(np.sum(_product(x_T, ah, spmm) * b))
+    gram = (b.T @ b) @ (h.T @ (a.T @ a) @ h)
+    if x_sq is None:
+        x_sq = frobenius_sq(x)
+    return max(x_sq - 2.0 * cross + float(np.trace(gram)), 0.0)
+
+
+def reference_objective(
+    factors: FactorSet,
+    xp,
+    xu,
+    xr,
+    laplacian,
+    weights,
+    sf_prior=None,
+    su_prior=None,
+    su_prior_rows=None,
+    spmm=None,
+    gu_halo=None,
+    su_halo=None,
+    regularizers=(),
+    norms: tuple | None = None,
+    transposes: tuple | None = None,
+    **_ignored,
+) -> ObjectiveValue:
+    """:func:`~repro.core.objective.compute_objective` in its former
+    expansion, from the data matrices alone.
+
+    ``norms`` optionally supplies ``(‖Xp‖², ‖Xu‖², ‖Xr‖²)`` and
+    ``transposes`` ``(Xpᵀ, Xuᵀ)`` (the oracle loops build them once per
+    solve); other keyword arguments of ``compute_objective`` (its
+    ``cache``) are accepted and ignored.
+    """
+    xp_sq, xu_sq, xr_sq = norms if norms is not None else (None,) * 3
+    xp_T, xu_T = transposes if transposes is not None else (None, None)
+    lexicon_loss = 0.0
+    if sf_prior is not None and weights.alpha > 0:
+        diff = factors.sf - sf_prior
+        lexicon_loss = weights.alpha * float(np.sum(diff * diff))
+    graph_loss = 0.0
+    if weights.beta > 0:
+        penalty = graph_penalty(factors.su, laplacian, spmm=spmm)
+        if gu_halo is not None and su_halo is not None and gu_halo.nnz:
+            penalty -= float(
+                np.sum(factors.su * _product(gu_halo, su_halo, spmm))
+            )
+        graph_loss = weights.beta * penalty
+    temporal_loss = 0.0
+    if su_prior is not None and weights.gamma > 0:
+        rows = (
+            su_prior_rows
+            if su_prior_rows is not None
+            else np.arange(factors.su.shape[0])
+        )
+        diff = factors.su[rows] - su_prior
+        temporal_loss = weights.gamma * float(np.sum(diff * diff))
+    return ObjectiveValue(
+        tweet_loss=_reference_trifactor(
+            xp, factors.sp, factors.hp, factors.sf, xp_sq, xp_T, spmm
+        ),
+        user_loss=_reference_trifactor(
+            xu, factors.su, factors.hu, factors.sf, xu_sq, xu_T, spmm
+        ),
+        retweet_loss=bifactor_loss(
+            xr, factors.su, factors.sp, x_sq=xr_sq, spmm=spmm
+        ),
+        lexicon_loss=lexicon_loss,
+        graph_loss=graph_loss,
+        temporal_loss=temporal_loss,
+        regularizer_losses=tuple(
+            regularizer.objective(factors) for regularizer in regularizers
+        ),
+    )
+
+
+def objective_gap(value: ObjectiveValue, oracle: ObjectiveValue) -> float:
+    """Largest gap of any term of ``value`` from ``oracle``, relative to
+    the oracle's total (see :data:`OBJECTIVE_RTOL`)."""
+    terms = (
+        "tweet_loss", "user_loss", "retweet_loss", "lexicon_loss",
+        "graph_loss", "temporal_loss",
+    )
+    gaps = [abs(getattr(value, t) - getattr(oracle, t)) for t in terms]
+    gaps += [
+        abs(a - b)
+        for a, b in zip(value.regularizer_losses, oracle.regularizer_losses)
+    ]
+    return max(gaps) / max(abs(oracle.total), 1e-300)
+
+
+def assert_totals_close(totals, oracle_totals) -> None:
+    """Float64 objective traces equal to :data:`OBJECTIVE_RTOL` of the
+    oracle's."""
+    assert len(totals) == len(oracle_totals)
+    np.testing.assert_allclose(
+        totals, oracle_totals, rtol=OBJECTIVE_RTOL[np.dtype(np.float64)],
+        atol=0,
+    )
+
+
+def _oracle_objective(xp, xu, xr):
+    """:func:`reference_objective` over norms and CSR transposes built
+    once for one solve."""
+    norms = tuple(frobenius_sq(x) for x in (xp, xu, xr))
+    transposes = (_transpose(xp), _transpose(xu))
+
+    def evaluate(factors, laplacian, weights, **options):
+        return reference_objective(
+            factors, xp, xu, xr, laplacian, weights,
+            norms=norms, transposes=transposes, **options,
+        )
+
+    return evaluate
 
 
 class ReferenceOfflineTriClustering(OfflineTriClustering):
@@ -86,16 +234,13 @@ class ReferenceOfflineTriClustering(OfflineTriClustering):
         history = ConvergenceHistory()
         converged = False
         iterations_run = 0
-        statics = ObjectiveStatics.from_matrices(xp, xu, xr)
-        cache = SweepCache(
-            xp, xu, xr, xp_T=statics.xp_T, xu_T=statics.xu_T,
-            spmm=spmm_engine,
-        )
+        cache = SweepCache(xp, xu, xr, spmm=spmm_engine)
+        evaluate = _oracle_objective(xp, xu, xr)
 
         def objective():
-            return compute_objective(
-                factors, xp, xu, xr, laplacian, self.weights,
-                sf_prior=sf0, statics=statics, spmm=spmm_engine,
+            return evaluate(
+                factors, laplacian, self.weights,
+                sf_prior=sf0, spmm=spmm_engine,
             )
 
         for iteration in range(self.max_iterations):
@@ -166,19 +311,15 @@ class ReferenceOnlineTriClustering(OnlineTriClustering):
         history = ConvergenceHistory()
         converged = False
         iterations_run = 0
-        statics = ObjectiveStatics.from_matrices(xp, xu, xr)
-        cache = SweepCache(
-            xp, xu, xr, xp_T=statics.xp_T, xu_T=statics.xu_T,
-            spmm=spmm_engine,
-        )
+        cache = SweepCache(xp, xu, xr, spmm=spmm_engine)
+        evaluate = _oracle_objective(xp, xu, xr)
 
         def objective():
-            return compute_objective(
-                factors, xp, xu, xr, laplacian, self.weights,
+            return evaluate(
+                factors, laplacian, self.weights,
                 sf_prior=sf_prior,
                 su_prior=su_prior,
                 su_prior_rows=evolving_rows if su_prior is not None else None,
-                statics=statics,
                 spmm=spmm_engine,
             )
 
@@ -510,8 +651,8 @@ class ReferenceUnifiedTriClustering(UnifiedTriClustering):
         self, factors: FactorSet, xp, xu, xr, spmm=None
     ) -> tuple[float, dict[str, float]]:
         total = (
-            trifactor_loss(xp, factors.sp, factors.hp, factors.sf, spmm=spmm)
-            + trifactor_loss(xu, factors.su, factors.hu, factors.sf, spmm=spmm)
+            _reference_trifactor(xp, factors.sp, factors.hp, factors.sf, spmm=spmm)
+            + _reference_trifactor(xu, factors.su, factors.hu, factors.sf, spmm=spmm)
             + bifactor_loss(xr, factors.su, factors.sp, spmm=spmm)
         )
         values: dict[str, float] = {}

@@ -137,81 +137,84 @@ class TestComputeObjective:
         assert value.graph_loss == 0.0
 
 
-class TestObjectiveStatics:
-    """The precomputed-constants bundle must be bit-neutral: the plain
-    offline/online solvers now evaluate every sweep through it."""
+class TestObjectiveCache:
+    """One formula with or without the solve's sweep cache: products
+    and norms read from the cache change no bits of any term."""
 
-    def test_statics_path_bit_identical(self, setup):
-        from repro.core.objective import ObjectiveStatics
-
-        factors, xp, xu, xr, laplacian = setup
-        weights = ObjectiveWeights(alpha=0.1, beta=0.5, gamma=0.2)
-        sf_prior = np.full_like(factors.sf, 0.3)
-        statics = ObjectiveStatics.from_matrices(xp, xu, xr)
-        lazy = compute_objective(
-            factors, xp, xu, xr, laplacian, weights, sf_prior=sf_prior
-        )
-        bundled = compute_objective(
-            factors, xp, xu, xr, laplacian, weights, sf_prior=sf_prior,
-            statics=statics,
-        )
-        assert lazy == bundled  # frozen dataclass: exact field equality
-
-    def test_shared_grams_bit_identical(self, setup):
-        """Computing each factor gram once (or taking it from a sweep
-        cache that already holds it) changes no bits of any term."""
-        from repro.core.objective import ObjectiveStatics
+    def test_cached_path_bit_identical(self, setup):
         from repro.core.sweepcache import SweepCache
 
         factors, xp, xu, xr, laplacian = setup
         weights = ObjectiveWeights(alpha=0.1, beta=0.5, gamma=0.2)
         sf_prior = np.full_like(factors.sf, 0.3)
-        statics = ObjectiveStatics.from_matrices(xp, xu, xr)
-        # Every gram recomputed in place, term by term.
+        uncached = compute_objective(
+            factors, xp, xu, xr, laplacian, weights, sf_prior=sf_prior
+        )
+        cached = compute_objective(
+            factors, xp, xu, xr, laplacian, weights, sf_prior=sf_prior,
+            cache=SweepCache(xp, xu, xr),
+        )
+        assert uncached == cached  # frozen dataclass: exact field equality
+
+    def test_shared_products_bit_identical(self, setup):
+        """The losses read ``XᵀA``, ``Xr·Sp``, the grams and the norms
+        that the pass left in the cache; each term equals the expansion
+        ``‖X‖² − 2·⟨(XᵀA)·H, B⟩ + tr(BᵀB·HᵀAᵀAH)`` written out."""
+        from repro.core.sweepcache import SweepCache
+        from repro.utils.matrices import frobenius_sq
+
+        factors, xp, xu, xr, laplacian = setup
+        weights = ObjectiveWeights(alpha=0.1, beta=0.5, gamma=0.2)
+        sf_prior = np.full_like(factors.sf, 0.3)
         sf, spf, su, hp, hu = (
             factors.sf, factors.sp, factors.su, factors.hp, factors.hu
         )
         expected = (
             max(
-                statics.xp_sq
-                - 2.0 * float(np.sum((statics.xp_T @ (spf @ hp)) * sf))
+                frobenius_sq(xp)
+                - 2.0 * float(np.sum(((xp.T @ spf) @ hp) * sf))
                 + float(np.trace((sf.T @ sf) @ (hp.T @ (spf.T @ spf) @ hp))),
                 0.0,
             ),
             max(
-                statics.xu_sq
-                - 2.0 * float(np.sum((statics.xu_T @ (su @ hu)) * sf))
+                frobenius_sq(xu)
+                - 2.0 * float(np.sum(((xu.T @ su) @ hu) * sf))
                 + float(np.trace((sf.T @ sf) @ (hu.T @ (su.T @ su) @ hu))),
                 0.0,
             ),
             max(
-                statics.xr_sq
+                frobenius_sq(xr)
                 - 2.0 * float(np.sum((xr @ spf) * su))
                 + float(np.trace((su.T @ su) @ (spf.T @ spf))),
                 0.0,
             ),
         )
         cache = SweepCache(xp, xu, xr)
-        cache.gram("sp", spf)  # held over from an update rule
+        # Held over from the pass: a gram, the Sf contribution's two
+        # transpose products and the Su update's Xr·Sp.
+        cache.gram("sp", spf)
+        held = (cache.xp_T_sp(spf), cache.xu_T_su(su), cache.xr_sp(xr, spf))
+        misses = cache.misses
         for value in (
             compute_objective(
                 factors, xp, xu, xr, laplacian, weights, sf_prior=sf_prior,
-                statics=statics,
             ),
             compute_objective(
                 factors, xp, xu, xr, laplacian, weights, sf_prior=sf_prior,
-                statics=statics, cache=cache,
+                cache=cache,
             ),
         ):
             assert (
                 value.tweet_loss, value.user_loss, value.retweet_loss
             ) == expected
-        assert cache.hits == 1
+        assert cache.hits == 4  # the gram and the three products
+        assert cache.misses == misses + 2  # the sf and su grams
+        assert cache.xp_T_sp(spf) is held[0]
 
     def test_solver_history_matches_lazy_recomputation(self, graph):
         """A fitted trajectory's recorded objectives equal a from-scratch
-        lazy evaluation of the final factors (statics threading through
-        OfflineTriClustering changed no numbers)."""
+        uncached evaluation of the final factors (the products and norms
+        the solver reads from its sweep cache changed no numbers)."""
         from repro.core.offline import OfflineTriClustering
 
         result = OfflineTriClustering(seed=3, max_iterations=5).fit(graph)

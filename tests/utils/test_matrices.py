@@ -128,6 +128,30 @@ class TestFrobenius:
             frobenius_sq(dense)
         )
 
+    @pytest.mark.parametrize("fmt", ["csr", "csc", "coo"])
+    def test_duplicate_entries_are_summed_before_squaring(self, fmt):
+        """(0,1) is stored as 1 + 2: its square is 9, not 1 + 4."""
+        coo = sp.coo_matrix(
+            ([1.0, 2.0, 3.0], ([0, 0, 1], [1, 1, 2])), shape=(2, 3)
+        )
+        matrix = coo.asformat(fmt) if fmt == "coo" else sp.csr_matrix(
+            (coo.data, coo.col, [0, 2, 3]), shape=(2, 3)
+        ).asformat(fmt)
+        assert matrix.nnz == 3  # the duplicate is still stored twice
+        data = matrix.data.copy()
+        assert frobenius_sq(matrix) == 18.0
+        np.testing.assert_array_equal(matrix.data, data)  # input untouched
+
+    def test_sparse_is_bitwise_the_elementwise_square_sum(self, rng):
+        """Reading the data array changes no bit of the value."""
+        for seed in range(5):
+            matrix = sp.random(
+                300, 200, density=0.05, random_state=seed, format="csr"
+            )
+            assert frobenius_sq(matrix) == float(
+                matrix.multiply(matrix).sum()
+            )
+
     def test_residual_sparse_matches_dense(self, rng):
         x = rng.random((6, 5))
         x[x < 0.5] = 0.0
