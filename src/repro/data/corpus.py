@@ -40,6 +40,7 @@ class TweetCorpus:
         self._user_ids = sorted(self.users)
         self._user_index = {uid: i for i, uid in enumerate(self._user_ids)}
         self._author_rows: np.ndarray | None = None
+        self._source_rows: np.ndarray | None = None
 
     # ------------------------------------------------------------------ #
     # Sizes and index mappings
@@ -76,14 +77,27 @@ class TweetCorpus:
         dict-lookup loop is measurable where the array is not.
         """
         if self._author_rows is None:
-            rows = np.fromiter(
-                (self._user_index[t.user_id] for t in self.tweets),
-                dtype=np.int64,
-                count=len(self.tweets),
+            index = self._user_index
+            self._author_rows = _row_array(
+                (index[t.user_id] for t in self.tweets), len(self.tweets)
             )
-            rows.flags.writeable = False
-            self._author_rows = rows
         return self._author_rows
+
+    @property
+    def source_rows(self) -> np.ndarray:
+        """Each tweet's retweet-source tweet row, one int64 entry per tweet.
+
+        ``-1`` for an original tweet and for a retweet whose source is
+        outside this corpus.  Cached and read-only, like
+        :attr:`author_rows`.
+        """
+        if self._source_rows is None:
+            index = self._tweet_index
+            self._source_rows = _row_array(
+                (index.get(t.retweet_of, -1) for t in self.tweets),
+                len(self.tweets),
+            )
+        return self._source_rows
 
     def __len__(self) -> int:
         return len(self.tweets)
@@ -254,6 +268,13 @@ class TweetCorpus:
             users=users,
             name=f"{self.name}+{other.name}",
         )
+
+
+def _row_array(rows: Iterable[int], count: int) -> np.ndarray:
+    """A read-only int64 array of the ``count`` ``rows``."""
+    array = np.fromiter(rows, dtype=np.int64, count=count)
+    array.flags.writeable = False
+    return array
 
 
 def concatenate_corpora(corpora: Sequence[TweetCorpus], name: str) -> TweetCorpus:

@@ -40,21 +40,17 @@ def build_user_tweet_matrix(
     A retweet entry in the corpus is itself a tweet row; additionally the
     retweeting user is connected to the *source* tweet row, which is what
     makes ``Xr`` denser than a pure authorship matrix and couples users
-    through shared content.
+    through shared content.  Assembled from the corpus' author and
+    source row arrays.
     """
-    rows: list[int] = []
-    cols: list[int] = []
-    for tweet in corpus.tweets:
-        rows.append(corpus.user_position(tweet.user_id))
-        cols.append(corpus.tweet_position(tweet.tweet_id))
-        if include_retweets and tweet.retweet_of is not None:
-            try:
-                source_col = corpus.tweet_position(tweet.retweet_of)
-            except KeyError:
-                continue  # source outside this window
-            rows.append(corpus.user_position(tweet.user_id))
-            cols.append(source_col)
-    data = np.ones(len(rows), dtype=np.float64)
+    rows = corpus.author_rows
+    cols = np.arange(corpus.num_tweets, dtype=np.int64)
+    if include_retweets:
+        sources = corpus.source_rows
+        retweets = sources >= 0  # sources outside the corpus drop out
+        rows = np.concatenate([rows, rows[retweets]])
+        cols = np.concatenate([cols, sources[retweets]])
+    data = np.ones(rows.shape[0], dtype=np.float64)
     matrix = sp.csr_matrix(
         (data, (rows, cols)),
         shape=(corpus.num_users, corpus.num_tweets),

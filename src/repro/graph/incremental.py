@@ -2,28 +2,34 @@
 
 :func:`~repro.graph.tripartite.build_tripartite_graph` rebuilds
 everything per snapshot: it re-tokenizes every text inside
-``vectorizer.transform`` and assembles ``Xr``/``Gu`` through per-edge
-Python loops and dictionary lookups.  That is fine for one offline fit
-but wasteful on a stream, where the same work is repeated for every
+``vectorizer.transform``.  That is fine for one offline fit but
+wasteful on a stream, where the same work is repeated for every
 snapshot and — when the caller also slices snapshots out of a full
 corpus with ``TweetCorpus.window`` — each step additionally scans the
 entire history.
 
 :class:`IncrementalTripartiteBuilder` restructures construction around
-per-snapshot deltas:
+per-snapshot deltas, and makes one pass over each tweet:
 
-- ``ingest(tweets)`` tokenizes each tweet **exactly once**, growing the
-  shared vocabulary in place (append-only ids, so feature columns stay
-  aligned across snapshots) and buffering per-tweet feature counts as
-  COO fragments;
-- ``build_snapshot()`` assembles ``Xp``/``Xr``/``Gu`` from the buffered
-  fragments with a single COO→CSR conversion each, derives
+- ``ingest(tweets)`` tokenizes each distinct text once (a bounded memo
+  serves retweets, which repeat their source's text), then interns and
+  counts the whole batch in one
+  :meth:`~repro.text.vocabulary.Vocabulary.add_documents` call.  That
+  call grows the shared vocabulary in place (append-only ids, so
+  feature columns stay aligned across snapshots), updates its term and
+  document frequencies, and returns the batch's count rows, which are
+  buffered as flat arrays;
+- ``build_snapshot()`` concatenates the buffered rows into ``Xp``,
+  assembles ``Xr`` and ``Gu`` from the snapshot corpus' author and
+  source row arrays (the same functions the offline path uses), derives
   ``Xu = Xr·Xp`` and the lexicon prior ``Sf0``, and emits a regular
   :class:`~repro.graph.tripartite.TripartiteGraph` that the online
   solver consumes unchanged.
 
-Per-step *time* is proportional to the size of the delta, not the
-length of the history.  Memory is not entirely flat: the builder keeps
+No stage loops over tokens or edges in Python, apart from the
+tokenizer itself and one dictionary lookup per token.  Per-step *time*
+is proportional to the size of the delta, not the length of the
+history.  Memory is not entirely flat: the builder keeps
 ``O(distinct users)`` profiles and an ``O(tweets ever ingested)``
 tweet-id → author map (needed to resolve retweets of earlier snapshots'
 tweets); the tokenization memo, by contrast, is bounded.
@@ -31,7 +37,6 @@ tweets); the tokenization memo, by contrast, is bounded.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Iterable
 
 import numpy as np
@@ -44,7 +49,7 @@ from repro.graph.bipartite import (
     build_user_tweet_matrix,
 )
 from repro.graph.tripartite import TripartiteGraph
-from repro.graph.usergraph import UserGraph, assemble_adjacency
+from repro.graph.usergraph import build_user_graph
 from repro.text.lexicon import SentimentLexicon, build_sf0_rows
 from repro.text.vectorizer import CountVectorizer, TfidfVectorizer
 
@@ -94,7 +99,8 @@ class IncrementalTripartiteBuilder:
         self._analyzer = self.vectorizer.analyzer
 
         self._pending: list[Tweet] = []
-        self._pending_counts: list[Counter[int]] = []
+        # One (lengths, ids, counts) CSR fragment per ingest call.
+        self._pending_counts: list[tuple[np.ndarray, ...]] = []
         self._profiles: dict[int, UserProfile] = {}
         self._author_of: dict[int, int] = {}  # all ingested tweets
         self._last_seen: dict[int, int] = {}  # uid -> last active snapshot
@@ -113,28 +119,33 @@ class IncrementalTripartiteBuilder:
     ) -> int:
         """Buffer ``tweets`` for the next snapshot; returns pending count.
 
-        Each text is tokenized here, once: the resulting feature ids
-        both grow the shared vocabulary and become the tweet's buffered
-        ``Xp`` row.  Unknown users get synthesized unlabeled profiles
-        (matching :meth:`TweetCorpus.from_tweets`); pass ``users`` to
-        attach ground-truth profiles for evaluation.
+        Each distinct text is tokenized here, once, and the batch's
+        feature ids both grow the shared vocabulary and become the
+        tweets' buffered ``Xp`` rows.  Unknown users get synthesized
+        unlabeled profiles (matching :meth:`TweetCorpus.from_tweets`);
+        pass ``users`` to attach ground-truth profiles for evaluation.
+        Nothing is buffered when a text fails to tokenize.
         """
         vocabulary = self.vectorizer.vocabulary
         assert vocabulary is not None
+        tweets = list(tweets)
+        memo = self._token_memo
+        documents = []
+        for tweet in tweets:
+            tokens = memo.get(tweet.text)
+            if tokens is None:
+                tokens = self._analyzer(tweet.text)
+                if len(memo) >= _TOKEN_MEMO_LIMIT:
+                    memo.clear()
+                memo[tweet.text] = tokens
+            documents.append(tokens)
         if vocabulary.frozen:
             vocabulary.thaw()
+        self._pending_counts.append(vocabulary.add_documents(documents))
+        self._pending.extend(tweets)
         for profile in users or ():
             self._profiles[profile.user_id] = profile
         for tweet in tweets:
-            tokens = self._token_memo.get(tweet.text)
-            if tokens is None:
-                tokens = self._analyzer(tweet.text)
-                if len(self._token_memo) >= _TOKEN_MEMO_LIMIT:
-                    self._token_memo.clear()
-                self._token_memo[tweet.text] = tokens
-            ids = vocabulary.add_document(tokens)
-            self._pending.append(tweet)
-            self._pending_counts.append(Counter(ids))
             self._author_of[tweet.tweet_id] = tweet.user_id
             if tweet.user_id not in self._profiles:
                 self._profiles[tweet.user_id] = UserProfile(
@@ -227,19 +238,17 @@ class IncrementalTripartiteBuilder:
         vocabulary = self.vectorizer.vocabulary
         assert vocabulary is not None
 
-        tweets = self._pending
-        counts = self._pending_counts
-        corpus = self._snapshot_corpus(tweets, name)
+        corpus = self._snapshot_corpus(self._pending, name)
 
         if isinstance(self.vectorizer, TfidfVectorizer):
             # idf drifts as the vocabulary and document count grow; refresh
             # once per snapshot so Xp weighting and classify()-time
             # transforms use the same statistics.
             self.vectorizer.refresh_idf()
-        xp = self._build_xp(tweets, counts, corpus)
+        xp = self._build_xp()
         xr = build_user_tweet_matrix(corpus)
         xu = build_user_feature_matrix(xp, xr)
-        user_graph = self._build_user_graph(tweets, corpus)
+        user_graph = build_user_graph(corpus)
 
         sf0 = None
         if self.lexicon is not None:
@@ -313,51 +322,16 @@ class IncrementalTripartiteBuilder:
             name=name or f"snapshot{self._snapshots_built}",
         )
 
-    def _build_xp(
-        self,
-        tweets: list[Tweet],
-        counts: list[Counter[int]],
-        corpus: TweetCorpus,
-    ) -> sp.csr_matrix:
-        """``Xp`` from the buffered count fragments — one CSR conversion."""
-        indptr = np.zeros(len(tweets) + 1, dtype=np.int64)
-        nnz = sum(len(c) for c in counts)
-        indices = np.empty(nnz, dtype=np.int32)
-        data = np.empty(nnz, dtype=np.float64)
-        cursor = 0
-        for row, tweet_counts in enumerate(counts):
-            for feature_id in sorted(tweet_counts):
-                indices[cursor] = feature_id
-                data[cursor] = float(tweet_counts[feature_id])
-                cursor += 1
-            indptr[row + 1] = cursor
+    def _build_xp(self) -> sp.csr_matrix:
+        """``Xp`` from the buffered count fragments — one concatenation."""
+        lengths, ids, counts = (
+            np.concatenate(parts) for parts in zip(*self._pending_counts)
+        )
+        indptr = np.zeros(lengths.shape[0] + 1, dtype=np.int64)
+        np.cumsum(lengths, out=indptr[1:])
         raw = sp.csr_matrix(
-            (data, indices, indptr),
-            shape=(len(tweets), self.num_features),
+            (counts.astype(np.float64), ids.astype(np.int32), indptr),
+            shape=(lengths.shape[0], self.num_features),
             dtype=np.float64,
         )
         return self.vectorizer.transform_counts(raw)
-
-    def _build_user_graph(
-        self, tweets: list[Tweet], corpus: TweetCorpus
-    ) -> UserGraph:
-        """``Gu`` from the snapshot's retweet edges (same-snapshot sources).
-
-        Both users of every edge posted in this snapshot, so both are
-        rows of ``corpus``.
-        """
-        author_of = {t.tweet_id: t.user_id for t in tweets}
-        pairs: list[tuple[int, int]] = []
-        for tweet in tweets:
-            author = author_of.get(tweet.retweet_of)
-            if author is None or author == tweet.user_id:
-                continue
-            pairs.append(
-                (
-                    corpus.user_position(tweet.user_id),
-                    corpus.user_position(author),
-                )
-            )
-        return UserGraph(
-            adjacency=assemble_adjacency(pairs, corpus.num_users)
-        )

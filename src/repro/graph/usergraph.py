@@ -8,7 +8,6 @@ sentiment disagreement between retweet-connected users.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 import networkx as nx
@@ -58,25 +57,26 @@ class UserGraph:
 
 
 def assemble_adjacency(
-    pairs: Iterable[tuple[int, int]], size: int
+    rows: np.ndarray, cols: np.ndarray, size: int
 ) -> sp.csr_matrix:
     """Symmetric, zero-diagonal weighted adjacency from interaction pairs.
 
-    Each ``(i, j)`` pair contributes weight 1 in both directions; weights
-    accumulate over repeated pairs.  Shared by the offline corpus builder
-    and the incremental streaming builder so the ``Gu`` invariants
-    (symmetry, zero diagonal, count weights) live in one place.
+    Each pair ``(rows[e], cols[e])`` contributes weight 1 in both
+    directions; weights accumulate over repeated pairs and pairs on the
+    diagonal are dropped.  Shared by the offline corpus builder and the
+    incremental streaming builder so the ``Gu`` invariants (symmetry,
+    zero diagonal, count weights) live in one place.
     """
-    rows: list[int] = []
-    cols: list[int] = []
-    for i, j in pairs:
-        rows.extend((i, j))
-        cols.extend((j, i))
-    data = np.ones(len(rows), dtype=np.float64)
-    adjacency = sp.csr_matrix((data, (rows, cols)), shape=(size, size))
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    off_diagonal = rows != cols
+    rows, cols = rows[off_diagonal], cols[off_diagonal]
+    data = np.ones(2 * rows.shape[0], dtype=np.float64)
+    adjacency = sp.csr_matrix(
+        (data, (np.concatenate([rows, cols]), np.concatenate([cols, rows]))),
+        shape=(size, size),
+    )
     adjacency.sum_duplicates()
-    adjacency.setdiag(0.0)
-    adjacency.eliminate_zeros()
     return adjacency
 
 
@@ -86,15 +86,14 @@ def build_user_graph(corpus: TweetCorpus) -> UserGraph:
     Every retweet contributes weight 1 between the retweeting user and the
     author of the source tweet; weights accumulate over repeated
     interactions and the matrix is symmetrized.  Self-retweets are ignored
-    (they carry no cross-user sentiment signal).
+    (they carry no cross-user sentiment signal), and so are retweets
+    whose source is outside the corpus.
     """
-    author_of = {t.tweet_id: t.user_id for t in corpus.tweets}
-    pairs: list[tuple[int, int]] = []
-    for retweeter, source_tweet in corpus.retweet_edges():
-        author = author_of.get(source_tweet)
-        if author is None or author == retweeter:
-            continue
-        pairs.append(
-            (corpus.user_position(retweeter), corpus.user_position(author))
+    sources = corpus.source_rows
+    retweets = np.flatnonzero(sources >= 0)
+    authors = corpus.author_rows
+    return UserGraph(
+        adjacency=assemble_adjacency(
+            authors[retweets], authors[sources[retweets]], corpus.num_users
         )
-    return UserGraph(adjacency=assemble_adjacency(pairs, corpus.num_users))
+    )

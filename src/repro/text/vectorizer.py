@@ -63,8 +63,7 @@ class CountVectorizer:
             self._fitted = True
             return self
         vocab = Vocabulary()
-        for document in documents:
-            vocab.add_document(self.analyzer(document))
+        vocab.add_documents([self.analyzer(document) for document in documents])
         needs_pruning = (
             self.min_document_frequency > 1
             or self.max_document_ratio < 1.0
@@ -99,8 +98,9 @@ class CountVectorizer:
             self.vocabulary = Vocabulary()
         if self.vocabulary.frozen:
             self.vocabulary.thaw()
-        for document in documents:
-            self.vocabulary.add_document(self.analyzer(document))
+        self.vocabulary.add_documents(
+            [self.analyzer(document) for document in documents]
+        )
         self._fitted = True
         return self
 

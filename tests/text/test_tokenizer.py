@@ -130,3 +130,56 @@ class TestProperties:
     def test_tokens_contain_no_whitespace(self, text):
         for token in tokenize(text):
             assert " " not in token
+
+
+class TestCasePreserving:
+    """``lowercase=False`` keeps the original case and nothing else moves."""
+
+    def test_mixed_case_tweet(self):
+        tokenizer = TweetTokenizer(lowercase=False)
+        text = "Good Morning CALIFORNIA voters, NOT happy :) #YesOn30 @Bob"
+        assert tokenizer(text) == [
+            "Good", "Morning", "CALIFORNIA", "voters", "NOT",
+            f"happy{NEGATION_SUFFIX}", f"YesOn30{NEGATION_SUFFIX}", "emo_smile",
+        ]
+
+    def test_negation_and_emoticon_ignore_case(self):
+        tokenizer = TweetTokenizer(lowercase=False)
+        assert tokenizer("Not GOOD :D") == [
+            "Not", f"GOOD{NEGATION_SUFFIX}", "emo_laugh",
+        ]
+
+    def test_elongation_ignores_case(self):
+        tokenizer = TweetTokenizer(lowercase=False)
+        assert tokenizer("sOOOo GooD") == ["sOO", "GooD"]
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from(
+                    ["NOT", "Don't", ":D", ":-D", "<3", "#Yes", "@Bob", "HTTP://X",
+                     "WWW.", "OOO", "Aaa", "İ", "K", " ", ",", "'", "_"]
+                ),
+                st.characters(),
+            ),
+            max_size=30,
+        ).map("".join),
+        st.fixed_dictionaries(
+            {
+                "strip_urls": st.booleans(),
+                "keep_mentions": st.booleans(),
+                "keep_hashtags": st.booleans(),
+                "mark_negation": st.booleans(),
+                "squash_elongation": st.booleans(),
+                "min_token_length": st.integers(0, 3),
+            }
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_case_folds_to_the_lowercase_tokens(self, text, options):
+        cased = TweetTokenizer(lowercase=False, **options)(text)
+        lowered = TweetTokenizer(lowercase=True, **options)(text)
+        assert [t.lower() for t in cased] == [t.lower() for t in lowered]
+        assert [t.endswith(NEGATION_SUFFIX) for t in cased] == [
+            t.endswith(NEGATION_SUFFIX) for t in lowered
+        ] or "_neg" in text.lower()
