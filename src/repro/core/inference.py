@@ -94,10 +94,9 @@ def infer_tweet_memberships(
         reduction is the dominant cost of small-batch fold-in.
     spmm:
         Optional :class:`~repro.core.spmm.SpmmEngine` for the
-        ``X·Sf``-shaped sparse·dense attraction product.  Engines are
-        float64 bit-identical, so results never depend on the choice —
-        it only lets the serving layer's ``spmm=`` knob accelerate
-        classify traffic.  Defaults to the scipy reference.
+        ``X·Sf``-shaped sparse·dense attraction product, so an engine
+        instance given to the serving layer sees classify traffic too.
+        Defaults to the default engine.
 
     Returns row-normalized memberships, shape ``(rows, k)``.
     """
@@ -153,8 +152,7 @@ def infer_user_memberships(
         deterministic interior point, so results never depend on it.
     spmm:
         Optional :class:`~repro.core.spmm.SpmmEngine` for the sparse
-        attraction products (bit-identical across engines; defaults to
-        the scipy reference).
+        attraction products (defaults to the default engine).
     """
     if xu_new.shape[1] != factors.num_features:
         raise ValueError(

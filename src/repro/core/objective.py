@@ -187,9 +187,8 @@ def compute_objective(
         Online only: decayed user history ``Suw(t)`` and the row indices
         (evolving users) it constrains.  ``None`` drops the γ term.
     spmm:
-        Optional :class:`~repro.core.spmm.SpmmEngine` for the sparse
-        products the evaluation forms itself (float64 bit-identical,
-        speed-only).
+        Optional :class:`~repro.core.spmm.SpmmEngine` (or instance
+        probe) for the sparse products the evaluation forms itself.
     gu_halo, su_halo:
         Sharded cut-edge remainder: the halo CSR block and the
         exchanged neighbour ``Su`` rows.  The graph term becomes

@@ -86,24 +86,20 @@ class OfflineTriClustering:
     track_history:
         Record per-iteration losses (needed for Figure 8; small cost).
     kernel:
-        ``"auto"`` (numba when importable, NumPy otherwise), ``"numpy"``,
-        ``"numba"``, or a :class:`~repro.core.kernels.Kernel` instance.
-        Kernels are bit-compatible in float64, so this affects speed only.
+        ``"auto"`` or ``"numpy"`` (the one fused-tail kernel), or a
+        :class:`~repro.core.kernels.Kernel` instance such as a timing
+        probe.
     dtype:
         ``"float64"`` (default, bit-identity guarantees) or ``"float32"``
         (opt-in bandwidth-saving mode; results track float64 within a
         documented tolerance — see ``tests/core/test_kernels.py``).
     spmm:
-        Sparse·dense product engine: ``"auto"`` (numba when importable,
-        scipy otherwise), ``"scipy"``, ``"numba"``, or an
-        :class:`~repro.core.spmm.SpmmEngine` instance.  Engines are
-        float64 bit-identical (see :mod:`repro.core.spmm`), so this
-        affects speed only.
+        Sparse·dense product engine: ``"auto"`` or ``"scipy"`` (the one
+        engine), or an :class:`~repro.core.spmm.SpmmEngine` instance
+        such as a timing probe — see :mod:`repro.core.spmm`.
     spmm_threads:
-        Thread budget for the parallel spmm engines and the numba kernel
-        tails; ``None`` uses the process default (a socket worker's
-        budget, else the affinity core count — see
-        :func:`repro.utils.threads.spmm_thread_default`).
+        Must be ``None``: accepted so ``asdict(SolverConfig())`` still
+        splats into the constructor (see :mod:`repro.core.spmm`).
     n_shards:
         User partitions; 1 (default) solves the whole graph as one
         shard.  ``"auto"`` re-resolves per solve from the user count
@@ -164,7 +160,6 @@ class OfflineTriClustering:
         validate_spmm(spmm)
         validate_spmm_threads(spmm_threads)
         self.spmm = spmm
-        self.spmm_threads = spmm_threads
         self.workers = validate_sharding(
             n_shards, max_workers, backend, workers
         )
@@ -236,7 +231,7 @@ class OfflineTriClustering:
         plan = SweepPlan.for_solver(self, graph)
         with plan.open(
             factors, kernel=self.kernel, spmm=self.spmm,
-            spmm_threads=self.spmm_threads, regularizers=self.regularizers,
+            regularizers=self.regularizers,
         ) as solver:
             history, converged, iterations = solver.solve_offline(
                 self.weights,

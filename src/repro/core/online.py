@@ -114,9 +114,9 @@ class OnlineTriClustering:
         :class:`~repro.core.offline.OfflineTriClustering` and
         :mod:`repro.core.kernels`.
     spmm / spmm_threads:
-        Sparse·dense product engine and its thread budget; see
-        :class:`~repro.core.offline.OfflineTriClustering` and
-        :mod:`repro.core.spmm` (float64 bit-identical, speed-only).
+        Sparse·dense product engine and the removed thread budget
+        (``None`` only); see
+        :class:`~repro.core.offline.OfflineTriClustering`.
     n_shards / max_workers / backend / workers:
         Sharding settings; see
         :class:`~repro.core.offline.OfflineTriClustering`.  On the
@@ -174,7 +174,6 @@ class OnlineTriClustering:
         validate_spmm(spmm)
         validate_spmm_threads(spmm_threads)
         self.spmm = spmm
-        self.spmm_threads = spmm_threads
         self.workers = validate_sharding(
             n_shards, max_workers, backend, workers
         )
@@ -420,7 +419,6 @@ class OnlineTriClustering:
         with plan.open(
             factors, su_prior=su_prior, evolving_rows=evolving_rows,
             kernel=self.kernel, spmm=self.spmm,
-            spmm_threads=self.spmm_threads,
         ) as solver:
             history, converged, iterations = solver.solve_online(
                 self.weights,

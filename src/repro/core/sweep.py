@@ -46,10 +46,10 @@ module-level *command* run against shard state held by the
 :class:`~repro.utils.executor.WorkerPool` (``backend="serial"|"thread"|
 "socket"``).  States are scattered **once per solve**; socket workers
 (worker processes over TCP, local or remote) receive compact
-:meth:`~repro.graph.partition.ShardBlock.to_payload` CSR pieces plus
-*names* of the kernel and spmm engine (``"scipy"`` or ``"numba"``,
-pinned by the coordinator, so ``"auto"`` resolves once), while
-in-process states keep the resolved kernel and engine *instances*.
+:meth:`~repro.graph.partition.ShardBlock.to_payload` CSR pieces and
+sweep with the default kernel and spmm engine, while in-process states
+keep the solver's resolved kernel and engine *instances*, so an
+instance probe sees every in-process call.
 ``Sf`` itself is a version-keyed *shared resident*
 (:meth:`~repro.utils.executor.WorkerPool.share`): the full matrix is
 broadcast exactly once per solve, and each sweep then runs a **single
@@ -74,10 +74,10 @@ from functools import partial
 import numpy as np
 
 from repro.core.convergence import ConvergenceHistory
-from repro.core.kernels import Kernel, get_kernel, resolve_kernel, resolve_kernel_name
+from repro.core.kernels import Kernel, default_kernel, resolve_kernel
 from repro.core.objective import ObjectiveValue, ObjectiveWeights, compute_objective
 from repro.core.regularizers import Regularizer, stack_terms
-from repro.core.spmm import SpmmEngine, get_spmm, resolve_spmm, resolve_spmm_name
+from repro.core.spmm import SpmmEngine, default_spmm, resolve_spmm
 from repro.core.state import FactorSet
 from repro.core.sweepcache import SweepCache
 from repro.core.updates import (
@@ -102,7 +102,6 @@ from repro.utils.executor import (
     validate_backend,
 )
 from repro.utils.matrices import safe_sqrt_ratio
-from repro.utils.threads import affinity_core_count
 from repro.utils.transport import validate_workers
 
 #: Iterations of the global Eq. (12)/(13) updates used to distill one
@@ -129,10 +128,6 @@ class _ShardState:
     cache: SweepCache
     #: The resolved sweep kernel (resolved once per solve).
     kernel: Kernel
-    #: Thread budget the kernel and engine were resolved with; shipped
-    #: with their names so a worker resolves the same pair locally
-    #: (``None`` defers to the worker's installed fair-share default).
-    threads: int | None = None
     su_prior: np.ndarray | None = None
     evolving_rows: np.ndarray | None = None
     #: Exchanged neighbour ``Su`` rows aligned with the block's halo
@@ -165,9 +160,8 @@ class _ShardState:
 def _shard_state_payload(state: _ShardState) -> tuple:
     """Compact once-per-scatter shipping form of a shard state.
 
-    Kernel and engine travel as pinned names: instances hold thread
-    pools / compiled functions and never cross the pickle boundary, so
-    an unregistered instance ships as its reference implementation.
+    Kernel and engine stay behind: the worker sweeps with the default
+    pair, which computes the bits of any instance the solver holds.
     """
     return (
         state.block.to_payload(),
@@ -177,18 +171,12 @@ def _shard_state_payload(state: _ShardState) -> tuple:
         state.hu,
         state.su_prior,
         state.evolving_rows,
-        resolve_kernel_name(state.kernel),
-        resolve_spmm_name(state.cache.spmm),
-        state.threads,
         state.su_halo,
     )
 
 
 def _shard_state_from_payload(payload: tuple) -> _ShardState:
-    (
-        block_payload, sp, su, hp, hu, su_prior, evolving_rows, kernel,
-        spmm, threads, su_halo,
-    ) = payload
+    block_payload, sp, su, hp, hu, su_prior, evolving_rows, su_halo = payload
     block = ShardBlock.from_payload(block_payload)
     return _ShardState(
         block=block,
@@ -196,9 +184,8 @@ def _shard_state_from_payload(payload: tuple) -> _ShardState:
         su=su,
         hp=hp,
         hu=hu,
-        cache=_shard_cache(block, get_spmm(spmm, threads)),
-        kernel=get_kernel(kernel, threads=threads),
-        threads=threads,
+        cache=_shard_cache(block, default_spmm()),
+        kernel=default_kernel(),
         su_prior=su_prior,
         evolving_rows=evolving_rows,
         su_halo=su_halo,
@@ -339,8 +326,7 @@ def _shared_sf_step(
     total: np.ndarray,
     sf_prior,
     alpha: float,
-    kernel: Kernel | str,
-    threads: int | None,
+    kernel: Kernel | None,
     regularizers: Sequence[Regularizer],
 ) -> np.ndarray:
     """Versioned-resident ``Sf`` step: advance a holder's copy.
@@ -348,13 +334,10 @@ def _shared_sf_step(
     Run identically on the coordinator's mirror and on every worker
     holding the ``"sf"`` shared resident, so only the reduced ``l×k``
     contribution crosses the wire per sweep — never ``Sf`` itself.
-    Out-of-process holders receive the kernel's pinned name and resolve
-    it locally; the tails are bit-identical across implementations and
-    thread budgets, so every holder lands on the same bits.
+    Out-of-process holders receive ``kernel=None`` and use the default
+    kernel, so every holder lands on the same bits.
     ``regularizers`` is the solve's stack; its ``Sf`` terms join the step.
     """
-    if isinstance(kernel, str):
-        kernel = get_kernel(kernel, threads=threads)
     return apply_sf_update(
         sf, total, sf_prior, alpha, kernel=kernel,
         regularization=stack_terms(regularizers, "sf", _factor_view(sf, None)),
@@ -509,8 +492,8 @@ class ShardedSolver:
     ``kernel``/``spmm`` take a name (``"auto"`` included) or an
     instance and are resolved once here.  In-process states use the
     resolved instances, so a custom :class:`~repro.core.kernels.Kernel`
-    or :class:`~repro.core.spmm.SpmmEngine` sees every call; the
-    out-of-process payload pins their names instead.
+    or :class:`~repro.core.spmm.SpmmEngine` sees every call; socket
+    workers use the default pair.
     """
 
     def __init__(
@@ -522,38 +505,17 @@ class ShardedSolver:
         evolving_rows: np.ndarray | None = None,
         kernel: object = "numpy",
         spmm: object = "scipy",
-        spmm_threads: int | None = None,
         regularizers: Sequence[Regularizer] = (),
     ) -> None:
-        if (
-            spmm_threads is None
-            # repro-lint: disable=REP006 -- fair-share thread budget applies
-            # only to the in-process thread backend; pool.backend was
-            # validated by WorkerPool.
-            and pool.backend == "thread"
-            and pool.max_workers is not None
-            and pool.max_workers > 1
-        ):
-            # Thread-backend shards share this process: give each
-            # concurrently running shard its fair share of the cores so
-            # W shards × T spmm threads never oversubscribes.  (The
-            # serial backend keeps the full budget; socket workers
-            # install their own default at startup.)
-            concurrent = max(1, min(len(sharded.blocks), pool.max_workers))
-            spmm_threads = max(1, affinity_core_count() // concurrent)
-        resolved_kernel = resolve_kernel(kernel, threads=spmm_threads)
-        engine = resolve_spmm(spmm, spmm_threads)
+        resolved_kernel = resolve_kernel(kernel)
+        engine = resolve_spmm(spmm)
         # Out-of-process holders receive shared residents as tokens and
-        # the Sf step's kernel as its pinned name; in-process commands
+        # run the Sf step with the default kernel; in-process commands
         # take the mirror's arrays and the kernel instance directly.
         self._remote = pool.remote
         if regularizers and (self._remote or len(sharded.blocks) > 1):
             raise ValueError("a regularizer stack needs a one-shard in-process solve")
-        self._sf_kernel: Kernel | str = (
-            resolve_kernel_name(resolved_kernel) if self._remote
-            else resolved_kernel
-        )
-        self._kernel_threads = spmm_threads
+        self._sf_kernel = None if self._remote else resolved_kernel
         self._regularizers = tuple(regularizers)
         self.sharded = sharded
         self.pool = pool
@@ -612,7 +574,6 @@ class ShardedSolver:
                     hu=factors.hu.copy(),
                     cache=_shard_cache(block, engine),
                     kernel=resolved_kernel,
-                    threads=spmm_threads,
                     su_prior=shard_prior,
                     evolving_rows=shard_evolving,
                     su_halo=(
@@ -827,7 +788,6 @@ class ShardedSolver:
             self._shared_arg("sf_prior"),
             weights.alpha,
             self._sf_kernel,
-            self._kernel_threads,
             self._regularizers,
         )
 

@@ -31,25 +31,13 @@ A memoized array is shared by every reader of the same iterate, so no
 caller may write into one (none is ever the accumulator of
 :meth:`~repro.core.kernels.Kernel.accumulate`).
 
-Beyond the memo, the cache holds *per-solve* CSR materializations of
-the data-matrix transposes (``Xrᵀ``, ``Xpᵀ``, ``Xuᵀ``), built on first
-use.  The lazy ``.T`` view of a CSR matrix is CSC, and a CSC @ dense
-product scatters into its (potentially huge) output instead of
-streaming through it row by row; materializing the transpose as CSR
-makes every subsequent ``Xrᵀ·Su`` / ``Xpᵀ·Sp`` / ``Xuᵀ·Su`` product a
-sequential-write CSR product.  CSR-materializing a transpose changes
-neither the values nor the per-row accumulation order of those
-products, so results stay bitwise identical (tested).
-
-Which layout is *faster* depends on scale, so the transpose accessors
-apply a working-set policy (see :data:`TRANSPOSE_OPERAND_BUDGET`): the
-CSR form gathers random rows of its dense operand and wins only while
-that operand is cache-resident; once factors outgrow the cache, the CSC
-view wins — it streams the dense operand sequentially and scatters into
-an output that is itself small (``l×k`` or ``n×k`` against a much
-larger operand).  Above the budget the accessors return ``None`` and
-callers fall back to the lazy view.  Both paths being bitwise equal,
-the policy is purely a speed decision — it can never change a result.
+The cache also holds the transposed views ``Xpᵀ``, ``Xuᵀ`` and ``Xrᵀ``
+of the solve's data matrices, built once per solve.  A ``.T`` view is
+zero-copy: it shares ``data``/``indices``/``indptr`` with the matrix,
+so a transposed product (a CSC @ dense product when the matrix is CSR)
+costs no copy and no per-call view construction.  Its products equal
+those of a materialized CSR transpose bitwise, because each output
+element accumulates in the same row order either way (tested).
 
 A :class:`SweepCache` is keyed by *object identity* of the dependency
 factors.  Every update rule returns a freshly allocated array, so a
@@ -73,22 +61,6 @@ from repro.utils.matrices import frobenius_sq
 
 MatrixLike = np.ndarray | sp.spmatrix
 
-#: Per-column byte budget for the dense operand of a materialized-CSR
-#: transpose product (``Xpᵀ·Sp`` gathers rows of ``Sp``, ``Xrᵀ·Su`` and
-#: ``Xuᵀ·Su`` rows of ``Su``).  Measured on CPU: the CSR gather wins
-#: while ``operand_rows × itemsize`` stays within roughly one L2 of
-#: per-column footprint, and loses — by up to 2x at hundreds of
-#: thousands of rows — once the gathers turn into cache misses, where
-#: the lazy CSC scatter-into-small-output path streams instead.  The
-#: threshold is shape-and-itemsize deterministic, so every shard and
-#: backend of one problem makes the same (bitwise-neutral) choice.
-TRANSPOSE_OPERAND_BUDGET = 256 * 1024
-
-
-def _or_view(materialized: MatrixLike | None, x: MatrixLike) -> MatrixLike:
-    """A transpose accessor's answer, or the lazy ``.T`` view of ``x``."""
-    return x.T if materialized is None else materialized
-
 
 class SweepCache:
     """Identity-memoized shared products for one solver run.
@@ -98,18 +70,12 @@ class SweepCache:
     xp, xu:
         The (fixed) data matrices whose products are memoized.
     xr:
-        Optional user-tweet incidence matrix.  When provided, ``Xrᵀ`` is
-        materialized as CSR once per solve (see :meth:`xr_T`) so the
-        per-sweep ``Xrᵀ·Su`` products stream instead of scatter.  The
-        ``Xr·Sp`` product needs no help — ``Xr`` is already CSR.
+        Optional user-tweet incidence matrix, for the ``Xrᵀ·Su``
+        products of the ``Sp`` update (see :meth:`xr_T`).
     spmm:
         Optional :class:`~repro.core.spmm.SpmmEngine` that evaluates the
         sparse·dense products routed through :meth:`dot` (``None`` uses
-        the scipy reference engine).  Engines are bit-identical in
-        float64, so the choice is speed-only; an engine with
-        ``prefers_csr`` additionally overrides the transpose layout
-        policy (see :meth:`_materialize_wins`) because its row-parallel
-        fast path needs the materialized CSR form.
+        the default engine); an instance probe sees every product.
     """
 
     def __init__(
@@ -123,7 +89,8 @@ class SweepCache:
         self.xu = xu
         self.xr = xr
         self.spmm = spmm if spmm is not None else default_spmm()
-        self._transposes: dict[str, MatrixLike] = {}
+        self._xp_T, self._xu_T = xp.T, xu.T
+        self._xr_T = None if xr is None else xr.T
         self._memo: dict[str, tuple[tuple[np.ndarray, ...], np.ndarray]] = {}
         self._norms: list[tuple[MatrixLike, float]] = []
         self._hits = 0
@@ -132,10 +99,8 @@ class SweepCache:
     def dot(self, x: MatrixLike, dense: np.ndarray) -> np.ndarray:
         """``x @ dense`` through this cache's spmm engine.
 
-        The uncached-update call sites route their products here so one
-        solver-level knob selects the engine for every product of a
-        solve; engines are float64 bit-identical, so this never changes
-        a result.
+        The uncached-update call sites route their products here, so
+        the solve's engine evaluates every product of a sweep.
         """
         return self.spmm.matmul(x, dense)
 
@@ -186,14 +151,14 @@ class SweepCache:
         """``Xpᵀ·Sp`` — the ``Sf`` contribution's and the tweet loss's."""
         return self._get(
             "xp_T_sp", (sp_factor,),
-            lambda: self.dot(_or_view(self.xp_T(), self.xp), sp_factor),
+            lambda: self.dot(self._xp_T, sp_factor),
         )
 
     def xu_T_su(self, su: np.ndarray) -> np.ndarray:
         """``Xuᵀ·Su`` — the ``Sf`` contribution's and the user loss's."""
         return self._get(
             "xu_T_su", (su,),
-            lambda: self.dot(_or_view(self.xu_T(), self.xu), su),
+            lambda: self.dot(self._xu_T, su),
         )
 
     def xr_sp(self, xr: MatrixLike, sp_factor: np.ndarray) -> np.ndarray:
@@ -221,51 +186,20 @@ class SweepCache:
         return value
 
     # ------------------------------------------------------------------ #
-    # Per-solve CSR transposes (bitwise-equal to the lazy ``.T`` views)
+    # Per-solve transposed views (zero-copy)
     # ------------------------------------------------------------------ #
 
-    def _materialize_wins(self, operand_rows: int, itemsize: int) -> bool:
-        """Working-set policy behind the transpose accessors.
-
-        An spmm engine that ``prefers_csr`` overrides the budget: its
-        row-parallel fast path only engages on materialized CSR (a lazy
-        CSC view falls back to scipy's serial product), and the parallel
-        win dominates the gather-vs-stream trade the budget models.
-        Either layout is bitwise equal, so this stays speed-only.
-        """
-        if self.spmm.prefers_csr:
-            return True
-        return operand_rows * itemsize <= TRANSPOSE_OPERAND_BUDGET
-
-    def _transpose(self, name: str) -> MatrixLike | None:
-        """CSR-materialized transpose of data matrix ``name``, or
-        ``None`` to use the lazy view.
-
-        ``None`` means either the matrix is absent or the dense operand
-        of its transposed product (one row per matrix row) is past
-        :data:`TRANSPOSE_OPERAND_BUDGET`, where the lazy CSC view
-        streams it faster than the CSR gather; no copy is made then.
-        The two forms are bitwise interchangeable, so the choice is
-        speed-only.
-        """
-        x = getattr(self, name)
-        if x is None or not self._materialize_wins(x.shape[0], x.dtype.itemsize):
-            return None
-        if name not in self._transposes:
-            self._transposes[name] = x.T.tocsr() if sp.issparse(x) else x.T
-        return self._transposes[name]
-
     def xr_T(self) -> MatrixLike | None:
-        """``Xrᵀ`` for the ``Xrᵀ·Su`` product (see :meth:`_transpose`)."""
-        return self._transpose("xr")
+        """``Xrᵀ`` for the ``Xrᵀ·Su`` product, or ``None`` without ``xr``."""
+        return self._xr_T
 
-    def xp_T(self) -> MatrixLike | None:
-        """``Xpᵀ`` for the ``Xpᵀ·Sp`` product (see :meth:`_transpose`)."""
-        return self._transpose("xp")
+    def xp_T(self) -> MatrixLike:
+        """``Xpᵀ``, the view behind :meth:`xp_T_sp`."""
+        return self._xp_T
 
-    def xu_T(self) -> MatrixLike | None:
-        """``Xuᵀ`` for the ``Xuᵀ·Su`` product (see :meth:`_transpose`)."""
-        return self._transpose("xu")
+    def xu_T(self) -> MatrixLike:
+        """``Xuᵀ``, the view behind :meth:`xu_T_su`."""
+        return self._xu_T
 
     # ------------------------------------------------------------------ #
     # Dense grams

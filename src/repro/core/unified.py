@@ -60,7 +60,6 @@ class UnifiedTriClustering(OfflineTriClustering):
         seed: RandomState = None,
         kernel: object = "auto",
         spmm: object = "auto",
-        spmm_threads: int | None = None,
     ) -> None:
         super().__init__(
             num_classes=num_classes,
@@ -72,7 +71,6 @@ class UnifiedTriClustering(OfflineTriClustering):
             seed=seed,
             kernel=kernel,
             spmm=spmm,
-            spmm_threads=spmm_threads,
         )
         self.regularizers = list(regularizers)
 

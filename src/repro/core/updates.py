@@ -23,22 +23,18 @@ as ``S·(Sᵀ·N)`` so every update is ``O(nnz·k + rows·k²)``.
 Every rule accepts an optional :class:`~repro.core.sweepcache.SweepCache`;
 when provided, products whose inputs are unchanged since an earlier update
 in the same sweep (``Xp·Sf``, ``Xu·Sf``, the factor grams) are reused
-instead of recomputed, and CSR-materialized data-matrix transposes
-replace the lazy ``.T`` views in the ``Xrᵀ·Su`` / ``Xpᵀ·Sp`` / ``Xuᵀ·Su``
-products whenever the cache's working-set policy says the CSR layout
-wins (see :data:`repro.core.sweepcache.TRANSPOSE_OPERAND_BUDGET`).  The
-products the per-sweep objective reads again — ``Xr·Sp`` from the ``Su``
-update, ``Xpᵀ·Sp`` and ``Xuᵀ·Su`` from the ``Sf`` contribution — go
-into the cache's memo, and no rule writes into a memoized array.  The
-cached path evaluates the exact same expressions (CSR materialization
-preserves per-row accumulation order), so results are bit-identical to
-the uncached path either way.
+instead of recomputed, and the ``Xrᵀ·Su`` / ``Xpᵀ·Sp`` / ``Xuᵀ·Su``
+products use the cache's per-solve transposed views.  The products the
+per-sweep objective reads again — ``Xr·Sp`` from the ``Su`` update,
+``Xpᵀ·Sp`` and ``Xuᵀ·Su`` from the ``Sf`` contribution — go into the
+cache's memo, and no rule writes into a memoized array.  The cached path
+evaluates the exact same expressions, so results are bit-identical to
+the uncached path.
 
 Every rule also accepts an optional
-:class:`~repro.core.kernels.Kernel` that evaluates the fused element-wise
-tail ``S ∘ sqrt(max(num, 0)/max(den, EPS))``; when omitted, the NumPy
-kernel is used.  Kernels are bit-compatible with each other in float64
-(see :mod:`repro.core.kernels`), so this choice affects speed only.
+:class:`~repro.core.kernels.Kernel` instance that evaluates the fused
+element-wise tail ``S ∘ sqrt(max(num, 0)/max(den, EPS))``; when omitted,
+the default kernel is used.
 
 The ``Sp``, ``Su`` and ``Sf`` rules also take ``regularization``, the
 ``(numerator, denominator)`` additions of a Section 7 regularizer stack
@@ -72,9 +68,8 @@ def _cache_dot(
 ) -> np.ndarray:
     """``x @ dense`` through the cache's spmm engine when one is present.
 
-    Engines are float64 bit-identical (see :mod:`repro.core.spmm`), so
-    routing through the cache never changes a result — it only lets one
-    solver-level knob accelerate every product of a sweep.
+    Routing through the cache lets the solve's engine (or an instance
+    probe standing in for it) see every product of a sweep.
     """
     if cache is not None:
         return cache.dot(x, dense)
@@ -282,10 +277,8 @@ def sf_sweep_contribution(
     single block's contribution is the whole attraction.
 
     With a ``cache``, ``XuᵀSu``/``XpᵀSp`` come from its memo (through
-    its transpose layout policy and spmm engine), where the objective
-    of the same iterate reads them again; sparse products through a
-    CSR-materialized transpose accumulate in the same order as through
-    the lazy ``.T`` view, so the result is unchanged bitwise.
+    its transposed views and spmm engine), where the objective of the
+    same iterate reads them again; the result is unchanged bitwise.
     """
     if cache is not None:
         xu_su, xp_sp = cache.xu_T_su(su), cache.xp_T_sp(sp_factor)

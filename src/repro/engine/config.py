@@ -114,14 +114,23 @@ def _without_removed_fields(
     """``payload`` minus the removed options of ``section``.
 
     A removed option recorded at a value that still loads is dropped;
-    any other value raises ``ValueError`` naming the option.  Solver
-    sections recording the removed ``"threads"`` spmm engine load as
-    ``"scipy"``, and sharding sections recording the removed
-    ``"process"`` backend load as ``"thread"``: each computed the bits
-    of its replacement.
+    any other value raises ``ValueError`` naming the option.  Removed
+    values of surviving options load as their replacement, which
+    computed the same bits: a solver section's ``"threads"`` spmm
+    engine as ``"scipy"``, its ``"numba"`` kernel and engine as
+    ``"auto"`` and a positive ``spmm_threads`` as ``None``, and a
+    sharding section's ``"process"`` backend as ``"thread"``.
     """
-    if section == "solver" and payload.get("spmm") == "threads":
-        payload = {**payload, "spmm": "scipy"}
+    if section == "solver":
+        payload = {**payload}
+        if payload.get("spmm") == "threads":
+            payload["spmm"] = "scipy"
+        for name in ("kernel", "spmm"):
+            if payload.get(name) == "numba":
+                payload[name] = "auto"
+        threads = payload.get("spmm_threads")
+        if type(threads) is int and threads >= 1:
+            payload["spmm_threads"] = None
     if section == "sharding" and payload.get("backend") == "process":
         payload = {**payload, "backend": "thread"}
     removed = _REMOVED_FIELDS.get(section, {})
@@ -144,18 +153,16 @@ class SolverConfig:
     same defaults :class:`~repro.core.online.OnlineTriClustering` ships
     with — an all-default ``SolverConfig`` changes nothing.
 
-    ``kernel`` selects the fused sweep-kernel implementation
-    (``"auto"``/``"numpy"``/``"numba"``; configs accept names only, not
-    :class:`~repro.core.kernels.Kernel` instances, so they stay
-    serializable) and ``dtype`` the factor precision (``"float64"``
-    default, ``"float32"`` opt-in) — see :mod:`repro.core.kernels`.
-    ``spmm`` selects the sparse·dense product engine
-    (``"auto"``/``"scipy"``/``"numba"``, names only; the removed
-    ``"threads"`` engine is refused here, while old configs and
-    checkpoints that record it load as ``"scipy"``) and
-    ``spmm_threads`` its thread budget (``None`` = process default) —
-    see :mod:`repro.core.spmm`; engines are float64 bit-identical, so
-    both knobs are speed-only.
+    ``dtype`` is the factor precision (``"float64"`` default,
+    ``"float32"`` opt-in) — see :mod:`repro.core.kernels`.  ``kernel``
+    (``"auto"``/``"numpy"``), ``spmm`` (``"auto"``/``"scipy"``) and
+    ``spmm_threads`` (``None``) each have one behaviour since the numba
+    paths were removed.  They stay because the perfbench harness reads
+    them and splats ``asdict(SolverConfig())`` into the solvers.  The
+    removed values are refused here by name, while old configs and
+    checkpoints that record them load (see
+    :func:`_without_removed_fields`).  Configs hold names only, not
+    instances, so they stay serializable.
     """
 
     alpha: float = 0.9
@@ -168,10 +175,11 @@ class SolverConfig:
     patience: int = 3
     state_smoothing: float = 0.8
     track_history: bool = False
+    # kernel, spmm and spmm_threads: read by the perfbench harness.
     kernel: str = "auto"
     dtype: str = "float64"
     spmm: str = "auto"
-    spmm_threads: int | None = None
+    spmm_threads: None = None
 
     def __post_init__(self) -> None:
         for name in ("alpha", "beta", "gamma", "tolerance"):

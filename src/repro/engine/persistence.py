@@ -36,7 +36,10 @@ Not persisted (by design): pending un-snapshotted tweets (``save``
 refuses them — advance or discard first), the bounded tokenization
 memo, telemetry reports, and the classify LRU (recomputed on demand).
 Custom vectorizer analyzers cannot be serialized; engines using them
-are rejected with a clear error.
+are rejected with a clear error.  The :class:`~repro.text.tokenizer.
+TweetTokenizer` settings are persisted with the vectorizer, so a
+restarted engine tokenizes exactly as before; a checkpoint without them
+loads the default tokenizer, and an unknown setting is refused by name.
 
 The config loads through :meth:`~repro.engine.config.EngineConfig.
 from_dict`, so a checkpoint that records a removed option loads only
@@ -46,6 +49,7 @@ at the value every solve now runs and is refused otherwise.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -126,35 +130,73 @@ def _validate_solver(solver: OnlineTriClustering) -> str:
     return "sharded"
 
 
+#: The constructor settings of :class:`TweetTokenizer` (its derived
+#: tables are rebuilt from them).
+_TOKENIZER_SETTINGS = tuple(
+    field.name for field in fields(TweetTokenizer) if field.init
+)
+
+
 def _vectorizer_state(vectorizer: CountVectorizer) -> dict:
     if type(vectorizer.analyzer) is not TweetTokenizer:
         raise ValueError(
             "cannot persist an engine with a custom analyzer; only the "
             "default TweetTokenizer is reconstructible from a checkpoint"
         )
+    tokenizer = {
+        name: getattr(vectorizer.analyzer, name) for name in _TOKENIZER_SETTINGS
+    }
     if type(vectorizer) is TfidfVectorizer:
         return {
             "kind": "tfidf",
             "sublinear_tf": vectorizer.sublinear_tf,
             "normalize": vectorizer.normalize,
+            "tokenizer": tokenizer,
         }
     if type(vectorizer) is CountVectorizer:
-        return {"kind": "count", "binary": vectorizer.binary}
+        return {"kind": "count", "binary": vectorizer.binary, "tokenizer": tokenizer}
     raise ValueError(
         f"cannot persist vectorizer of type {type(vectorizer).__name__}"
     )
 
 
+def _rebuild_tokenizer(settings: dict | None) -> TweetTokenizer:
+    """The saved tokenizer; the default one when none was recorded."""
+    settings = settings or {}
+    unknown = sorted(set(settings) - set(_TOKENIZER_SETTINGS))
+    if unknown:
+        raise ValueError(
+            "malformed checkpoint: unknown tokenizer setting(s) "
+            + ", ".join(map(repr, unknown))
+        )
+    default = TweetTokenizer()
+    for name, value in settings.items():
+        if type(value) is not type(getattr(default, name)):
+            raise ValueError(
+                f"malformed checkpoint: tokenizer setting {name}={value!r}"
+            )
+    emoticons = settings.get("extra_emoticons", {})
+    if not all(type(token) is str for token in emoticons.values()):
+        raise ValueError(
+            f"malformed checkpoint: tokenizer setting extra_emoticons={emoticons!r}"
+        )
+    return TweetTokenizer(**settings)
+
+
 def _rebuild_vectorizer(state: dict, vocabulary: Vocabulary) -> CountVectorizer:
+    analyzer = _rebuild_tokenizer(state.get("tokenizer"))
     if state["kind"] == "tfidf":
         vectorizer = TfidfVectorizer(
+            analyzer=analyzer,
             vocabulary=vocabulary,
             sublinear_tf=state["sublinear_tf"],
             normalize=state["normalize"],
         )
         vectorizer.refresh_idf()
         return vectorizer
-    return CountVectorizer(vocabulary=vocabulary, binary=state["binary"])
+    return CountVectorizer(
+        analyzer=analyzer, vocabulary=vocabulary, binary=state["binary"]
+    )
 
 
 def _int_map_arrays(mapping: dict[int, int]) -> tuple[np.ndarray, np.ndarray]:

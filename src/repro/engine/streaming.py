@@ -59,10 +59,9 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.inference import infer_tweet_memberships
-from repro.core.kernels import resolve_kernel_name
 from repro.core.labeling import apply_alignment, lexicon_column_alignment
 from repro.core.online import OnlineStepResult, OnlineTriClustering
-from repro.core.spmm import resolve_spmm, resolve_spmm_name
+from repro.core.spmm import resolve_spmm
 from repro.core.state import FactorSet
 from repro.data.tweet import Tweet, UserProfile
 from repro.engine.cache import FoldInCache
@@ -239,13 +238,9 @@ class StreamingSentimentEngine:
         self.cache = FoldInCache(maxsize=config.serving.cache_size)
         self.classify_iterations = config.serving.classify_iterations
         self.classify_batch_size = config.serving.classify_batch_size
-        # Serving fold-in runs the same spmm engine as the solver, so
-        # the spmm=/spmm_threads= knobs accelerate classify traffic too.
-        # Engines are float64 bit-identical, so memberships never depend
-        # on the choice.
-        self._serve_spmm = resolve_spmm(
-            self.solver.spmm, self.solver.spmm_threads
-        )
+        # Serving fold-in runs the solver's spmm engine, so an engine
+        # instance (a timing probe) sees classify products too.
+        self._serve_spmm = resolve_spmm(self.solver.spmm)
         self._classify_seed = 0 if config.seed is None else int(config.seed)
         self._factors: FactorSet | None = None
         self._alignment: np.ndarray | None = None
@@ -541,21 +536,11 @@ class StreamingSentimentEngine:
             patience=solver.patience,
             state_smoothing=solver.state_smoothing,
             track_history=solver.track_history,
-            # A pre-configured solver may carry a Kernel *instance*;
-            # configs hold names only, so pin it to its concrete name.
-            kernel=(
-                solver.kernel
-                if isinstance(solver.kernel, str)
-                else resolve_kernel_name(solver.kernel)
-            ),
+            # A pre-configured solver may carry a Kernel or SpmmEngine
+            # *instance*; configs hold names only, so it records as "auto".
+            kernel=solver.kernel if isinstance(solver.kernel, str) else "auto",
             dtype=solver.dtype,
-            # Same instance→name pinning for the spmm engine.
-            spmm=(
-                solver.spmm
-                if isinstance(solver.spmm, str)
-                else resolve_spmm_name(solver.spmm)
-            ),
-            spmm_threads=solver.spmm_threads,
+            spmm=solver.spmm if isinstance(solver.spmm, str) else "auto",
         )
         sharding_config = ShardingConfig(
             n_shards=solver.n_shards,

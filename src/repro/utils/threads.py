@@ -59,15 +59,6 @@ _GET_SYMBOLS = (
 #: ``0`` means "leave the BLAS pool alone".
 WORKER_BLAS_ENV = "REPRO_WORKER_BLAS_THREADS"
 
-#: Overrides the process-wide default spmm thread budget (see
-#: :func:`spmm_thread_default`); unset means "use the affinity core
-#: count (or whatever a worker main installed)".
-SPMM_THREADS_ENV = "REPRO_SPMM_THREADS"
-
-#: Socket workers read this to override their default spmm budget of
-#: 1; ``0`` means "leave the process default alone".
-WORKER_SPMM_ENV = "REPRO_WORKER_SPMM_THREADS"
-
 
 # --------------------------------------------------------------------- #
 # Host topology
@@ -223,47 +214,3 @@ def cap_blas_threads(limit: int) -> list[str]:
         except (ctypes.ArgumentError, OSError):
             continue
     return capped
-
-
-# --------------------------------------------------------------------- #
-# spmm thread budget
-#
-# The compiled sparse·dense engine in :mod:`repro.core.spmm`
-# (and the prange kernel tails in :mod:`repro.core.kernels`) size their
-# thread pools from this budget rather than from the raw core count, so
-# worker mains can install a budget once and every engine resolved
-# afterwards inherits it — the same oversubscription guard the BLAS cap
-# provides, for the non-BLAS compute layer.
-# --------------------------------------------------------------------- #
-
-
-_spmm_default: int | None = None
-
-
-def set_spmm_thread_default(limit: int | None) -> None:
-    """Install the process-wide default spmm thread budget.
-
-    Called by socket worker mains with their budget (see
-    :data:`WORKER_SPMM_ENV`); ``None`` reverts to the affinity core
-    count.  Explicit ``spmm_threads=`` arguments always win over this.
-    """
-    global _spmm_default
-    _spmm_default = None if limit is None else max(1, int(limit))
-
-
-def spmm_thread_default() -> int:
-    """The thread budget an spmm engine uses when none was configured.
-
-    Resolution order: ``REPRO_SPMM_THREADS`` env override, then the
-    process default installed by :func:`set_spmm_thread_default`
-    (worker mains), then the affinity core count.
-    """
-    override = os.environ.get(SPMM_THREADS_ENV)
-    if override is not None:
-        try:
-            return max(1, int(override))
-        except ValueError:
-            return 1
-    if _spmm_default is not None:
-        return _spmm_default
-    return affinity_core_count()

@@ -590,7 +590,6 @@ def _fleet_worker_main(conn, host: str) -> None:
     # oversubscription guard as ``python -m repro worker`` (default 1,
     # REPRO_WORKER_BLAS_THREADS overrides; 0 leaves the pool alone).
     _cap_worker_blas(_default_worker_blas_threads())
-    _set_worker_spmm(_default_worker_spmm_threads())
     server = WorkerServer(host=host, port=0)
     conn.send(server.address)
     conn.close()
@@ -686,29 +685,6 @@ def _cap_worker_blas(limit: int) -> None:
         cap_blas_threads(limit)
 
 
-def _default_worker_spmm_threads() -> int:
-    """Default spmm thread budget for a socket worker.
-
-    Mirrors :func:`_default_worker_blas_threads` for the same reason:
-    several workers usually share one box, so each defaults to 1 spmm
-    thread.  ``REPRO_WORKER_SPMM_THREADS`` overrides (``0`` = leave the
-    process default alone, i.e. the affinity core count).
-    """
-    from repro.utils.threads import WORKER_SPMM_ENV
-
-    try:
-        return int(os.environ.get(WORKER_SPMM_ENV, "1"))
-    except ValueError:
-        return 1
-
-
-def _set_worker_spmm(limit: int) -> None:
-    if limit > 0:
-        from repro.utils.threads import set_spmm_thread_default
-
-        set_spmm_thread_default(limit)
-
-
 def build_worker_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro worker",
@@ -736,16 +712,6 @@ def build_worker_parser() -> argparse.ArgumentParser:
             "which oversubscribes when several workers share a host)"
         ),
     )
-    parser.add_argument(
-        "--spmm-threads",
-        type=int,
-        default=_default_worker_spmm_threads(),
-        help=(
-            "thread budget for this worker's parallel spmm engines and "
-            "kernel tails (default 1, or REPRO_WORKER_SPMM_THREADS; 0 "
-            "leaves the process default — the affinity core count)"
-        ),
-    )
     return parser
 
 
@@ -753,7 +719,6 @@ def worker_main(argv: Sequence[str] | None = None) -> int:
     """``python -m repro worker --listen HOST:PORT``."""
     args = build_worker_parser().parse_args(argv)
     _cap_worker_blas(args.blas_threads)
-    _set_worker_spmm(args.spmm_threads)
     # Unlike client addresses, a listen address may use port 0 (bind an
     # OS-assigned port); parse it leniently here.
     host, _, port_text = args.listen.rpartition(":")

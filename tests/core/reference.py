@@ -217,8 +217,8 @@ class ReferenceOfflineTriClustering(OfflineTriClustering):
         initial_factors: FactorSet | None = None,
     ) -> TriClusteringResult:
         rng = spawn_rng(self.seed)
-        kernel = resolve_kernel(self.kernel, threads=self.spmm_threads)
-        spmm_engine = resolve_spmm(self.spmm, self.spmm_threads)
+        kernel = resolve_kernel(self.kernel)
+        spmm_engine = resolve_spmm(self.spmm)
         graph = graph.astype(self._np_dtype)
         xp, xu, xr = graph.xp, graph.xu, graph.xr
         gu = graph.user_graph.adjacency
@@ -294,8 +294,8 @@ class ReferenceOnlineTriClustering(OnlineTriClustering):
         su_prior: np.ndarray | None,
         evolving_rows: np.ndarray,
     ) -> OnlineTriClustering._OptimizeOutput:
-        kernel = resolve_kernel(self.kernel, threads=self.spmm_threads)
-        spmm_engine = resolve_spmm(self.spmm, self.spmm_threads)
+        kernel = resolve_kernel(self.kernel)
+        spmm_engine = resolve_spmm(self.spmm)
         graph = graph.astype(self._np_dtype)
         factors = factors.astype(self._np_dtype)
         if sfw is not None:
@@ -560,8 +560,8 @@ class ReferenceUnifiedTriClustering(UnifiedTriClustering):
         regularizer_values: list[dict[str, float]] = []
         converged = False
         iterations_run = 0
-        kernel = resolve_kernel(self.kernel, threads=self.spmm_threads)
-        spmm_engine = resolve_spmm(self.spmm, self.spmm_threads)
+        kernel = resolve_kernel(self.kernel)
+        spmm_engine = resolve_spmm(self.spmm)
         cache = SweepCache(xp, xu, xr, spmm=spmm_engine)
         for iteration in range(self.max_iterations):
             self._sweep(factors, xp, xu, xr, cache, kernel)
@@ -591,9 +591,8 @@ class ReferenceUnifiedTriClustering(UnifiedTriClustering):
     ) -> None:
         """One full update sweep in Algorithm 1's order."""
         # Sp: attraction from words and retweeters.
-        xr_T = cache.xr_T()
         attraction = cache.xp_sf(factors.sf) @ factors.hp.T + cache.dot(
-            xr.T if xr_T is None else xr_T, factors.su
+            cache.xr_T(), factors.su
         )
         numerator, denominator = self._regularized(
             "sp", factors, attraction, _project(factors.sp, attraction)
@@ -618,12 +617,9 @@ class ReferenceUnifiedTriClustering(UnifiedTriClustering):
         )
 
         # Sf: attraction from tweet and user usage.
-        xp_T, xu_T = cache.xp_T(), cache.xu_T()
-        attraction = cache.dot(
-            xp.T if xp_T is None else xp_T, factors.sp
-        ) @ factors.hp + cache.dot(
-            xu.T if xu_T is None else xu_T, factors.su
-        ) @ factors.hu
+        attraction = cache.dot(cache.xp_T(), factors.sp) @ factors.hp + (
+            cache.dot(cache.xu_T(), factors.su) @ factors.hu
+        )
         numerator, denominator = self._regularized(
             "sf", factors, attraction, _project(factors.sf, attraction)
         )

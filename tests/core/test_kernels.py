@@ -2,14 +2,14 @@
 
 The contracts under test, in the order the module documents them:
 
-1. Kernel/dtype registry validation and ``"auto"`` resolution (numba
-   when importable, numpy otherwise; explicit ``"numba"`` without numba
-   is an error, never a silent fallback).
+1. Kernel/dtype registry validation: ``"auto"`` and ``"numpy"`` are
+   the one kernel, and the removed ``"numba"`` kernel and thread budget
+   are refused by name.
 2. The fused tails evaluate the exact IEEE operation sequence of the
    historical ``safe_sqrt_ratio`` chains — bitwise, in both dtypes,
    including the clamp edge cases — and never mutate their inputs.
-3. Solver-level float64 results are one model across kernel choices and
-   across the transpose-layout policy (bit-identical factors).
+3. Solver-level float64 results are one model whether the kernel is
+   named or passed as an instance (bit-identical factors).
 4. float32 is a speed/memory mode, not a different algorithm: factors
    come out float32 end to end, the objective trajectory tracks float64
    within a documented tolerance (offline and online), and checkpoints
@@ -19,18 +19,14 @@ The contracts under test, in the order the module documents them:
 import numpy as np
 import pytest
 
-from repro.core import sweepcache
 from repro.core.kernels import (
     DTYPES,
     KERNELS,
-    NumpyKernel,
+    Kernel,
     cast_matrix,
     default_kernel,
-    get_kernel,
-    numba_available,
     resolve_dtype,
     resolve_kernel,
-    resolve_kernel_name,
     validate_dtype,
     validate_kernel,
 )
@@ -40,10 +36,6 @@ from repro.core.sharded import ShardedTriClustering
 from repro.data.stream import SnapshotStream
 from repro.graph.tripartite import build_tripartite_graph
 from repro.utils.matrices import safe_sqrt_ratio
-
-needs_numba = pytest.mark.skipif(
-    not numba_available(), reason="numba is not installed"
-)
 
 DTYPE_OBJS = (np.float64, np.float32)
 
@@ -82,7 +74,7 @@ class TestRegistry:
     def test_known_names_validate(self):
         for name in KERNELS:
             validate_kernel(name)
-        validate_kernel(NumpyKernel())
+        validate_kernel(Kernel())
 
     def test_unknown_kernel_rejected(self):
         with pytest.raises(ValueError, match="kernel"):
@@ -96,30 +88,28 @@ class TestRegistry:
             validate_dtype("float16")
 
     def test_resolve_instance_passthrough(self):
-        kernel = NumpyKernel()
+        kernel = Kernel()
         assert resolve_kernel(kernel) is kernel
 
     def test_numpy_resolution_is_shared(self):
+        assert KERNELS == ("auto", "numpy")
         assert resolve_kernel("numpy") is resolve_kernel("numpy")
-        assert get_kernel("numpy").name == "numpy"
+        assert resolve_kernel("auto") is default_kernel()
         assert default_kernel().name == "numpy"
 
-    def test_auto_matches_host(self):
-        expected = "numba" if numba_available() else "numpy"
-        assert resolve_kernel("auto").name == expected
-        assert resolve_kernel_name("auto") == expected
-
-    def test_custom_instance_resolves_to_numpy_name(self):
-        class Custom(NumpyKernel):
-            name = "custom-bench-thing"
-
-        assert resolve_kernel_name(Custom()) == "numpy"
-
-    def test_explicit_numba_without_numba_raises(self):
-        if numba_available():
-            pytest.skip("numba installed; the error path cannot trigger")
-        with pytest.raises(RuntimeError, match="numba"):
+    def test_removed_numba_kernel_refused_by_name(self):
+        with pytest.raises(ValueError, match="kernel='numba' was removed"):
+            validate_kernel("numba")
+        with pytest.raises(ValueError, match="kernel='numba' was removed"):
             resolve_kernel("numba")
+        for solver in (OfflineTriClustering, OnlineTriClustering):
+            with pytest.raises(ValueError, match="kernel='numba' was removed"):
+                solver(kernel="numba")
+
+    def test_removed_thread_budget_refused_by_name(self):
+        assert resolve_kernel("auto", threads=None) is default_kernel()
+        with pytest.raises(ValueError, match="spmm_threads=2 was removed"):
+            resolve_kernel("auto", threads=2)
 
     def test_cast_matrix(self):
         a = np.ones((3, 2))
@@ -135,7 +125,7 @@ class TestFusedTailsMatchLegacyChains:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_multiply_tail(self, seed, dtype):
         ops = tail_operands(seed, dtype=dtype)
-        fused = NumpyKernel().multiply_tail(
+        fused = Kernel().multiply_tail(
             ops["s"], ops["numerator"].copy(), ops["denominator"].copy()
         )
         legacy = ops["s"] * safe_sqrt_ratio(
@@ -148,7 +138,7 @@ class TestFusedTailsMatchLegacyChains:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_projector_tail(self, seed, dtype):
         ops = tail_operands(seed, dtype=dtype)
-        fused = NumpyKernel().projector_tail(
+        fused = Kernel().projector_tail(
             ops["s"], ops["numerator"].copy(), ops["denominator"].copy()
         )
         legacy = ops["s"] * safe_sqrt_ratio(
@@ -161,7 +151,7 @@ class TestFusedTailsMatchLegacyChains:
     def test_graph_tail(self, seed, dtype):
         ops = tail_operands(seed, dtype=dtype)
         beta = 0.8
-        fused = NumpyKernel().graph_tail(
+        fused = Kernel().graph_tail(
             ops["s"], ops["numerator"], ops["denominator"],
             ops["extra"], ops["prior"], beta,
         )
@@ -177,7 +167,7 @@ class TestFusedTailsMatchLegacyChains:
     def test_prior_tail(self, seed, dtype):
         ops = tail_operands(seed, dtype=dtype)
         alpha = 0.05
-        fused = NumpyKernel().prior_tail(
+        fused = Kernel().prior_tail(
             ops["s"], ops["numerator"], ops["denominator"],
             ops["prior"], alpha,
         )
@@ -192,7 +182,7 @@ class TestFusedTailsMatchLegacyChains:
         ops = tail_operands(3, dtype=dtype)
         acc = ops["numerator"].copy()
         expected = ops["numerator"] + ops["extra"]
-        out = NumpyKernel().accumulate(acc, ops["extra"])
+        out = Kernel().accumulate(acc, ops["extra"])
         assert out is acc  # fused: adds into the caller-owned buffer
         np.testing.assert_array_equal(out, expected)
 
@@ -200,60 +190,13 @@ class TestFusedTailsMatchLegacyChains:
         ops = tail_operands(4)
         s = ops["s"].copy()
         gu_su, du_su = ops["extra"].copy(), ops["prior"].copy()
-        NumpyKernel().graph_tail(
+        Kernel().graph_tail(
             ops["s"], ops["numerator"], ops["denominator"],
             ops["extra"], ops["prior"], 0.5,
         )
         np.testing.assert_array_equal(ops["s"], s)
         np.testing.assert_array_equal(ops["extra"], gu_su)
         np.testing.assert_array_equal(ops["prior"], du_su)
-
-
-@needs_numba
-class TestNumbaKernelBitIdentity:
-    """Compiled tails == numpy tails, bitwise, both dtypes."""
-
-    @pytest.mark.parametrize("dtype", DTYPE_OBJS)
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_all_tails(self, seed, dtype):
-        numba_kernel = get_kernel("numba")
-        numpy_kernel = get_kernel("numpy")
-        ops = tail_operands(seed, dtype=dtype)
-        pairs = [
-            (
-                numba_kernel.multiply_tail(
-                    ops["s"], ops["numerator"].copy(),
-                    ops["denominator"].copy(),
-                ),
-                numpy_kernel.multiply_tail(
-                    ops["s"], ops["numerator"].copy(),
-                    ops["denominator"].copy(),
-                ),
-            ),
-            (
-                numba_kernel.graph_tail(
-                    ops["s"], ops["numerator"], ops["denominator"],
-                    ops["extra"], ops["prior"], 0.8,
-                ),
-                numpy_kernel.graph_tail(
-                    ops["s"], ops["numerator"], ops["denominator"],
-                    ops["extra"], ops["prior"], 0.8,
-                ),
-            ),
-            (
-                numba_kernel.prior_tail(
-                    ops["s"], ops["numerator"], ops["denominator"],
-                    ops["prior"], 0.05,
-                ),
-                numpy_kernel.prior_tail(
-                    ops["s"], ops["numerator"], ops["denominator"],
-                    ops["prior"], 0.05,
-                ),
-            ),
-        ]
-        for compiled, reference in pairs:
-            np.testing.assert_array_equal(compiled, reference)
-            assert compiled.dtype == dtype
 
 
 def offline_factors(graph, **overrides):
@@ -268,33 +211,10 @@ FACTOR_NAMES = ("sf", "sp", "su", "hp", "hu")
 class TestSolverLevelIdentity:
     def test_kernel_instance_equals_name(self, graph):
         by_name = offline_factors(graph, kernel="numpy")
-        by_instance = offline_factors(graph, kernel=NumpyKernel())
+        by_instance = offline_factors(graph, kernel=Kernel())
         for name in FACTOR_NAMES:
             np.testing.assert_array_equal(
                 getattr(by_name, name), getattr(by_instance, name)
-            )
-
-    @needs_numba
-    def test_numba_equals_numpy_float64(self, graph):
-        compiled = offline_factors(graph, kernel="numba")
-        reference = offline_factors(graph, kernel="numpy")
-        for name in FACTOR_NAMES:
-            np.testing.assert_array_equal(
-                getattr(compiled, name), getattr(reference, name)
-            )
-
-    @pytest.mark.parametrize("dtype", DTYPES)
-    def test_transpose_policy_is_bit_neutral(self, graph, monkeypatch, dtype):
-        """Materialized-CSR vs lazy-CSC transposes: speed-only choice."""
-        monkeypatch.setattr(sweepcache, "TRANSPOSE_OPERAND_BUDGET", 0)
-        lazy = offline_factors(graph, dtype=dtype)
-        monkeypatch.setattr(
-            sweepcache, "TRANSPOSE_OPERAND_BUDGET", 1 << 60
-        )
-        materialized = offline_factors(graph, dtype=dtype)
-        for name in FACTOR_NAMES:
-            np.testing.assert_array_equal(
-                getattr(lazy, name), getattr(materialized, name)
             )
 
 

@@ -1,42 +1,31 @@
-"""Spmm engines: registry, product bit-identity, solver determinism.
+"""The spmm engine: registry, products, solver determinism.
 
 The contracts under test, in the order :mod:`repro.core.spmm` documents
 them:
 
-1. Registry validation and ``"auto"`` resolution (numba when importable,
-   scipy otherwise; an explicit ``"numba"`` without numba is an error,
-   never a silent fallback; the removed ``"threads"`` engine is refused
-   by name).
-2. Engine products are float64 (and float32) bit-identical to the scipy
-   reference at any thread budget, including every guarded fallback
-   (non-CSR, dense, 1-d operand, small row counts).
-3. Solver-level float64 factors are one model across engines and thread
-   budgets — offline, online, and sharded across serial/thread/socket
-   backends and shard counts — because the engine knob is speed-only.
+1. Registry validation: ``"auto"`` and ``"scipy"`` are the one engine,
+   and the removed ``"threads"``/``"numba"`` engines and ``spmm_threads``
+   budgets are refused by name.
+2. Engine products are the scipy expression, in float64 and float32.
+3. Solver-level float64 factors are one model whether the engine is
+   named ``"auto"``, ``"scipy"`` or passed as an instance — offline,
+   online, and sharded across serial/thread/socket backends and shard
+   counts (socket workers sweep with the default engine).
 4. ``SolverConfig`` carries the knobs (names only) and round-trips them.
-
-The product and solver matrices run ``spmm="auto"`` at each thread
-budget: numba's ``prange`` row loop where numba is installed (the CI
-with-numba leg), the scipy reference otherwise.
 """
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.core.kernels import numba_available
 from repro.core.offline import OfflineTriClustering
 from repro.core.online import OnlineTriClustering
 from repro.core.sharded import ShardedTriClustering
 from repro.core.spmm import (
     SPMM_ENGINES,
-    ScipySpmmEngine,
     SpmmEngine,
-    _resolve_threads,
     default_spmm,
-    get_spmm,
     resolve_spmm,
-    resolve_spmm_name,
     validate_spmm,
     validate_spmm_threads,
 )
@@ -44,11 +33,7 @@ from repro.data.stream import SnapshotStream
 from repro.engine.config import EngineConfig, SolverConfig
 from repro.graph.tripartite import build_tripartite_graph
 
-#: The thread budgets the acceptance matrix pins (1 = serial, 2/4 =
-#: genuinely partitioned rows under the numba engine).
-THREADS = (1, 2, 4)
-
-#: Rows of the product operands: enough for every thread to own many.
+#: Rows of the product operands.
 ROWS = 6144
 
 FACTOR_NAMES = ("sf", "sp", "su", "hp", "hu")
@@ -64,18 +49,25 @@ class TestRegistry:
     def test_known_names_validate(self):
         for name in SPMM_ENGINES:
             validate_spmm(name)
-        validate_spmm(ScipySpmmEngine())
+        validate_spmm(SpmmEngine())
 
     def test_unknown_spmm_rejected(self):
         with pytest.raises(ValueError, match="spmm must be one of"):
             validate_spmm("blas")
 
     def test_removed_threads_engine_refused_by_name(self):
-        assert SPMM_ENGINES == ("auto", "scipy", "numba")
+        assert SPMM_ENGINES == ("auto", "scipy")
         with pytest.raises(ValueError, match="'threads' was removed"):
             validate_spmm("threads")
 
-    @pytest.mark.parametrize("threads", [None, 1, 2, 64])
+    def test_removed_numba_engine_refused_by_name(self):
+        with pytest.raises(ValueError, match="spmm='numba' was removed"):
+            resolve_spmm("numba")
+        for solver in (OfflineTriClustering, OnlineTriClustering):
+            with pytest.raises(ValueError, match="spmm='numba' was removed"):
+                solver(spmm="numba")
+
+    @pytest.mark.parametrize("threads", [None])
     def test_valid_thread_budgets(self, threads):
         validate_spmm_threads(threads)
 
@@ -84,92 +76,43 @@ class TestRegistry:
         with pytest.raises(ValueError, match="spmm_threads"):
             validate_spmm_threads(threads)
 
+    @pytest.mark.parametrize("threads", [1, 2, 64])
+    def test_removed_thread_budgets_refused_by_name(self, threads):
+        message = f"spmm_threads={threads} was removed"
+        with pytest.raises(ValueError, match=message):
+            resolve_spmm("auto", threads)
+        for solver in (OfflineTriClustering, OnlineTriClustering):
+            with pytest.raises(ValueError, match=message):
+                solver(spmm_threads=threads)
+
     def test_resolve_instance_passthrough(self):
-        engine = ScipySpmmEngine()
+        engine = SpmmEngine()
         assert resolve_spmm(engine) is engine
 
     def test_scipy_resolution_is_shared(self):
         assert resolve_spmm("scipy") is resolve_spmm("scipy")
         assert resolve_spmm("scipy") is default_spmm()
-
-    def test_auto_matches_host(self):
-        expected = "numba" if numba_available() else "scipy"
-        assert resolve_spmm("auto").name == expected
-        assert resolve_spmm_name("auto") == expected
-
-    def test_custom_instance_resolves_to_scipy_name(self):
-        class Custom(SpmmEngine):
-            name = "custom"
-
-        assert resolve_spmm_name(Custom()) == "scipy"
-        assert resolve_spmm_name(ScipySpmmEngine()) == "scipy"
-
-    def test_concrete_names_pin_through(self):
-        for name in ("scipy", "numba") if numba_available() else ("scipy",):
-            assert resolve_spmm_name(name) == name
-            assert get_spmm(name, 2).name == name
-
-    @pytest.mark.skipif(numba_available(), reason="numba is installed")
-    def test_explicit_numba_without_numba_raises(self):
-        with pytest.raises(RuntimeError, match="numba is not importable"):
-            resolve_spmm("numba")
-
-    def test_env_override_sets_thread_budget(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SPMM_THREADS", "3")
-        assert _resolve_threads(None) == 3
-        monkeypatch.delenv("REPRO_SPMM_THREADS")
-        assert _resolve_threads(5) == 5
+        assert resolve_spmm("auto", None) is default_spmm()
 
 
 class TestProductBitIdentity:
     """Engine products equal ``np.asarray(x @ dense)`` to the bit."""
 
-    @pytest.mark.parametrize("threads", THREADS)
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_threaded_csr_product(self, threads, dtype):
+    def test_csr_product(self, dtype):
         x = random_csr(ROWS, 64, seed=11, dtype=dtype)
         dense = (
             np.random.default_rng(12).standard_normal((64, 3)).astype(dtype)
         )
         reference = np.asarray(x @ dense)
-        produced = resolve_spmm("auto", threads).matmul(x, dense)
+        produced = resolve_spmm("auto").matmul(x, dense)
         assert produced.dtype == reference.dtype
         np.testing.assert_array_equal(produced, reference)
-
-    def test_threaded_product_with_empty_rows(self):
-        # Zero-nnz rows: each row's accumulation starts and ends empty.
-        x = random_csr(ROWS, 32, seed=13, density=0.001)
-        dense = np.random.default_rng(14).standard_normal((32, 3))
-        np.testing.assert_array_equal(
-            resolve_spmm("auto", 4).matmul(x, dense),
-            np.asarray(x @ dense),
-        )
-
-    @pytest.mark.parametrize(
-        "operand",
-        ["csc", "dense", "small", "vector"],
-    )
-    def test_guarded_fallbacks_match_scipy(self, operand):
-        rng = np.random.default_rng(15)
-        x = random_csr(7 if operand == "small" else ROWS, 16, seed=16)
-        if operand == "csc":
-            x = x.tocsc()
-        elif operand == "dense":
-            x = x.toarray()
-        dense = (
-            rng.standard_normal(16)
-            if operand == "vector"
-            else rng.standard_normal((16, 3))
-        )
-        engine = resolve_spmm("auto", 4)
-        np.testing.assert_array_equal(
-            engine.matmul(x, dense), np.asarray(x @ dense)
-        )
 
     def test_zero_row_matrix(self):
         x = sp.csr_matrix((0, 5))
         dense = np.ones((5, 3))
-        out = resolve_spmm("auto", 2).matmul(x, dense)
+        out = resolve_spmm("auto").matmul(x, dense)
         assert out.shape == (0, 3)
 
 
@@ -185,26 +128,23 @@ def assert_factors_equal(left, right):
 
 
 class TestSolverLevelDeterminism:
-    """The acceptance matrix: engines are speed-only at solver level."""
+    """The acceptance matrix: every engine spelling is one model."""
 
-    @pytest.mark.parametrize("threads", THREADS)
-    def test_offline_threads_equals_scipy(self, graph, threads):
+    def test_offline_auto_equals_scipy(self, graph):
         reference = offline_factors(graph, spmm="scipy")
-        produced = offline_factors(graph, spmm="auto", spmm_threads=threads)
+        produced = offline_factors(graph, spmm="auto")
         assert_factors_equal(produced, reference)
 
     def test_engine_instance_equals_name(self, graph):
-        by_name = offline_factors(graph, spmm="auto", spmm_threads=2)
-        by_instance = offline_factors(graph, spmm=resolve_spmm("auto", 2))
+        by_name = offline_factors(graph, spmm="auto")
+        by_instance = offline_factors(graph, spmm=SpmmEngine())
         assert_factors_equal(by_instance, by_name)
 
-    def test_online_threads_equals_scipy(
+    def test_online_auto_equals_scipy(
         self, corpus, shared_vectorizer, lexicon
     ):
         solvers = {
-            name: OnlineTriClustering(
-                max_iterations=8, seed=7, spmm=name, spmm_threads=2
-            )
+            name: OnlineTriClustering(max_iterations=8, seed=7, spmm=name)
             for name in ("scipy", "auto")
         }
         snapshots = 0
@@ -228,16 +168,18 @@ class TestSolverLevelDeterminism:
 
     @pytest.mark.parametrize("backend", ["serial", "thread", "socket"])
     @pytest.mark.parametrize("n_shards", [1, 2, 4])
-    def test_sharded_threads_equals_scipy(
+    def test_sharded_instance_equals_scipy(
         self, graph, backend, n_shards, request
     ):
+        """An engine instance (kept in process, replaced by the default
+        engine on socket workers) gives the named engine's bits."""
         workers = (
             request.getfixturevalue("socket_workers")
             if backend == "socket"
             else None
         )
 
-        def factors(spmm, **extra):
+        def factors(spmm):
             return ShardedTriClustering(
                 n_shards=n_shards,
                 backend=backend,
@@ -246,27 +188,10 @@ class TestSolverLevelDeterminism:
                 max_iterations=5,
                 tolerance=0.0,
                 spmm=spmm,
-                **extra,
             ).fit(graph).factors
 
         reference = factors("scipy")
-        produced = factors("auto", spmm_threads=2)
-        assert_factors_equal(produced, reference)
-
-    @pytest.mark.parametrize("threads", THREADS)
-    def test_sharded_thread_count_is_bit_neutral(self, graph, threads):
-        def factors(**extra):
-            return ShardedTriClustering(
-                n_shards=2,
-                backend="thread",
-                seed=7,
-                max_iterations=5,
-                tolerance=0.0,
-                **extra,
-            ).fit(graph).factors
-
-        reference = factors(spmm="scipy")
-        produced = factors(spmm="auto", spmm_threads=threads)
+        produced = factors(SpmmEngine())
         assert_factors_equal(produced, reference)
 
 
@@ -282,16 +207,14 @@ class TestSolverConfig:
 
     def test_instance_rejected_names_only(self):
         with pytest.raises(ValueError, match="must be a string"):
-            SolverConfig(spmm=ScipySpmmEngine())
+            SolverConfig(spmm=SpmmEngine())
 
     def test_invalid_threads_rejected(self):
         with pytest.raises(ValueError, match="spmm_threads"):
             SolverConfig(spmm_threads=0)
 
     def test_round_trip(self):
-        config = EngineConfig(
-            solver={"spmm": "scipy", "spmm_threads": 4}
-        )
+        config = EngineConfig(solver={"spmm": "scipy"})
         restored = EngineConfig.from_dict(config.to_dict())
         assert restored.solver.spmm == "scipy"
-        assert restored.solver.spmm_threads == 4
+        assert restored.solver.spmm_threads is None

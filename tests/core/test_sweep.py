@@ -12,7 +12,7 @@ matrix instead of producing non-finite factors.
 import numpy as np
 import pytest
 
-from repro.core.kernels import NumpyKernel
+from repro.core.kernels import Kernel
 from repro.core.offline import OfflineTriClustering
 from repro.core.online import OnlineTriClustering
 from repro.core.sharded import ShardedOnlineTriClustering, ShardedTriClustering
@@ -38,7 +38,7 @@ class CountingSpmm(SpmmEngine):
         return super().matmul(x, dense)
 
 
-class CountingKernel(NumpyKernel):
+class CountingKernel(Kernel):
     """An unregistered kernel that counts its update tails."""
 
     name = "counting"
@@ -120,8 +120,8 @@ class TestCustomEngines:
                 err_msg=name,
             )
 
-    def test_socket_workers_pin_registered_names(self, graph, socket_workers):
-        """Workers rebuild the pinned reference implementations; the
+    def test_socket_workers_use_default_engines(self, graph, socket_workers):
+        """Workers sweep with the default kernel and engine; the
         coordinator's counting instances see no shard work."""
         spmm, kernel = CountingSpmm(), CountingKernel()
         result = _solve(
@@ -138,9 +138,12 @@ class TestCustomEngines:
                 err_msg=name,
             )
 
-    def test_remote_payload_carries_names(self, graph):
-        """The socket shipping form pins names, never instances."""
-        from repro.core.sweep import SweepPlan
+    def test_remote_payload_carries_no_engines(self, graph):
+        """The socket shipping form holds no kernel or engine; the
+        worker's state gets the default pair."""
+        from repro.core.kernels import default_kernel
+        from repro.core.spmm import default_spmm
+        from repro.core.sweep import SweepPlan, _shard_state_from_payload
 
         plan = SweepPlan.for_solver(OfflineTriClustering(), graph)
         solver = OfflineTriClustering(seed=7)
@@ -150,8 +153,14 @@ class TestCustomEngines:
         ):
             (state,) = plan.pool._impl._states
             payload = _shard_state_payload(state)
-        kernel_name, spmm_name = payload[7], payload[8]
-        assert (kernel_name, spmm_name) == ("numpy", "scipy")
+        assert len(payload) == 8
+        assert not any(
+            isinstance(part, (str, CountingKernel, CountingSpmm))
+            for part in payload
+        )
+        rebuilt = _shard_state_from_payload(payload)
+        assert rebuilt.kernel is default_kernel()
+        assert rebuilt.cache.spmm is default_spmm()
 
 
 class TestRoundsPerSolve:

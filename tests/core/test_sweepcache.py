@@ -8,6 +8,7 @@ inputs, so factors should match the uncached path to well below 1e-10).
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.core.offline import OfflineTriClustering
 from repro.core.online import OnlineTriClustering
@@ -209,88 +210,92 @@ class TestSolverEquivalence:
             )
 
 
-class TestTransposeBudgetBoundary:
-    """Both layout choices at the exact working-set threshold.
+def _masked(x, drop_rows, drop_cols):
+    """``x`` with the given rows and columns emptied (no stored zeros)."""
+    rows = np.ones(x.shape[0])
+    rows[drop_rows] = 0.0
+    cols = np.ones(x.shape[1])
+    cols[drop_cols] = 0.0
+    out = (sp.diags(rows) @ x @ sp.diags(cols)).tocsr()
+    out.eliminate_zeros()
+    return out
 
-    The policy is ``operand_rows * itemsize <= TRANSPOSE_OPERAND_BUDGET``
-    (inclusive): a budget equal to the working set materializes the CSR
-    transpose, one byte less falls back to the lazy CSC view.  Either
-    side must produce bitwise-equal update results — the budget is a
-    speed knob, never a semantics knob.
+
+def transpose_problem(kind, dtype):
+    """Factors and ``(xp, xu, xr, gu, du)`` in ``dtype`` for one case.
+
+    ``"plain"`` is :func:`make_problem`; ``"empty_rows_and_columns"``
+    empties two rows and two columns of each data matrix;
+    ``"zero_row_shard"`` is a shard with no tweets and no users.
     """
+    f, xp, xu, xr, gu, du, _ = make_problem(6)
+    if kind == "empty_rows_and_columns":
+        xp, xu, xr = (_masked(x, [0, 2], [1, 3]) for x in (xp, xu, xr))
+    elif kind == "zero_row_shard":
+        f["sp"], f["su"] = f["sp"][:0], f["su"][:0]
+        xp, xu = xp[:0], xu[:0]
+        xr, gu, du = xr[:0, :0], gu[:0, :0], du[:0, :0]
+    f = {name: value.astype(dtype) for name, value in f.items()}
+    matrices = tuple(x.astype(dtype) for x in (xp, xu, xr, gu, du))
+    return f, matrices
 
-    @staticmethod
-    def _working_set(x):
-        return x.shape[0] * x.dtype.itemsize
 
-    def test_accessors_flip_at_exact_threshold(self, monkeypatch):
-        from repro.core import sweepcache as sweepcache_module
+TRANSPOSE_KINDS = ("plain", "empty_rows_and_columns", "zero_row_shard")
 
-        f, xp, xu, xr, gu, du, sf0 = make_problem(3)
-        threshold = self._working_set(xp)
-        monkeypatch.setattr(
-            sweepcache_module, "TRANSPOSE_OPERAND_BUDGET", threshold
-        )
-        at_budget = SweepCache(xp, xu, xr)
-        materialized = at_budget.xp_T()
-        assert materialized is not None
-        assert materialized.format == "csr"
-        assert at_budget.xp_T() is materialized  # per-solve, built once
 
-        monkeypatch.setattr(
-            sweepcache_module, "TRANSPOSE_OPERAND_BUDGET", threshold - 1
-        )
-        past_budget = SweepCache(xp, xu, xr)
-        assert past_budget.xp_T() is None
+class TestTransposedViews:
+    """One rule: each data matrix's ``.T`` view, built once per solve."""
 
-    def test_sweep_bitwise_equal_either_side(self, monkeypatch):
-        from repro.core import sweepcache as sweepcache_module
+    def test_views_are_built_once_and_share_memory(self):
+        f, xp, xu, xr, gu, du, sf0 = make_problem(5)
+        cache = SweepCache(xp, xu, xr)
+        for accessor, x in (
+            (cache.xp_T, xp), (cache.xu_T, xu), (cache.xr_T, xr),
+        ):
+            view = accessor()
+            assert accessor() is view
+            assert view.shape == x.shape[::-1]
+            for name in ("data", "indices", "indptr"):
+                assert np.shares_memory(getattr(view, name), getattr(x, name))
+        assert SweepCache(xp, xu).xr_T() is None
 
-        f, xp, xu, xr, gu, du, sf0 = make_problem(4)
-        threshold = max(
-            self._working_set(xp),
-            self._working_set(xu),
-            self._working_set(xr),
-        )
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("kind", TRANSPOSE_KINDS)
+    def test_products_equal_csr_transpose_oracle(self, kind, dtype):
+        f, (xp, xu, xr, gu, du) = transpose_problem(kind, dtype)
+        cache = SweepCache(xp, xu, xr)
+        pairs = [
+            (cache.xp_T_sp(f["sp"]), xp.T.tocsr() @ f["sp"]),
+            (cache.xu_T_su(f["su"]), xu.T.tocsr() @ f["su"]),
+            (cache.dot(cache.xr_T(), f["su"]), xr.T.tocsr() @ f["su"]),
+        ]
+        for produced, oracle in pairs:
+            assert produced.dtype == dtype
+            np.testing.assert_array_equal(produced, np.asarray(oracle))
 
-        def sweep(budget):
-            monkeypatch.setattr(
-                sweepcache_module, "TRANSPOSE_OPERAND_BUDGET", budget
-            )
-            cache = SweepCache(xp, xu, xr)
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("kind", TRANSPOSE_KINDS)
+    def test_sweep_with_cache_equals_sweep_without(self, kind, dtype):
+        f, (xp, xu, xr, gu, du) = transpose_problem(kind, dtype)
+        sf0 = np.full_like(f["sf"], 1.0 / f["sf"].shape[1])
+
+        def sweep(cache):
             sp_new = update_sp(
                 f["sp"], f["sf"], f["hp"], f["su"], xp, xr, cache=cache
             )
+            hp_new = update_hp(f["hp"], sp_new, f["sf"], xp, cache=cache)
             su_new = update_su_online(
                 f["su"], f["sf"], f["hu"], sp_new, xu, xr, gu, du,
                 beta=0.8, cache=cache,
             )
+            hu_new = update_hu(f["hu"], su_new, f["sf"], xu, cache=cache)
             sf_new = update_sf(
-                f["sf"], sp_new, f["hp"], su_new, f["hu"], xp, xu,
+                f["sf"], sp_new, hp_new, su_new, hu_new, xp, xu,
                 sf_prior=sf0, alpha=0.9, cache=cache,
             )
-            return sp_new, su_new, sf_new
+            return sp_new, hp_new, su_new, hu_new, sf_new
 
-        materialized = sweep(threshold)
-        lazy = sweep(threshold - 1)
-        for csr_result, csc_result in zip(materialized, lazy):
-            np.testing.assert_array_equal(csr_result, csc_result)
-
-    def test_prefers_csr_engine_overrides_budget(self, monkeypatch):
-        """A row-parallel spmm engine pins the CSR layout at any budget."""
-        from repro.core import sweepcache as sweepcache_module
-        from repro.core.spmm import SpmmEngine
-
-        class RowParallelEngine(SpmmEngine):
-            prefers_csr = True
-
-        monkeypatch.setattr(
-            sweepcache_module, "TRANSPOSE_OPERAND_BUDGET", 0
-        )
-        f, xp, xu, xr, gu, du, sf0 = make_problem(5)
-        assert SweepCache(xp, xu, xr).xp_T() is None  # budget alone: lazy
-        cache = SweepCache(xp, xu, xr, spmm=RowParallelEngine())
-        for accessor in (cache.xp_T, cache.xu_T, cache.xr_T):
-            transpose = accessor()
-            assert transpose is not None
-            assert transpose.format == "csr"
+        cached = sweep(SweepCache(xp, xu, xr))
+        for with_cache, without in zip(cached, sweep(None), strict=True):
+            assert with_cache.dtype == dtype
+            np.testing.assert_array_equal(with_cache, without)

@@ -110,14 +110,42 @@ class TestValidation:
     def test_removed_threads_spmm_loads_as_scipy(self):
         """Dumps that record the removed ``"threads"`` spmm engine load
         as ``"scipy"`` (the same bits); other solver fields survive."""
-        payload = EngineConfig(
-            solver={"spmm": "scipy", "spmm_threads": 4}
-        ).to_dict()
+        payload = EngineConfig(solver={"max_iterations": 7}).to_dict()
         payload["solver"]["spmm"] = "threads"
         restored = EngineConfig.from_dict(payload)
         assert restored.solver.spmm == "scipy"
-        assert restored.solver.spmm_threads == 4
+        assert restored.solver.max_iterations == 7
         assert EngineConfig(solver={"spmm": "threads"}).solver.spmm == "scipy"
+
+    def test_removed_numba_values_load_as_auto(self):
+        """Dumps that record the removed numba kernel and engine and a
+        thread budget load as ``"auto"`` and ``None`` (the same bits)."""
+        payload = EngineConfig(solver={"max_iterations": 7}).to_dict()
+        payload["solver"].update(kernel="numba", spmm="numba", spmm_threads=4)
+        assert EngineConfig.from_dict(payload) == EngineConfig(
+            solver={"max_iterations": 7}
+        )
+        payload["solver"]["spmm_threads"] = 0  # never a valid budget
+        with pytest.raises(ValueError, match="spmm_threads=0 was removed"):
+            EngineConfig.from_dict(payload)
+
+    @pytest.mark.parametrize(
+        ("field", "value"),
+        [("kernel", "numba"), ("spmm", "numba"), ("spmm_threads", 4)],
+    )
+    def test_removed_numba_values_refused_when_passed_directly(
+        self, field, value
+    ):
+        from repro.core.offline import OfflineTriClustering
+        from repro.core.online import OnlineTriClustering
+
+        message = f"{field}={value!r} was removed"
+
+        with pytest.raises(ValueError, match=message):
+            SolverConfig(**{field: value})
+        for solver in (OfflineTriClustering, OnlineTriClustering):
+            with pytest.raises(ValueError, match=message):
+                solver(**{field: value})
 
     def test_removed_threads_spmm_refused_when_passed_directly(self):
         from repro.core.offline import OfflineTriClustering

@@ -9,6 +9,8 @@ import pytest
 from repro.data.stream import iter_tweet_batches
 from repro.data.tweet import Tweet
 from repro.engine import EngineConfig, SolverConfig, StreamingSentimentEngine
+from repro.text.tokenizer import TweetTokenizer
+from repro.text.vectorizer import CountVectorizer, TfidfVectorizer
 
 INTERVAL_DAYS = 21
 
@@ -171,6 +173,92 @@ class TestRoundTrip:
         loaded.advance_snapshot()
         users = loaded.last_graph.corpus.user_ids
         assert source.user_id in users
+
+
+#: One non-default value per TweetTokenizer setting.
+NON_DEFAULT_TOKENIZERS = {
+    "lowercase": {"lowercase": False},
+    "strip_urls": {"strip_urls": False},
+    "keep_mentions": {"keep_mentions": True},
+    "keep_hashtags": {"keep_hashtags": False},
+    "mark_negation": {"mark_negation": False},
+    "squash_elongation": {"squash_elongation": False},
+    "min_token_length": {"min_token_length": 3},
+    "extra_emoticons": {"extra_emoticons": {"\\o/": "emo_cheer"}},
+}
+
+#: Text that every setting above tokenizes differently.
+TOKENIZER_PROBE = r"Not GOOD at all \o/ sooooo #Prop37 @bob ok http://t.co/x"
+
+
+class TestTokenizerSettings:
+    """The tokenizer's settings survive a checkpoint."""
+
+    @pytest.mark.parametrize("vectorizer_cls", [TfidfVectorizer, CountVectorizer])
+    @pytest.mark.parametrize("setting", sorted(NON_DEFAULT_TOKENIZERS))
+    def test_continuation_keeps_tokenizer(
+        self, corpus, lexicon, batches, tmp_path, setting, vectorizer_cls
+    ):
+        """Save → load → ingest/advance/classify equals an engine that
+        was never saved, bitwise, for each non-default setting."""
+        tokenizer = TweetTokenizer(**NON_DEFAULT_TOKENIZERS[setting])
+        assert tokenizer(TOKENIZER_PROBE) != TweetTokenizer()(TOKENIZER_PROBE)
+        original = feed(
+            StreamingSentimentEngine(
+                config(),
+                lexicon=lexicon,
+                vectorizer=vectorizer_cls(analyzer=tokenizer),
+            ),
+            corpus,
+            batches[:2],
+        )
+        original.save(tmp_path / "ckpt")
+        loaded = StreamingSentimentEngine.load(tmp_path / "ckpt")
+        assert type(loaded.vectorizer) is vectorizer_cls
+        assert loaded.vectorizer.analyzer == tokenizer
+        feed(original, corpus, batches[2:3])
+        feed(loaded, corpus, batches[2:3])
+        for name in ("sf", "sp", "su", "hp", "hu"):
+            np.testing.assert_array_equal(
+                getattr(original.factors, name),
+                getattr(loaded.factors, name),
+                err_msg=name,
+            )
+        texts = [TOKENIZER_PROBE, *(t.text for t in corpus.tweets[:24])]
+        np.testing.assert_array_equal(
+            loaded.classify_memberships(texts),
+            original.classify_memberships(texts),
+        )
+
+    def test_checkpoint_without_tokenizer_loads_the_default(
+        self, fed_engine, tmp_path
+    ):
+        fed_engine.save(tmp_path / "ckpt")
+        _edit_state(
+            tmp_path / "ckpt", lambda state: state["vectorizer"].pop("tokenizer")
+        )
+        loaded = StreamingSentimentEngine.load(tmp_path / "ckpt")
+        assert loaded.vectorizer.analyzer == TweetTokenizer()
+
+    @pytest.mark.parametrize(
+        ("setting", "message"),
+        [
+            ({"stem": True}, "unknown tokenizer setting.*'stem'"),
+            ({"lowercase": "no"}, "tokenizer setting lowercase='no'"),
+            ({"min_token_length": 2.5}, "tokenizer setting min_token_length=2.5"),
+            ({"extra_emoticons": {":3": 3}}, "tokenizer setting extra_emoticons="),
+        ],
+    )
+    def test_malformed_tokenizer_setting_refused_by_name(
+        self, fed_engine, tmp_path, setting, message
+    ):
+        fed_engine.save(tmp_path / "ckpt")
+        _edit_state(
+            tmp_path / "ckpt",
+            lambda state: state["vectorizer"]["tokenizer"].update(setting),
+        )
+        with pytest.raises(ValueError, match=f"malformed checkpoint: {message}"):
+            StreamingSentimentEngine.load(tmp_path / "ckpt")
 
 
 class TestLegacyFormat:

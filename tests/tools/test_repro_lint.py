@@ -436,7 +436,7 @@ class TestKnobLiteralDispatch:
     def test_flags_spmm_and_kernel_names(self):
         src = """
             def pick(kernel, spmm):
-                a = kernel == "numba"
+                a = kernel == "numpy"
                 b = spmm != "auto"
                 return a, b
         """

@@ -69,40 +69,3 @@ class TestCapBlasThreads:
         cap_blas_threads(0)
         for name in BLAS_ENV_VARS:
             assert os.environ[name] == "1"
-
-
-class TestSpmmThreadBudget:
-    @pytest.fixture(autouse=True)
-    def clean_budget(self, monkeypatch):
-        from repro.utils import threads
-
-        monkeypatch.delenv(threads.SPMM_THREADS_ENV, raising=False)
-        monkeypatch.delenv(threads.WORKER_SPMM_ENV, raising=False)
-        monkeypatch.setattr(threads, "_spmm_default", None)
-
-    def test_default_is_affinity_core_count(self):
-        from repro.utils.threads import spmm_thread_default
-
-        assert spmm_thread_default() == affinity_core_count()
-
-    def test_process_default_wins_over_affinity(self):
-        from repro.utils.threads import (
-            set_spmm_thread_default,
-            spmm_thread_default,
-        )
-
-        set_spmm_thread_default(3)
-        assert spmm_thread_default() == 3
-        set_spmm_thread_default(0)  # floored at 1, never 0
-        assert spmm_thread_default() == 1
-        set_spmm_thread_default(None)
-        assert spmm_thread_default() == affinity_core_count()
-
-    def test_env_wins_over_process_default(self, monkeypatch):
-        from repro.utils import threads
-
-        threads.set_spmm_thread_default(3)
-        monkeypatch.setenv(threads.SPMM_THREADS_ENV, "5")
-        assert threads.spmm_thread_default() == 5
-        monkeypatch.setenv(threads.SPMM_THREADS_ENV, "junk")
-        assert threads.spmm_thread_default() == 1

@@ -26,7 +26,6 @@ from repro.utils.transport import (
     WorkerLost,
     WorkerServer,
     _default_worker_blas_threads,
-    _default_worker_spmm_threads,
     connect_worker,
     parse_address,
     recv_frame,
@@ -114,14 +113,11 @@ class TestAddresses:
 
 
 class TestWorkerThreadDefaults:
-    """A socket worker caps BLAS and spmm to 1 thread unless told otherwise."""
+    """A socket worker caps BLAS to 1 thread unless told otherwise."""
 
     @pytest.mark.parametrize(
         ("env", "default"),
-        [
-            ("REPRO_WORKER_BLAS_THREADS", _default_worker_blas_threads),
-            ("REPRO_WORKER_SPMM_THREADS", _default_worker_spmm_threads),
-        ],
+        [("REPRO_WORKER_BLAS_THREADS", _default_worker_blas_threads)],
     )
     def test_env_overrides(self, monkeypatch, env, default):
         monkeypatch.delenv(env, raising=False)

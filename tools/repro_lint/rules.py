@@ -177,15 +177,13 @@ def _function_sparse_env(
 class RawSparseProductRule(Rule):
     """Hot-path sparse·dense products must go through the spmm layer.
 
-    PR 7 made every sweep product pluggable (``spmm="auto"|"scipy"|
-    "numba"``) by routing all call sites through
-    ``SweepCache.dot`` / ``repro.core.spmm`` engines, with float64
-    bit-identity across engines guaranteed by per-row IEEE accumulation
-    order.  A raw ``X @ dense`` (or ``X.dot(dense)``) on a scipy operand
-    in the hot path silently escapes the ``spmm=``/``spmm_threads=``
-    knobs *and* the float32 mode — it still computes the right numbers
-    today, which is exactly why nobody notices until a benchmark shows
-    the parallel engine not engaging.
+    Every sweep product is routed through ``SweepCache.dot`` /
+    ``repro.core.spmm`` engines, so that an engine instance passed as
+    ``spmm=`` (a timing probe, a benchmark baseline) sees every product
+    of a solve.  A raw ``X @ dense`` (or ``X.dot(dense)``) on a scipy
+    operand in the hot path silently escapes that instance *and* the
+    float32 mode — it still computes the right numbers, which is
+    exactly why nobody notices until a probe's counts come up short.
 
     Sparse operands are inferred from scipy aliases, ``MatrixLike``
     annotations, the CSR-returning payload helpers
@@ -257,9 +255,8 @@ class RawSparseProductRule(Rule):
                             node,
                             "raw sparse·dense product bypasses the spmm "
                             "engine layer; route it through SweepCache.dot "
-                            "or a repro.core.spmm engine so the "
-                            "spmm=/spmm_threads= knobs (and float32 mode) "
-                            "apply",
+                            "or a repro.core.spmm engine so an spmm= "
+                            "instance (and float32 mode) sees it",
                         )
                 elif (
                     isinstance(node, ast.Call)
@@ -736,7 +733,6 @@ KNOB_LITERALS = frozenset(
         "socket",
         # core/kernels.KERNELS
         "numpy",
-        "numba",
         # core/spmm.SPMM_ENGINES
         "scipy",
         # shared auto-resolution token
@@ -829,7 +825,7 @@ class KnobLiteralDispatchRule(Rule):
                     node,
                     f"dispatch on knob literal {shown} outside the central "
                     "registries; validate/resolve via validate_backend, "
-                    "resolve_kernel or resolve_spmm_name (or keep the "
+                    "resolve_kernel or resolve_spmm (or keep the "
                     "branch in the registry module and suppress with the "
                     "reason)",
                 )
